@@ -8,7 +8,6 @@ two-sided characterization.
 
 from .grid import CELL_CAP, DyadicCube, GridSpec, StepFunction
 from .lorentz import (
-    LorentzIndex,
     Q_INF,
     lorentz_holder_check,
     lorentz_norm,
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CELL_CAP", "DyadicCube", "GridSpec", "StepFunction",
-    "LorentzIndex", "Q_INF", "lorentz_holder_check", "lorentz_norm",
+    "Q_INF", "lorentz_holder_check", "lorentz_norm",
     "power_identity_check", "weak_norm",
     "MaximalQuery", "brute_force_maximal", "cube_score", "dyadic_maximal",
     "pointwise_lower_bound_check",

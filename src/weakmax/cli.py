@@ -125,7 +125,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _exponents(args, n: int):
+def _check_exponents(args, n: int):
     if args.alpha > 0:
         if args.q is None:
             raise CliError("--alpha > 0 requires --q with 1/p - 1/q = alpha/n")
@@ -133,8 +133,6 @@ def _exponents(args, n: int):
             raise CliError(
                 f"exponent relation violated: 1/p - 1/q = {1 / args.p - 1 / args.q:g} "
                 f"but alpha/n = {args.alpha / n:g}")
-        return args.q
-    return args.q
 
 
 def cmd_constants(args) -> int:
@@ -219,8 +217,8 @@ def cmd_lemmas(args) -> int:
 
 def cmd_verify(args) -> int:
     w = _load_weight(args.weight)
-    n = 1 if isinstance(w, PowerWeight) else w.grid.n
-    result = harness.verify_weight(w, args.p, args.alpha, _exponents(args, n),
+    _check_exponents(args, 1 if isinstance(w, PowerWeight) else w.grid.n)
+    result = harness.verify_weight(w, args.p, args.alpha, args.q,
                                    c_desk=args.c_desk, seed=args.seed,
                                    n_random=args.n_random, depth=args.depth)
     if args.format == "csv":
@@ -243,9 +241,8 @@ def cmd_verify(args) -> int:
 
 def cmd_necessity(args) -> int:
     w = _load_weight(args.weight)
-    n = 1 if isinstance(w, PowerWeight) else w.grid.n
-    report = harness.necessity_check(w, args.p, args.alpha, _exponents(args, n),
-                                     depth=args.depth)
+    _check_exponents(args, 1 if isinstance(w, PowerWeight) else w.grid.n)
+    report = harness.necessity_check(w, args.p, args.alpha, args.q, depth=args.depth)
     if args.format == "csv":
         rows = [{"level": r["level"],
                  "index": " ".join(str(i) for i in r["index"]),

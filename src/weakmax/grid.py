@@ -268,14 +268,15 @@ def coarsen_sums(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(shape).sum(axis=tuple(range(1, 2 * n, 2)))
 
 
-def level_value_sums(f: StepFunction) -> list[np.ndarray]:
+def level_value_sums(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     """Per level, the sum of cell values over each cube (flat, row-major).
 
-    Entry ``lev`` has shape (2^(lev*n),); multiplying by the cell measure gives
-    the exact integral of ``f`` over every cube at that level in one array.
+    ``values`` is a flat cell array of ``grid``, such as ``f.values``; unlike
+    a StepFunction it may hold +inf.  Entry ``lev`` has shape (2^(lev*n),);
+    multiplying by the cell measure gives the exact integral over every cube
+    at that level in one array.
     """
-    grid = f.grid
-    cur = f.values.reshape((2 ** grid.depth,) * grid.n)
+    cur = np.asarray(values, dtype=float).reshape((2 ** grid.depth,) * grid.n)
     out: list[np.ndarray] = [np.empty(0)] * (grid.depth + 1)
     out[grid.depth] = cur
     for lev in range(grid.depth, 0, -1):

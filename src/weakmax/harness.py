@@ -26,6 +26,7 @@ from .operators import MaximalQuery, dyadic_maximal
 from .weights import (
     PowerWeight,
     Weight,
+    _grid_of,
     ap_constant,
     ap_star_constant,
     apq_constant,
@@ -159,18 +160,13 @@ def _resolve_weight(w: Weight, p: float, q: float | None, depth: int | None):
     sigma (each tabulated from its own closed-form cell integrals).
     """
     flavor = "ap" if q is None else "apq"
+    star = (ap_star_constant(w, p, depth=depth) if q is None
+            else apq_star_constant(w, p, q, depth=depth))
+    rh = sigma_rh_constant(w, p, q, depth=depth)
+    sigma = dual_weight(w, p, flavor)
     if isinstance(w, PowerWeight):
-        if depth is None:
-            raise ValueError("power weights need an explicit depth")
-        star = (ap_star_constant(w, p, depth=depth) if q is None
-                else apq_star_constant(w, p, q, depth=depth))
-        rh = sigma_rh_constant(w, p, q, depth=depth)
-        w_tab = w.tabulate(depth)
-        sigma_tab = dual_weight(w, p, flavor).tabulate(depth)
-        return star, rh, w_tab, sigma_tab
-    star = ap_star_constant(w, p) if q is None else apq_star_constant(w, p, q)
-    rh = sigma_rh_constant(w, p, q)
-    return star, rh, w, dual_weight(w, p, flavor)
+        return star, rh, w.tabulate(depth), sigma.tabulate(depth)
+    return star, rh, w, sigma
 
 
 def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,
@@ -275,7 +271,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
          with c = 4^{p'/p} (plain) or 4^{p'/q} (fractional).
     """
     pc = conjugate(p)
-    grid = _grid_of_weight(w, depth)
+    lat = _grid_of(w, depth)
     star = (ap_star_constant(w, p, depth=depth) if q is None
             else apq_star_constant(w, p, q, depth=depth))
     if not math.isfinite(star.value):
@@ -297,12 +293,10 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
 
     sigma = dual_weight(w, p, "ap" if q is None else "apq")
     if isinstance(sigma, PowerWeight):
-        lat = sigma.lattice(depth)
         h = lat.side(depth)
         cell_mass = np.array([sigma.integral(sigma.left + j * h, sigma.left + (j + 1) * h)
                               for j in range(lat.finest_count)])
     else:
-        lat = sigma.grid
         cell_mass = sigma.values * lat.cell_measure
 
     rng = np.random.default_rng(seed)
@@ -332,14 +326,6 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
                "c": c_lemma, "sigma_rh": rh_value, "membership": membership}
     verdict = worst <= 1.0 + 1e-12
     return VerificationReport(context, worst, 1.0, worst, {}, verdict, 1e-12)
-
-
-def _grid_of_weight(w: Weight, depth: int | None) -> GridSpec:
-    if isinstance(w, PowerWeight):
-        if depth is None:
-            raise ValueError("power weights need an explicit depth")
-        return w.lattice(depth)
-    return w.grid
 
 
 def verify_weight(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,

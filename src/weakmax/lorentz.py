@@ -15,7 +15,6 @@ oracle.  q = infinity is marked by the Q_INF sentinel, not a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,20 +43,6 @@ def is_weak(q) -> bool:
     return q is Q_INF
 
 
-@dataclass(frozen=True)
-class LorentzIndex:
-    """Exponent pair (p, q); q = Q_INF selects the weak space."""
-
-    p: float
-    q: object = Q_INF
-
-    def __post_init__(self):
-        if not (self.p > 0):
-            raise ValueError(f"p must be positive, got {self.p}")
-        if not is_weak(self.q) and not (isinstance(self.q, (int, float)) and self.q > 0):
-            raise ValueError(f"q must be positive or Q_INF, got {self.q}")
-
-
 class CheckResult(NamedTuple):
     ok: bool
     residual: float
@@ -73,12 +58,24 @@ def weak_norm(f: StepFunction, p: float, cube: DyadicCube | None = None) -> floa
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    vals = np.sort(f.block(cube))[::-1]
-    pos = vals > 0
-    if not pos.any():
+    vals = f.block(cube)
+    if not np.any(vals > 0):
         return 0.0
-    counts = np.arange(1, vals.size + 1, dtype=float) * f.grid.cell_measure
-    return float(np.max(vals[pos] * counts[pos] ** (1.0 / p)))
+    return float(weak_scan(vals, f.grid.cell_measure, p))
+
+
+def weak_scan(values: np.ndarray, cell_measure: float, p: float = 1.0) -> np.ndarray:
+    """The sorted weak-L^p scan, row by row along the last axis.
+
+    Each row holds the cell values of one function (which may include +inf);
+    the result is max_v v |{>= v}|^(1/p) per row, with |{>= v}| the rank of v
+    in decreasing order times ``cell_measure``.
+    """
+    vals = np.sort(values, axis=-1)[..., ::-1]
+    counts = np.arange(1, vals.shape[-1] + 1, dtype=float) * cell_measure
+    if p != 1.0:
+        counts = counts ** (1.0 / p)
+    return np.max(vals * counts, axis=-1)
 
 
 def lorentz_norm(f: StepFunction, p: float, q: float) -> float:

@@ -78,8 +78,8 @@ def level_scores(f: StepFunction, query: MaximalQuery) -> list[np.ndarray]:
     cm = grid.cell_measure
     scores = []
     if query.is_weighted:
-        fw_sums = level_value_sums(f * query.weight)
-        w_sums = level_value_sums(query.weight)
+        fw_sums = level_value_sums((f * query.weight).values, grid)
+        w_sums = level_value_sums(query.weight.values, grid)
         for lev in range(grid.depth + 1):
             w_int = w_sums[lev] * cm
             fw_int = fw_sums[lev] * cm
@@ -88,7 +88,7 @@ def level_scores(f: StepFunction, query: MaximalQuery) -> list[np.ndarray]:
                 avg = np.where(w_int > 0, w_int ** (query.alpha / grid.n), 0.0) * avg
             scores.append(avg)
     else:
-        f_sums = level_value_sums(f)
+        f_sums = level_value_sums(f.values, grid)
         for lev in range(grid.depth + 1):
             avg = f_sums[lev] * cm / grid.cube_measure(lev)
             if query.is_fractional:

@@ -21,13 +21,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .grid import (
-    DyadicCube,
-    GridSpec,
-    StepFunction,
-    coarsen_sums,
-    cube_blocks,
-)
+from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks, level_value_sums
+from .lorentz import weak_scan
 
 INF = math.inf
 
@@ -182,7 +177,7 @@ Weight = Union[StepFunction, PowerWeight]
 
 
 # --------------------------------------------------------------------------
-# per-cube machinery shared by the constants and witness re-evaluation
+# the class table and its evaluator, shared by both backends
 # --------------------------------------------------------------------------
 
 def _zero_inf(arr: np.ndarray) -> np.ndarray:
@@ -198,167 +193,119 @@ def _grid_of(w: Weight, depth: int | None) -> GridSpec:
     return w.lattice(depth)
 
 
-def level_sums_of(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
-    """Per-level cube sums of a raw cell array (may contain +inf, unlike a
-    StepFunction); layout identical to grid.level_value_sums."""
-    cur = np.asarray(values, dtype=float).reshape((2 ** grid.depth,) * grid.n)
-    out: list[np.ndarray] = [np.empty(0)] * (grid.depth + 1)
-    out[grid.depth] = cur
-    for lev in range(grid.depth, 0, -1):
-        cur = coarsen_sums(cur)
-        out[lev - 1] = cur
-    return [a.reshape(-1) for a in out]
-
-
-def _weak_l1_rows(values: np.ndarray, grid: GridSpec, lev: int) -> np.ndarray:
-    """||v chi_Q||_{1,inf} for every cube Q at a level, by the sorted scan."""
-    blocks = np.sort(cube_blocks(values, grid, lev), axis=1)[:, ::-1]
-    counts = np.arange(1, blocks.shape[1] + 1, dtype=float) * grid.cell_measure
-    return np.max(blocks * counts, axis=1)
-
-
-def _avgs(sums: list[np.ndarray], grid: GridSpec, lev: int) -> np.ndarray:
-    return sums[lev] * grid.cell_measure / grid.cube_measure(lev)
-
-
-def _power_levels(pw: PowerWeight, grid: GridSpec, cube_value):
-    def level_values(lev):
-        h = grid.side(lev)
-        return np.array([cube_value(pw.left + i * h, pw.left + (i + 1) * h)
-                         for i in range(2 ** lev)])
-    return level_values
-
-
 def _cell_power(vals: np.ndarray, e: float) -> np.ndarray:
     # 0^e for e < 0 is +inf here (zero cells make the dual mass divergent).
     with np.errstate(divide="ignore"):
         return vals ** e
 
 
-def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
-    """Build the per-level array closure for one constant's cube expression."""
-    if isinstance(w, PowerWeight):
-        return _power_levels(w, grid, _power_cube_expr(kind, w, p=p, q=q, r=r))
+# Every class is a row of per-cube factors, combined left to right:
+#   ("avg", e, t)          <w^e>_Q^t
+#   ("weak", e, t)         (|Q|^-1 ||w^e chi_Q||_{1,inf})^t
+#   ("esssup_inv", -1, 1)  ess sup_Q w^{-1}
+# A factor with t = -1 divides instead of multiplying.  A new class costs one
+# row here plus its public wrapper below.
+_ESSSUP_INV = ("esssup_inv", -1.0, 1.0)
 
+
+def _dual_ap(p):
+    """<w^{1-p'}>_Q^{p-1}, the A_p dual factor."""
+    return ("avg", 1.0 - conjugate(p), p - 1.0)
+
+
+def _dual_apq(p):
+    """<w^{-p'}>_Q^{1/p'}, the A_{p,q} dual factor."""
+    pc = conjugate(p)
+    return ("avg", -pc, 1.0 / pc)
+
+
+_ROWS = {
+    "ap": lambda p, q, r: (("avg", 1.0, 1.0), _dual_ap(p)),
+    "a1": lambda p, q, r: (("avg", 1.0, 1.0), _ESSSUP_INV),
+    "apq": lambda p, q, r: (("avg", q, 1.0 / q), _dual_apq(p)),
+    "a1q": lambda p, q, r: (("avg", q, 1.0 / q), _ESSSUP_INV),
+    "rh": lambda p, q, r: (("avg", r, 1.0 / r), ("avg", 1.0, -1.0)),
+    "ap_star": lambda p, q, r: (("weak", 1.0, 1.0), _dual_ap(p)),
+    "apq_star": lambda p, q, r: (("weak", q, 1.0 / q), _dual_apq(p)),
+}
+
+
+def _evaluate(row: tuple, factor):
+    """Combine a row's factors left to right; ``factor(kind, e, t)`` returns
+    the backend's (base, t) for one factor, on per-level arrays or on one
+    cube's floats.  The backend may override t: the tabulated ess sup of
+    w^{-1} is a division by min w."""
+    value = None
+    for kind, e, t in row:
+        base, t = factor(kind, e, t)
+        if t == -1.0:
+            if isinstance(base, np.ndarray):
+                value = value / base
+            else:
+                # A power weight's <w>_Q = inf is a true divergence (RH_r's
+                # numerator diverges with it): +inf, not inf/inf read as 0.
+                value = INF if base == INF else value / base
+            continue
+        if t != 1.0:
+            base = base ** t
+        value = base if value is None else value * base
+    return value
+
+
+def _tabulated_levels(row: tuple, w: StepFunction, grid: GridSpec):
+    """Per-level arrays of a row for a tabulated weight.  Each w^e is taken
+    once; levels are evaluated lazily, so a scan can stop at +inf."""
     vals = w.values
-    if kind == "ap":
-        pc = conjugate(p)
-        w_sums = level_sums_of(vals, grid)
-        s_sums = level_sums_of(_cell_power(vals, 1.0 - pc), grid)
+    data = {}
+    for kind, e, _ in row:
+        if kind == "avg":
+            data[kind, e] = level_value_sums(_cell_power(vals, e), grid)
+        elif kind == "weak":
+            data[kind, e] = _cell_power(vals, e)
 
-        def level_values(lev):
-            return _avgs(w_sums, grid, lev) * _avgs(s_sums, grid, lev) ** (p - 1.0)
+    def level_values(lev):
+        meas = grid.cube_measure(lev)
 
-    elif kind == "a1":
-        w_sums = level_sums_of(vals, grid)
+        def factor(kind, e, t):
+            if kind == "avg":
+                return data[kind, e][lev] * grid.cell_measure / meas, t
+            if kind == "weak":
+                blocks = cube_blocks(data[kind, e], grid, lev)
+                return weak_scan(blocks, grid.cell_measure) / meas, t
+            return cube_blocks(vals, grid, lev).min(axis=1), -1.0
 
-        def level_values(lev):
-            mins = cube_blocks(vals, grid, lev).min(axis=1)
-            with np.errstate(divide="ignore"):
-                return _avgs(w_sums, grid, lev) / mins
-
-    elif kind == "apq":
-        pc = conjugate(p)
-        q_sums = level_sums_of(vals ** q, grid)
-        s_sums = level_sums_of(_cell_power(vals, -pc), grid)
-
-        def level_values(lev):
-            return (_avgs(q_sums, grid, lev) ** (1.0 / q)
-                    * _avgs(s_sums, grid, lev) ** (1.0 / pc))
-
-    elif kind == "a1q":
-        q_sums = level_sums_of(vals ** q, grid)
-
-        def level_values(lev):
-            mins = cube_blocks(vals, grid, lev).min(axis=1)
-            with np.errstate(divide="ignore"):
-                return _avgs(q_sums, grid, lev) ** (1.0 / q) / mins
-
-    elif kind == "rh":
-        w_sums = level_sums_of(vals, grid)
-        r_sums = level_sums_of(vals ** r, grid)
-
-        def level_values(lev):
-            avg_w = _avgs(w_sums, grid, lev)
-            avg_r = _avgs(r_sums, grid, lev)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = avg_r ** (1.0 / r) / avg_w
-            return np.where(avg_w > 0, out, 0.0)
-
-    elif kind == "ap_star":
-        pc = conjugate(p)
-        s_sums = level_sums_of(_cell_power(vals, 1.0 - pc), grid)
-
-        def level_values(lev):
-            weak = _weak_l1_rows(vals, grid, lev)
-            return (weak / grid.cube_measure(lev)
-                    * _avgs(s_sums, grid, lev) ** (p - 1.0))
-
-    elif kind == "apq_star":
-        pc = conjugate(p)
-        wq = vals ** q
-        s_sums = level_sums_of(_cell_power(vals, -pc), grid)
-
-        def level_values(lev):
-            weak = _weak_l1_rows(wq, grid, lev)
-            return ((weak / grid.cube_measure(lev)) ** (1.0 / q)
-                    * _avgs(s_sums, grid, lev) ** (1.0 / pc))
-
-    else:
-        raise ValueError(f"unknown constant kind {kind!r}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _evaluate(row, factor)
     return level_values
 
 
-def _power_cube_expr(kind: str, pw: PowerWeight, p=None, q=None, r=None):
-    """Scalar (lo, hi) -> per-cube value map for a power weight."""
-    if kind == "ap":
-        pc = conjugate(p)
+def _power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float:
+    """One cube's row value for a power weight, in Python float arithmetic."""
+    meas = hi - lo
 
-        def cube_value(lo, hi):
-            meas = hi - lo
-            return (pw.integral(lo, hi) / meas
-                    * (pw.moment(1.0 - pc, lo, hi) / meas) ** (p - 1.0))
+    def factor(kind, e, t):
+        if kind == "avg":
+            return pw.moment(e, lo, hi) / meas, t
+        if kind == "weak":
+            return pw.weak_l1(lo, hi, power=e) / meas, t
+        return pw.ess_sup_inv(lo, hi), t
 
-    elif kind == "a1":
-        def cube_value(lo, hi):
-            return pw.integral(lo, hi) / (hi - lo) * pw.ess_sup_inv(lo, hi)
+    return _evaluate(row, factor)
 
-    elif kind == "apq":
-        pc = conjugate(p)
 
-        def cube_value(lo, hi):
-            meas = hi - lo
-            return ((pw.moment(q, lo, hi) / meas) ** (1.0 / q)
-                    * (pw.moment(-pc, lo, hi) / meas) ** (1.0 / pc))
-
-    elif kind == "a1q":
-        def cube_value(lo, hi):
-            return ((pw.moment(q, lo, hi) / (hi - lo)) ** (1.0 / q)
-                    * pw.ess_sup_inv(lo, hi))
-
-    elif kind == "rh":
-        def cube_value(lo, hi):
-            meas = hi - lo
-            avg_w = pw.integral(lo, hi) / meas
-            if math.isinf(avg_w):
-                return INF  # divergent mass: outside every RH class here
-            return (pw.moment(r, lo, hi) / meas) ** (1.0 / r) / avg_w
-
-    elif kind == "ap_star":
-        def cube_value(lo, hi):
-            return ap_star_cube_value(pw, p, lo, hi)
-
-    elif kind == "apq_star":
-        pc = conjugate(p)
-
-        def cube_value(lo, hi):
-            meas = hi - lo
-            return ((pw.weak_l1(lo, hi, power=q) / meas) ** (1.0 / q)
-                    * (pw.moment(-pc, lo, hi) / meas) ** (1.0 / pc))
-
-    else:
+def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
+    """Build the per-level array closure for one constant's cube expression."""
+    if kind not in _ROWS:
         raise ValueError(f"unknown constant kind {kind!r}")
-    return cube_value
+    row = _ROWS[kind](p, q, r)
+    if isinstance(w, StepFunction):
+        return _tabulated_levels(row, w, grid)
+
+    def level_values(lev):
+        h = grid.side(lev)
+        return np.array([_power_cube_value(row, w, w.left + i * h, w.left + (i + 1) * h)
+                         for i in range(2 ** lev)])
+    return level_values
 
 
 def _scan(tag: str, w: Weight, grid: GridSpec, *, p=None, q=None, r=None) -> "WeightConstant":
@@ -451,10 +398,7 @@ def apq_star_constant(w: Weight, p: float, q: float, depth: int | None = None) -
 
 def ap_star_cube_value(pw: PowerWeight, p: float, lo: float, hi: float) -> float:
     """Single-cube A_p^* expression for a power weight, in closed form."""
-    pc = conjugate(p)
-    meas = hi - lo
-    return (pw.weak_l1(lo, hi) / meas
-            * (pw.moment(1.0 - pc, lo, hi) / meas) ** (p - 1.0))
+    return _power_cube_value(_ROWS["ap_star"](p, None, None), pw, lo, hi)
 
 
 def weight_cube_value(w: Weight, kind: str, cube: DyadicCube, *, p=None, q=None,
@@ -482,9 +426,7 @@ def ap_star_kernel_cube_value(w: StepFunction, p: float, cube: DyadicCube) -> fl
     x_q = np.asarray(grid.cube_center(cube))
     dist = np.linalg.norm(grid.cell_centers() - x_q, axis=1)
     kernel = meas ** (p - 1.0) / (meas ** p + dist ** p)
-    vals = np.sort(w.values * kernel)[::-1]
-    counts = np.arange(1, grid.finest_count + 1, dtype=float) * grid.cell_measure
-    weak = float(np.max(vals * counts))
+    weak = float(weak_scan(w.values * kernel, grid.cell_measure))
     avg_s = float(_cell_power(w.block(cube), 1.0 - pc).sum()) * grid.cell_measure / meas
     value = weak * avg_s ** (p - 1.0)
     return 0.0 if math.isnan(value) else value

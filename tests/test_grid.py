@@ -148,7 +148,7 @@ class TestBlocks:
     def test_level_sums_match_integrals(self, n, depth, rng):
         grid = GridSpec(n, (0.0,) * n, 1.0, depth)
         f = StepFunction(grid, rng.uniform(0, 1, grid.finest_count))
-        sums = level_value_sums(f)
+        sums = level_value_sums(f.values, f.grid)
         for level in range(depth + 1):
             for flat, cube in enumerate(grid.cells(level)):
                 integral = sums[level][flat] * grid.cell_measure

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from weakmax import (
     Q_INF,
-    LorentzIndex,
     StepFunction,
     lorentz_holder_check,
     lorentz_norm,
@@ -124,18 +123,6 @@ class TestLorentzNorm:
             lorentz_norm(f, 2, Q_INF)
         with pytest.raises(ValueError):
             lorentz_norm(f, 2, math.inf)
-
-
-class TestLorentzIndex:
-    def test_weak_marker(self):
-        idx = LorentzIndex(2.0)
-        assert idx.q is Q_INF
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LorentzIndex(0.0, 1.0)
-        with pytest.raises(ValueError):
-            LorentzIndex(1.0, -2.0)
 
 
 class TestPowerIdentity:

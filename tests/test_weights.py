@@ -153,8 +153,14 @@ class TestAgainstBruteForce:
 
     def test_witness_reproduces_value(self, rng):
         grid = unit_grid(4)
-        for _ in range(5):
-            w = StepFunction(grid, rng.uniform(0.2, 4.0, grid.finest_count))
+        tabulated = [(StepFunction(grid, rng.uniform(0.2, 4.0, grid.finest_count)), None)
+                     for _ in range(5)]
+        # Power exponents in (-1, 0), above 0 and below -1, centers on and off
+        # cell edges: finite and infinite constants, singular and smooth cubes.
+        power = [(PowerWeight(c, a, 0.0, 1.0), 6)
+                 for c, a in [(0.3, -0.5), (0.5, 1.0), (0.0, -1.0), (0.77, -1.5),
+                              (0.125, 0.3)]]
+        for w, depth in tabulated + power:
             for kind, kwargs in [("ap", {"p": 2.0}), ("a1", {}), ("rh", {"r": 2.0}),
                                  ("apq", {"p": 2.0, "q": 4.0}), ("a1q", {"q": 4.0}),
                                  ("ap_star", {"p": 2.0}),
@@ -162,8 +168,8 @@ class TestAgainstBruteForce:
                 fns = {"ap": ap_constant, "a1": a1_constant, "apq": apq_constant,
                        "a1q": a1q_constant, "rh": rh_constant,
                        "ap_star": ap_star_constant, "apq_star": apq_star_constant}
-                const = fns[kind](w, **kwargs)
-                again = weight_cube_value(w, kind, const.witness, **kwargs)
+                const = fns[kind](w, **kwargs, depth=depth)
+                again = weight_cube_value(w, kind, const.witness, **kwargs, depth=depth)
                 assert again == const.value  # bit-identical re-evaluation
 
     def test_domination_weak_by_average(self, rng):
