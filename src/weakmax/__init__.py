@@ -37,7 +37,9 @@ from .weights import (
     conjugate,
     dual_weight,
     rh_constant,
+    sigma_rh,
     sigma_rh_constant,
+    star_constant,
     weight_cube_value,
     weight_from_dict,
     weight_to_dict,
@@ -74,7 +76,7 @@ __all__ = [
     "PowerWeight", "SigmaRH", "WeightConstant", "a1_constant", "a1q_constant",
     "ap_constant", "ap_star_constant", "ap_star_cube_value",
     "ap_star_kernel_constant", "ap_star_kernel_cube_value", "apq_constant", "apq_star_constant",
-    "conjugate", "dual_weight", "rh_constant", "sigma_rh_constant",
+    "conjugate", "dual_weight", "rh_constant", "sigma_rh", "sigma_rh_constant", "star_constant",
     "weight_cube_value", "weight_from_dict", "weight_to_dict",
     "CZDecomposition", "SparseFamily", "SparsityError", "build_sparse",
     "cz_decompose", "sparse_sum",

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import czsparse, harness, weights
 from .grid import StepFunction
 from .operators import KINDS, MaximalQuery, dyadic_maximal
-from .weights import PowerWeight, weight_from_dict
+from .weights import weight_from_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,8 +125,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_exponents(args, n: int):
+def _check_exponents(args, w):
     if args.alpha > 0:
+        n = w.grid.n if isinstance(w, StepFunction) else 1
         if args.q is None:
             raise CliError("--alpha > 0 requires --q with 1/p - 1/q = alpha/n")
         if abs(1.0 / args.p - 1.0 / args.q - args.alpha / n) > 1e-12:
@@ -139,21 +140,21 @@ def cmd_constants(args) -> int:
     w = _load_weight(args.weight)
     p, q, r = args.p, args.q if args.q is not None else 2.0 * args.p, args.r
     depth = args.depth
+    star_plain = weights.star_constant(w, p, depth=depth)
+    star_frac = weights.star_constant(w, p, q, depth=depth)
     out = [
         weights.ap_constant(w, p, depth=depth).to_dict(),
         weights.a1_constant(w, depth=depth).to_dict(),
         weights.apq_constant(w, p, q, depth=depth).to_dict(),
         weights.a1q_constant(w, q, depth=depth).to_dict(),
         weights.rh_constant(w, r, depth=depth).to_dict(),
-        weights.ap_star_constant(w, p, depth=depth).to_dict(),
-        weights.apq_star_constant(w, p, q, depth=depth).to_dict(),
+        star_plain.to_dict(),
+        star_frac.to_dict(),
     ]
-    c_plain, rh_plain = weights.sigma_rh_constant(w, p, depth=depth)
-    out.append({"class": "sigma_rh", "p": p, "q": None, "r": None,
-                "value": rh_plain, "witness": None, "c": c_plain})
-    c_frac, rh_frac = weights.sigma_rh_constant(w, p, q, depth=depth)
-    out.append({"class": "sigma_rh_fractional", "p": p, "q": q, "r": None,
-                "value": rh_frac, "witness": None, "c": c_frac})
+    for tag, star in (("sigma_rh", star_plain), ("sigma_rh_fractional", star_frac)):
+        c, rh = weights.sigma_rh(star)
+        out.append({"class": tag, "p": p, "q": star.q, "r": None,
+                    "value": rh, "witness": None, "c": c})
     if args.format == "csv":
         rows = []
         for d in out:
@@ -217,7 +218,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_verify(args) -> int:
     w = _load_weight(args.weight)
-    _check_exponents(args, 1 if isinstance(w, PowerWeight) else w.grid.n)
+    _check_exponents(args, w)
     result = harness.verify_weight(w, args.p, args.alpha, args.q,
                                    c_desk=args.c_desk, seed=args.seed,
                                    n_random=args.n_random, depth=args.depth)
@@ -241,7 +242,7 @@ def cmd_verify(args) -> int:
 
 def cmd_necessity(args) -> int:
     w = _load_weight(args.weight)
-    _check_exponents(args, 1 if isinstance(w, PowerWeight) else w.grid.n)
+    _check_exponents(args, w)
     report = harness.necessity_check(w, args.p, args.alpha, args.q, depth=args.depth)
     if args.format == "csv":
         rows = [{"level": r["level"],

@@ -24,12 +24,7 @@ import numpy as np
 from .grid import DyadicCube, StepFunction
 from .lorentz import weak_norm
 from .operators import MaximalQuery, dyadic_maximal, level_scores, running_ancestor_max
-from .weights import (
-    ap_star_constant,
-    apq_star_constant,
-    conjugate,
-    sigma_rh_constant,
-)
+from .weights import conjugate, sigma_rh, star_constant
 
 
 class SparsityError(RuntimeError):
@@ -149,7 +144,7 @@ class SparseEntry:
     def e_measure(self, grid) -> float:
         return float(self.e_mask.sum()) * grid.cell_measure
 
-    def to_dict(self, grid) -> dict:
+    def to_dict(self) -> dict:
         return {
             "k": self.k,
             "j": self.j,
@@ -163,12 +158,8 @@ class SparseFamily:
     decomposition: CZDecomposition
     entries: list[SparseEntry]
 
-    @property
-    def grid(self):
-        return self.decomposition.f.grid
-
     def to_json_list(self) -> list[dict]:
-        return [e.to_dict(self.grid) for e in self.entries]
+        return [e.to_dict() for e in self.entries]
 
 
 def build_sparse(dec: CZDecomposition) -> SparseFamily:
@@ -281,12 +272,10 @@ def sparse_sum(family: SparseFamily, w: StepFunction, sigma: StepFunction,
 
     if fractional:
         weak_obj = (w ** q) * (dec.maximal ** q)
-        star = apq_star_constant(w, p, q).value
-        c_lemma, rh = sigma_rh_constant(w, p, q)
     else:
         weak_obj = w * (dec.maximal ** p)
-        star = ap_star_constant(w, p).value
-        c_lemma, rh = sigma_rh_constant(w, p)
+    star = star_constant(w, p, q)
+    c_lemma, rh = sigma_rh(star)
 
     t0 = weak_norm(weak_obj, 1.0)
     t1 = t2 = t3 = t4 = 0.0
@@ -315,7 +304,7 @@ def sparse_sum(family: SparseFamily, w: StepFunction, sigma: StepFunction,
     links = [
         TraceLink("weak_norm_vs_level_sum", t0, t1, 1.0),
         TraceLink("level_to_stopping_average", t1, t2, a ** s),
-        TraceLink("multiplier_class_dualization", t2, t3, star ** s if fractional else star),
+        TraceLink("multiplier_class_dualization", t2, t3, star.value ** s if fractional else star.value),
         TraceLink("sigma_reverse_holder", t3, t4, c_lemma * 4.0 ** pc * rh),
         TraceLink("disjoint_sparse_energy", t4, t5, 1.0),
     ]

@@ -28,15 +28,15 @@ from .weights import (
     Weight,
     _grid_of,
     ap_constant,
-    ap_star_constant,
     apq_constant,
-    apq_star_constant,
     conjugate,
     dual_weight,
-    sigma_rh_constant,
+    sigma_rh,
+    star_constant,
 )
 
 RATIO_TOL = 1e-9
+S_VALUES = (1.5, 2.0, 3.0)  # the root powers w^{1/s} in lemma_suite's membership check
 
 
 @dataclass
@@ -160,9 +160,8 @@ def _resolve_weight(w: Weight, p: float, q: float | None, depth: int | None):
     sigma (each tabulated from its own closed-form cell integrals).
     """
     flavor = "ap" if q is None else "apq"
-    star = (ap_star_constant(w, p, depth=depth) if q is None
-            else apq_star_constant(w, p, q, depth=depth))
-    rh = sigma_rh_constant(w, p, q, depth=depth)
+    star = star_constant(w, p, q, depth)
+    rh = sigma_rh(star)
     sigma = dual_weight(w, p, flavor)
     if isinstance(w, PowerWeight):
         return star, rh, w.tabulate(depth), sigma.tabulate(depth)
@@ -170,7 +169,6 @@ def _resolve_weight(w: Weight, p: float, q: float | None, depth: int | None):
 
 
 def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,
-                      suite: Iterable[tuple[str, StepFunction]] | None = None,
                       c_desk: float = 8.0, seed: int = 0, n_random: int = 200,
                       depth: int | None = None) -> VerificationReport:
     """Maximize the weak-type ratio over the suite against the quantitative
@@ -193,11 +191,9 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
         return VerificationReport(
             context | {"diagnostic": "star constant is infinite; bound is vacuous"},
             math.inf, bound, 0.0, {}, False, c_desk)
-    if suite is None:
-        suite = default_suite(w_tab.grid, sigma_tab, seed, n_random)
     best = -math.inf
     best_label = ""
-    for label, f in suite:
+    for label, f in default_suite(w_tab.grid, sigma_tab, seed, n_random):
         if not np.any(f.values > 0):
             continue
         ratio = multiplier_ratio(f, w_tab, p, alpha, q)
@@ -260,8 +256,7 @@ def _random_cell_union(rng: np.random.Generator, cells: np.ndarray) -> np.ndarra
 
 
 def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
-                n_random: int = 64, s_values: tuple[float, ...] = (1.5, 2.0, 3.0),
-                depth: int | None = None) -> VerificationReport:
+                n_random: int = 64, depth: int | None = None) -> VerificationReport:
     """Root-power membership and the subset inequality, exact constants.
 
     (i)  [w^{1/s}]_{A_p} <= s' [w]_{A_p^*}^{1/s} for each s (fractional:
@@ -272,15 +267,14 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     """
     pc = conjugate(p)
     lat = _grid_of(w, depth)
-    star = (ap_star_constant(w, p, depth=depth) if q is None
-            else apq_star_constant(w, p, q, depth=depth))
+    star = star_constant(w, p, q, depth)
     if not math.isfinite(star.value):
         raise ValueError("star constant must be finite for the lemma suite")
-    c_lemma, rh_value = sigma_rh_constant(w, p, q, depth=depth)
+    c_lemma, rh_value = sigma_rh(star)
 
     worst = 0.0
     membership = {}
-    for s in s_values:
+    for s in S_VALUES:
         s_conj = s / (s - 1.0)
         root_w = w.power(1.0 / s) if isinstance(w, PowerWeight) else w ** (1.0 / s)
         if q is None:

@@ -478,21 +478,35 @@ class SigmaRH(NamedTuple):
     value: float
 
 
-def sigma_rh_constant(w: Weight, p: float, q: float | None = None,
-                      depth: int | None = None) -> SigmaRH:
-    """The pair (c, [sigma]_RH) in (|E|/|Q|)^{2p'} <= c [sigma]_RH sigma(E)/sigma(Q).
+def star_constant(w: Weight, p: float, q: float | None = None,
+                  depth: int | None = None) -> WeightConstant:
+    """The star class of a chain: [w]_{A_p^*} (plain, q None) or
+    [w]_{A_{p,q}^*} (fractional, q given)."""
+    if q is None:
+        return ap_star_constant(w, p, depth=depth)
+    return apq_star_constant(w, p, q, depth=depth)
+
+
+def sigma_rh(star: WeightConstant) -> SigmaRH:
+    """The pair (c, [sigma]_RH) in (|E|/|Q|)^{2p'} <= c [sigma]_RH sigma(E)/sigma(Q),
+    read off a star constant from star_constant; nothing is scanned.
 
     Plain flavor: c = 4^{p'/p} and [sigma]_RH = [w]_{A_p^*}^{p'-1} for
-    sigma = w^{1-p'}; fractional flavor (q given): c = 4^{p'/q} and
+    sigma = w^{1-p'}; fractional flavor (star.q given): c = 4^{p'/q} and
     [sigma]_RH = [w]_{A_{p,q}^*}^{p'} for sigma = w^{-p'}.  An infinite star
     constant propagates to +inf.
     """
+    p, q = star.p, star.q
     pc = conjugate(p)
     if q is None:
-        star = ap_star_constant(w, p, depth=depth).value
-        return SigmaRH(4.0 ** (pc / p), star ** (pc - 1.0))
-    star = apq_star_constant(w, p, q, depth=depth).value
-    return SigmaRH(4.0 ** (pc / q), star ** pc)
+        return SigmaRH(4.0 ** (pc / p), star.value ** (pc - 1.0))
+    return SigmaRH(4.0 ** (pc / q), star.value ** pc)
+
+
+def sigma_rh_constant(w: Weight, p: float, q: float | None = None,
+                      depth: int | None = None) -> SigmaRH:
+    """sigma_rh of w's star constant, for callers that do not hold it."""
+    return sigma_rh(star_constant(w, p, q, depth))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,13 +20,25 @@ from weakmax import (
     apq_star_constant,
     conjugate,
     dual_weight,
+    build_sparse,
+    cz_decompose,
+    lemma_suite,
+    necessity_check,
+    random_step,
+    random_weight,
     rh_constant,
+    sigma_rh,
     sigma_rh_constant,
+    sparse_sum,
+    star_constant,
+    sufficiency_check,
     weak_norm,
     weight_cube_value,
     weight_from_dict,
     weight_to_dict,
 )
+
+from weakmax import cli, weights
 
 from conftest import unit_grid
 
@@ -353,6 +367,109 @@ class TestPowerConstants:
         analytic = ap_constant(pw, 2.0, depth=4).value
         tab = ap_constant(pw.tabulate(8), 2.0).value
         assert tab == pytest.approx(analytic, rel=0.05)
+
+
+class TestSigmaRH:
+    """sigma_rh is arithmetic on the star constant: c = 4^{p'/p} with
+    [w]_{A_p^*}^{p'-1} (plain) and c = 4^{p'/q} with [w]_{A_{p,q}^*}^{p'}
+    (fractional)."""
+
+    CASES = [
+        ("tab_1d", StepFunction(unit_grid(4), np.exp(np.sin(np.arange(16.0)))), None),
+        ("tab_2d", StepFunction(unit_grid(2, n=2), np.linspace(0.3, 3.0, 16)), None),
+        ("inverse_x", PowerWeight(0.0, -1.0, 0.0, 1.0), 6),
+        ("sqrt", PowerWeight(0.3, 0.5, 0.0, 1.0), 5),
+        ("inverse_quarter", PowerWeight(0.0, -0.25, 0.0, 1.0), 5),
+    ]
+
+    @pytest.mark.parametrize("name,w,depth", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("p,q", [(2.0, None), (1.5, None), (3.0, None),
+                                     (2.0, 4.0), (1.5, 6.0)])
+    def test_matches_sigma_rh_constant(self, name, w, depth, p, q):
+        star = star_constant(w, p, q, depth)
+        pair = sigma_rh(star)
+        assert pair == sigma_rh_constant(w, p, q, depth=depth)
+        pc = conjugate(p)
+        if q is None:
+            assert star.tag == "ap_star"
+            assert pair == (4.0 ** (pc / p), star.value ** (pc - 1.0))
+        else:
+            assert star.tag == "apq_star"
+            assert pair == (4.0 ** (pc / q), star.value ** pc)
+
+    def test_inverse_x_fractional_is_infinite(self):
+        # w^q = |x|^-4 is not weakly integrable near 0, so A_{p,q}^* = +inf
+        pw = PowerWeight(0.0, -1.0, 0.0, 1.0)
+        p, q = 2.0, 4.0
+        star = star_constant(pw, p, q, depth=4)
+        assert star.value == INF
+        pair = sigma_rh(star)
+        assert pair == (4.0 ** (conjugate(p) / q), INF)
+        assert pair == sigma_rh_constant(pw, p, q, depth=4)
+
+
+@pytest.fixture
+def star_scans(monkeypatch):
+    """Count weights._scan calls per class tag."""
+    counts = Counter()
+    scan = weights._scan
+
+    def counting(tag, *args, **kwargs):
+        counts[tag] += 1
+        return scan(tag, *args, **kwargs)
+
+    monkeypatch.setattr(weights, "_scan", counting)
+    return counts
+
+
+def _stars(counts):
+    return {tag: counts[tag] for tag in ("ap_star", "apq_star")}
+
+
+class TestOneStarScan:
+    """Every driver scans its star class once and derives sigma-RH from it."""
+
+    PLAIN = {"ap_star": 1, "apq_star": 0}
+    FRACTIONAL = {"ap_star": 0, "apq_star": 1}
+
+    @pytest.mark.parametrize("alpha,q,expected", [(0.0, None, PLAIN), (0.25, 4.0, FRACTIONAL)])
+    def test_sparse_sum(self, star_scans, alpha, q, expected):
+        rng = np.random.default_rng(31)
+        grid = unit_grid(5)
+        f = random_step(grid, rng)
+        w = random_weight(grid, rng, log_spread=0.5)
+        family = build_sparse(cz_decompose(f, alpha=alpha))
+        sigma = dual_weight(w, 2.0, "ap" if q is None else "apq")
+        sparse_sum(family, w, sigma, p=2.0, alpha=alpha, q=q)
+        assert _stars(star_scans) == expected
+
+    @pytest.mark.parametrize("q,expected", [(None, PLAIN), (4.0, FRACTIONAL)])
+    def test_lemma_suite(self, star_scans, q, expected):
+        w = random_weight(unit_grid(3), np.random.default_rng(32))
+        lemma_suite(w, 2.0, q, n_random=2)
+        assert _stars(star_scans) == expected
+
+    @pytest.mark.parametrize("alpha,q,expected", [(0.0, None, PLAIN), (0.25, 4.0, FRACTIONAL)])
+    def test_necessity_check(self, star_scans, alpha, q, expected):
+        necessity_check(PowerWeight(0.0, -0.5, 0.0, 1.0), 2.0, alpha, q, depth=3)
+        assert _stars(star_scans) == expected
+
+    @pytest.mark.parametrize("alpha,q,expected", [(0.0, None, PLAIN), (0.25, 4.0, FRACTIONAL)])
+    def test_sufficiency_check(self, star_scans, alpha, q, expected):
+        w = random_weight(unit_grid(3), np.random.default_rng(33))
+        sufficiency_check(w, 2.0, alpha, q, n_random=2)
+        assert _stars(star_scans) == expected
+
+    def test_cli_constants(self, star_scans, tmp_path):
+        path = tmp_path / "w.json"
+        w = random_weight(unit_grid(3), np.random.default_rng(34))
+        path.write_text(json.dumps(weight_to_dict(w)))
+        out = tmp_path / "out.json"
+        assert cli.main(["constants", "--weight", str(path), "--output", str(out)]) == 0
+        assert _stars(star_scans) == {"ap_star": 1, "apq_star": 1}
+        rows = {d["class"]: d for d in json.loads(out.read_text())}
+        assert rows["sigma_rh"]["value"] == rows["ap_star"]["value"]  # p' - 1 = 1 at p = 2
+        assert rows["sigma_rh_fractional"]["q"] == rows["apq_star"]["q"] == 4.0
 
 
 class TestTabulate:
