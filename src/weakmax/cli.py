@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import czsparse, harness, weights
 from .grid import StepFunction
-from .operators import KINDS, MaximalQuery, dyadic_maximal
+from .operators import MaximalQuery, dyadic_maximal
 from .weights import weight_from_dict
 
 EXIT_OK = 0
@@ -84,47 +84,6 @@ def _flat_witness(d: dict | None) -> tuple:
     return (d["level"], " ".join(str(i) for i in d["index"]))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="weakmax", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, q_default=None):
-        sp.add_argument("--weight", required=True, help="weight/function spec JSON file")
-        sp.add_argument("--p", type=float, default=2.0)
-        sp.add_argument("--q", type=float, default=q_default)
-        sp.add_argument("--alpha", type=float, default=0.0)
-        sp.add_argument("--depth", type=int, default=None,
-                        help="lattice depth (required for power weights)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--output", default=None, help="output path (default stdout)")
-
-    common(sub.add_parser("constants", help="all weight-class constants"))
-    sub.choices["constants"].add_argument("--r", type=float, default=2.0,
-                                          help="reverse-Hoelder exponent")
-
-    mx = sub.add_parser("maximal", help="evaluate a dyadic maximal operator")
-    common(mx)
-    mx.add_argument("--kind", choices=KINDS, default="plain")
-    mx.add_argument("--with-weight", default=None,
-                    help="weight file for the weighted kinds")
-
-    cz = sub.add_parser("cz", help="CZ decomposition and sparse family")
-    common(cz)
-    cz.add_argument("--a", type=float, default=None, help="level-set base (default 2^(n+1-alpha))")
-
-    common(sub.add_parser("lemmas", help="reverse-Hoelder lemma suites"))
-
-    vf = sub.add_parser("verify", help="necessity + sufficiency sandwich")
-    common(vf)
-    vf.add_argument("--c-desk", type=float, default=8.0,
-                    help="absolute-constant allowance for the sufficiency verdict")
-    vf.add_argument("--n-random", type=int, default=200)
-
-    common(sub.add_parser("necessity", help="test-function lower bound"))
-    return parser
-
-
 def _check_exponents(args, w):
     if args.alpha > 0:
         n = w.grid.n if isinstance(w, StepFunction) else 1
@@ -168,16 +127,11 @@ def cmd_constants(args) -> int:
 
 
 def cmd_maximal(args) -> int:
-    if args.format == "csv":
-        raise CliError("maximal emits step-function JSON only")
     f = _require_step(_load_weight(args.weight))
     weight = None
-    if args.kind in ("weighted", "fractional-weighted"):
-        if not args.with_weight:
-            raise CliError(f"--kind {args.kind} requires --with-weight")
+    if args.with_weight:
         weight = _require_step(_load_weight(args.with_weight), "--with-weight")
-    query = MaximalQuery(kind=args.kind, alpha=args.alpha, weight=weight)
-    result = dyadic_maximal(f, query)
+    result = dyadic_maximal(f, MaximalQuery(args.alpha, weight))
     _emit(_to_json(result.to_dict()), args.output)
     return EXIT_OK
 
@@ -208,8 +162,6 @@ def cmd_cz(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    if args.format == "csv":
-        raise CliError("lemmas emits a JSON report only")
     w = _load_weight(args.weight)
     report = harness.lemma_suite(w, args.p, args.q, seed=args.seed, depth=args.depth)
     _emit(_to_json(report.to_dict()), args.output)
@@ -254,19 +206,52 @@ def cmd_necessity(args) -> int:
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
+# Each command's settable flags besides --weight and --output, which every
+# command takes; a flag a command does not read is an argparse usage error.
+_FLAGS = {
+    "p": dict(type=float, default=2.0),
+    "q": dict(type=float, default=None),
+    "alpha": dict(type=float, default=0.0, help="fractional order in [0, n)"),
+    "depth": dict(type=int, default=None, help="lattice depth (required for power weights)"),
+    "seed": dict(type=int, default=0),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "r": dict(type=float, default=2.0, help="reverse-Hoelder exponent"),
+    "with-weight": dict(default=None, help="weight file; selects the weighted operator"),
+    "a": dict(type=float, default=None, help="level-set base (default 2^(n+1-alpha))"),
+    "c-desk": dict(type=float, default=8.0,
+                   help="absolute-constant allowance for the sufficiency verdict"),
+    "n-random": dict(type=int, default=200),
+}
+
+_COMMANDS = (
+    ("constants", cmd_constants, "all weight-class constants", "p q depth r format"),
+    ("maximal", cmd_maximal, "evaluate a dyadic maximal operator", "alpha with-weight"),
+    ("cz", cmd_cz, "CZ decomposition and sparse family", "alpha a format"),
+    ("lemmas", cmd_lemmas, "reverse-Hoelder lemma suites", "p q depth seed"),
+    ("verify", cmd_verify, "necessity + sufficiency sandwich",
+     "p q alpha depth seed format c-desk n-random"),
+    ("necessity", cmd_necessity, "test-function lower bound", "p q alpha depth format"),
+)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="weakmax", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help_text, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        sp.add_argument("--weight", required=True, help="weight/function spec JSON file")
+        for flag in flags.split():
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        sp.add_argument("--output", default=None, help="output path (default stdout)")
+    return parser
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "constants": cmd_constants,
-            "maximal": cmd_maximal,
-            "cz": cmd_cz,
-            "lemmas": cmd_lemmas,
-            "verify": cmd_verify,
-            "necessity": cmd_necessity,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

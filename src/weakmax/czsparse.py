@@ -92,13 +92,11 @@ def cz_decompose(f: StepFunction, a: float | None = None, alpha: float = 0.0) ->
     if a < threshold - 1e-12:
         raise ValueError(f"base a = {a} below the required 2^(n+1-alpha) = {threshold}")
 
-    kind = "fractional" if alpha > 0 else "plain"
-    query = MaximalQuery(kind=kind, alpha=alpha)
     if not np.any(f.values > 0):
         return CZDecomposition(f, a, alpha, f.with_values(np.zeros_like(f.values)),
                                k_min=0, k_max=-1)
 
-    scores = level_scores(f, query)
+    scores = level_scores(f, MaximalQuery(alpha))
     max_vals = running_ancestor_max(scores, grid)
     maximal = f.with_values(max_vals)
     m_lo, m_hi = float(max_vals.min()), float(max_vals.max())
@@ -266,14 +264,10 @@ def sparse_sum(family: SparseFamily, w: StepFunction, sigma: StepFunction,
     s = q if fractional else p
     g = f.with_values(np.divide(f.values, sigma.values,
                                 out=np.zeros_like(f.values), where=sigma.values > 0))
-    m_sigma = dyadic_maximal(g, MaximalQuery(
-        kind="fractional-weighted" if fractional else "weighted",
-        alpha=alpha if fractional else 0.0, weight=sigma))
+    m_sigma = dyadic_maximal(g, MaximalQuery(alpha, sigma))
 
-    if fractional:
-        weak_obj = (w ** q) * (dec.maximal ** q)
-    else:
-        weak_obj = w * (dec.maximal ** p)
+    w_s = w ** q if fractional else w
+    weak_obj = w_s * (dec.maximal ** s)
     star = star_constant(w, p, q)
     c_lemma, rh = sigma_rh(star)
 
@@ -282,12 +276,8 @@ def sparse_sum(family: SparseFamily, w: StepFunction, sigma: StepFunction,
     for entry in family.entries:
         cube = entry.cube
         lam_next = a ** (entry.k + 1)
-        if fractional:
-            wk = weak_norm(w ** q, 1.0, cube)
-            score = grid.cube_measure(cube.level) ** (alpha / grid.n) * f.average(cube)
-        else:
-            wk = weak_norm(w, 1.0, cube)
-            score = f.average(cube)
+        wk = weak_norm(w_s, 1.0, cube)
+        score = grid.cube_measure(cube.level) ** (alpha / grid.n) * f.average(cube)
         sig_q = sigma.integral(cube)
         avg_sigma = f.integral(cube) / sig_q  # <f sigma^{-1}>_{sigma, Q}
         sig_e = float(sigma.values[entry.e_mask].sum()) * grid.cell_measure

@@ -130,7 +130,7 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
         cross = weak_norm(w * (mf ** p), 1.0) ** (1.0 / p)
         den = (float((f.values ** p * w.values).sum()) * f.grid.cell_measure) ** (1.0 / p)
     else:
-        mf = dyadic_maximal(f, MaximalQuery(kind="fractional", alpha=alpha))
+        mf = dyadic_maximal(f, MaximalQuery(alpha))
         num = weak_norm(w * mf, q)
         cross = weak_norm((w ** q) * (mf ** q), 1.0) ** (1.0 / q)
         den = (float((f.values ** p * w.values ** p).sum()) * f.grid.cell_measure) ** (1.0 / p)
@@ -206,7 +206,7 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
 
 
 def necessity_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,
-                    depth: int | None = None, allow_zero: bool = False) -> VerificationReport:
+                    depth: int | None = None) -> VerificationReport:
     """Lower bound from the test functions f_Q = sigma chi_Q.
 
     On the dyadic lattice max_Q ratio(f_Q) >= [w]_*^{1/p} (plain) resp.
@@ -214,12 +214,8 @@ def necessity_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = N
     cube's ratio at least that cube's star expression to the right power.
     """
     if isinstance(w, StepFunction) and np.any(w.values == 0.0):
-        if not allow_zero:
-            raise ValueError("weight has zero cells; pass allow_zero=True for the "
-                             "0 * inf = 0 convention branch")
-        context = {"check": "necessity", "p": p, "q": q, "alpha": alpha,
-                   "branch": "degenerate sigma, 0*inf = 0 convention"}
-        return VerificationReport(context, 0.0, 0.0, 1.0, {}, True, RATIO_TOL)
+        raise ValueError("weight has zero cells, where the dual weight sigma is "
+                         "infinite; the harness needs w > 0 on every cell")
     star, _, w_tab, sigma_tab = _resolve_weight(w, p, q, depth)
     grid = w_tab.grid
     exponent = 1.0 / p if q is None else 1.0

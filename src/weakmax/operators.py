@@ -1,12 +1,12 @@
 """Dyadic maximal operators evaluated exactly by one ancestor sweep.
 
-All four variants share the same shape: the value at a cell is the maximum,
-over the cell's ancestors Q (root down to the cell itself), of a cube score
+The value at a cell is the maximum, over the cell's ancestors Q (root down
+to the cell itself), of a cube score
 
-    plain                <f>_Q
-    fractional           |Q|^(alpha/n) <f>_Q
-    weighted             <f>_{w,Q}  = (1/w(Q)) int_Q f w
-    fractional-weighted  w(Q)^(alpha/n) <f>_{w,Q}
+    unweighted  |Q|^(alpha/n) <f>_Q
+    weighted    w(Q)^(alpha/n) <f>_{w,Q},  <f>_{w,Q} = (1/w(Q)) int_Q f w
+
+so alpha and the weight name the operator; alpha = 0 is the plain M^D.
 
 The sweep computes per-level score arrays bottom-up and pushes a running
 maximum top-down, costing O(2^(depth*n) * depth).  Cubes with w(Q) = 0 score
@@ -22,44 +22,27 @@ import numpy as np
 
 from .grid import DyadicCube, GridSpec, StepFunction, level_value_sums
 
-KINDS = ("plain", "fractional", "weighted", "fractional-weighted")
-
 BRUTE_FORCE_CAP = 4096
 
 
 @dataclass(frozen=True)
 class MaximalQuery:
-    kind: str = "plain"
+    """M_alpha^D (alpha in [0, n)), weighted by ``weight`` when one is given."""
+
     alpha: float = 0.0
     weight: StepFunction | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.kind in ("plain", "weighted") and self.alpha != 0.0:
-            raise ValueError(f"{self.kind} queries require alpha = 0")
-        if self.is_weighted and self.weight is None:
-            raise ValueError(f"{self.kind} queries require a weight")
-        if not self.is_weighted and self.weight is not None:
-            raise ValueError(f"{self.kind} queries take no weight")
-
-    @property
-    def is_weighted(self) -> bool:
-        return self.kind in ("weighted", "fractional-weighted")
-
-    @property
-    def is_fractional(self) -> bool:
-        return self.kind in ("fractional", "fractional-weighted")
 
 
 def _validate(f: StepFunction, query: MaximalQuery):
     grid = f.grid
     if query.alpha >= grid.n:
         raise ValueError(f"alpha must lie in [0, n), got {query.alpha} with n={grid.n}")
-    if query.is_weighted:
-        w = query.weight
+    w = query.weight
+    if w is not None:
         if w.grid != grid:
             raise ValueError("weight grid does not match f")
         if w.integral() == 0.0:
@@ -77,23 +60,23 @@ def level_scores(f: StepFunction, query: MaximalQuery) -> list[np.ndarray]:
     grid = f.grid
     cm = grid.cell_measure
     scores = []
-    if query.is_weighted:
+    # The factor is exactly 1.0 at alpha = 0, so skipping it there changes no
+    # score and spares the plain sweep, the harness hot path, an array product.
+    s = query.alpha / grid.n
+    if query.weight is not None:
         fw_sums = level_value_sums((f * query.weight).values, grid)
         w_sums = level_value_sums(query.weight.values, grid)
         for lev in range(grid.depth + 1):
             w_int = w_sums[lev] * cm
             fw_int = fw_sums[lev] * cm
             avg = np.divide(fw_int, w_int, out=np.zeros_like(fw_int), where=w_int > 0)
-            if query.is_fractional:
-                avg = np.where(w_int > 0, w_int ** (query.alpha / grid.n), 0.0) * avg
-            scores.append(avg)
+            scores.append(np.where(w_int > 0, w_int ** s, 0.0) * avg if s else avg)
     else:
         f_sums = level_value_sums(f.values, grid)
         for lev in range(grid.depth + 1):
-            avg = f_sums[lev] * cm / grid.cube_measure(lev)
-            if query.is_fractional:
-                avg = grid.cube_measure(lev) ** (query.alpha / grid.n) * avg
-            scores.append(avg)
+            meas = grid.cube_measure(lev)
+            avg = f_sums[lev] * cm / meas
+            scores.append(meas ** s * avg if s else avg)
     return scores
 
 
@@ -108,7 +91,7 @@ def running_ancestor_max(scores: list[np.ndarray], grid: GridSpec) -> np.ndarray
 
 
 def dyadic_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> StepFunction:
-    """M^D f (or its fractional / weighted variant) as a step function."""
+    """M_alpha^D f, weighted when the query carries a weight, as a step function."""
     scores = level_scores(f, query)
     return f.with_values(running_ancestor_max(scores, f.grid))
 
@@ -117,19 +100,14 @@ def cube_score(f: StepFunction, cube: DyadicCube, query: MaximalQuery) -> float:
     """Score of one cube, via scalar integrals (oracle-grade path)."""
     _validate(f, query)
     grid = f.grid
-    if query.is_weighted:
-        w = query.weight
-        w_int = w.integral(cube)
-        if w_int == 0.0:
-            return 0.0
-        avg = (f * w).integral(cube) / w_int
-        if query.is_fractional:
-            avg *= w_int ** (query.alpha / grid.n)
-        return avg
-    avg = f.average(cube)
-    if query.is_fractional:
-        avg *= grid.cube_measure(cube.level) ** (query.alpha / grid.n)
-    return avg
+    s = query.alpha / grid.n
+    w = query.weight
+    if w is None:
+        return grid.cube_measure(cube.level) ** s * f.average(cube)
+    w_int = w.integral(cube)
+    if w_int == 0.0:
+        return 0.0
+    return (f * w).integral(cube) / w_int * w_int ** s
 
 
 def brute_force_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> StepFunction:

@@ -60,18 +60,18 @@ def test_1_oracle_equivalence():
             f = StepFunction(grid, rng.uniform(0.0, 5.0, grid.finest_count))
             w = StepFunction(grid, rng.uniform(0.2, 3.0, grid.finest_count))
             alpha = 0.5 * n
-            queries = [
-                MaximalQuery(),
-                MaximalQuery(kind="fractional", alpha=alpha),
-                MaximalQuery(kind="weighted", weight=w),
-                MaximalQuery(kind="fractional-weighted", alpha=alpha, weight=w),
-            ]
-            for query in queries:
+            queries = {
+                "plain": MaximalQuery(),
+                "fractional": MaximalQuery(alpha=alpha),
+                "weighted": MaximalQuery(weight=w),
+                "fractional-weighted": MaximalQuery(alpha=alpha, weight=w),
+            }
+            for label, query in queries.items():
                 fast = dyadic_maximal(f, query).values
                 slow = brute_force_maximal(f, query).values
                 checked += 1
                 if not np.allclose(fast, slow, rtol=1e-13, atol=1e-300):
-                    violations.append((n, i, query.kind))
+                    violations.append((n, i, label))
     _report(1, "oracle equivalence", not violations,
             f"{checked} operator evaluations, violations={violations}")
 

@@ -65,15 +65,21 @@ class TestMaximal:
         out = json.loads(capsys.readouterr().out)
         assert out["values"] == [4.0, 2.0, 1.0, 1.0]
 
-    def test_weighted_needs_weight_file(self, tmp_path):
+    def test_weighted_needs_weight_file(self, tmp_path, capsys):
+        # --with-weight selects the weighted operator; its file must be
+        # readable and hold a tabulated weight
         path = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
-        assert main(["maximal", "--weight", path, "--kind", "weighted"]) == 1
+        missing = str(tmp_path / "none.json")
+        assert main(["maximal", "--weight", path, "--with-weight", missing]) == 1
+        assert "cannot read weight file" in capsys.readouterr().err
+        power = write_power(tmp_path, "pw.json", 0.0, -1.0, [0.0, 1.0])
+        assert main(["maximal", "--weight", path, "--with-weight", power]) == 1
+        assert "--with-weight" in capsys.readouterr().err
 
     def test_weighted(self, tmp_path, capsys):
         f = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
         w = write_weight(tmp_path, "w.json", StepFunction.constant(unit_grid(2), 2.0))
-        assert main(["maximal", "--weight", f, "--kind", "weighted",
-                     "--with-weight", w]) == 0
+        assert main(["maximal", "--weight", f, "--with-weight", w]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["values"] == [4.0, 2.0, 1.0, 1.0]
 
@@ -139,6 +145,25 @@ class TestLemmas:
         assert main(["lemmas", "--weight", quarters_weight, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] is True
+
+
+class TestFlagsPerCommand:
+    # each command takes only the flags it reads
+    @pytest.mark.parametrize("command,flag,value", [
+        ("constants", "--alpha", "0.5"),
+        ("constants", "--seed", "1"),
+        ("maximal", "--p", "3"),
+        ("maximal", "--kind", "plain"),
+        ("maximal", "--format", "json"),
+        ("cz", "--q", "4"),
+        ("cz", "--depth", "3"),
+        ("lemmas", "--alpha", "0.25"),
+        ("lemmas", "--format", "json"),
+        ("necessity", "--seed", "1"),
+    ])
+    def test_unread_flag_rejected(self, quarters_weight, capsys, command, flag, value):
+        assert main([command, "--weight", quarters_weight, flag, value]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestErrors:

@@ -224,7 +224,7 @@ class TestSparseSum:
         w = random_weight(grid, rng)
         sigma = dual_weight(w, 2.0)
         g = StepFunction(grid, f.values / sigma.values)
-        m = dyadic_maximal(g, MaximalQuery(kind="weighted", weight=sigma))
+        m = dyadic_maximal(g, MaximalQuery(weight=sigma))
         for cube in grid.all_cubes():
             avg = f.integral(cube) / sigma.integral(cube)
             assert np.all(m.block(cube) >= avg * (1 - 1e-12))

@@ -23,9 +23,9 @@ def all_queries(grid, rng):
     alpha = 0.5 * grid.n
     return [
         MaximalQuery(),
-        MaximalQuery(kind="fractional", alpha=alpha),
-        MaximalQuery(kind="weighted", weight=w),
-        MaximalQuery(kind="fractional-weighted", alpha=alpha, weight=w),
+        MaximalQuery(alpha=alpha),
+        MaximalQuery(weight=w),
+        MaximalQuery(alpha=alpha, weight=w),
     ]
 
 
@@ -50,20 +50,25 @@ class TestPlain:
 class TestFractional:
     def test_two_cells_closed_form(self):
         f = StepFunction(unit_grid(1), [1, 0])
-        m = dyadic_maximal(f, MaximalQuery(kind="fractional", alpha=0.5))
+        m = dyadic_maximal(f, MaximalQuery(alpha=0.5))
         assert m.values[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert m.values[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_alpha_zero_matches_plain(self, rng):
+        # at alpha = 0 the factors |Q|^0 and w(Q)^0 are exactly 1.0, so the
+        # scores are the plain averages bit for bit
         grid = unit_grid(4)
         f = StepFunction(grid, rng.uniform(0, 4, grid.finest_count))
-        frac = dyadic_maximal(f, MaximalQuery(kind="fractional", alpha=0.0))
-        assert np.array_equal(frac.values, dyadic_maximal(f).values)
+        w = StepFunction(grid, rng.uniform(0.2, 3.0, grid.finest_count))
+        for cube in grid.all_cubes():
+            assert cube_score(f, cube, MaximalQuery()) == f.average(cube)
+            assert (cube_score(f, cube, MaximalQuery(weight=w))
+                    == (f * w).integral(cube) / w.integral(cube))
 
     def test_alpha_out_of_range(self):
         f = StepFunction(unit_grid(1), [1, 0])
         with pytest.raises(ValueError):
-            dyadic_maximal(f, MaximalQuery(kind="fractional", alpha=1.0))
+            dyadic_maximal(f, MaximalQuery(alpha=1.0))
 
 
 class TestWeighted:
@@ -71,14 +76,14 @@ class TestWeighted:
         grid = unit_grid(4)
         f = StepFunction(grid, rng.uniform(0, 4, grid.finest_count))
         w = StepFunction.constant(grid, 3.0)
-        weighted = dyadic_maximal(f, MaximalQuery(kind="weighted", weight=w))
+        weighted = dyadic_maximal(f, MaximalQuery(weight=w))
         assert np.allclose(weighted.values, dyadic_maximal(f).values, rtol=1e-14)
 
     def test_zero_mass_cubes_skipped(self):
         grid = unit_grid(2)
         f = StepFunction(grid, [1, 1, 1, 1])
         w = StepFunction(grid, [0, 0, 1, 1])
-        m = dyadic_maximal(f, MaximalQuery(kind="weighted", weight=w))
+        m = dyadic_maximal(f, MaximalQuery(weight=w))
         assert np.all(np.isfinite(m.values))
         assert m.values[2] == pytest.approx(1.0)
 
@@ -87,17 +92,13 @@ class TestWeighted:
         f = StepFunction(grid, [1, 1])
         w = StepFunction.constant(grid, 0.0)
         with pytest.raises(ValueError):
-            dyadic_maximal(f, MaximalQuery(kind="weighted", weight=w))
+            dyadic_maximal(f, MaximalQuery(weight=w))
 
     def test_query_validation(self):
-        grid = unit_grid(1)
-        w = StepFunction.constant(grid, 1.0)
         with pytest.raises(ValueError):
+            MaximalQuery(alpha=-0.5)
+        with pytest.raises(TypeError):
             MaximalQuery(kind="weighted")
-        with pytest.raises(ValueError):
-            MaximalQuery(kind="plain", weight=w)
-        with pytest.raises(ValueError):
-            MaximalQuery(kind="nope")
 
 
 class TestOracle:
@@ -156,7 +157,7 @@ class TestLowerBound:
         sigma = StepFunction(grid, rng.uniform(0.1, 2.0, grid.finest_count))
         cube = grid.cube(2, (1,))
         f = StepFunction(grid, sigma.values * grid.cell_mask(cube))
-        query = MaximalQuery(kind="fractional", alpha=0.5)
+        query = MaximalQuery(alpha=0.5)
         assert pointwise_lower_bound_check(f, cube, query)
         meas = grid.cube_measure(cube.level)
         expected = meas ** (query.alpha / grid.n - 1) * sigma.integral(cube)
