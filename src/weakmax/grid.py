@@ -150,6 +150,16 @@ class GridSpec:
         mask[self.cell_slices(cube)] = True
         return mask.reshape(-1)
 
+    def ancestor_index(self, level: int) -> np.ndarray:
+        """Flat index, among the cubes at ``level``, of each finest cell's
+        ancestor there: ``cell_mask(cube)`` is ``ancestor_index(cube.level)
+        == flat_index(cube)``, for all cubes of a level at once."""
+        self._check_level(level)
+        anc = np.arange(2 ** (level * self.n)).reshape((2 ** level,) * self.n)
+        for axis in range(self.n):
+            anc = np.repeat(anc, 2 ** (self.depth - level), axis=axis)
+        return anc.reshape(-1)
+
     def cell_centers(self) -> np.ndarray:
         """(finest_count, n) array of finest-cell centers, row-major."""
         h = self.side(self.depth)
@@ -258,31 +268,37 @@ class StepFunction:
 
 # ----------------------------------------------------------- level machinery
 
-def coarsen_sums(arr: np.ndarray) -> np.ndarray:
-    """Sum the 2^n sibling blocks of an (m,)*n array down to (m/2,)*n."""
-    n = arr.ndim
-    m = arr.shape[0]
-    shape = []
-    for _ in range(n):
-        shape.extend([m // 2, 2])
-    return arr.reshape(shape).sum(axis=tuple(range(1, 2 * n, 2)))
+def coarsen_sums(arr: np.ndarray, n: int) -> np.ndarray:
+    """Sum the 2^n sibling blocks of an (..., m, ..., m) array (n trailing
+    axes) down to (..., m/2, ..., m/2); leading axes are batch axes."""
+    if n == 1:
+        # One addition per pair, so this is the same float as the sum below,
+        # without numpy's per-reduction overhead on a length-2 axis.
+        return arr[..., 0::2] + arr[..., 1::2]
+    lead = arr.shape[:arr.ndim - n]
+    m = arr.shape[-1]
+    k = len(lead)
+    return arr.reshape(lead + (m // 2, 2) * n).sum(axis=tuple(range(k + 1, k + 2 * n, 2)))
 
 
 def level_value_sums(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     """Per level, the sum of cell values over each cube (flat, row-major).
 
-    ``values`` is a flat cell array of ``grid``, such as ``f.values``; unlike
-    a StepFunction it may hold +inf.  Entry ``lev`` has shape (2^(lev*n),);
-    multiplying by the cell measure gives the exact integral over every cube
-    at that level in one array.
+    ``values`` is a (..., N) batch of flat cell arrays of ``grid``, such as
+    ``f.values`` or one row per function; unlike a StepFunction it may hold
+    +inf.  Entry ``lev`` has shape (..., 2^(lev*n)); multiplying by the cell
+    measure gives the exact integral over every cube at that level in one
+    array.
     """
-    cur = np.asarray(values, dtype=float).reshape((2 ** grid.depth,) * grid.n)
+    values = np.asarray(values, dtype=float)
+    lead = values.shape[:-1]
+    cur = values.reshape(lead + (2 ** grid.depth,) * grid.n)
     out: list[np.ndarray] = [np.empty(0)] * (grid.depth + 1)
     out[grid.depth] = cur
     for lev in range(grid.depth, 0, -1):
-        cur = coarsen_sums(cur)
+        cur = coarsen_sums(cur, grid.n)
         out[lev - 1] = cur
-    return [a.reshape(-1) for a in out]
+    return [a.reshape(lead + (-1,)) for a in out]
 
 
 def cube_blocks(values: np.ndarray, grid: GridSpec, level: int) -> np.ndarray:

@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, StepFunction
-from .lorentz import weak_norm
-from .operators import MaximalQuery, dyadic_maximal
+from .grid import DyadicCube, GridSpec, StepFunction
+from .lorentz import weak_norm, weak_scan
+from .operators import batch_maximal, dyadic_maximal
 from .weights import (
     PowerWeight,
+    SigmaRH,
     Weight,
+    WeightConstant,
     _grid_of,
     ap_constant,
     apq_constant,
@@ -71,6 +73,21 @@ class VerificationReport:
 # seeded suites
 # --------------------------------------------------------------------------
 
+# Cap on one (B, N) float array of a suite chunk.  Chunks of 64-128 KiB were
+# the fastest, and peak memory grows only above 128 KiB: large enough that
+# numpy's per-call overhead is spread over many rows, small enough that the
+# chunk and its intermediates stay in cache.
+CHUNK_BYTES = 128 * 1024
+
+
+def _chunk_rows(grid: GridSpec) -> int:
+    return max(1, CHUNK_BYTES // (8 * grid.finest_count))
+
+
+def _lognormal(rng: np.random.Generator, shape) -> np.ndarray:
+    return np.exp(rng.normal(0.0, 1.2, shape))
+
+
 def random_step(grid: GridSpec, rng: np.random.Generator, kind: str = "lognormal") -> StepFunction:
     """Seeded nonnegative step function; lognormal values span several scales
     so maximal level sets are nontrivial."""
@@ -78,7 +95,7 @@ def random_step(grid: GridSpec, rng: np.random.Generator, kind: str = "lognormal
     if kind == "uniform":
         vals = rng.uniform(0.0, 1.0, size)
     elif kind == "lognormal":
-        vals = np.exp(rng.normal(0.0, 1.2, size))
+        vals = _lognormal(rng, size)
     elif kind == "spiky":
         vals = rng.uniform(0.0, 0.2, size)
         spikes = max(1, size // 16)
@@ -95,24 +112,91 @@ def random_weight(grid: GridSpec, rng: np.random.Generator, log_spread: float = 
     return StepFunction(grid, np.clip(vals, 1e-3, 1e3))
 
 
+def _cube_chunks(grid: GridSpec,
+                 values: np.ndarray) -> Iterator[tuple[list[DyadicCube], np.ndarray]]:
+    """values * chi_Q for every lattice cube Q, in ``all_cubes`` order, as
+    (cubes, F) chunks of at most CHUNK_BYTES; a chunk stays within a level."""
+    rows = _chunk_rows(grid)
+    for level in range(grid.depth + 1):
+        cubes = grid.cells(level)
+        anc = grid.ancestor_index(level)
+        for start in range(0, len(cubes), rows):
+            flat = np.arange(start, min(start + rows, len(cubes)))
+            yield cubes[start:start + rows], values * (anc == flat[:, None])
+
+
 def default_suite(grid: GridSpec, sigma: StepFunction, seed: int,
-                  n_random: int = 200) -> Iterable[tuple[str, StepFunction]]:
-    """The harness suite: every indicator chi_Q, every sigma chi_Q, and
-    n_random seeded step functions.  The test-function construction makes
-    sigma chi_Q extremal up to constants, so this composition is decisive."""
-    for cube in grid.all_cubes():
-        yield f"chi[{cube.level},{cube.index}]", StepFunction.indicator(grid, cube)
-    for cube in grid.all_cubes():
-        vals = sigma.values * grid.cell_mask(cube)
-        yield f"sigma_chi[{cube.level},{cube.index}]", StepFunction(grid, vals)
+                  n_random: int = 200) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The harness suite as (labels, F) chunks, F a (B, N) array of at most
+    CHUNK_BYTES with one function per row: every indicator chi_Q, every
+    sigma chi_Q, and n_random seeded lognormal step functions.  The
+    test-function construction makes sigma chi_Q extremal up to constants, so
+    this composition is decisive."""
+    for cubes, F in _cube_chunks(grid, np.ones(grid.finest_count)):
+        yield [f"chi[{cube.level},{cube.index}]" for cube in cubes], F
+    for cubes, F in _cube_chunks(grid, sigma.values):
+        yield [f"sigma_chi[{cube.level},{cube.index}]" for cube in cubes], F
     rng = np.random.default_rng(seed)
-    for i in range(n_random):
-        yield f"random[{i}]", random_step(grid, rng)
+    rows = _chunk_rows(grid)
+    for start in range(0, n_random, rows):
+        stop = min(start + rows, n_random)
+        yield ([f"random[{i}]" for i in range(start, stop)],
+               _lognormal(rng, (stop - start, grid.finest_count)))
 
 
 # --------------------------------------------------------------------------
 # the measured ratio
 # --------------------------------------------------------------------------
+
+def _ratios(F: np.ndarray, w_tab: StepFunction, p: float, alpha: float,
+            q: float | None) -> list[float]:
+    """Weak-type ratio of every row of the (B, N) cell array F against w_tab.
+
+    Each row gets the checks of a single function, and a chunk raises the
+    error of its first failing row: rows must be finite and nonnegative,
+    every intermediate must stay finite, the weighted norm must not vanish,
+    and the power-identity route must agree with the direct one.  The final
+    1/p and 1/q powers are Python-float powers, which numpy's array power
+    does not always match to the last bit.
+    """
+    if q is None and alpha != 0.0:
+        raise ValueError(f"alpha = {alpha} needs q, the fractional exponent with "
+                         "1/p - 1/q = alpha/n; the plain ratio (q None) takes alpha = 0")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("cell values must be finite")
+    if np.any(F < 0):
+        raise ValueError("cell values must be nonnegative")
+    grid = w_tab.grid
+    w = w_tab.values
+    mf = batch_maximal(F, grid, alpha)
+    if q is None:
+        direct, r = w ** (1.0 / p) * mf, p
+        identity = w * mf ** float(p)
+        den_sums = (F ** p * w).sum(axis=-1)
+    else:
+        direct, r = w * mf, q
+        identity = w ** float(q) * mf ** float(q)
+        den_sums = (F ** p * w ** p).sum(axis=-1)
+    if not r > 0:
+        raise ValueError(f"p must be positive, got {r}")
+    # Everything upstream is nonnegative, so an overflow in M f or in a power
+    # of w or of M f leaves inf or nan in one of these two products.
+    finite = np.isfinite(direct).all(axis=-1) & np.isfinite(identity).all(axis=-1)
+    cm = grid.cell_measure
+    out = []
+    for ok, num, cross, den_sum in zip(finite.tolist(), weak_scan(direct, cm, r).tolist(),
+                                       weak_scan(identity, cm).tolist(), den_sums.tolist()):
+        if not ok:
+            raise ValueError("cell values must be finite")
+        cross = cross ** (1.0 / r)
+        den = (den_sum * cm) ** (1.0 / p)
+        if den == 0.0:
+            raise ValueError("degenerate input: ||f|| vanishes in the weighted norm")
+        if abs(num - cross) > 1e-10 * max(num, cross, 1e-300):
+            raise RuntimeError(f"weak-norm identity routes disagree: {num} vs {cross}")
+        out.append(num / den)
+    return out
+
 
 def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
                      alpha: float = 0.0, q: float | None = None) -> float:
@@ -124,21 +208,7 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
     """
     if w.grid != f.grid:
         raise ValueError("weight grid does not match f")
-    if q is None:
-        mf = dyadic_maximal(f)
-        num = weak_norm((w ** (1.0 / p)) * mf, p)
-        cross = weak_norm(w * (mf ** p), 1.0) ** (1.0 / p)
-        den = (float((f.values ** p * w.values).sum()) * f.grid.cell_measure) ** (1.0 / p)
-    else:
-        mf = dyadic_maximal(f, MaximalQuery(alpha))
-        num = weak_norm(w * mf, q)
-        cross = weak_norm((w ** q) * (mf ** q), 1.0) ** (1.0 / q)
-        den = (float((f.values ** p * w.values ** p).sum()) * f.grid.cell_measure) ** (1.0 / p)
-    if den == 0.0:
-        raise ValueError("degenerate input: ||f|| vanishes in the weighted norm")
-    if abs(num - cross) > 1e-10 * max(num, cross, 1e-300):
-        raise RuntimeError(f"weak-norm identity routes disagree: {num} vs {cross}")
-    return num / den
+    return _ratios(f.values[None, :], w, p, alpha, q)[0]
 
 
 def chebyshev_check(f: StepFunction, w: StepFunction, p: float) -> bool:
@@ -153,19 +223,33 @@ def chebyshev_check(f: StepFunction, w: StepFunction, p: float) -> bool:
 # sufficiency / necessity
 # --------------------------------------------------------------------------
 
-def _resolve_weight(w: Weight, p: float, q: float | None, depth: int | None):
-    """Star constant, sigma-RH pair, and tabulated (w, sigma) test pair.
+class _Resolved(NamedTuple):
+    """A weight resolved for the two checks: its star constant, sigma-RH pair,
+    tabulated (w, sigma) test pair, and backend name."""
 
-    Power mode runs with analytic constants and exactly tabulated w and
-    sigma (each tabulated from its own closed-form cell integrals).
-    """
+    star: WeightConstant
+    rh: SigmaRH
+    w_tab: StepFunction
+    sigma_tab: StepFunction
+    mode: str
+
+
+def _resolve_weight(w: Weight, p: float, q: float | None, depth: int | None) -> _Resolved:
+    """Power mode runs with analytic constants and exactly tabulated w and
+    sigma (each tabulated from its own closed-form cell integrals)."""
     flavor = "ap" if q is None else "apq"
     star = star_constant(w, p, q, depth)
     rh = sigma_rh(star)
     sigma = dual_weight(w, p, flavor)
     if isinstance(w, PowerWeight):
-        return star, rh, w.tabulate(depth), sigma.tabulate(depth)
-    return star, rh, w, sigma
+        return _Resolved(star, rh, w.tabulate(depth), sigma.tabulate(depth), "power")
+    return _Resolved(star, rh, w, sigma, "tabulated")
+
+
+def _require_positive(w: Weight):
+    if isinstance(w, StepFunction) and np.any(w.values == 0.0):
+        raise ValueError("weight has zero cells, where the dual weight sigma is "
+                         "infinite; the harness needs w > 0 on every cell")
 
 
 def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,
@@ -176,16 +260,19 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
     (fractional); passes when measured <= c_desk * bound.  c_desk absorbs the
     absolute constants the proof never exhibits and is recorded in the report.
     """
-    star, rh, w_tab, sigma_tab = _resolve_weight(w, p, q, depth)
+    return _sufficiency(_resolve_weight(w, p, q, depth), p, alpha, q, c_desk, seed, n_random)
+
+
+def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random) -> VerificationReport:
+    star, rh = res.star, res.rh
     if q is None:
         bound = (star.value * rh.value) ** (1.0 / p)
     else:
         bound = star.value * rh.value ** (1.0 / q)
     context = {
         "check": "sufficiency", "p": p, "q": q, "alpha": alpha, "seed": seed,
-        "n": w_tab.grid.n, "depth": w_tab.grid.depth, "c_desk": c_desk,
-        "star_constant": star.value, "sigma_rh": rh.value,
-        "mode": "power" if isinstance(w, PowerWeight) else "tabulated",
+        "n": res.w_tab.grid.n, "depth": res.w_tab.grid.depth, "c_desk": c_desk,
+        "star_constant": star.value, "sigma_rh": rh.value, "mode": res.mode,
     }
     if not math.isfinite(bound):
         return VerificationReport(
@@ -193,12 +280,14 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
             math.inf, bound, 0.0, {}, False, c_desk)
     best = -math.inf
     best_label = ""
-    for label, f in default_suite(w_tab.grid, sigma_tab, seed, n_random):
-        if not np.any(f.values > 0):
-            continue
-        ratio = multiplier_ratio(f, w_tab, p, alpha, q)
-        if ratio > best:
-            best, best_label = ratio, label
+    for labels, F in default_suite(res.w_tab.grid, res.sigma_tab, seed, n_random):
+        positive = (F > 0).any(axis=-1)
+        if not positive.all():
+            F = F[positive]
+            labels = [label for label, keep in zip(labels, positive) if keep]
+        for label, ratio in zip(labels, _ratios(F, res.w_tab, p, alpha, q)):
+            if ratio > best:
+                best, best_label = ratio, label
     normalized = best / bound
     return VerificationReport(
         context, best, bound, normalized, {"function": best_label},
@@ -213,29 +302,29 @@ def necessity_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = N
     [w]_* (fractional) holds exactly: M^D f_Q >= <sigma>_Q on Q makes each
     cube's ratio at least that cube's star expression to the right power.
     """
-    if isinstance(w, StepFunction) and np.any(w.values == 0.0):
-        raise ValueError("weight has zero cells, where the dual weight sigma is "
-                         "infinite; the harness needs w > 0 on every cell")
-    star, _, w_tab, sigma_tab = _resolve_weight(w, p, q, depth)
-    grid = w_tab.grid
+    _require_positive(w)
+    return _necessity(_resolve_weight(w, p, q, depth), p, alpha, q)
+
+
+def _necessity(res: _Resolved, p, alpha, q) -> VerificationReport:
+    grid = res.w_tab.grid
     exponent = 1.0 / p if q is None else 1.0
-    bound = star.value ** exponent
+    bound = res.star.value ** exponent
     best = -math.inf
     best_cube = grid.root
     rows = []
-    for cube in grid.all_cubes():
-        f = StepFunction(grid, sigma_tab.values * grid.cell_mask(cube))
-        ratio = multiplier_ratio(f, w_tab, p, alpha, q)
-        rows.append({"level": cube.level, "index": list(cube.index), "ratio": ratio})
-        if ratio > best:
-            best, best_cube = ratio, cube
+    for cubes, F in _cube_chunks(grid, res.sigma_tab.values):
+        for cube, ratio in zip(cubes, _ratios(F, res.w_tab, p, alpha, q)):
+            rows.append({"level": cube.level, "index": list(cube.index), "ratio": ratio})
+            if ratio > best:
+                best, best_cube = ratio, cube
     context = {"check": "necessity", "p": p, "q": q, "alpha": alpha,
-               "n": grid.n, "depth": grid.depth, "star_constant": star.value,
-               "mode": "power" if isinstance(w, PowerWeight) else "tabulated"}
+               "n": grid.n, "depth": grid.depth, "star_constant": res.star.value,
+               "mode": res.mode}
     verdict = best >= bound - RATIO_TOL
     return VerificationReport(context, best, bound, best / bound if bound > 0 else math.inf,
                               {"cube": best_cube.to_dict(),
-                               "star_witness": star.witness.to_dict()},
+                               "star_witness": res.star.witness.to_dict()},
                               verdict, RATIO_TOL, per_cube=rows)
 
 
@@ -322,10 +411,12 @@ def verify_weight(w: Weight, p: float, alpha: float = 0.0, q: float | None = Non
                   c_desk: float = 8.0, seed: int = 0, n_random: int = 200,
                   depth: int | None = None) -> dict:
     """The two-sided sandwich: necessity lower bound and sufficiency upper
-    bound in one run, as consumed by the CLI verify command."""
-    nec = necessity_check(w, p, alpha, q, depth=depth)
-    suf = sufficiency_check(w, p, alpha, q, c_desk=c_desk, seed=seed,
-                            n_random=n_random, depth=depth)
+    bound in one run, from one resolution of the weight, as consumed by the
+    CLI verify command."""
+    _require_positive(w)
+    res = _resolve_weight(w, p, q, depth)
+    nec = _necessity(res, p, alpha, q)
+    suf = _sufficiency(res, p, alpha, q, c_desk, seed, n_random)
     return {
         "necessity": nec.to_dict(),
         "sufficiency": suf.to_dict(),

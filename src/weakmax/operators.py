@@ -37,8 +37,7 @@ class MaximalQuery:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
-def _validate(f: StepFunction, query: MaximalQuery):
-    grid = f.grid
+def _validate(grid: GridSpec, query: MaximalQuery):
     if query.alpha >= grid.n:
         raise ValueError(f"alpha must lie in [0, n), got {query.alpha} with n={grid.n}")
     w = query.weight
@@ -56,38 +55,54 @@ def level_scores(f: StepFunction, query: MaximalQuery) -> list[np.ndarray]:
     running ancestor max of these arrays, and the CZ decomposition selects its
     stopping cubes from the very same floats, so level sets agree bit-exactly.
     """
-    _validate(f, query)
+    _validate(f.grid, query)
     grid = f.grid
+    if query.weight is None:
+        return _average_scores(f.values, grid, query.alpha)
     cm = grid.cell_measure
+    s = query.alpha / grid.n
     scores = []
+    fw_sums = level_value_sums((f * query.weight).values, grid)
+    w_sums = level_value_sums(query.weight.values, grid)
+    for lev in range(grid.depth + 1):
+        w_int = w_sums[lev] * cm
+        fw_int = fw_sums[lev] * cm
+        avg = np.divide(fw_int, w_int, out=np.zeros_like(fw_int), where=w_int > 0)
+        scores.append(np.where(w_int > 0, w_int ** s, 0.0) * avg if s else avg)
+    return scores
+
+
+def _average_scores(values: np.ndarray, grid: GridSpec, alpha: float) -> list[np.ndarray]:
+    """The unweighted scores |Q|^(alpha/n) <f>_Q of every row of a (..., N)
+    batch of cell arrays, one (..., 2^(lev*n)) array per level."""
+    cm = grid.cell_measure
     # The factor is exactly 1.0 at alpha = 0, so skipping it there changes no
     # score and spares the plain sweep, the harness hot path, an array product.
-    s = query.alpha / grid.n
-    if query.weight is not None:
-        fw_sums = level_value_sums((f * query.weight).values, grid)
-        w_sums = level_value_sums(query.weight.values, grid)
-        for lev in range(grid.depth + 1):
-            w_int = w_sums[lev] * cm
-            fw_int = fw_sums[lev] * cm
-            avg = np.divide(fw_int, w_int, out=np.zeros_like(fw_int), where=w_int > 0)
-            scores.append(np.where(w_int > 0, w_int ** s, 0.0) * avg if s else avg)
-    else:
-        f_sums = level_value_sums(f.values, grid)
-        for lev in range(grid.depth + 1):
-            meas = grid.cube_measure(lev)
-            avg = f_sums[lev] * cm / meas
-            scores.append(meas ** s * avg if s else avg)
+    s = alpha / grid.n
+    f_sums = level_value_sums(values, grid)
+    scores = []
+    for lev in range(grid.depth + 1):
+        meas = grid.cube_measure(lev)
+        avg = f_sums[lev] * cm / meas
+        scores.append(meas ** s * avg if s else avg)
     return scores
 
 
 def running_ancestor_max(scores: list[np.ndarray], grid: GridSpec) -> np.ndarray:
-    """Push the per-level scores down the tree, keeping the max along each path."""
-    run = scores[0].reshape((1,) * grid.n)
+    """Push the per-level scores down the tree, keeping the max along each path.
+
+    Each level's array may carry leading batch axes, shape (..., 2^(lev*n));
+    the result has shape (..., N).
+    """
+    lead = scores[0].shape[:-1]
+    run = scores[0].reshape(lead + (1,) * grid.n)
     for lev in range(1, grid.depth + 1):
-        for axis in range(grid.n):
-            run = np.repeat(run, 2, axis=axis)
-        run = np.maximum(run, scores[lev].reshape((2 ** lev,) * grid.n))
-    return run.reshape(-1)
+        m = 2 ** (lev - 1)
+        # Axis pairs (parent index, child offset): each parent's running max
+        # broadcasts over its 2^n children.
+        run = np.maximum(run.reshape(lead + (m, 1) * grid.n),
+                         scores[lev].reshape(lead + (m, 2) * grid.n))
+    return run.reshape(lead + (-1,))
 
 
 def dyadic_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> StepFunction:
@@ -96,9 +111,20 @@ def dyadic_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> Ste
     return f.with_values(running_ancestor_max(scores, f.grid))
 
 
+def batch_maximal(values: np.ndarray, grid: GridSpec, alpha: float = 0.0) -> np.ndarray:
+    """M_alpha^D of every row of a (..., N) batch of cell arrays of ``grid``.
+
+    The same sweep as ``dyadic_maximal`` with no StepFunction per row, so the
+    rows are not validated here: the caller checks that they are finite and
+    nonnegative.
+    """
+    _validate(grid, MaximalQuery(alpha))
+    return running_ancestor_max(_average_scores(values, grid, alpha), grid)
+
+
 def cube_score(f: StepFunction, cube: DyadicCube, query: MaximalQuery) -> float:
     """Score of one cube, via scalar integrals (oracle-grade path)."""
-    _validate(f, query)
+    _validate(f.grid, query)
     grid = f.grid
     s = query.alpha / grid.n
     w = query.weight
@@ -117,7 +143,7 @@ def brute_force_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -
         raise ValueError(
             f"instance too large for brute force: {grid.finest_count} > {BRUTE_FORCE_CAP}"
         )
-    _validate(f, query)
+    _validate(grid, query)
     out = np.zeros(grid.finest_count)
     shape = (2 ** grid.depth,) * grid.n
     result = out.reshape(shape)

@@ -154,6 +154,27 @@ class TestBlocks:
                 integral = sums[level][flat] * grid.cell_measure
                 assert integral == pytest.approx(f.integral(cube), rel=1e-14)
 
+    @pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])
+    def test_level_sums_batch_rows(self, n, depth, rng):
+        # a (2, 3, N) batch sums each row exactly as that row alone
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        batch = np.exp(rng.normal(0.0, 4.0, (2, 3, grid.finest_count)))
+        sums = level_value_sums(batch, grid)
+        for level in range(depth + 1):
+            assert sums[level].shape == (2, 3, 2 ** (level * n))
+            for i in range(2):
+                for j in range(3):
+                    row = level_value_sums(batch[i, j], grid)[level]
+                    assert np.array_equal(sums[level][i, j], row)
+
+    @pytest.mark.parametrize("n,depth", [(1, 4), (2, 2), (3, 2)])
+    def test_ancestor_index_matches_masks(self, n, depth):
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        for level in range(depth + 1):
+            anc = grid.ancestor_index(level)
+            for cube in grid.cells(level):
+                assert np.array_equal(anc == grid.flat_index(cube), grid.cell_mask(cube))
+
 
 class TestSerialization:
     def test_round_trip_exact(self, rng):

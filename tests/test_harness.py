@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weakmax import (
+    GridSpec,
     MaximalQuery,
     PowerWeight,
     StepFunction,
@@ -21,6 +22,7 @@ from weakmax import (
     verify_weight,
     weak_norm,
 )
+from weakmax import harness
 
 from conftest import unit_grid
 
@@ -66,6 +68,143 @@ class TestMultiplierRatio:
         one = StepFunction.constant(grid, 1.0)
         with pytest.raises(ValueError):
             multiplier_ratio(zero, one, 2.0)
+
+    def test_alpha_needs_q(self):
+        # alpha > 0 names the fractional operator, which needs q; the plain
+        # chain must not run under a report that records the alpha.
+        grid = unit_grid(3)
+        w = random_weight(grid, np.random.default_rng(8))
+        f = random_step(grid, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="needs q"):
+            multiplier_ratio(f, w, 2.0, alpha=0.5)
+        with pytest.raises(ValueError, match="needs q"):
+            necessity_check(w, 2.0, alpha=0.5)
+        with pytest.raises(ValueError, match="needs q"):
+            sufficiency_check(w, 2.0, alpha=0.5, n_random=2)
+        with pytest.raises(ValueError, match="needs q"):
+            verify_weight(w, 2.0, alpha=0.5, n_random=2)
+
+
+# The seed's per-function loops, kept as the oracle of the chunked engine:
+# one validated StepFunction per suite item, one dyadic_maximal sweep and two
+# weak_norm scans per ratio.
+
+def _oracle_ratio(f, w, p, alpha=0.0, q=None):
+    if q is None:
+        mf = dyadic_maximal(f)
+        num = weak_norm((w ** (1.0 / p)) * mf, p)
+        cross = weak_norm(w * (mf ** p), 1.0) ** (1.0 / p)
+        den = (float((f.values ** p * w.values).sum()) * f.grid.cell_measure) ** (1.0 / p)
+    else:
+        mf = dyadic_maximal(f, MaximalQuery(alpha))
+        num = weak_norm(w * mf, q)
+        cross = weak_norm((w ** q) * (mf ** q), 1.0) ** (1.0 / q)
+        den = (float((f.values ** p * w.values ** p).sum()) * f.grid.cell_measure) ** (1.0 / p)
+    assert den != 0.0
+    assert abs(num - cross) <= 1e-10 * max(num, cross, 1e-300)
+    return num / den
+
+
+def _oracle_suite(grid, sigma, seed, n_random):
+    for cube in grid.all_cubes():
+        yield f"chi[{cube.level},{cube.index}]", StepFunction.indicator(grid, cube)
+    for cube in grid.all_cubes():
+        yield (f"sigma_chi[{cube.level},{cube.index}]",
+               StepFunction(grid, sigma.values * grid.cell_mask(cube)))
+    rng = np.random.default_rng(seed)
+    for i in range(n_random):
+        yield f"random[{i}]", random_step(grid, rng)
+
+
+def _oracle_suite_ratios(w, sigma, p, alpha, q, seed, n_random):
+    return [(label, _oracle_ratio(f, w, p, alpha, q))
+            for label, f in _oracle_suite(w.grid, sigma, seed, n_random)
+            if np.any(f.values > 0)]
+
+
+def _first_maximum(pairs):
+    best, best_key = -math.inf, None
+    for key, ratio in pairs:
+        if ratio > best:
+            best, best_key = ratio, key
+    return best, best_key
+
+
+def _oracle_necessity(w, sigma, p, alpha, q):
+    rows = []
+    for cube in w.grid.all_cubes():
+        f = StepFunction(w.grid, sigma.values * w.grid.cell_mask(cube))
+        rows.append({"level": cube.level, "index": list(cube.index),
+                     "ratio": _oracle_ratio(f, w, p, alpha, q)})
+    best, row = _first_maximum((r, r["ratio"]) for r in rows)
+    return best, {"level": row["level"], "index": row["index"]}, rows
+
+
+ORACLE_GRIDS = [(1, 6), (1, 10), (2, 3), (2, 4), (3, 2)]
+
+
+class TestChunkedEngineOracle:
+    """The chunked checks agree with the per-function loops to the last bit."""
+
+    @staticmethod
+    def _weight(n, depth):
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        return random_weight(grid, np.random.default_rng(100 * n + depth), log_spread=1.2)
+
+    @staticmethod
+    def _assert_agrees(w, p, alpha, q, depth=None, seed=5, n_random=40):
+        flavor = "ap" if q is None else "apq"
+        w_tab = w.tabulate(depth) if isinstance(w, PowerWeight) else w
+        sigma = dual_weight(w, p, flavor)
+        sigma_tab = sigma.tabulate(depth) if isinstance(w, PowerWeight) else sigma
+
+        nec = necessity_check(w, p, alpha, q, depth=depth)
+        best, cube, rows = _oracle_necessity(w_tab, sigma_tab, p, alpha, q)
+        assert nec.measured_ratio == best
+        assert nec.witnesses["cube"] == cube
+        assert nec.per_cube == rows
+
+        expected = _oracle_suite_ratios(w_tab, sigma_tab, p, alpha, q, seed, n_random)
+        chunked = []
+        for labels, F in harness.default_suite(w_tab.grid, sigma_tab, seed, n_random):
+            chunked += zip(labels, harness._ratios(F, w_tab, p, alpha, q))
+        assert chunked == expected
+
+        suf = sufficiency_check(w, p, alpha, q, seed=seed, n_random=n_random, depth=depth)
+        best, label = _first_maximum(expected)
+        assert suf.measured_ratio == best
+        assert suf.witnesses["function"] == label
+
+    @pytest.mark.parametrize("n,depth", ORACLE_GRIDS)
+    def test_plain(self, n, depth):
+        self._assert_agrees(self._weight(n, depth), 2.0, 0.0, None)
+
+    @pytest.mark.parametrize("n,depth", ORACLE_GRIDS)
+    def test_fractional(self, n, depth):
+        alpha = n / 4.0  # 1/p - 1/q = alpha/n at p = 2, q = 4
+        self._assert_agrees(self._weight(n, depth), 2.0, alpha, 4.0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_power_weight(self, p):
+        self._assert_agrees(PowerWeight(0.0, -1.0, 0.0, 1.0), p, 0.0, None, depth=6)
+
+    @pytest.mark.parametrize("n,depth", [(1, 6), (2, 3)])
+    def test_ties_keep_first_maximum(self, n, depth):
+        # A flat weight ties every cube of a level with its neighbours, and
+        # chi_Q with sigma chi_Q; the first maximum in suite order wins.
+        w = StepFunction.constant(GridSpec(n, (0.0,) * n, 1.0, depth), 2.0)
+        self._assert_agrees(w, 2.0, 0.0, None)
+        self._assert_agrees(w, 2.0, n / 4.0, 4.0)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n,depth", [(1, 6), (2, 3), (3, 2)])
+    def test_small_chunks(self, monkeypatch, rows, n, depth):
+        # Chunk boundaries inside every level and suite part, and at each
+        # boundary between the parts.
+        monkeypatch.setattr(harness, "CHUNK_BYTES", rows * 8 * 2 ** (n * depth))
+        w = self._weight(n, depth)
+        self._assert_agrees(w, 3.0, 0.0, None, n_random=7)
+        self._assert_agrees(w, 2.0, n / 4.0, 4.0, n_random=7)
 
 
 class TestChebyshev:

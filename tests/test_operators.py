@@ -9,6 +9,7 @@ from weakmax import (
     GridSpec,
     MaximalQuery,
     StepFunction,
+    batch_maximal,
     brute_force_maximal,
     cube_score,
     dyadic_maximal,
@@ -45,6 +46,25 @@ class TestPlain:
         m = dyadic_maximal(f)
         assert np.all(m.values >= f.values)
         assert np.all(m.values >= f.average())
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n,depth", [(1, 6), (2, 3), (3, 2)])
+    def test_rows_match_dyadic_maximal(self, n, depth, rng):
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        batch = np.exp(rng.normal(0.0, 3.0, (4, grid.finest_count)))
+        for alpha in (0.0, 0.5 * n):
+            rows = batch_maximal(batch, grid, alpha)
+            for f_vals, row in zip(batch, rows):
+                one = dyadic_maximal(StepFunction(grid, f_vals), MaximalQuery(alpha=alpha))
+                assert np.array_equal(row, one.values)
+
+    def test_validates_alpha(self):
+        grid = unit_grid(2)
+        with pytest.raises(ValueError, match="alpha"):
+            batch_maximal(np.ones((2, 4)), grid, 1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            batch_maximal(np.ones((2, 4)), grid, -0.5)
 
 
 class TestFractional:

@@ -32,6 +32,7 @@ from weakmax import (
     sparse_sum,
     star_constant,
     sufficiency_check,
+    verify_weight,
     weak_norm,
     weight_cube_value,
     weight_from_dict,
@@ -459,6 +460,22 @@ class TestOneStarScan:
         w = random_weight(unit_grid(3), np.random.default_rng(33))
         sufficiency_check(w, 2.0, alpha, q, n_random=2)
         assert _stars(star_scans) == expected
+
+    @pytest.mark.parametrize("alpha,q,expected", [(0.0, None, PLAIN), (0.25, 4.0, FRACTIONAL)])
+    def test_verify_weight(self, star_scans, monkeypatch, alpha, q, expected):
+        # One resolution serves both sides: one star scan, and w and sigma
+        # tabulated once each.
+        tabulated = []
+        tabulate = PowerWeight.tabulate
+
+        def counting(self, depth):
+            tabulated.append(self.exponent)
+            return tabulate(self, depth)
+
+        monkeypatch.setattr(PowerWeight, "tabulate", counting)
+        verify_weight(PowerWeight(0.0, -0.5, 0.0, 1.0), 2.0, alpha, q, n_random=2, depth=3)
+        assert _stars(star_scans) == expected
+        assert len(tabulated) == 2
 
     def test_cli_constants(self, star_scans, tmp_path):
         path = tmp_path / "w.json"
