@@ -16,7 +16,6 @@ from .lorentz import (
 )
 from .operators import (
     MaximalQuery,
-    batch_maximal,
     brute_force_maximal,
     cube_score,
     dyadic_maximal,
@@ -72,7 +71,7 @@ __all__ = [
     "CELL_CAP", "DyadicCube", "GridSpec", "StepFunction",
     "Q_INF", "lorentz_holder_check", "lorentz_norm",
     "power_identity_check", "weak_norm",
-    "MaximalQuery", "batch_maximal", "brute_force_maximal", "cube_score", "dyadic_maximal",
+    "MaximalQuery", "brute_force_maximal", "cube_score", "dyadic_maximal",
     "pointwise_lower_bound_check",
     "PowerWeight", "SigmaRH", "WeightConstant", "a1_constant", "a1q_constant",
     "ap_constant", "ap_star_constant", "ap_star_cube_value",

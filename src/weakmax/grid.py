@@ -271,10 +271,6 @@ class StepFunction:
 def coarsen_sums(arr: np.ndarray, n: int) -> np.ndarray:
     """Sum the 2^n sibling blocks of an (..., m, ..., m) array (n trailing
     axes) down to (..., m/2, ..., m/2); leading axes are batch axes."""
-    if n == 1:
-        # One addition per pair, so this is the same float as the sum below,
-        # without numpy's per-reduction overhead on a length-2 axis.
-        return arr[..., 0::2] + arr[..., 1::2]
     lead = arr.shape[:arr.ndim - n]
     m = arr.shape[-1]
     k = len(lead)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridSpec, StepFunction
 from .lorentz import weak_norm, weak_scan
-from .operators import batch_maximal, dyadic_maximal
+from .operators import _batch_maximal, dyadic_maximal
 from .weights import (
     PowerWeight,
     SigmaRH,
@@ -148,6 +148,12 @@ def default_suite(grid: GridSpec, sigma: StepFunction, seed: int,
 # the measured ratio
 # --------------------------------------------------------------------------
 
+def _require_q(alpha: float, q: float | None):
+    if q is None and alpha != 0.0:
+        raise ValueError(f"alpha = {alpha} needs q, the fractional exponent with "
+                         "1/p - 1/q = alpha/n; the plain ratio (q None) takes alpha = 0")
+
+
 def _ratios(F: np.ndarray, w_tab: StepFunction, p: float, alpha: float,
             q: float | None) -> list[float]:
     """Weak-type ratio of every row of the (B, N) cell array F against w_tab.
@@ -159,16 +165,14 @@ def _ratios(F: np.ndarray, w_tab: StepFunction, p: float, alpha: float,
     1/p and 1/q powers are Python-float powers, which numpy's array power
     does not always match to the last bit.
     """
-    if q is None and alpha != 0.0:
-        raise ValueError(f"alpha = {alpha} needs q, the fractional exponent with "
-                         "1/p - 1/q = alpha/n; the plain ratio (q None) takes alpha = 0")
+    _require_q(alpha, q)
     if not np.all(np.isfinite(F)):
         raise ValueError("cell values must be finite")
     if np.any(F < 0):
         raise ValueError("cell values must be nonnegative")
     grid = w_tab.grid
     w = w_tab.values
-    mf = batch_maximal(F, grid, alpha)
+    mf = _batch_maximal(F, grid, alpha)
     if q is None:
         direct, r = w ** (1.0 / p) * mf, p
         identity = w * mf ** float(p)
@@ -264,6 +268,8 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
 
 
 def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random) -> VerificationReport:
+    # Checked here too: an infinite bound returns before any ratio runs.
+    _require_q(alpha, q)
     star, rh = res.star, res.rh
     if q is None:
         bound = (star.value * rh.value) ** (1.0 / p)

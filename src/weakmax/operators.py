@@ -111,7 +111,7 @@ def dyadic_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> Ste
     return f.with_values(running_ancestor_max(scores, f.grid))
 
 
-def batch_maximal(values: np.ndarray, grid: GridSpec, alpha: float = 0.0) -> np.ndarray:
+def _batch_maximal(values: np.ndarray, grid: GridSpec, alpha: float = 0.0) -> np.ndarray:
     """M_alpha^D of every row of a (..., N) batch of cell arrays of ``grid``.
 
     The same sweep as ``dyadic_maximal`` with no StepFunction per row, so the

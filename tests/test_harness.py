@@ -83,6 +83,12 @@ class TestMultiplierRatio:
             sufficiency_check(w, 2.0, alpha=0.5, n_random=2)
         with pytest.raises(ValueError, match="needs q"):
             verify_weight(w, 2.0, alpha=0.5, n_random=2)
+        # A power weight outside the class has an infinite, vacuous bound.
+        outside = PowerWeight(0.0, -1.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="needs q"):
+            sufficiency_check(outside, 2.0, alpha=0.5, n_random=2, depth=4)
+        with pytest.raises(ValueError, match="needs q"):
+            verify_weight(outside, 2.0, alpha=0.5, n_random=2, depth=4)
 
 
 # The seed's per-function loops, kept as the oracle of the chunked engine:

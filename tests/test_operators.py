@@ -9,12 +9,12 @@ from weakmax import (
     GridSpec,
     MaximalQuery,
     StepFunction,
-    batch_maximal,
     brute_force_maximal,
     cube_score,
     dyadic_maximal,
     pointwise_lower_bound_check,
 )
+from weakmax.operators import _batch_maximal
 
 from conftest import step_functions, unit_grid
 
@@ -54,7 +54,7 @@ class TestBatch:
         grid = GridSpec(n, (0.0,) * n, 1.0, depth)
         batch = np.exp(rng.normal(0.0, 3.0, (4, grid.finest_count)))
         for alpha in (0.0, 0.5 * n):
-            rows = batch_maximal(batch, grid, alpha)
+            rows = _batch_maximal(batch, grid, alpha)
             for f_vals, row in zip(batch, rows):
                 one = dyadic_maximal(StepFunction(grid, f_vals), MaximalQuery(alpha=alpha))
                 assert np.array_equal(row, one.values)
@@ -62,9 +62,9 @@ class TestBatch:
     def test_validates_alpha(self):
         grid = unit_grid(2)
         with pytest.raises(ValueError, match="alpha"):
-            batch_maximal(np.ones((2, 4)), grid, 1.0)
+            _batch_maximal(np.ones((2, 4)), grid, 1.0)
         with pytest.raises(ValueError, match="alpha"):
-            batch_maximal(np.ones((2, 4)), grid, -0.5)
+            _batch_maximal(np.ones((2, 4)), grid, -0.5)
 
 
 class TestFractional:
