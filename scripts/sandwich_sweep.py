@@ -13,12 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from weakmax import (
-    GridSpec,
-    ap_star_constant,
-    random_weight,
-    sufficiency_check,
-)
+from weakmax import GridSpec, random_weight, sufficiency_check
 
 
 def main():
@@ -44,7 +39,7 @@ def main():
         for p in args.p:
             rep = sufficiency_check(w, p, c_desk=args.c_desk,
                                     seed=args.seed + i, n_random=args.n_random)
-            floor = ap_star_constant(w, p).value ** (1.0 / p)
+            floor = rep.context["star_constant"] ** (1.0 / p)
             ok = rep.verdict and rep.measured_ratio >= floor - 1e-9
             failures += not ok
             rows.append({

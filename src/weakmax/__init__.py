@@ -55,7 +55,6 @@ from .czsparse import (
 from .harness import (
     VerificationReport,
     chebyshev_check,
-    default_suite,
     lemma_suite,
     multiplier_ratio,
     necessity_check,
@@ -80,7 +79,7 @@ __all__ = [
     "weight_cube_value", "weight_from_dict", "weight_to_dict",
     "CZDecomposition", "SparseFamily", "SparsityError", "build_sparse",
     "cz_decompose", "sparse_sum",
-    "VerificationReport", "chebyshev_check", "default_suite", "lemma_suite",
+    "VerificationReport", "chebyshev_check", "lemma_suite",
     "multiplier_ratio", "necessity_check", "random_step", "random_weight",
     "sufficiency_check", "verify_weight",
 ]

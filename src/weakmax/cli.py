@@ -84,17 +84,6 @@ def _flat_witness(d: dict | None) -> tuple:
     return (d["level"], " ".join(str(i) for i in d["index"]))
 
 
-def _check_exponents(args, w):
-    if args.alpha > 0:
-        n = w.grid.n if isinstance(w, StepFunction) else 1
-        if args.q is None:
-            raise CliError("--alpha > 0 requires --q with 1/p - 1/q = alpha/n")
-        if abs(1.0 / args.p - 1.0 / args.q - args.alpha / n) > 1e-12:
-            raise CliError(
-                f"exponent relation violated: 1/p - 1/q = {1 / args.p - 1 / args.q:g} "
-                f"but alpha/n = {args.alpha / n:g}")
-
-
 def cmd_constants(args) -> int:
     w = _load_weight(args.weight)
     p, q, r = args.p, args.q if args.q is not None else 2.0 * args.p, args.r
@@ -170,7 +159,6 @@ def cmd_lemmas(args) -> int:
 
 def cmd_verify(args) -> int:
     w = _load_weight(args.weight)
-    _check_exponents(args, w)
     result = harness.verify_weight(w, args.p, args.alpha, args.q,
                                    c_desk=args.c_desk, seed=args.seed,
                                    n_random=args.n_random, depth=args.depth)
@@ -194,7 +182,6 @@ def cmd_verify(args) -> int:
 
 def cmd_necessity(args) -> int:
     w = _load_weight(args.weight)
-    _check_exponents(args, w)
     report = harness.necessity_check(w, args.p, args.alpha, args.q, depth=args.depth)
     if args.format == "csv":
         rows = [{"level": r["level"],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,38 +112,6 @@ def random_weight(grid: GridSpec, rng: np.random.Generator, log_spread: float = 
     return StepFunction(grid, np.clip(vals, 1e-3, 1e3))
 
 
-def _cube_chunks(grid: GridSpec,
-                 values: np.ndarray) -> Iterator[tuple[list[DyadicCube], np.ndarray]]:
-    """values * chi_Q for every lattice cube Q, in ``all_cubes`` order, as
-    (cubes, F) chunks of at most CHUNK_BYTES; a chunk stays within a level."""
-    rows = _chunk_rows(grid)
-    for level in range(grid.depth + 1):
-        cubes = grid.cells(level)
-        anc = grid.ancestor_index(level)
-        for start in range(0, len(cubes), rows):
-            flat = np.arange(start, min(start + rows, len(cubes)))
-            yield cubes[start:start + rows], values * (anc == flat[:, None])
-
-
-def default_suite(grid: GridSpec, sigma: StepFunction, seed: int,
-                  n_random: int = 200) -> Iterator[tuple[list[str], np.ndarray]]:
-    """The harness suite as (labels, F) chunks, F a (B, N) array of at most
-    CHUNK_BYTES with one function per row: every indicator chi_Q, every
-    sigma chi_Q, and n_random seeded lognormal step functions.  The
-    test-function construction makes sigma chi_Q extremal up to constants, so
-    this composition is decisive."""
-    for cubes, F in _cube_chunks(grid, np.ones(grid.finest_count)):
-        yield [f"chi[{cube.level},{cube.index}]" for cube in cubes], F
-    for cubes, F in _cube_chunks(grid, sigma.values):
-        yield [f"sigma_chi[{cube.level},{cube.index}]" for cube in cubes], F
-    rng = np.random.default_rng(seed)
-    rows = _chunk_rows(grid)
-    for start in range(0, n_random, rows):
-        stop = min(start + rows, n_random)
-        yield ([f"random[{i}]" for i in range(start, stop)],
-               _lognormal(rng, (stop - start, grid.finest_count)))
-
-
 # --------------------------------------------------------------------------
 # the measured ratio
 # --------------------------------------------------------------------------
@@ -152,6 +120,9 @@ def _require_q(alpha: float, q: float | None):
     if q is None and alpha != 0.0:
         raise ValueError(f"alpha = {alpha} needs q, the fractional exponent with "
                          "1/p - 1/q = alpha/n; the plain ratio (q None) takes alpha = 0")
+
+
+_DEGENERATE = "degenerate input: ||f|| vanishes in the weighted norm"
 
 
 def _ratios(F: np.ndarray, w_tab: StepFunction, p: float, alpha: float,
@@ -165,7 +136,6 @@ def _ratios(F: np.ndarray, w_tab: StepFunction, p: float, alpha: float,
     1/p and 1/q powers are Python-float powers, which numpy's array power
     does not always match to the last bit.
     """
-    _require_q(alpha, q)
     if not np.all(np.isfinite(F)):
         raise ValueError("cell values must be finite")
     if np.any(F < 0):
@@ -195,7 +165,7 @@ def _ratios(F: np.ndarray, w_tab: StepFunction, p: float, alpha: float,
         cross = cross ** (1.0 / r)
         den = (den_sum * cm) ** (1.0 / p)
         if den == 0.0:
-            raise ValueError("degenerate input: ||f|| vanishes in the weighted norm")
+            raise ValueError(_DEGENERATE)
         if abs(num - cross) > 1e-10 * max(num, cross, 1e-300):
             raise RuntimeError(f"weak-norm identity routes disagree: {num} vs {cross}")
         out.append(num / den)
@@ -212,6 +182,7 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
     """
     if w.grid != f.grid:
         raise ValueError("weight grid does not match f")
+    _require_q(alpha, q)
     return _ratios(f.values[None, :], w, p, alpha, q)[0]
 
 
@@ -238,9 +209,21 @@ class _Resolved(NamedTuple):
     mode: str
 
 
-def _resolve_weight(w: Weight, p: float, q: float | None, depth: int | None) -> _Resolved:
-    """Power mode runs with analytic constants and exactly tabulated w and
-    sigma (each tabulated from its own closed-form cell integrals)."""
+def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
+                    depth: int | None) -> _Resolved:
+    """Check a harness call before any scan, then resolve its weight.  Power
+    mode runs with analytic constants and exactly tabulated w and sigma (each
+    tabulated from its own closed-form cell integrals)."""
+    _require_q(alpha, q)
+    if alpha > 0:
+        n = 1 if isinstance(w, PowerWeight) else w.grid.n
+        if not (p > 0 and q > 0):
+            raise ValueError(f"exponents must be positive, got p={p}, q={q}")
+        gap = 1.0 / p - 1.0 / q
+        if abs(gap - alpha / n) > 1e-12:
+            raise ValueError(f"exponent relation violated: 1/p - 1/q = {gap:g} "
+                             f"but alpha/n = {alpha / n:g}")
+    _require_positive(w)
     flavor = "ap" if q is None else "apq"
     star = star_constant(w, p, q, depth)
     rh = sigma_rh(star)
@@ -256,6 +239,39 @@ def _require_positive(w: Weight):
                          "infinite; the harness needs w > 0 on every cell")
 
 
+def _cube_ratios(w_tab: StepFunction, values: np.ndarray, p, alpha,
+                 q) -> list[tuple[DyadicCube, float | None]]:
+    """(Q, ratio of values * chi_Q) for every lattice cube Q, in ``all_cubes``
+    order, in chunks of at most CHUNK_BYTES within a level; the ratio is None
+    where values vanish on Q."""
+    grid = w_tab.grid
+    rows = _chunk_rows(grid)
+    out = []
+    for level in range(grid.depth + 1):
+        cubes = grid.cells(level)
+        anc = grid.ancestor_index(level)
+        for start in range(0, len(cubes), rows):
+            F = values * (anc == np.arange(start, min(start + rows, len(cubes)))[:, None])
+            positive = (F > 0).any(axis=-1)
+            ratios = iter(_ratios(F[positive], w_tab, p, alpha, q))
+            out += [(cube, next(ratios) if keep else None)
+                    for cube, keep in zip(cubes[start:start + rows], positive.tolist())]
+    return out
+
+
+def _random_ratios(w_tab: StepFunction, p, alpha, q, seed, n_random) -> list[float]:
+    """Ratios of n_random seeded lognormal step functions, drawn in chunks of
+    at most CHUNK_BYTES."""
+    grid = w_tab.grid
+    rng = np.random.default_rng(seed)
+    rows = _chunk_rows(grid)
+    out = []
+    for start in range(0, n_random, rows):
+        F = _lognormal(rng, (min(rows, n_random - start), grid.finest_count))
+        out += _ratios(F, w_tab, p, alpha, q)
+    return out
+
+
 def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,
                       c_desk: float = 8.0, seed: int = 0, n_random: int = 200,
                       depth: int | None = None) -> VerificationReport:
@@ -263,37 +279,47 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
     bound ([w]_* [sigma]_RH)^{1/p} (plain) or [w]_* [sigma]_RH^{1/q}
     (fractional); passes when measured <= c_desk * bound.  c_desk absorbs the
     absolute constants the proof never exhibits and is recorded in the report.
+
+    The suite is every indicator chi_Q, every sigma chi_Q and n_random seeded
+    lognormal step functions, in that order.  The test-function construction
+    makes sigma chi_Q extremal up to constants, so this composition is
+    decisive.
     """
-    return _sufficiency(_resolve_weight(w, p, q, depth), p, alpha, q, c_desk, seed, n_random)
+    return _sufficiency(_resolve_weight(w, p, alpha, q, depth), p, alpha, q,
+                        c_desk, seed, n_random)
 
 
-def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random) -> VerificationReport:
-    # Checked here too: an infinite bound returns before any ratio runs.
-    _require_q(alpha, q)
+def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random,
+                 sigma_rows=None) -> VerificationReport:
+    """sigma_rows, when given, are the sigma chi_Q rows of ``_cube_ratios``."""
     star, rh = res.star, res.rh
     if q is None:
         bound = (star.value * rh.value) ** (1.0 / p)
     else:
         bound = star.value * rh.value ** (1.0 / q)
+    grid = res.w_tab.grid
     context = {
         "check": "sufficiency", "p": p, "q": q, "alpha": alpha, "seed": seed,
-        "n": res.w_tab.grid.n, "depth": res.w_tab.grid.depth, "c_desk": c_desk,
+        "n": grid.n, "depth": grid.depth, "c_desk": c_desk,
         "star_constant": star.value, "sigma_rh": rh.value, "mode": res.mode,
     }
     if not math.isfinite(bound):
         return VerificationReport(
             context | {"diagnostic": "star constant is infinite; bound is vacuous"},
             math.inf, bound, 0.0, {}, False, c_desk)
+    suite = [(f"chi[{cube.level},{cube.index}]", ratio) for cube, ratio in
+             _cube_ratios(res.w_tab, np.ones(grid.finest_count), p, alpha, q)]
+    if sigma_rows is None:
+        sigma_rows = _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q)
+    suite += [(f"sigma_chi[{cube.level},{cube.index}]", ratio)
+              for cube, ratio in sigma_rows if ratio is not None]
+    suite += [(f"random[{i}]", ratio) for i, ratio in
+              enumerate(_random_ratios(res.w_tab, p, alpha, q, seed, n_random))]
     best = -math.inf
     best_label = ""
-    for labels, F in default_suite(res.w_tab.grid, res.sigma_tab, seed, n_random):
-        positive = (F > 0).any(axis=-1)
-        if not positive.all():
-            F = F[positive]
-            labels = [label for label, keep in zip(labels, positive) if keep]
-        for label, ratio in zip(labels, _ratios(F, res.w_tab, p, alpha, q)):
-            if ratio > best:
-                best, best_label = ratio, label
+    for label, ratio in suite:
+        if ratio > best:
+            best, best_label = ratio, label
     normalized = best / bound
     return VerificationReport(
         context, best, bound, normalized, {"function": best_label},
@@ -308,22 +334,24 @@ def necessity_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = N
     [w]_* (fractional) holds exactly: M^D f_Q >= <sigma>_Q on Q makes each
     cube's ratio at least that cube's star expression to the right power.
     """
-    _require_positive(w)
-    return _necessity(_resolve_weight(w, p, q, depth), p, alpha, q)
+    res = _resolve_weight(w, p, alpha, q, depth)
+    return _necessity(res, p, alpha, q,
+                      _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q))
 
 
-def _necessity(res: _Resolved, p, alpha, q) -> VerificationReport:
+def _necessity(res: _Resolved, p, alpha, q, sigma_rows) -> VerificationReport:
     grid = res.w_tab.grid
     exponent = 1.0 / p if q is None else 1.0
     bound = res.star.value ** exponent
     best = -math.inf
     best_cube = grid.root
     rows = []
-    for cubes, F in _cube_chunks(grid, res.sigma_tab.values):
-        for cube, ratio in zip(cubes, _ratios(F, res.w_tab, p, alpha, q)):
-            rows.append({"level": cube.level, "index": list(cube.index), "ratio": ratio})
-            if ratio > best:
-                best, best_cube = ratio, cube
+    for cube, ratio in sigma_rows:
+        if ratio is None:  # sigma underflowed to 0 on all of Q
+            raise ValueError(_DEGENERATE)
+        rows.append({"level": cube.level, "index": list(cube.index), "ratio": ratio})
+        if ratio > best:
+            best, best_cube = ratio, cube
     context = {"check": "necessity", "p": p, "q": q, "alpha": alpha,
                "n": grid.n, "depth": grid.depth, "star_constant": res.star.value,
                "mode": res.mode}
@@ -356,6 +384,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
          subcube E of every cube Q plus n_random seeded cell unions per Q,
          with c = 4^{p'/p} (plain) or 4^{p'/q} (fractional).
     """
+    _require_positive(w)
     pc = conjugate(p)
     lat = _grid_of(w, depth)
     star = star_constant(w, p, q, depth)
@@ -418,11 +447,11 @@ def verify_weight(w: Weight, p: float, alpha: float = 0.0, q: float | None = Non
                   depth: int | None = None) -> dict:
     """The two-sided sandwich: necessity lower bound and sufficiency upper
     bound in one run, from one resolution of the weight, as consumed by the
-    CLI verify command."""
-    _require_positive(w)
-    res = _resolve_weight(w, p, q, depth)
-    nec = _necessity(res, p, alpha, q)
-    suf = _sufficiency(res, p, alpha, q, c_desk, seed, n_random)
+    CLI verify command.  Both sides read the same sigma chi_Q rows."""
+    res = _resolve_weight(w, p, alpha, q, depth)
+    sigma_rows = _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q)
+    nec = _necessity(res, p, alpha, q, sigma_rows)
+    suf = _sufficiency(res, p, alpha, q, c_desk, seed, n_random, sigma_rows)
     return {
         "necessity": nec.to_dict(),
         "sufficiency": suf.to_dict(),

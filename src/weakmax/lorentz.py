@@ -9,7 +9,7 @@ values, so
 
 reduce to a finite scan over the sorted values and a finite segment sum.
 Both are the normative algorithms here; quadrature appears only as a test
-oracle.  q = infinity is marked by the Q_INF sentinel, not a float.
+oracle.  q = infinity is math.inf, exported as Q_INF.
 """
 
 from __future__ import annotations
@@ -22,25 +22,7 @@ import numpy as np
 from .grid import DyadicCube, StepFunction
 
 
-class _QInf:
-    """Sentinel marking the weak space L^{p,inf}."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Q_INF"
-
-
-Q_INF = _QInf()
-
-
-def is_weak(q) -> bool:
-    return q is Q_INF
+Q_INF = math.inf  # the q of the weak space L^{p,inf}
 
 
 class CheckResult(NamedTuple):
@@ -86,7 +68,7 @@ def lorentz_norm(f: StepFunction, p: float, q: float) -> float:
     integral is sum_i d_i^(q/p) (v_{i+1}^q - v_i^q)/q.  For p = q this equals
     the ordinary L^p norm.
     """
-    if is_weak(q) or not (isinstance(q, (int, float)) and math.isfinite(q)):
+    if not (isinstance(q, (int, float)) and math.isfinite(q)):
         raise ValueError("q must be finite and positive; use weak_norm for q = Q_INF")
     if not (p > 0 and q > 0 and math.isfinite(p)):
         raise ValueError(f"exponents must be finite and positive, got p={p}, q={q}")
@@ -104,8 +86,8 @@ def lorentz_norm(f: StepFunction, p: float, q: float) -> float:
 
 
 def lorentz_quasinorm(f: StepFunction, p: float, q) -> float:
-    """Dispatch on q: weak_norm for Q_INF, lorentz_norm otherwise."""
-    if is_weak(q):
+    """Dispatch on q: weak_norm for q = Q_INF, lorentz_norm otherwise."""
+    if q == math.inf:
         return weak_norm(f, p)
     return lorentz_norm(f, p, q)
 
@@ -115,8 +97,7 @@ def power_identity_check(f: StepFunction, r: float, p: float, q) -> CheckResult:
     if not (r > 0 and p > 0):
         raise ValueError("exponents must be positive")
     lhs = lorentz_quasinorm(f ** r, p, q)
-    rq = q if is_weak(q) else q * r
-    rhs = lorentz_quasinorm(f, p * r, rq) ** r
+    rhs = lorentz_quasinorm(f, p * r, q * r) ** r
     scale = max(abs(lhs), abs(rhs), 1e-300)
     residual = abs(lhs - rhs) / scale
     return CheckResult(residual <= 1e-10, residual)

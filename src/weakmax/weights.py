@@ -525,6 +525,8 @@ def weight_to_dict(w: Weight) -> dict:
 
 
 def weight_from_dict(d: dict) -> Weight:
+    if not isinstance(d, dict):
+        raise ValueError(f"weight spec must be a JSON object, got {type(d).__name__}")
     mode = d.get("mode")
     if mode == "tabulated":
         return StepFunction.from_dict(d["step"])

@@ -124,9 +124,15 @@ class TestVerify:
         assert len(lines) == 2
         assert "normalized" in lines[0]
 
-    def test_exponent_relation_enforced(self, quarters_weight):
+    def test_exponent_relation_enforced(self, quarters_weight, capsys):
         assert main(["verify", "--weight", quarters_weight, "--p", "2",
                      "--q", "4", "--alpha", "0.5", "--n-random", "5"]) == 1
+        assert "exponent relation violated" in capsys.readouterr().err
+        # a zero exponent cannot enter the relation; it exits 1, not with a traceback
+        for p, q in (("2", "0"), ("0", "4")):
+            assert main(["verify", "--weight", quarters_weight, "--p", p,
+                         "--q", q, "--alpha", "0.5"]) == 1
+            assert "exponents must be positive" in capsys.readouterr().err
         assert main(["verify", "--weight", quarters_weight, "--p", "2",
                      "--q", "4", "--alpha", "0.25", "--n-random", "5"]) == 0
 
@@ -192,6 +198,46 @@ class TestErrors:
             "n": 1, "root_corner": [0.0], "root_side": 1.0, "depth": 1,
             "values": [1.0, -2.0]}}))
         assert main(["constants", "--weight", str(path)]) == 1
+
+
+def _step_spec(**fields):
+    step = {"n": 1, "root_corner": [0.0], "root_side": 1.0, "depth": 1, "values": [1.0, 2.0]}
+    return {"mode": "tabulated", "step": {**step, **fields}}
+
+
+def _power_spec(**fields):
+    return {"mode": "power", "center": 0.0, "exponent": -0.5, "root": [0.0, 1.0], **fields}
+
+
+MALFORMED = {
+    "wrong_length": _step_spec(values=[1.0, 2.0, 3.0]),
+    "nan": _step_spec(values=[1.0, float("nan")]),
+    "string_side": _step_spec(root_side="wide"),
+    "string_values": _step_spec(values="abc"),
+    "string_exponent": _power_spec(exponent="steep"),
+    "bad_corner": _step_spec(root_corner=[0.0, 0.0]),
+    "scalar_corner": _step_spec(root_corner=0.0),
+    "negative_side": _step_spec(root_side=-1.0),
+    "empty_root": _power_spec(root=[]),
+    "top_level_array": [1, 2],
+    "top_level_string": "x",
+    "top_level_number": 3,
+    # 2^40 cells: the lattice is refused before any array is allocated
+    "depth_above_cap": _step_spec(depth=40),
+}
+
+
+class TestMalformedWeightFiles:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_one_with_message(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(MALFORMED[name]))
+        assert main(["verify", "--weight", str(path), "--depth", "3", "--n-random", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        if name == "depth_above_cap":
+            assert "exceeds the cell cap" in err
 
 
 class TestEntryPoint:

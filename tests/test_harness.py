@@ -146,6 +146,17 @@ def _oracle_necessity(w, sigma, p, alpha, q):
     return best, {"level": row["level"], "index": row["index"]}, rows
 
 
+def _chunked_suite_ratios(w, sigma, p, alpha, q, seed, n_random):
+    # The sufficiency suite as the chunked engine evaluates it, labelled as
+    # in the reports.
+    rows = [("chi", c, r) for c, r in
+            harness._cube_ratios(w, np.ones(w.grid.finest_count), p, alpha, q)]
+    rows += [("sigma_chi", c, r) for c, r in harness._cube_ratios(w, sigma.values, p, alpha, q)]
+    return ([(f"{kind}[{c.level},{c.index}]", r) for kind, c, r in rows if r is not None]
+            + [(f"random[{i}]", r) for i, r in
+               enumerate(harness._random_ratios(w, p, alpha, q, seed, n_random))])
+
+
 ORACLE_GRIDS = [(1, 6), (1, 10), (2, 3), (2, 4), (3, 2)]
 
 
@@ -171,10 +182,7 @@ class TestChunkedEngineOracle:
         assert nec.per_cube == rows
 
         expected = _oracle_suite_ratios(w_tab, sigma_tab, p, alpha, q, seed, n_random)
-        chunked = []
-        for labels, F in harness.default_suite(w_tab.grid, sigma_tab, seed, n_random):
-            chunked += zip(labels, harness._ratios(F, w_tab, p, alpha, q))
-        assert chunked == expected
+        assert _chunked_suite_ratios(w_tab, sigma_tab, p, alpha, q, seed, n_random) == expected
 
         suf = sufficiency_check(w, p, alpha, q, seed=seed, n_random=n_random, depth=depth)
         best, label = _first_maximum(expected)
@@ -211,6 +219,85 @@ class TestChunkedEngineOracle:
         w = self._weight(n, depth)
         self._assert_agrees(w, 3.0, 0.0, None, n_random=7)
         self._assert_agrees(w, 2.0, n / 4.0, 4.0, n_random=7)
+
+
+DRIVERS = [necessity_check, sufficiency_check, verify_weight]
+
+
+def _name(driver):
+    return driver.__name__
+
+
+class TestCheckedResolution:
+    """Each driver checks its call before any scan, and verify evaluates the
+    sigma chi_Q rows once for both sides."""
+
+    @staticmethod
+    def _forbid_scan(monkeypatch):
+        def star_constant(*args, **kwargs):
+            raise AssertionError("the star class was scanned before the call was checked")
+        monkeypatch.setattr(harness, "star_constant", star_constant)
+
+    @pytest.mark.parametrize("driver", DRIVERS + [lemma_suite], ids=_name)
+    def test_zero_cells(self, monkeypatch, driver):
+        self._forbid_scan(monkeypatch)
+        w = StepFunction(unit_grid(2), [1, 1, 0, 1])
+        with pytest.raises(ValueError, match="zero cells"):
+            driver(w, 2.0)
+
+    @pytest.mark.parametrize("driver", DRIVERS, ids=_name)
+    @pytest.mark.parametrize("w,alpha", [
+        (StepFunction(unit_grid(3), np.linspace(1.0, 2.0, 8)), 0.9),
+        (StepFunction(unit_grid(2, n=2), np.linspace(1.0, 2.0, 16)), 0.25),
+        (PowerWeight(0.0, -0.5, 0.0, 1.0), 0.5),
+    ], ids=["1d", "2d", "power"])
+    def test_exponent_relation(self, monkeypatch, driver, w, alpha):
+        # 1/p - 1/q = 1/4 at p = 2, q = 4, but alpha/n is not
+        self._forbid_scan(monkeypatch)
+        with pytest.raises(ValueError, match="exponent relation violated"):
+            driver(w, 2.0, alpha, 4.0, depth=4)
+
+    def test_verify_row_count(self, monkeypatch):
+        # chi_Q and sigma_chi_Q rows once each, plus the random rows
+        evaluated = []
+        ratios = harness._ratios
+
+        def counting(F, *args):
+            evaluated.append(F.shape[0])
+            return ratios(F, *args)
+
+        monkeypatch.setattr(harness, "_ratios", counting)
+        w = random_weight(unit_grid(6), np.random.default_rng(3))
+        verify_weight(w, 2.0, n_random=10)
+        assert sum(evaluated) == 2 * (2 ** 7 - 1) + 10
+
+    @pytest.mark.parametrize("alpha,q", [(0.0, None), (0.25, 4.0)], ids=["plain", "fractional"])
+    @pytest.mark.parametrize("w,depth", [
+        (random_weight(unit_grid(5), np.random.default_rng(4)), None),
+        (PowerWeight(0.0, -0.5, 0.0, 1.0), 5),
+    ], ids=["tabulated", "power"])
+    def test_verify_matches_the_two_checks(self, w, depth, alpha, q):
+        out = verify_weight(w, 2.0, alpha, q, seed=4, n_random=20, depth=depth)
+        assert out["necessity"] == necessity_check(w, 2.0, alpha, q, depth=depth).to_dict()
+        assert out["sufficiency"] == sufficiency_check(
+            w, 2.0, alpha, q, seed=4, n_random=20, depth=depth).to_dict()
+
+    def test_sigma_underflow(self):
+        # sigma = w^(1 - p') = w^-100 underflows to 0 where w = 2000, so the
+        # sigma chi_Q row of that cell is all zero: sufficiency skips it, and
+        # necessity cannot take its ratio.
+        w = StepFunction(unit_grid(1), [1.0, 2000.0])
+        sigma = dual_weight(w, 1.01)
+        assert sigma.values.tolist() == [1.0, 0.0]
+        rows = harness._cube_ratios(w, sigma.values, 1.01, 0.0, None)
+        assert [ratio is None for _, ratio in rows] == [False, False, True]
+        suf = sufficiency_check(w, 1.01, seed=2, n_random=5)
+        best, label = _first_maximum(_oracle_suite_ratios(w, sigma, 1.01, 0.0, None, 2, 5))
+        assert (suf.measured_ratio, suf.witnesses["function"]) == (best, label)
+        with pytest.raises(ValueError, match="degenerate input"):
+            necessity_check(w, 1.01)
+        with pytest.raises(ValueError, match="degenerate input"):
+            verify_weight(w, 1.01, n_random=5)
 
 
 class TestChebyshev:
