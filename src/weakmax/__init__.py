@@ -7,20 +7,8 @@ two-sided characterization.
 """
 
 from .grid import CELL_CAP, DyadicCube, GridSpec, StepFunction
-from .lorentz import (
-    Q_INF,
-    lorentz_holder_check,
-    lorentz_norm,
-    power_identity_check,
-    weak_norm,
-)
-from .operators import (
-    MaximalQuery,
-    brute_force_maximal,
-    cube_score,
-    dyadic_maximal,
-    pointwise_lower_bound_check,
-)
+from .lorentz import Q_INF, lorentz_norm, weak_norm
+from .operators import MaximalQuery, dyadic_maximal
 from .weights import (
     PowerWeight,
     SigmaRH,
@@ -30,8 +18,6 @@ from .weights import (
     ap_constant,
     ap_star_constant,
     ap_star_cube_value,
-    ap_star_kernel_constant,
-    ap_star_kernel_cube_value,
     apq_constant,
     apq_star_constant,
     conjugate,
@@ -40,7 +26,6 @@ from .weights import (
     sigma_rh,
     sigma_rh_constant,
     star_constant,
-    weight_cube_value,
     weight_from_dict,
     weight_to_dict,
 )
@@ -54,7 +39,6 @@ from .czsparse import (
 )
 from .harness import (
     VerificationReport,
-    chebyshev_check,
     lemma_suite,
     multiplier_ratio,
     necessity_check,
@@ -68,18 +52,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CELL_CAP", "DyadicCube", "GridSpec", "StepFunction",
-    "Q_INF", "lorentz_holder_check", "lorentz_norm",
-    "power_identity_check", "weak_norm",
-    "MaximalQuery", "brute_force_maximal", "cube_score", "dyadic_maximal",
-    "pointwise_lower_bound_check",
+    "Q_INF", "lorentz_norm", "weak_norm",
+    "MaximalQuery", "dyadic_maximal",
     "PowerWeight", "SigmaRH", "WeightConstant", "a1_constant", "a1q_constant",
     "ap_constant", "ap_star_constant", "ap_star_cube_value",
-    "ap_star_kernel_constant", "ap_star_kernel_cube_value", "apq_constant", "apq_star_constant",
-    "conjugate", "dual_weight", "rh_constant", "sigma_rh", "sigma_rh_constant", "star_constant",
-    "weight_cube_value", "weight_from_dict", "weight_to_dict",
+    "apq_constant", "apq_star_constant", "conjugate", "dual_weight", "rh_constant",
+    "sigma_rh", "sigma_rh_constant", "star_constant", "weight_from_dict", "weight_to_dict",
     "CZDecomposition", "SparseFamily", "SparsityError", "build_sparse",
     "cz_decompose", "sparse_sum",
-    "VerificationReport", "chebyshev_check", "lemma_suite",
+    "VerificationReport", "lemma_suite",
     "multiplier_ratio", "necessity_check", "random_step", "random_weight",
     "sufficiency_check", "verify_weight",
 ]

@@ -89,7 +89,7 @@ def cz_decompose(f: StepFunction, a: float | None = None, alpha: float = 0.0) ->
     threshold = 2.0 ** (grid.n + 1 - alpha)
     if a is None:
         a = threshold
-    if a < threshold - 1e-12:
+    if not a >= threshold - 1e-12:  # nan fails here too
         raise ValueError(f"base a = {a} below the required 2^(n+1-alpha) = {threshold}")
 
     if not np.any(f.values > 0):

@@ -128,10 +128,6 @@ class GridSpec:
         h = self.side(cube.level)
         return tuple(c + i * h for c, i in zip(self.root_corner, cube.index))
 
-    def cube_center(self, cube: DyadicCube) -> tuple[float, ...]:
-        h = self.side(cube.level)
-        return tuple(c + h / 2.0 for c in self.cube_corner(cube))
-
     def flat_index(self, cube: DyadicCube) -> int:
         return int(np.ravel_multi_index(cube.index, (2 ** cube.level,) * self.n))
 
@@ -159,14 +155,6 @@ class GridSpec:
         for axis in range(self.n):
             anc = np.repeat(anc, 2 ** (self.depth - level), axis=axis)
         return anc.reshape(-1)
-
-    def cell_centers(self) -> np.ndarray:
-        """(finest_count, n) array of finest-cell centers, row-major."""
-        h = self.side(self.depth)
-        axes = [np.asarray(self.root_corner)[k] + (np.arange(2 ** self.depth) + 0.5) * h
-                for k in range(self.n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 class StepFunction:

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import DyadicCube, GridSpec, StepFunction
-from .lorentz import weak_norm, weak_scan
-from .operators import _batch_maximal, dyadic_maximal
+from .lorentz import weak_scan
+from .operators import _batch_maximal
 from .weights import (
     PowerWeight,
     SigmaRH,
@@ -186,14 +186,6 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
     return _ratios(f.values[None, :], w, p, alpha, q)[0]
 
 
-def chebyshev_check(f: StepFunction, w: StepFunction, p: float) -> bool:
-    """Weak multiplier norm <= strong multiplier norm of M^D f."""
-    mf = dyadic_maximal(f)
-    weak = weak_norm((w ** (1.0 / p)) * mf, p)
-    strong = (float((mf.values ** p * w.values).sum()) * f.grid.cell_measure) ** (1.0 / p)
-    return weak <= strong * (1.0 + 1e-12)
-
-
 # --------------------------------------------------------------------------
 # sufficiency / necessity
 # --------------------------------------------------------------------------
@@ -231,6 +223,13 @@ def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
     if isinstance(w, PowerWeight):
         return _Resolved(star, rh, w.tabulate(depth), sigma.tabulate(depth), "power")
     return _Resolved(star, rh, w, sigma, "tabulated")
+
+
+def _require_suite(n_random: int, c_desk: float | None = None):
+    if n_random < 0:
+        raise ValueError(f"n_random must be >= 0, got {n_random}")
+    if c_desk is not None and not 0 < c_desk < math.inf:
+        raise ValueError(f"c_desk must be positive and finite, got {c_desk}")
 
 
 def _require_positive(w: Weight):
@@ -285,6 +284,7 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
     makes sigma chi_Q extremal up to constants, so this composition is
     decisive.
     """
+    _require_suite(n_random, c_desk)
     return _sufficiency(_resolve_weight(w, p, alpha, q, depth), p, alpha, q,
                         c_desk, seed, n_random)
 
@@ -384,6 +384,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
          subcube E of every cube Q plus n_random seeded cell unions per Q,
          with c = 4^{p'/p} (plain) or 4^{p'/q} (fractional).
     """
+    _require_suite(n_random)
     _require_positive(w)
     pc = conjugate(p)
     lat = _grid_of(w, depth)
@@ -448,6 +449,7 @@ def verify_weight(w: Weight, p: float, alpha: float = 0.0, q: float | None = Non
     """The two-sided sandwich: necessity lower bound and sufficiency upper
     bound in one run, from one resolution of the weight, as consumed by the
     CLI verify command.  Both sides read the same sigma chi_Q rows."""
+    _require_suite(n_random, c_desk)
     res = _resolve_weight(w, p, alpha, q, depth)
     sigma_rows = _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q)
     nec = _necessity(res, p, alpha, q, sigma_rows)

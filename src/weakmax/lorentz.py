@@ -15,7 +15,6 @@ oracle.  q = infinity is math.inf, exported as Q_INF.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,11 +22,6 @@ from .grid import DyadicCube, StepFunction
 
 
 Q_INF = math.inf  # the q of the weak space L^{p,inf}
-
-
-class CheckResult(NamedTuple):
-    ok: bool
-    residual: float
 
 
 def weak_norm(f: StepFunction, p: float, cube: DyadicCube | None = None) -> float:
@@ -83,39 +77,3 @@ def lorentz_norm(f: StepFunction, p: float, q: float) -> float:
     d = above.astype(float) * f.grid.cell_measure
     seg = d ** (q / p) * (breaks[1:] ** q - breaks[:-1] ** q) / q
     return float(p ** (1.0 / q) * seg.sum() ** (1.0 / q))
-
-
-def lorentz_quasinorm(f: StepFunction, p: float, q) -> float:
-    """Dispatch on q: weak_norm for q = Q_INF, lorentz_norm otherwise."""
-    if q == math.inf:
-        return weak_norm(f, p)
-    return lorentz_norm(f, p, q)
-
-
-def power_identity_check(f: StepFunction, r: float, p: float, q) -> CheckResult:
-    """Verify || |f|^r ||_{p,q} = ||f||^r_{pr,qr} and report the residual."""
-    if not (r > 0 and p > 0):
-        raise ValueError("exponents must be positive")
-    lhs = lorentz_quasinorm(f ** r, p, q)
-    rhs = lorentz_quasinorm(f, p * r, q * r) ** r
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    residual = abs(lhs - rhs) / scale
-    return CheckResult(residual <= 1e-10, residual)
-
-
-def lorentz_holder_check(f: StepFunction, g: StepFunction, s: float) -> CheckResult:
-    """Hoelder for Lorentz spaces: ||fg||_{1,1} <= ||f||_{s,inf} ||g||_{s',1}.
-
-    Returns (holds, slack) with slack = RHS - LHS; the inequality carries
-    constant one in the distribution-function normalization used here.
-    """
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch between f and g")
-    if not s > 1:
-        raise ValueError(f"s must exceed 1, got {s}")
-    s_conj = s / (s - 1.0)
-    lhs = lorentz_norm(f * g, 1.0, 1.0)
-    rhs = weak_norm(f, s) * lorentz_norm(g, s_conj, 1.0)
-    slack = rhs - lhs
-    ok = slack >= -1e-12 * max(rhs, 1.0)
-    return CheckResult(ok, slack)

@@ -10,8 +10,8 @@ so alpha and the weight name the operator; alpha = 0 is the plain M^D.
 
 The sweep computes per-level score arrays bottom-up and pushes a running
 maximum top-down, costing O(2^(depth*n) * depth).  Cubes with w(Q) = 0 score
-zero (the 0*inf = 0 convention); a brute-force enumerator serves as oracle on
-small grids.
+zero (the 0*inf = 0 convention); the brute-force enumerator in tests/oracles.py
+serves as oracle on small grids.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, GridSpec, StepFunction, level_value_sums
-
-BRUTE_FORCE_CAP = 4096
+from .grid import GridSpec, StepFunction, level_value_sums
 
 
 @dataclass(frozen=True)
@@ -120,43 +118,3 @@ def _batch_maximal(values: np.ndarray, grid: GridSpec, alpha: float = 0.0) -> np
     """
     _validate(grid, MaximalQuery(alpha))
     return running_ancestor_max(_average_scores(values, grid, alpha), grid)
-
-
-def cube_score(f: StepFunction, cube: DyadicCube, query: MaximalQuery) -> float:
-    """Score of one cube, via scalar integrals (oracle-grade path)."""
-    _validate(f.grid, query)
-    grid = f.grid
-    s = query.alpha / grid.n
-    w = query.weight
-    if w is None:
-        return grid.cube_measure(cube.level) ** s * f.average(cube)
-    w_int = w.integral(cube)
-    if w_int == 0.0:
-        return 0.0
-    return (f * w).integral(cube) / w_int * w_int ** s
-
-
-def brute_force_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> StepFunction:
-    """Enumerate every cube against every cell; oracle for dyadic_maximal."""
-    grid = f.grid
-    if grid.finest_count > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"instance too large for brute force: {grid.finest_count} > {BRUTE_FORCE_CAP}"
-        )
-    _validate(grid, query)
-    out = np.zeros(grid.finest_count)
-    shape = (2 ** grid.depth,) * grid.n
-    result = out.reshape(shape)
-    for cube in grid.all_cubes():
-        score = cube_score(f, cube, query)
-        sl = grid.cell_slices(cube)
-        result[sl] = np.maximum(result[sl], score)
-    return f.with_values(result.reshape(-1))
-
-
-def pointwise_lower_bound_check(f: StepFunction, cube: DyadicCube, query: MaximalQuery) -> bool:
-    """Check M f >= score(f, cube) on every cell of cube (true by construction)."""
-    maximal = dyadic_maximal(f, query)
-    score = cube_score(f, cube, query)
-    block = maximal.block(cube)
-    return bool(np.all(block >= score - 1e-12 * max(score, 1.0)))

@@ -29,8 +29,8 @@ INF = math.inf
 
 def conjugate(p: float) -> float:
     """Hoelder conjugate p' = p/(p-1)."""
-    if not p > 1:
-        raise ValueError(f"conjugate exponent needs p > 1, got {p}")
+    if not 1 < p < INF:
+        raise ValueError(f"conjugate exponent needs 1 < p < inf, got {p}")
     return p / (p - 1.0)
 
 
@@ -349,6 +349,11 @@ class WeightConstant:
         }
 
 
+def _require_fractional(p: float, q: float):
+    if not p < q < INF:
+        raise ValueError(f"fractional class needs p < q < inf, got p={p}, q={q}")
+
+
 def ap_constant(w: Weight, p: float, depth: int | None = None) -> WeightConstant:
     """[w]_{A_p} = max_Q <w>_Q <w^{1-p'}>_Q^{p-1} over lattice cubes."""
     conjugate(p)
@@ -363,22 +368,21 @@ def a1_constant(w: Weight, depth: int | None = None) -> WeightConstant:
 def apq_constant(w: Weight, p: float, q: float, depth: int | None = None) -> WeightConstant:
     """[w]_{A_{p,q}} = max_Q <w^q>_Q^{1/q} <w^{-p'}>_Q^{1/p'}."""
     conjugate(p)
-    if not q > p:
-        raise ValueError(f"fractional class needs q > p, got p={p}, q={q}")
+    _require_fractional(p, q)
     return _scan("apq", w, _grid_of(w, depth), p=p, q=q)
 
 
 def a1q_constant(w: Weight, q: float, depth: int | None = None) -> WeightConstant:
     """[w]_{A_{1,q}} = max_Q <w^q>_Q^{1/q} ess sup_Q w^{-1}."""
-    if not q > 1:
-        raise ValueError(f"A_1q needs q > 1, got {q}")
+    if not 1 < q < INF:
+        raise ValueError(f"A_1q needs 1 < q < inf, got {q}")
     return _scan("a1q", w, _grid_of(w, depth), q=q)
 
 
 def rh_constant(w: Weight, r: float, depth: int | None = None) -> WeightConstant:
     """[w]_{RH_r} = max_Q <w^r>_Q^{1/r} / <w>_Q."""
-    if not r > 1:
-        raise ValueError(f"reverse Hoelder needs r > 1, got {r}")
+    if not 1 < r < INF:
+        raise ValueError(f"reverse Hoelder needs 1 < r < inf, got {r}")
     return _scan("rh", w, _grid_of(w, depth), r=r)
 
 
@@ -391,64 +395,13 @@ def ap_star_constant(w: Weight, p: float, depth: int | None = None) -> WeightCon
 def apq_star_constant(w: Weight, p: float, q: float, depth: int | None = None) -> WeightConstant:
     """[w]_{A_{p,q}^*} = max_Q ((1/|Q|)||w^q chi_Q||_{1,inf})^{1/q} <w^{-p'}>_Q^{1/p'}."""
     conjugate(p)
-    if not q > p:
-        raise ValueError(f"fractional class needs q > p, got p={p}, q={q}")
+    _require_fractional(p, q)
     return _scan("apq_star", w, _grid_of(w, depth), p=p, q=q)
 
 
 def ap_star_cube_value(pw: PowerWeight, p: float, lo: float, hi: float) -> float:
     """Single-cube A_p^* expression for a power weight, in closed form."""
     return _power_cube_value(_ROWS["ap_star"](p, None, None), pw, lo, hi)
-
-
-def weight_cube_value(w: Weight, kind: str, cube: DyadicCube, *, p=None, q=None,
-                      r=None, depth: int | None = None) -> float:
-    """Re-evaluate one constant's per-cube expression at a single cube.
-
-    Runs the same per-level arrays the constant scan used and indexes the
-    cube, so a reported witness reproduces its constant bit-for-bit.
-    """
-    grid = _grid_of(w, depth)
-    level_values = _levels(kind, w, grid, p=p, q=q, r=r)
-    arr = _zero_inf(np.asarray(level_values(cube.level), dtype=float))
-    return float(arr[grid.flat_index(cube)])
-
-
-def ap_star_kernel_cube_value(w: StepFunction, p: float, cube: DyadicCube) -> float:
-    """One cube's kernel-form A_p^* expression: the weak-L^1 norm over the
-    whole root of w times the rational kernel centered at the cube, times the
-    dual average on the cube.  Kernel sampled at cell centers."""
-    if not isinstance(w, StepFunction):
-        raise ValueError("kernel constant supports tabulated weights only")
-    pc = conjugate(p)
-    grid = w.grid
-    meas = grid.cube_measure(cube.level)
-    x_q = np.asarray(grid.cube_center(cube))
-    dist = np.linalg.norm(grid.cell_centers() - x_q, axis=1)
-    kernel = meas ** (p - 1.0) / (meas ** p + dist ** p)
-    weak = float(weak_scan(w.values * kernel, grid.cell_measure))
-    avg_s = float(_cell_power(w.block(cube), 1.0 - pc).sum()) * grid.cell_measure / meas
-    value = weak * avg_s ** (p - 1.0)
-    return 0.0 if math.isnan(value) else value
-
-
-def ap_star_kernel_constant(w: Weight, p: float) -> WeightConstant:
-    """Kernel form of A_p^*: the cutoff chi_Q is replaced by the rational
-    kernel |Q|^{p-1} / (|Q|^p + |x - x_Q|^p), with the weak norm taken over
-    the whole root.  Approximation by construction: the kernel is sampled at
-    cell centers and the domain is truncated to the root cube.
-    """
-    if not isinstance(w, StepFunction):
-        raise ValueError("kernel constant supports tabulated weights only")
-    grid = w.grid
-    best = -INF
-    witness = grid.root
-    for cube in grid.all_cubes():
-        value = ap_star_kernel_cube_value(w, p, cube)
-        if value > best:
-            best = value
-            witness = cube
-    return WeightConstant("ap_star_kernel", best, witness, p=p)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,208 @@
+"""Reference oracles and property checks, evaluated the slow direct way.
+
+Each one is the reference for a fast library path, and only tests call them:
+
+- the brute-force maximal operator and its per-cube score (for the ancestor
+  sweep ``dyadic_maximal``);
+- the Lorentz power identity and Hoelder inequality (for ``weak_norm`` and
+  ``lorentz_norm``);
+- the single-cube re-evaluation of a weight constant, and the kernel form of
+  A_p^* (for the constant scans);
+- the Chebyshev ordering of the weak and strong multiplier norms.
+
+Tests import them as ``from oracles import ...``, as they import conftest.
+Oracles may read private library names; they are not library API.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from weakmax.grid import DyadicCube, GridSpec, StepFunction
+from weakmax.lorentz import lorentz_norm, weak_norm, weak_scan
+from weakmax.operators import MaximalQuery, _validate, dyadic_maximal
+from weakmax.weights import (
+    INF,
+    Weight,
+    WeightConstant,
+    _cell_power,
+    _grid_of,
+    _levels,
+    _zero_inf,
+    conjugate,
+)
+
+
+# --------------------------------------------------------------------------
+# the maximal operators
+# --------------------------------------------------------------------------
+
+BRUTE_FORCE_CAP = 4096
+
+
+def cube_score(f: StepFunction, cube: DyadicCube, query: MaximalQuery) -> float:
+    """Score of one cube, via scalar integrals (oracle-grade path)."""
+    _validate(f.grid, query)
+    grid = f.grid
+    s = query.alpha / grid.n
+    w = query.weight
+    if w is None:
+        return grid.cube_measure(cube.level) ** s * f.average(cube)
+    w_int = w.integral(cube)
+    if w_int == 0.0:
+        return 0.0
+    return (f * w).integral(cube) / w_int * w_int ** s
+
+
+def brute_force_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> StepFunction:
+    """Enumerate every cube against every cell; oracle for dyadic_maximal."""
+    grid = f.grid
+    if grid.finest_count > BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"instance too large for brute force: {grid.finest_count} > {BRUTE_FORCE_CAP}"
+        )
+    _validate(grid, query)
+    out = np.zeros(grid.finest_count)
+    shape = (2 ** grid.depth,) * grid.n
+    result = out.reshape(shape)
+    for cube in grid.all_cubes():
+        score = cube_score(f, cube, query)
+        sl = grid.cell_slices(cube)
+        result[sl] = np.maximum(result[sl], score)
+    return f.with_values(result.reshape(-1))
+
+
+def pointwise_lower_bound_check(f: StepFunction, cube: DyadicCube, query: MaximalQuery) -> bool:
+    """Check M f >= score(f, cube) on every cell of cube (true by construction)."""
+    maximal = dyadic_maximal(f, query)
+    score = cube_score(f, cube, query)
+    block = maximal.block(cube)
+    return bool(np.all(block >= score - 1e-12 * max(score, 1.0)))
+
+
+# --------------------------------------------------------------------------
+# Lorentz quasi-norms
+# --------------------------------------------------------------------------
+
+class CheckResult(NamedTuple):
+    ok: bool
+    residual: float
+
+
+def lorentz_quasinorm(f: StepFunction, p: float, q) -> float:
+    """Dispatch on q: weak_norm for q = Q_INF, lorentz_norm otherwise."""
+    if q == math.inf:
+        return weak_norm(f, p)
+    return lorentz_norm(f, p, q)
+
+
+def power_identity_check(f: StepFunction, r: float, p: float, q) -> CheckResult:
+    """Verify || |f|^r ||_{p,q} = ||f||^r_{pr,qr} and report the residual."""
+    if not (r > 0 and p > 0):
+        raise ValueError("exponents must be positive")
+    lhs = lorentz_quasinorm(f ** r, p, q)
+    rhs = lorentz_quasinorm(f, p * r, q * r) ** r
+    scale = max(abs(lhs), abs(rhs), 1e-300)
+    residual = abs(lhs - rhs) / scale
+    return CheckResult(residual <= 1e-10, residual)
+
+
+def lorentz_holder_check(f: StepFunction, g: StepFunction, s: float) -> CheckResult:
+    """Hoelder for Lorentz spaces: ||fg||_{1,1} <= ||f||_{s,inf} ||g||_{s',1}.
+
+    Returns (holds, slack) with slack = RHS - LHS; the inequality carries
+    constant one in the distribution-function normalization used here.
+    """
+    if f.grid != g.grid:
+        raise ValueError("grid mismatch between f and g")
+    if not s > 1:
+        raise ValueError(f"s must exceed 1, got {s}")
+    s_conj = s / (s - 1.0)
+    lhs = lorentz_norm(f * g, 1.0, 1.0)
+    rhs = weak_norm(f, s) * lorentz_norm(g, s_conj, 1.0)
+    slack = rhs - lhs
+    ok = slack >= -1e-12 * max(rhs, 1.0)
+    return CheckResult(ok, slack)
+
+
+# --------------------------------------------------------------------------
+# weight constants
+# --------------------------------------------------------------------------
+
+def cube_center(grid: GridSpec, cube: DyadicCube) -> tuple[float, ...]:
+    h = grid.side(cube.level)
+    return tuple(c + h / 2.0 for c in grid.cube_corner(cube))
+
+
+def cell_centers(grid: GridSpec) -> np.ndarray:
+    """(finest_count, n) array of finest-cell centers, row-major."""
+    h = grid.side(grid.depth)
+    axes = [np.asarray(grid.root_corner)[k] + (np.arange(2 ** grid.depth) + 0.5) * h
+            for k in range(grid.n)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def weight_cube_value(w: Weight, kind: str, cube: DyadicCube, *, p=None, q=None,
+                      r=None, depth: int | None = None) -> float:
+    """Re-evaluate one constant's per-cube expression at a single cube.
+
+    Runs the same per-level arrays the constant scan used and indexes the
+    cube, so a reported witness reproduces its constant bit-for-bit.
+    """
+    grid = _grid_of(w, depth)
+    level_values = _levels(kind, w, grid, p=p, q=q, r=r)
+    arr = _zero_inf(np.asarray(level_values(cube.level), dtype=float))
+    return float(arr[grid.flat_index(cube)])
+
+
+def ap_star_kernel_cube_value(w: StepFunction, p: float, cube: DyadicCube) -> float:
+    """One cube's kernel-form A_p^* expression: the weak-L^1 norm over the
+    whole root of w times the rational kernel centered at the cube, times the
+    dual average on the cube.  Kernel sampled at cell centers."""
+    if not isinstance(w, StepFunction):
+        raise ValueError("kernel constant supports tabulated weights only")
+    pc = conjugate(p)
+    grid = w.grid
+    meas = grid.cube_measure(cube.level)
+    x_q = np.asarray(cube_center(grid, cube))
+    dist = np.linalg.norm(cell_centers(grid) - x_q, axis=1)
+    kernel = meas ** (p - 1.0) / (meas ** p + dist ** p)
+    weak = float(weak_scan(w.values * kernel, grid.cell_measure))
+    avg_s = float(_cell_power(w.block(cube), 1.0 - pc).sum()) * grid.cell_measure / meas
+    value = weak * avg_s ** (p - 1.0)
+    return 0.0 if math.isnan(value) else value
+
+
+def ap_star_kernel_constant(w: Weight, p: float) -> WeightConstant:
+    """Kernel form of A_p^*: the cutoff chi_Q is replaced by the rational
+    kernel |Q|^{p-1} / (|Q|^p + |x - x_Q|^p), with the weak norm taken over
+    the whole root.  Approximation by construction: the kernel is sampled at
+    cell centers and the domain is truncated to the root cube.
+    """
+    if not isinstance(w, StepFunction):
+        raise ValueError("kernel constant supports tabulated weights only")
+    grid = w.grid
+    best = -INF
+    witness = grid.root
+    for cube in grid.all_cubes():
+        value = ap_star_kernel_cube_value(w, p, cube)
+        if value > best:
+            best = value
+            witness = cube
+    return WeightConstant("ap_star_kernel", best, witness, p=p)
+
+
+# --------------------------------------------------------------------------
+# the harness
+# --------------------------------------------------------------------------
+
+def chebyshev_check(f: StepFunction, w: StepFunction, p: float) -> bool:
+    """Weak multiplier norm <= strong multiplier norm of M^D f."""
+    mf = dyadic_maximal(f)
+    weak = weak_norm((w ** (1.0 / p)) * mf, p)
+    strong = (float((mf.values ** p * w.values).sum()) * f.grid.cell_measure) ** (1.0 / p)
+    return weak <= strong * (1.0 + 1e-12)

@@ -22,15 +22,12 @@ from weakmax import (
     ap_star_cube_value,
     apq_constant,
     apq_star_constant,
-    brute_force_maximal,
     build_sparse,
-    chebyshev_check,
     cz_decompose,
     dual_weight,
     dyadic_maximal,
     lemma_suite,
     multiplier_ratio,
-    power_identity_check,
     random_step,
     random_weight,
     rh_constant,
@@ -41,6 +38,7 @@ from weakmax import (
 from weakmax.cli import main as cli_main
 
 from conftest import unit_grid
+from oracles import brute_force_maximal, chebyshev_check, power_identity_check
 from test_czsparse import check_invariants
 
 

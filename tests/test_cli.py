@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,11 @@ class TestCz:
         path = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
         assert main(["cz", "--weight", path, "--a", "3"]) == 1
 
+    def test_nan_base(self, tmp_path, capsys):
+        path = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
+        assert main(["cz", "--weight", path, "--a", "nan"]) == 1
+        assert "below the required" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_pass_and_determinism(self, quarters_weight, tmp_path):
@@ -135,6 +141,36 @@ class TestVerify:
             assert "exponents must be positive" in capsys.readouterr().err
         assert main(["verify", "--weight", quarters_weight, "--p", "2",
                      "--q", "4", "--alpha", "0.25", "--n-random", "5"]) == 0
+
+
+class TestOutOfRangeSettings:
+    """Non-finite exponents and out-of-range suite settings exit 1 with a
+    named error and no output, never with an answer or a numpy warning."""
+
+    def test_constants_infinite_exponents(self, quarters_weight, capsys):
+        assert main(["constants", "--weight", quarters_weight, "--q", "inf", "--r", "inf"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fractional class needs p < q < inf" in err
+
+    def test_constants_infinite_r(self, quarters_weight, capsys):
+        assert main(["constants", "--weight", quarters_weight, "--r", "inf"]) == 1
+        assert "reverse Hoelder needs 1 < r < inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--p", "2", "--q", "inf", "--alpha", "0.5"], "fractional class needs p < q < inf"),
+        (["--p", "inf"], "conjugate exponent needs 1 < p < inf"),
+        (["--n-random", "-1"], "n_random must be >= 0"),
+        (["--c-desk", "nan"], "c_desk must be positive and finite"),
+        (["--c-desk", "-1"], "c_desk must be positive and finite"),
+    ], ids=["q_inf", "p_inf", "n_random", "c_desk_nan", "c_desk_negative"])
+    def test_verify(self, quarters_weight, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--weight", quarters_weight, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
 
 class TestNecessityCommand:

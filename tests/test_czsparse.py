@@ -114,6 +114,12 @@ class TestWorkedExample:
             cz_decompose(f, a=2.5, alpha=0.5)
         cz_decompose(f, a=2.0 ** 1.5, alpha=0.5)
 
+    def test_nan_base_refused(self):
+        # nan compares False with the threshold, so "a < threshold" lets it through
+        f = StepFunction(unit_grid(2), [4, 0, 0, 0])
+        with pytest.raises(ValueError, match="below the required"):
+            cz_decompose(f, a=math.nan)
+
 
 class TestInvariantSweep:
     @pytest.mark.parametrize("kind", ["lognormal", "uniform", "spiky"])

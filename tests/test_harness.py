@@ -10,7 +10,6 @@ from weakmax import (
     StepFunction,
     ap_constant,
     ap_star_constant,
-    chebyshev_check,
     dual_weight,
     dyadic_maximal,
     lemma_suite,
@@ -22,9 +21,10 @@ from weakmax import (
     verify_weight,
     weak_norm,
 )
-from weakmax import harness
+from weakmax import harness, weights
 
 from conftest import unit_grid
+from oracles import chebyshev_check
 
 
 class TestMultiplierRatio:
@@ -256,6 +256,39 @@ class TestCheckedResolution:
         self._forbid_scan(monkeypatch)
         with pytest.raises(ValueError, match="exponent relation violated"):
             driver(w, 2.0, alpha, 4.0, depth=4)
+
+    @pytest.mark.parametrize("driver", DRIVERS + [lemma_suite], ids=_name)
+    @pytest.mark.parametrize("p,q", [(math.inf, None), (math.nan, None), (2.0, math.inf)],
+                             ids=["p_inf", "p_nan", "q_inf"])
+    def test_non_finite_exponents(self, monkeypatch, driver, p, q):
+        # The exponents are checked inside the star class, so forbid the
+        # weight scan itself rather than the star constant.
+        def scan(*args, **kwargs):
+            raise AssertionError("a weight class was scanned before its exponents were checked")
+        monkeypatch.setattr(weights, "_scan", scan)
+        w = StepFunction(unit_grid(3), np.linspace(1.0, 2.0, 8))
+        # 1/2 - 1/inf = alpha/n holds, so only q = inf itself is wrong
+        alpha = {} if driver is lemma_suite or q is None else {"alpha": 0.5}
+        with pytest.raises(ValueError, match="< inf"):
+            driver(w, p, q=q, **alpha)
+
+    @pytest.mark.parametrize("driver", [sufficiency_check, verify_weight, lemma_suite],
+                             ids=_name)
+    def test_negative_n_random(self, monkeypatch, driver):
+        self._forbid_scan(monkeypatch)
+        w = StepFunction(unit_grid(3), np.linspace(1.0, 2.0, 8))
+        with pytest.raises(ValueError, match="n_random must be >= 0"):
+            driver(w, 2.0, n_random=-1)
+
+    @pytest.mark.parametrize("driver", [sufficiency_check, verify_weight], ids=_name)
+    @pytest.mark.parametrize("c_desk", [math.nan, -1.0, 0.0, math.inf])
+    def test_c_desk_out_of_range(self, monkeypatch, driver, c_desk):
+        # nan or a nonpositive allowance would fail every verdict, and an
+        # infinite one would pass every verdict.
+        self._forbid_scan(monkeypatch)
+        w = StepFunction(unit_grid(3), np.linspace(1.0, 2.0, 8))
+        with pytest.raises(ValueError, match="c_desk must be positive and finite"):
+            driver(w, 2.0, c_desk=c_desk)
 
     def test_verify_row_count(self, monkeypatch):
         # chi_Q and sigma_chi_Q rows once each, plus the random rows

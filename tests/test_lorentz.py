@@ -8,13 +8,12 @@ from scipy.integrate import quad
 from weakmax import (
     Q_INF,
     StepFunction,
-    lorentz_holder_check,
     lorentz_norm,
-    power_identity_check,
     weak_norm,
 )
 
 from conftest import step_functions, unit_grid
+from oracles import lorentz_holder_check, power_identity_check
 
 
 def oracle_distribution(f):

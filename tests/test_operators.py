@@ -9,14 +9,12 @@ from weakmax import (
     GridSpec,
     MaximalQuery,
     StepFunction,
-    brute_force_maximal,
-    cube_score,
     dyadic_maximal,
-    pointwise_lower_bound_check,
 )
 from weakmax.operators import _batch_maximal
 
 from conftest import step_functions, unit_grid
+from oracles import brute_force_maximal, cube_score, pointwise_lower_bound_check
 
 
 def all_queries(grid, rng):

@@ -14,8 +14,6 @@ from weakmax import (
     ap_constant,
     ap_star_constant,
     ap_star_cube_value,
-    ap_star_kernel_constant,
-    ap_star_kernel_cube_value,
     apq_constant,
     apq_star_constant,
     conjugate,
@@ -34,7 +32,6 @@ from weakmax import (
     sufficiency_check,
     verify_weight,
     weak_norm,
-    weight_cube_value,
     weight_from_dict,
     weight_to_dict,
 )
@@ -42,6 +39,11 @@ from weakmax import (
 from weakmax import cli, weights
 
 from conftest import unit_grid
+from oracles import (
+    ap_star_kernel_constant,
+    ap_star_kernel_cube_value,
+    weight_cube_value,
+)
 
 INF = math.inf
 
@@ -138,6 +140,21 @@ class TestWorkedExamples:
             apq_constant(w, 2.0, 2.0)
         with pytest.raises(ValueError):
             apq_star_constant(w, 2.0, 1.5)
+
+    @pytest.mark.parametrize("p", [1.0, math.inf, math.nan])
+    def test_conjugate_needs_finite_p_above_one(self, p):
+        with pytest.raises(ValueError, match="1 < p < inf"):
+            conjugate(p)
+
+    @pytest.mark.parametrize("constant,args", [
+        (ap_constant, (INF,)), (ap_star_constant, (INF,)),
+        (apq_constant, (2.0, INF)), (apq_star_constant, (2.0, INF)),
+        (a1q_constant, (INF,)), (rh_constant, (INF,)), (rh_constant, (math.nan,)),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_non_finite_exponents_rejected(self, constant, args):
+        w = StepFunction(unit_grid(2), [2, 2, 1, 1])
+        with pytest.raises(ValueError, match="< inf"):
+            constant(w, *args)
 
     def test_ap_star_quarters(self):
         w = StepFunction(unit_grid(2), [2, 2, 1, 1])
