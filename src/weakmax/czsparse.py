@@ -57,10 +57,6 @@ class CZDecomposition:
             return 0.0
         return float(self.omega_mask[k].sum()) * self.f.grid.cell_measure
 
-    @property
-    def is_empty(self) -> bool:
-        return self.k_min > self.k_max
-
 
 def _bracket_power(a: float, value: float, strictly_below: bool) -> int:
     """Largest k with a^k < value (strictly_below) or smallest k with
@@ -82,15 +78,16 @@ def _bracket_power(a: float, value: float, strictly_below: bool) -> int:
 def cz_decompose(f: StepFunction, a: float | None = None, alpha: float = 0.0) -> CZDecomposition:
     """Decompose the level sets of M^D f (alpha = 0) or M_alpha^D f.
 
-    The base must satisfy a >= 2^(n+1-alpha); the default is that threshold,
-    the smallest base the sparsity argument permits.
+    The base must be finite and satisfy a >= 2^(n+1-alpha); the default is
+    that threshold, the smallest base the sparsity argument permits.
     """
     grid = f.grid
     threshold = 2.0 ** (grid.n + 1 - alpha)
     if a is None:
         a = threshold
-    if not a >= threshold - 1e-12:  # nan fails here too
-        raise ValueError(f"base a = {a} below the required 2^(n+1-alpha) = {threshold}")
+    if not threshold - 1e-12 <= a < math.inf:  # nan fails here too
+        raise ValueError(f"base a = {a} must be finite and not below the required "
+                         f"2^(n+1-alpha) = {threshold}")
 
     if not np.any(f.values > 0):
         return CZDecomposition(f, a, alpha, f.with_values(np.zeros_like(f.values)),

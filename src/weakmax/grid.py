@@ -13,7 +13,6 @@ the integer cube index, which keeps reports and tests reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -84,13 +83,6 @@ class GridSpec:
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} outside [0, {self.depth}]")
 
-    def cube(self, level: int, index) -> DyadicCube:
-        self._check_level(level)
-        idx = tuple(int(i) for i in index)
-        if len(idx) != self.n or any(not 0 <= i < 2 ** level for i in idx):
-            raise ValueError(f"index {idx} invalid at level {level}")
-        return DyadicCube(level, idx)
-
     @property
     def root(self) -> DyadicCube:
         return DyadicCube(0, (0,) * self.n)
@@ -105,31 +97,11 @@ class GridSpec:
         for level in range(self.depth + 1):
             yield from self.cells(level)
 
-    def children(self, cube: DyadicCube) -> list[DyadicCube]:
-        if cube.level >= self.depth:
-            raise ValueError("finest cells have no children")
-        return [
-            DyadicCube(cube.level + 1, tuple(2 * i + o for i, o in zip(cube.index, off)))
-            for off in product((0, 1), repeat=self.n)
-        ]
-
-    def parent(self, cube: DyadicCube) -> DyadicCube:
-        if cube.level == 0:
-            raise ValueError("the root has no parent")
-        return DyadicCube(cube.level - 1, tuple(i // 2 for i in cube.index))
-
     def contains(self, outer: DyadicCube, inner: DyadicCube) -> bool:
         if inner.level < outer.level:
             return False
         shift = inner.level - outer.level
         return all(i >> shift == o for i, o in zip(inner.index, outer.index))
-
-    def cube_corner(self, cube: DyadicCube) -> tuple[float, ...]:
-        h = self.side(cube.level)
-        return tuple(c + i * h for c, i in zip(self.root_corner, cube.index))
-
-    def flat_index(self, cube: DyadicCube) -> int:
-        return int(np.ravel_multi_index(cube.index, (2 ** cube.level,) * self.n))
 
     def cube_from_flat(self, level: int, flat: int) -> DyadicCube:
         idx = np.unravel_index(flat, (2 ** level,) * self.n)
@@ -148,8 +120,8 @@ class GridSpec:
 
     def ancestor_index(self, level: int) -> np.ndarray:
         """Flat index, among the cubes at ``level``, of each finest cell's
-        ancestor there: ``cell_mask(cube)`` is ``ancestor_index(cube.level)
-        == flat_index(cube)``, for all cubes of a level at once."""
+        ancestor there: ``cell_mask(cells(level)[i])`` is
+        ``ancestor_index(level) == i``, for all cubes of a level at once."""
         self._check_level(level)
         anc = np.arange(2 ** (level * self.n)).reshape((2 ** level,) * self.n)
         for axis in range(self.n):
@@ -183,10 +155,6 @@ class StepFunction:
     def constant(cls, grid: GridSpec, c: float) -> "StepFunction":
         return cls(grid, np.full(grid.finest_count, float(c)))
 
-    @classmethod
-    def indicator(cls, grid: GridSpec, cube: DyadicCube) -> "StepFunction":
-        return cls(grid, grid.cell_mask(cube).astype(float))
-
     def with_values(self, values) -> "StepFunction":
         return StepFunction(self.grid, values)
 
@@ -219,13 +187,6 @@ class StepFunction:
         measure = self.grid.root_measure if cube is None else self.grid.cube_measure(cube.level)
         return self.integral(cube) / measure
 
-    def superlevel_measure(self, lam: float, cube: DyadicCube | None = None) -> float:
-        """|{x in cube : f(x) > lam}|, exact up to the cell-measure product."""
-        if lam < 0:
-            raise ValueError(f"threshold must be >= 0, got {lam}")
-        count = int(np.count_nonzero(self.block(cube) > lam))
-        return count * self.grid.cell_measure
-
     # ----------------------------------------------------------- serialization
     def to_dict(self) -> dict:
         return {
@@ -245,13 +206,6 @@ class StepFunction:
             depth=int(d["depth"]),
         )
         return cls(grid, d["values"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StepFunction":
-        return cls.from_dict(json.loads(text))
 
 
 # ----------------------------------------------------------- level machinery

@@ -225,9 +225,11 @@ def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
     return _Resolved(star, rh, w, sigma, "tabulated")
 
 
-def _require_suite(n_random: int, c_desk: float | None = None):
+def _require_suite(n_random: int, seed: int, c_desk: float | None = None):
     if n_random < 0:
         raise ValueError(f"n_random must be >= 0, got {n_random}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if c_desk is not None and not 0 < c_desk < math.inf:
         raise ValueError(f"c_desk must be positive and finite, got {c_desk}")
 
@@ -284,7 +286,7 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
     makes sigma chi_Q extremal up to constants, so this composition is
     decisive.
     """
-    _require_suite(n_random, c_desk)
+    _require_suite(n_random, seed, c_desk)
     return _sufficiency(_resolve_weight(w, p, alpha, q, depth), p, alpha, q,
                         c_desk, seed, n_random)
 
@@ -384,7 +386,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
          subcube E of every cube Q plus n_random seeded cell unions per Q,
          with c = 4^{p'/p} (plain) or 4^{p'/q} (fractional).
     """
-    _require_suite(n_random)
+    _require_suite(n_random, seed)
     _require_positive(w)
     pc = conjugate(p)
     lat = _grid_of(w, depth)
@@ -397,7 +399,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     membership = {}
     for s in S_VALUES:
         s_conj = s / (s - 1.0)
-        root_w = w.power(1.0 / s) if isinstance(w, PowerWeight) else w ** (1.0 / s)
+        root_w = w ** (1.0 / s)
         if q is None:
             const = ap_constant(root_w, p, depth=depth).value
         else:
@@ -449,7 +451,7 @@ def verify_weight(w: Weight, p: float, alpha: float = 0.0, q: float | None = Non
     """The two-sided sandwich: necessity lower bound and sufficiency upper
     bound in one run, from one resolution of the weight, as consumed by the
     CLI verify command.  Both sides read the same sigma chi_Q rows."""
-    _require_suite(n_random, c_desk)
+    _require_suite(n_random, seed, c_desk)
     res = _resolve_weight(w, p, alpha, q, depth)
     sigma_rows = _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q)
     nec = _necessity(res, p, alpha, q, sigma_rows)

@@ -65,7 +65,7 @@ class PowerWeight:
     def lattice(self, depth: int) -> GridSpec:
         return GridSpec(1, (self.left,), self.right - self.left, depth)
 
-    def power(self, e: float) -> "PowerWeight":
+    def __pow__(self, e: float) -> "PowerWeight":
         """w^e, again a power weight."""
         return PowerWeight(self.center, self.exponent * e, self.left, self.right)
 
@@ -417,9 +417,7 @@ def dual_weight(w: Weight, p: float, flavor: str = "ap") -> Weight:
         e = -pc
     else:
         raise ValueError(f"flavor must be 'ap' or 'apq', got {flavor!r}")
-    if isinstance(w, PowerWeight):
-        return w.power(e)
-    if np.any(w.values <= 0.0):
+    if isinstance(w, StepFunction) and np.any(w.values <= 0.0):
         raise ValueError("dual weight needs strictly positive cell values")
     return w ** e
 

@@ -134,7 +134,7 @@ def lorentz_holder_check(f: StepFunction, g: StepFunction, s: float) -> CheckRes
 
 def cube_center(grid: GridSpec, cube: DyadicCube) -> tuple[float, ...]:
     h = grid.side(cube.level)
-    return tuple(c + h / 2.0 for c in grid.cube_corner(cube))
+    return tuple(c + i * h + h / 2.0 for c, i in zip(grid.root_corner, cube.index))
 
 
 def cell_centers(grid: GridSpec) -> np.ndarray:
@@ -156,7 +156,7 @@ def weight_cube_value(w: Weight, kind: str, cube: DyadicCube, *, p=None, q=None,
     grid = _grid_of(w, depth)
     level_values = _levels(kind, w, grid, p=p, q=q, r=r)
     arr = _zero_inf(np.asarray(level_values(cube.level), dtype=float))
-    return float(arr[grid.flat_index(cube)])
+    return float(arr[np.ravel_multi_index(cube.index, (2 ** cube.level,) * grid.n)])
 
 
 def ap_star_kernel_cube_value(w: StepFunction, p: float, cube: DyadicCube) -> float:

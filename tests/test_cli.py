@@ -106,6 +106,13 @@ class TestCz:
         assert main(["cz", "--weight", path, "--a", "nan"]) == 1
         assert "below the required" in capsys.readouterr().err
 
+    def test_infinite_base(self, tmp_path, capsys):
+        path = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
+        assert main(["cz", "--weight", path, "--a", "inf"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestVerify:
     def test_pass_and_determinism(self, quarters_weight, tmp_path):
@@ -163,7 +170,8 @@ class TestOutOfRangeSettings:
         (["--n-random", "-1"], "n_random must be >= 0"),
         (["--c-desk", "nan"], "c_desk must be positive and finite"),
         (["--c-desk", "-1"], "c_desk must be positive and finite"),
-    ], ids=["q_inf", "p_inf", "n_random", "c_desk_nan", "c_desk_negative"])
+        (["--seed", "-1"], "seed must be a non-negative integer"),
+    ], ids=["q_inf", "p_inf", "n_random", "c_desk_nan", "c_desk_negative", "seed"])
     def test_verify(self, quarters_weight, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -171,6 +179,12 @@ class TestOutOfRangeSettings:
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
+
+    def test_lemmas_negative_seed(self, quarters_weight, capsys):
+        assert main(["lemmas", "--weight", quarters_weight, "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "seed must be a non-negative integer" in err
 
 
 class TestNecessityCommand:

@@ -1,9 +1,12 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from weakmax import (
+    DyadicCube,
     MaximalQuery,
     SparsityError,
     StepFunction,
@@ -51,8 +54,8 @@ def check_invariants(dec):
         # maximality: the parent is not contained in Omega_k
         for cube in dec.cubes[k]:
             if cube.level > 0:
-                pmask = grid.cell_mask(grid.parent(cube))
-                assert not np.all(mask[pmask])
+                parent = DyadicCube(cube.level - 1, tuple(i // 2 for i in cube.index))
+                assert not np.all(mask[grid.cell_mask(parent)])
         # controlled averages: lower bound always, upper bound off the root
         for cube in dec.cubes[k]:
             if dec.alpha > 0:
@@ -73,7 +76,7 @@ class TestWorkedExample:
         dec = cz_decompose(f, a=4.0)
         assert (dec.k_min, dec.k_max) == (-1, 1)
         assert [c.level for c in dec.cubes[-1]] == [0]
-        assert dec.cubes[0] == [f.grid.cube(1, (0,))]
+        assert dec.cubes[0] == [DyadicCube(1, (0,))]
         assert f.average(dec.cubes[0][0]) == pytest.approx(2.0)  # in (1, 2]
         assert dec.cubes[1] == []
         assert dec.omega_measure(0) == 0.5
@@ -102,7 +105,7 @@ class TestWorkedExample:
     def test_zero_function_empty(self):
         f = StepFunction.constant(unit_grid(2), 0.0)
         dec = cz_decompose(f, a=4.0)
-        assert dec.is_empty
+        assert dec.k_min > dec.k_max
         assert build_sparse(dec).entries == []
 
     def test_base_threshold_enforced(self):
@@ -119,6 +122,11 @@ class TestWorkedExample:
         f = StepFunction(unit_grid(2), [4, 0, 0, 0])
         with pytest.raises(ValueError, match="below the required"):
             cz_decompose(f, a=math.nan)
+
+    def test_infinite_base_refused(self):
+        f = StepFunction(unit_grid(2), [4, 0, 0, 0])
+        with pytest.raises(ValueError, match="must be finite"):
+            cz_decompose(f, a=math.inf)
 
 
 class TestInvariantSweep:
@@ -161,6 +169,63 @@ class TestInvariantSweep:
             seen |= e.e_mask
 
 
+@st.composite
+def sparsity_cases(draw):
+    """(n, cell values, alpha) at the default base: 1-D up to depth 4 and 2-D
+    up to depth 2, integer, lognormal or single-spike values, and alpha in
+    {0, n/4, n/2}."""
+    n = draw(st.sampled_from((1, 2)))
+    size = 2 ** (n * draw(st.integers(0, 4 // n)))
+    kind = draw(st.sampled_from(("integer", "lognormal", "spike")))
+    if kind == "integer":
+        values = draw(st.lists(st.integers(0, 64), min_size=size, max_size=size))
+    elif kind == "lognormal":
+        logs = draw(st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size))
+        values = np.exp(logs).tolist()
+    else:
+        values = [0.0] * size
+        values[draw(st.integers(0, size - 1))] = draw(st.floats(0.125, 64.0))
+    return n, values, draw(st.sampled_from((0.0, n / 4, n / 2)))
+
+
+# Root |Q| <= 2|E| failures found by a search over sparsity_cases, as shrunk.
+ROOT_FAILURES = [
+    (1, [0, 0, 0, 17, 0, 0, 1, 64], 0.0),
+    (1, [0, 54, 27, 64], 0.25),
+    (1, np.exp([0, 0, 0, 3, 0, 0, 3, 4]).tolist(), 0.0),
+    (1, np.exp([0, 0, 0, 0, 0, 3, 4, 3.5, 0, 0, 0, 0, 0, 0, 0, 4]).tolist(), 0.25),
+    (2, [0, 9, 9, 9], 0.0),
+    (2, np.exp([0, 0, 0, 0, 0, 0, 0, 3, 0, 4, 3.5, 0, 0, 0, 0, 0]).tolist(), 0.0),
+    (2, np.exp([0, 0, 0, 0, 0, 0, 0, 2.5, 0, 3.5, 0, 2.5, 0, 0, 0, 3]).tolist(), 0.5),
+]
+
+
+def _root_failure_examples(test):
+    for case in ROOT_FAILURES:
+        test = example(case)(test)
+    return test
+
+
+def _decompose(case):
+    n, values, alpha = case
+    f = StepFunction(unit_grid((len(values).bit_length() - 1) // n, n), values)
+    return f, cz_decompose(f, alpha=alpha)
+
+
+def _unsparse_cubes(dec) -> list:
+    """Stopping cubes with |Q| > 2|E|, E = Q minus Omega_{k+1}, from cell
+    counts."""
+    grid = dec.f.grid
+    out = []
+    for k in range(dec.k_min, dec.k_max + 1):
+        above = dec.omega_mask.get(k + 1, np.zeros(grid.finest_count, dtype=bool))
+        for cube in dec.cubes[k]:
+            q_mask = grid.cell_mask(cube)
+            if q_mask.sum() > 2 * (q_mask & ~above).sum():
+                out.append(cube)
+    return out
+
+
 class TestRootEdgeCase:
     def test_concentrated_mass_trips_root_sparsity(self):
         # The root has no parent to cap its average, so a function whose mass
@@ -171,6 +236,25 @@ class TestRootEdgeCase:
         f = StepFunction(unit_grid(3), [32, 11, 11, 11, 17, 0, 0, 0])
         dec = cz_decompose(f, a=4.0)
         with pytest.raises(SparsityError):
+            build_sparse(dec)
+
+    @pytest.mark.parametrize("case", ROOT_FAILURES)
+    def test_shrunk_cases_fail_at_the_root(self, case):
+        f, dec = _decompose(case)
+        assert _unsparse_cubes(dec) == [f.grid.root]
+        with pytest.raises(SparsityError, match="level=0"):
+            build_sparse(dec)
+
+    @given(sparsity_cases())
+    @_root_failure_examples
+    def test_only_the_root_can_fail(self, case):
+        f, dec = _decompose(case)
+        failing = _unsparse_cubes(dec)
+        assert all(cube == f.grid.root for cube in failing)
+        if failing:
+            with pytest.raises(SparsityError):
+                build_sparse(dec)
+        else:
             build_sparse(dec)
 
 

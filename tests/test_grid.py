@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from conftest import step_functions, unit_grid
 
 
 def corners(grid, level):
-    return [grid.cube_corner(c) for c in grid.cells(level)]
+    h = grid.side(level)
+    return [tuple(c + i * h for c, i in zip(grid.root_corner, cube.index))
+            for cube in grid.cells(level)]
+
+
+def children(cube):
+    """The 2^n dyadic children of ``cube``, row-major."""
+    return [DyadicCube(cube.level + 1, tuple(2 * i + o for i, o in zip(cube.index, off)))
+            for off in product((0, 1), repeat=len(cube.index))]
 
 
 class TestCells:
@@ -57,7 +66,7 @@ class TestIntegrate:
     def test_left_half(self):
         grid = unit_grid(2)
         f = StepFunction(grid, [1, 2, 3, 4])
-        assert f.integral(grid.cube(1, (0,))) == 0.75
+        assert f.integral(DyadicCube(1, (0,))) == 0.75
 
     def test_constant(self):
         grid = unit_grid(3)
@@ -71,45 +80,8 @@ class TestIntegrate:
         for cube in grid.all_cubes():
             if cube.level == grid.depth:
                 continue
-            total = sum(f.integral(c) for c in grid.children(cube))
+            total = sum(f.integral(c) for c in children(cube))
             assert f.integral(cube) == pytest.approx(total, rel=1e-15, abs=1e-300)
-
-
-class TestSuperlevel:
-    def test_direct_count_oracle(self):
-        f = StepFunction(unit_grid(2), [1, 2, 3, 4])
-        lam = 2.5
-        expected = sum(1 for v in [1, 2, 3, 4] if v > lam) / 4.0
-        assert f.superlevel_measure(lam) == expected == 0.5
-
-    def test_above_max_is_empty(self):
-        f = StepFunction(unit_grid(2), [1, 2, 3, 4])
-        assert f.superlevel_measure(4.0) == 0.0
-        assert f.superlevel_measure(17.0) == 0.0
-
-    def test_full_measure_at_zero(self):
-        f = StepFunction.constant(unit_grid(3), 1.0)
-        assert f.superlevel_measure(0.0) == 1.0
-
-    def test_negative_threshold_rejected(self):
-        f = StepFunction.constant(unit_grid(1), 1.0)
-        with pytest.raises(ValueError):
-            f.superlevel_measure(-0.5)
-
-    @given(step_functions(max_depth=3))
-    def test_nonincreasing_with_breakpoints_at_values(self, f):
-        lams = sorted(set(f.values.tolist()))
-        probes = [0.0] + lams + [lam + 1e-9 for lam in lams]
-        measured = sorted(probes)
-        vals = [f.superlevel_measure(lam) for lam in measured]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        # piecewise constant between consecutive distinct values, and
-        # right-continuous at each breakpoint
-        for lo, hi in zip(lams, lams[1:]):
-            mid1 = lo + (hi - lo) / 3
-            mid2 = lo + 2 * (hi - lo) / 3
-            assert f.superlevel_measure(mid1) == f.superlevel_measure(mid2)
-            assert f.superlevel_measure(lo) == f.superlevel_measure(mid1)
 
 
 class TestPartition:
@@ -126,10 +98,10 @@ class TestPartition:
 
     def test_children_union_parent(self):
         grid = unit_grid(2, n=2)
-        parent = grid.cube(1, (0, 1))
+        parent = DyadicCube(1, (0, 1))
         union = np.zeros(grid.finest_count, dtype=bool)
-        for child in grid.children(parent):
-            assert grid.parent(child) == parent
+        for child in children(parent):
+            assert DyadicCube(child.level - 1, tuple(i // 2 for i in child.index)) == parent
             union |= grid.cell_mask(child)
         assert np.array_equal(union, grid.cell_mask(parent))
 
@@ -173,21 +145,21 @@ class TestBlocks:
         for level in range(depth + 1):
             anc = grid.ancestor_index(level)
             for cube in grid.cells(level):
-                assert np.array_equal(anc == grid.flat_index(cube), grid.cell_mask(cube))
+                flat = np.ravel_multi_index(cube.index, (2 ** level,) * n)
+                assert np.array_equal(anc == flat, grid.cell_mask(cube))
 
 
 class TestSerialization:
     def test_round_trip_exact(self, rng):
         grid = GridSpec(2, (-1.0, 0.25), 2.0, 2)
         f = StepFunction(grid, rng.uniform(0, 3, grid.finest_count))
-        clone = StepFunction.from_json(f.to_json())
+        clone = StepFunction.from_dict(json.loads(json.dumps(f.to_dict())))
         assert clone.grid == f.grid
         assert np.array_equal(clone.values, f.values)
 
     def test_schema_fields(self):
         f = StepFunction(unit_grid(1), [1, 2])
-        d = json.loads(f.to_json())
-        assert set(d) == {"n", "root_corner", "root_side", "depth", "values"}
+        assert set(f.to_dict()) == {"n", "root_corner", "root_side", "depth", "values"}
 
     def test_rejects_negative_and_nonfinite(self):
         grid = unit_grid(1)

@@ -113,7 +113,7 @@ def _oracle_ratio(f, w, p, alpha=0.0, q=None):
 
 def _oracle_suite(grid, sigma, seed, n_random):
     for cube in grid.all_cubes():
-        yield f"chi[{cube.level},{cube.index}]", StepFunction.indicator(grid, cube)
+        yield f"chi[{cube.level},{cube.index}]", StepFunction(grid, grid.cell_mask(cube).astype(float))
     for cube in grid.all_cubes():
         yield (f"sigma_chi[{cube.level},{cube.index}]",
                StepFunction(grid, sigma.values * grid.cell_mask(cube)))
@@ -279,6 +279,16 @@ class TestCheckedResolution:
         w = StepFunction(unit_grid(3), np.linspace(1.0, 2.0, 8))
         with pytest.raises(ValueError, match="n_random must be >= 0"):
             driver(w, 2.0, n_random=-1)
+
+    @pytest.mark.parametrize("driver", [sufficiency_check, verify_weight, lemma_suite],
+                             ids=_name)
+    @pytest.mark.parametrize("seed", [-1, 2.5, None])
+    def test_seed_not_a_non_negative_integer(self, monkeypatch, driver, seed):
+        # checked even when no random function is drawn
+        self._forbid_scan(monkeypatch)
+        w = StepFunction(unit_grid(3), np.linspace(1.0, 2.0, 8))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            driver(w, 2.0, seed=seed, n_random=0)
 
     @pytest.mark.parametrize("driver", [sufficiency_check, verify_weight], ids=_name)
     @pytest.mark.parametrize("c_desk", [math.nan, -1.0, 0.0, math.inf])
@@ -474,7 +484,7 @@ class TestLemmaSuite:
         report = lemma_suite(pw, 2.0, seed=2, n_random=8, depth=5)
         assert report.verdict
         # w^{1/2} = |x|^{-1/2} really is in A_2, with the lemma's bound
-        root = ap_constant(pw.power(0.5), 2.0, depth=5).value
+        root = ap_constant(pw ** 0.5, 2.0, depth=5).value
         star = ap_star_constant(pw, 2.0, depth=5).value
         assert root <= 2.0 * star ** 0.5 + 1e-12
 

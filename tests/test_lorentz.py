@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from weakmax import (
     Q_INF,
+    DyadicCube,
     StepFunction,
     lorentz_norm,
     weak_norm,
@@ -158,7 +159,7 @@ class TestHolder:
     def test_weight_cutoff_case(self, rng):
         grid = unit_grid(3)
         w = StepFunction(grid, rng.uniform(0.1, 5, grid.finest_count))
-        cutoff = StepFunction(grid, grid.cell_mask(grid.cube(1, (0,))).astype(float))
+        cutoff = StepFunction(grid, grid.cell_mask(DyadicCube(1, (0,))).astype(float))
         ok, slack = lorentz_holder_check(w ** 0.5, cutoff, 2.0)
         assert ok and slack >= -1e-12
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakmax import (
+    DyadicCube,
     GridSpec,
     MaximalQuery,
     StepFunction,
@@ -173,7 +174,7 @@ class TestLowerBound:
         # f = sigma chi_Q scores |Q|^(alpha/n - 1) sigma(Q) on Q
         grid = unit_grid(4)
         sigma = StepFunction(grid, rng.uniform(0.1, 2.0, grid.finest_count))
-        cube = grid.cube(2, (1,))
+        cube = DyadicCube(2, (1,))
         f = StepFunction(grid, sigma.values * grid.cell_mask(cube))
         query = MaximalQuery(alpha=0.5)
         assert pointwise_lower_bound_check(f, cube, query)
