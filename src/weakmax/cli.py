@@ -47,7 +47,9 @@ def _load_weight(path: str):
         raise CliError(f"weight file {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     try:
         return weight_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise CliError(f"weight file {path}: missing field {exc}")
+    except (TypeError, ValueError) as exc:
         raise CliError(f"weight file {path}: {exc}")
 
 

@@ -60,19 +60,24 @@ class CZDecomposition:
 
 def _bracket_power(a: float, value: float, strictly_below: bool) -> int:
     """Largest k with a^k < value (strictly_below) or smallest k with
-    a^k >= value, robust to log rounding."""
+    a^k >= value, robust to log rounding; a ValueError names the base when a
+    power of it overflows on the way."""
     k = math.floor(math.log(value) / math.log(a))
-    if strictly_below:
-        while a ** k >= value:
-            k -= 1
-        while a ** (k + 1) < value:
+    try:
+        if strictly_below:
+            while a ** k >= value:
+                k -= 1
+            while a ** (k + 1) < value:
+                k += 1
+            return k
+        while a ** k < value:
             k += 1
+        while a ** (k - 1) >= value:
+            k -= 1
         return k
-    while a ** k < value:
-        k += 1
-    while a ** (k - 1) >= value:
-        k -= 1
-    return k
+    except OverflowError:
+        raise ValueError(f"base a = {a} is too large: its powers overflow while "
+                         f"bracketing the maximal value {value}") from None
 
 
 def cz_decompose(f: StepFunction, a: float | None = None, alpha: float = 0.0) -> CZDecomposition:

@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicCube, GridSpec, StepFunction
+from .grid import DyadicCube, GridSpec, StepFunction, level_value_sums
 from .lorentz import weak_scan
-from .operators import _batch_maximal
+from .operators import MaximalQuery, _average_scores, _batch_maximal, _validate
 from .weights import (
     PowerWeight,
     SigmaRH,
@@ -125,32 +125,47 @@ def _require_q(alpha: float, q: float | None):
 _DEGENERATE = "degenerate input: ||f|| vanishes in the weighted norm"
 
 
+def _check_cells(values: np.ndarray):
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cell values must be finite")
+    if np.any(values < 0):
+        raise ValueError("cell values must be nonnegative")
+
+
+def _norm_cells(values: np.ndarray, w: np.ndarray, p: float, q: float | None) -> np.ndarray:
+    """Cell integrands of ||f||^p: f^p w (plain) or f^p w^p (fractional)."""
+    return values ** p * w if q is None else values ** p * w ** p
+
+
 def _ratios(F: np.ndarray, w_tab: StepFunction, p: float, alpha: float,
             q: float | None) -> list[float]:
-    """Weak-type ratio of every row of the (B, N) cell array F against w_tab.
+    """Weak-type ratio of every row of the (B, N) cell array F against w_tab,
+    each row swept by ``_batch_maximal``; the rows must be finite and
+    nonnegative."""
+    _check_cells(F)
+    mf = _batch_maximal(F, w_tab.grid, alpha)
+    return _weak_ratios(mf, _norm_cells(F, w_tab.values, p, q).sum(axis=-1), w_tab, p, q)
+
+
+def _weak_ratios(mf: np.ndarray, den_sums: np.ndarray, w_tab: StepFunction, p: float,
+                 q: float | None) -> list[float]:
+    """Weak-type ratio of every row, from its (B, N) maximal function mf and
+    the cell sum of its norm integrand.
 
     Each row gets the checks of a single function, and a chunk raises the
-    error of its first failing row: rows must be finite and nonnegative,
-    every intermediate must stay finite, the weighted norm must not vanish,
-    and the power-identity route must agree with the direct one.  The final
-    1/p and 1/q powers are Python-float powers, which numpy's array power
-    does not always match to the last bit.
+    error of its first failing row: every intermediate must stay finite, the
+    weighted norm must not vanish, and the power-identity route must agree
+    with the direct one.  The final 1/p and 1/q powers are Python-float
+    powers, which numpy's array power does not always match to the last bit.
     """
-    if not np.all(np.isfinite(F)):
-        raise ValueError("cell values must be finite")
-    if np.any(F < 0):
-        raise ValueError("cell values must be nonnegative")
     grid = w_tab.grid
     w = w_tab.values
-    mf = _batch_maximal(F, grid, alpha)
     if q is None:
         direct, r = w ** (1.0 / p) * mf, p
         identity = w * mf ** float(p)
-        den_sums = (F ** p * w).sum(axis=-1)
     else:
         direct, r = w * mf, q
         identity = w ** float(q) * mf ** float(q)
-        den_sums = (F ** p * w ** p).sum(axis=-1)
     if not r > 0:
         raise ValueError(f"p must be positive, got {r}")
     # Everything upstream is nonnegative, so an overflow in M f or in a power
@@ -242,19 +257,70 @@ def _require_positive(w: Weight):
 
 def _cube_ratios(w_tab: StepFunction, values: np.ndarray, p, alpha,
                  q) -> list[tuple[DyadicCube, float | None]]:
-    """(Q, ratio of values * chi_Q) for every lattice cube Q, in ``all_cubes``
-    order, in chunks of at most CHUNK_BYTES within a level; the ratio is None
-    where values vanish on Q."""
+    """(Q, ratio of g chi_Q) for g = values and every lattice cube Q, in
+    ``all_cubes`` order, in chunks of at most CHUNK_BYTES within a level; the
+    ratio is None where g vanishes on Q.
+
+    M_alpha^D(g chi_Q) has a closed form, so one sweep of g serves every row.
+    For Q at level l with ancestors A_j (j <= l, A_l = Q), g chi_Q scores
+
+        c_Q(j) = |A_j|^(alpha/n) g(Q) / |A_j|,   g(Q) = int_Q g,
+
+    on A_j, g's own score on the cubes inside Q, and 0 on every other cube.
+    With C_Q(k) = max_{j <= k} c_Q(j), the running ancestor max is
+
+        on Q    M f(x) = max(C_Q(l), max of g's scores from Q down to x's cell)
+        off Q   M f(x) = C_Q(k),  k the level of the smallest cube holding x and Q.
+
+    The scores are the floats of ``_average_scores`` and the maxima are taken
+    explicitly, never assuming c_Q monotone, so every row is bit-identical to
+    its own sweep.  The norm sum stays a sum over the whole row, whose
+    pairwise rounding depends on where Q's cells sit in it.
+    """
     grid = w_tab.grid
+    n, depth = grid.n, grid.depth
+    _check_cells(values)
+    _validate(grid, MaximalQuery(alpha))
+    s = alpha / n
+    cm = grid.cell_measure
+    sums = level_value_sums(values, grid)
+    scores = _average_scores(values, grid, alpha)
+    norm_cells = _norm_cells(values, w_tab.values, p, q)
+    # run[l]: the max of g's scores over levels l..depth along each cell's path
+    run = [scores[depth]]
+    for level in range(depth - 1, -1, -1):
+        run.append(np.maximum(scores[level][grid.ancestor_index(level)], run[-1]))
+    run.reverse()
+    cell_coords = np.indices((2 ** depth,) * n).reshape(n, -1)
+    # two cubes of one level first share an ancestor b levels up, where b is
+    # the bit length of their coordinates' xor, OR-ed over the axes
+    bit_length = np.zeros(2 ** depth, dtype=np.intp)
+    for b in range(depth):
+        bit_length[2 ** b:2 ** (b + 1)] = b + 1
     rows = _chunk_rows(grid)
     out = []
-    for level in range(grid.depth + 1):
+    for level in range(depth + 1):
         cubes = grid.cells(level)
-        anc = grid.ancestor_index(level)
+        meas = [grid.cube_measure(j) for j in range(level + 1)]
+        avg = sums[level][:, None] * cm / np.array(meas)
+        C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=1)
+        # C_Q(level - b) at flat index (level + 1) * i + b, for the i-th cube Q
+        table = np.ascontiguousarray(C[:, ::-1]).reshape(-1)
+        coords = cell_coords >> (depth - level)
+        cube_coords = np.indices((2 ** level,) * n).reshape(n, -1)
         for start in range(0, len(cubes), rows):
-            F = values * (anc == np.arange(start, min(start + rows, len(cubes)))[:, None])
-            positive = (F > 0).any(axis=-1)
-            ratios = iter(_ratios(F[positive], w_tab, p, alpha, q))
+            chunk = np.arange(start, min(start + rows, len(cubes)))
+            positive = sums[level][chunk] > 0
+            kept = chunk[positive]
+            diff = coords[0] ^ cube_coords[0, kept, None]
+            for axis in range(1, n):
+                diff |= coords[axis] ^ cube_coords[axis, kept, None]
+            up = bit_length.take(diff)  # levels from Q up to the cube holding x and Q
+            mf = table.take(up + (level + 1) * kept[:, None])
+            on_q = up == 0
+            np.maximum(mf, run[level], out=mf, where=on_q)
+            den_sums = np.where(on_q, norm_cells, 0.0).sum(axis=-1)
+            ratios = iter(_weak_ratios(mf, den_sums, w_tab, p, q))
             out += [(cube, next(ratios) if keep else None)
                     for cube, keep in zip(cubes[start:start + rows], positive.tolist())]
     return out

@@ -106,6 +106,17 @@ class TestCz:
         assert main(["cz", "--weight", path, "--a", "nan"]) == 1
         assert "below the required" in capsys.readouterr().err
 
+    def test_overflowing_base(self, tmp_path, capsys):
+        # a^2 overflows while bracketing max M f = 1.7e308
+        path = write_weight(tmp_path, "f.json",
+                            StepFunction(unit_grid(2), [1.7e308, 0, 0, 0]))
+        assert main(["cz", "--weight", path, "--a", "1e308"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert "base a = 1e+308 is too large" in err
+
     def test_infinite_base(self, tmp_path, capsys):
         path = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
         assert main(["cz", "--weight", path, "--a", "inf"]) == 1
@@ -274,6 +285,18 @@ MALFORMED = {
     "top_level_number": 3,
     # 2^40 cells: the lattice is refused before any array is allocated
     "depth_above_cap": _step_spec(depth=40),
+    "missing_step": {"mode": "tabulated"},
+    "missing_values": {"mode": "tabulated", "step": {
+        "n": 1, "root_corner": [0.0], "root_side": 1.0, "depth": 1}},
+    "missing_root": {"mode": "power", "center": 0.0, "exponent": -0.5},
+}
+
+# the part of the message that names what is wrong, where a case pins one
+MALFORMED_MESSAGES = {
+    "depth_above_cap": "exceeds the cell cap",
+    "missing_step": "missing field 'step'",
+    "missing_values": "missing field 'values'",
+    "missing_root": "missing field 'root'",
 }
 
 
@@ -286,8 +309,7 @@ class TestMalformedWeightFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
-        if name == "depth_above_cap":
-            assert "exceeds the cell cap" in err
+        assert MALFORMED_MESSAGES.get(name, "") in err
 
 
 class TestEntryPoint:

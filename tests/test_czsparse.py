@@ -128,6 +128,14 @@ class TestWorkedExample:
         with pytest.raises(ValueError, match="must be finite"):
             cz_decompose(f, a=math.inf)
 
+    @pytest.mark.parametrize("depth,cells", [(2, [1.7e308, 0, 0, 0]), (0, [1.5e308])])
+    def test_overflowing_base_refused(self, depth, cells):
+        # the powers of a finite base overflow before they bracket max M f
+        # (first) or min M f (second)
+        f = StepFunction(unit_grid(depth), cells)
+        with pytest.raises(ValueError, match=r"base a = 1e\+308 is too large"):
+            cz_decompose(f, a=1e308)
+
 
 class TestInvariantSweep:
     @pytest.mark.parametrize("kind", ["lognormal", "uniform", "spiky"])

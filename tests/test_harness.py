@@ -221,11 +221,91 @@ class TestChunkedEngineOracle:
         self._assert_agrees(w, 2.0, n / 4.0, 4.0, n_random=7)
 
 
-DRIVERS = [necessity_check, sufficiency_check, verify_weight]
-
-
 def _name(driver):
     return driver.__name__
+
+
+def _oracle_cube_ratios(w, values, p, alpha, q):
+    # one validated function and one sweep per cube, None where g chi_Q = 0
+    out = []
+    for cube in w.grid.all_cubes():
+        f = StepFunction(w.grid, values * w.grid.cell_mask(cube))
+        out.append((cube, _oracle_ratio(f, w, p, alpha, q) if np.any(f.values > 0) else None))
+    return out
+
+
+class TestClosedFormRows:
+    """The closed-form chi_Q and sigma chi_Q rows equal a sweep of each row
+    to the last bit, and fail with the errors of the swept rows."""
+
+    @staticmethod
+    def _assert_rows(monkeypatch, rows, w, values, p, alpha=0.0, q=None):
+        if rows is not None:
+            monkeypatch.setattr(harness, "CHUNK_BYTES", rows * 8 * w.grid.finest_count)
+        expected = _oracle_cube_ratios(w, values, p, alpha, q)
+        assert harness._cube_ratios(w, values, p, alpha, q) == expected
+        return expected
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("n,depth,alpha", [(2, 3, 1.999), (1, 6, 0.999)])
+    def test_alpha_near_n(self, monkeypatch, rows, n, depth, alpha):
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        rng = np.random.default_rng(10 * n + depth)
+        w = random_weight(grid, rng)
+        g = harness._lognormal(rng, grid.finest_count)
+        self._assert_rows(monkeypatch, rows, w, g, 2.0, alpha, 4.0)
+        self._assert_rows(monkeypatch, rows, w, np.ones(grid.finest_count), 2.0, alpha, 4.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("alpha,q", [(0.0, None), (0.5, 4.0)])
+    def test_depth_zero(self, monkeypatch, n, alpha, q):
+        grid = GridSpec(n, (0.0,) * n, 2.0, 0)
+        w = StepFunction(grid, [3.0])
+        for g in ([0.5], [0.0]):
+            self._assert_rows(monkeypatch, None, w, np.array(g), 2.0, alpha, q)
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("n,depth", [(1, 4), (2, 2)])
+    def test_sigma_underflow_inside(self, monkeypatch, rows, n, depth):
+        # sigma = w^-100 underflows to 0 on one interior cube of level 1 and
+        # everything below it, so those rows are skipped, every chunk of them
+        # included, while their ancestors keep their ratios
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        w_vals = random_weight(grid, np.random.default_rng(6)).values.copy()
+        w_vals[grid.cell_mask(grid.cells(1)[1])] = 2000.0
+        w = StepFunction(grid, w_vals)
+        sigma = dual_weight(w, 1.01)
+        rows_out = self._assert_rows(monkeypatch, rows, w, sigma.values, 1.01)
+        skipped = [cube for cube, ratio in rows_out if ratio is None]
+        assert skipped == [cube for cube in grid.all_cubes()
+                           if grid.contains(grid.cells(1)[1], cube)]
+
+    @pytest.mark.parametrize("cell,message", [(math.inf, "finite"), (math.nan, "finite"),
+                                              (-1.0, "nonnegative")])
+    def test_rows_checked(self, cell, message):
+        w = random_weight(unit_grid(3), np.random.default_rng(2))
+        values = np.ones(8)
+        values[5] = cell
+        with pytest.raises(ValueError, match=f"cell values must be {message}"):
+            harness._cube_ratios(w, values, 2.0, 0.0, None)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("driver", [necessity_check, sufficiency_check], ids=_name)
+    def test_overflowing_identity_route(self, driver):
+        # sigma = 1e160, so w (M sigma chi_Q)^2 = 1e-160 * 1e320 overflows
+        w = StepFunction.constant(unit_grid(3), 1e-160)
+        with pytest.raises(ValueError, match="cell values must be finite"):
+            driver(w, 2.0)
+
+    @pytest.mark.parametrize("driver", [necessity_check, sufficiency_check], ids=_name)
+    def test_vanishing_norm(self, driver):
+        # sigma = 1e-200, so sigma^2 w underflows to 0 on every cell
+        w = StepFunction.constant(unit_grid(3), 1e200)
+        with pytest.raises(ValueError, match="degenerate input"):
+            driver(w, 2.0)
+
+
+DRIVERS = [necessity_check, sufficiency_check, verify_weight]
 
 
 class TestCheckedResolution:
@@ -301,15 +381,16 @@ class TestCheckedResolution:
             driver(w, 2.0, c_desk=c_desk)
 
     def test_verify_row_count(self, monkeypatch):
-        # chi_Q and sigma_chi_Q rows once each, plus the random rows
+        # chi_Q and sigma_chi_Q rows once each, plus the random rows: every
+        # row, closed-form or swept, reaches the shared ratio tail once
         evaluated = []
-        ratios = harness._ratios
+        ratios = harness._weak_ratios
 
-        def counting(F, *args):
-            evaluated.append(F.shape[0])
-            return ratios(F, *args)
+        def counting(mf, *args):
+            evaluated.append(mf.shape[0])
+            return ratios(mf, *args)
 
-        monkeypatch.setattr(harness, "_ratios", counting)
+        monkeypatch.setattr(harness, "_weak_ratios", counting)
         w = random_weight(unit_grid(6), np.random.default_rng(3))
         verify_weight(w, 2.0, n_random=10)
         assert sum(evaluated) == 2 * (2 ** 7 - 1) + 10
