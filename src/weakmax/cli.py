@@ -1,9 +1,9 @@
 """Command-line front end: weight constants, maximal functions, CZ/sparse
 decompositions, lemma suites, and the two-sided verification harness.
 
-Exit codes: 0 all verdicts pass, 1 usage or parse error, 2 verification
-failure.  Output is deterministic for a fixed (flags, seed) pair: reports
-carry no timestamps and JSON keys are sorted.
+Exit codes: 0 all verdicts pass, 1 usage, parse or input error, 2
+verification failure.  Output is deterministic for a fixed (flags, seed)
+pair: reports carry no timestamps and JSON keys are sorted.
 """
 
 from __future__ import annotations
@@ -241,14 +241,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except czsparse.SparsityError as exc:
         # a failed certificate is a verification failure, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except ValueError as exc:
+    except (CliError, RuntimeError, ValueError) as exc:
+        # a RuntimeError is a library cross-check that this input defeats,
+        # such as the two weak-norm routes disagreeing after an underflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

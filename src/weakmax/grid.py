@@ -92,11 +92,6 @@ class GridSpec:
         self._check_level(level)
         return [DyadicCube(level, idx) for idx in product(range(2 ** level), repeat=self.n)]
 
-    def all_cubes(self):
-        """Iterate every lattice cube, coarse levels first, row-major within."""
-        for level in range(self.depth + 1):
-            yield from self.cells(level)
-
     def contains(self, outer: DyadicCube, inner: DyadicCube) -> bool:
         if inner.level < outer.level:
             return False

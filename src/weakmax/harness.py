@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicCube, GridSpec, StepFunction, level_value_sums
+from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks, level_value_sums
 from .lorentz import weak_scan
 from .operators import MaximalQuery, _average_scores, _batch_maximal, _validate
 from .weights import (
@@ -257,8 +257,8 @@ def _require_positive(w: Weight):
 
 def _cube_ratios(w_tab: StepFunction, values: np.ndarray, p, alpha,
                  q) -> list[tuple[DyadicCube, float | None]]:
-    """(Q, ratio of g chi_Q) for g = values and every lattice cube Q, in
-    ``all_cubes`` order, in chunks of at most CHUNK_BYTES within a level; the
+    """(Q, ratio of g chi_Q) for g = values and every lattice cube Q, level
+    by level, row-major, in chunks of at most CHUNK_BYTES within a level; the
     ratio is None where g vanishes on Q.
 
     M_alpha^D(g chi_Q) has a closed form, so one sweep of g serves every row.
@@ -353,13 +353,14 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
     decisive.
     """
     _require_suite(n_random, seed, c_desk)
-    return _sufficiency(_resolve_weight(w, p, alpha, q, depth), p, alpha, q,
-                        c_desk, seed, n_random)
+    res = _resolve_weight(w, p, alpha, q, depth)
+    return _sufficiency(res, p, alpha, q, c_desk, seed, n_random,
+                        _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q))
 
 
 def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random,
-                 sigma_rows=None) -> VerificationReport:
-    """sigma_rows, when given, are the sigma chi_Q rows of ``_cube_ratios``."""
+                 sigma_rows) -> VerificationReport:
+    """sigma_rows are the sigma chi_Q rows of ``_cube_ratios``."""
     star, rh = res.star, res.rh
     if q is None:
         bound = (star.value * rh.value) ** (1.0 / p)
@@ -375,10 +376,10 @@ def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random,
         return VerificationReport(
             context | {"diagnostic": "star constant is infinite; bound is vacuous"},
             math.inf, bound, 0.0, {}, False, c_desk)
+    if star.value == 0.0:
+        raise ValueError("star constant is 0: sigma underflows against w")
     suite = [(f"chi[{cube.level},{cube.index}]", ratio) for cube, ratio in
              _cube_ratios(res.w_tab, np.ones(grid.finest_count), p, alpha, q)]
-    if sigma_rows is None:
-        sigma_rows = _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q)
     suite += [(f"sigma_chi[{cube.level},{cube.index}]", ratio)
               for cube, ratio in sigma_rows if ratio is not None]
     suite += [(f"random[{i}]", ratio) for i, ratio in
@@ -459,6 +460,8 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     star = star_constant(w, p, q, depth)
     if not math.isfinite(star.value):
         raise ValueError("star constant must be finite for the lemma suite")
+    if star.value == 0.0:
+        raise ValueError("star constant is 0: sigma underflows against w")
     c_lemma, rh_value = sigma_rh(star)
 
     worst = 0.0
@@ -481,28 +484,31 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
                               for j in range(lat.finest_count)])
     else:
         cell_mass = sigma.values * lat.cell_measure
+    if not cell_mass.all():
+        raise ValueError("sigma underflows to 0 on a cell, and sigma(Q) divides the lemma")
 
+    # cells[l][i]: the flat cells of the i-th cube of level l, ascending
+    cells = [cube_blocks(np.arange(lat.finest_count), lat, lev) for lev in range(lat.depth + 1)]
+    sigma_sums = [cell_mass[block].sum(axis=1) for block in cells]
     rng = np.random.default_rng(seed)
     checks = 0
-    for cube in lat.all_cubes():
-        q_cells = np.flatnonzero(lat.cell_mask(cube))
-        sigma_q = float(cell_mass[q_cells].sum())
-        q_meas = lat.cube_measure(cube.level)
-
-        def subset_ratio(e_cells):
-            e_meas = e_cells.size * lat.cell_measure
-            sigma_e = float(cell_mass[e_cells].sum())
-            lhs = (e_meas / q_meas) ** (2.0 * pc)
-            rhs = c_lemma * rh_value * sigma_e / sigma_q
-            return lhs / rhs if rhs > 0 else math.inf
-
-        for sub in lat.all_cubes():
-            if lat.contains(cube, sub):
-                worst = max(worst, subset_ratio(np.flatnonzero(lat.cell_mask(sub))))
+    for level in range(lat.depth + 1):
+        q_meas = lat.cube_measure(level)
+        sigma_q_of_cell = sigma_sums[level][lat.ancestor_index(level)]
+        for sub in range(level, lat.depth + 1):
+            # every cube E of level sub, against the cube Q of this level holding it
+            lhs = (cells[sub].shape[1] * lat.cell_measure / q_meas) ** (2.0 * pc)
+            rhs = c_lemma * rh_value * sigma_sums[sub] / sigma_q_of_cell[cells[sub][:, 0]]
+            ratio = np.divide(lhs, rhs, out=np.full(rhs.shape, math.inf), where=rhs > 0)
+            worst = max(worst, float(ratio.max()))
+            checks += ratio.size
+        for q_cells, sigma_q in zip(cells[level], sigma_sums[level].tolist()):
+            for _ in range(n_random):
+                e_cells = _random_cell_union(rng, q_cells)
+                lhs = (e_cells.size * lat.cell_measure / q_meas) ** (2.0 * pc)
+                rhs = c_lemma * rh_value * float(cell_mass[e_cells].sum()) / sigma_q
+                worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
                 checks += 1
-        for _ in range(n_random):
-            worst = max(worst, subset_ratio(_random_cell_union(rng, q_cells)))
-            checks += 1
 
     context = {"check": "lemma_suite", "p": p, "q": q, "seed": seed,
                "n": lat.n, "depth": lat.depth, "subset_checks": checks,

@@ -8,7 +8,11 @@ Each one is the reference for a fast library path, and only tests call them:
   ``lorentz_norm``);
 - the single-cube re-evaluation of a weight constant, and the kernel form of
   A_p^* (for the constant scans);
-- the Chebyshev ordering of the weak and strong multiplier norms.
+- the Chebyshev ordering of the weak and strong multiplier norms;
+- the containment scan over every pair of cubes (for the subset inequality
+  of ``lemma_suite``).
+
+``all_cubes`` enumerates the lattice in the library's cube order.
 
 Tests import them as ``from oracles import ...``, as they import conftest.
 Oracles may read private library names; they are not library API.
@@ -22,10 +26,12 @@ from typing import NamedTuple
 import numpy as np
 
 from weakmax.grid import DyadicCube, GridSpec, StepFunction
+from weakmax.harness import _random_cell_union
 from weakmax.lorentz import lorentz_norm, weak_norm, weak_scan
 from weakmax.operators import MaximalQuery, _validate, dyadic_maximal
 from weakmax.weights import (
     INF,
+    PowerWeight,
     Weight,
     WeightConstant,
     _cell_power,
@@ -33,7 +39,16 @@ from weakmax.weights import (
     _levels,
     _zero_inf,
     conjugate,
+    dual_weight,
+    sigma_rh,
+    star_constant,
 )
+
+
+def all_cubes(grid: GridSpec):
+    """Iterate every lattice cube, coarse levels first, row-major within."""
+    for level in range(grid.depth + 1):
+        yield from grid.cells(level)
 
 
 # --------------------------------------------------------------------------
@@ -68,7 +83,7 @@ def brute_force_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -
     out = np.zeros(grid.finest_count)
     shape = (2 ** grid.depth,) * grid.n
     result = out.reshape(shape)
-    for cube in grid.all_cubes():
+    for cube in all_cubes(grid):
         score = cube_score(f, cube, query)
         sl = grid.cell_slices(cube)
         result[sl] = np.maximum(result[sl], score)
@@ -188,7 +203,7 @@ def ap_star_kernel_constant(w: Weight, p: float) -> WeightConstant:
     grid = w.grid
     best = -INF
     witness = grid.root
-    for cube in grid.all_cubes():
+    for cube in all_cubes(grid):
         value = ap_star_kernel_cube_value(w, p, cube)
         if value > best:
             best = value
@@ -206,3 +221,44 @@ def chebyshev_check(f: StepFunction, w: StepFunction, p: float) -> bool:
     weak = weak_norm((w ** (1.0 / p)) * mf, p)
     strong = (float((mf.values ** p * w.values).sum()) * f.grid.cell_measure) ** (1.0 / p)
     return weak <= strong * (1.0 + 1e-12)
+
+
+def lemma_subset_scan(w: Weight, p: float, q: float | None = None, seed: int = 0,
+                      n_random: int = 64, depth: int | None = None) -> tuple[float, int]:
+    """Part (ii) of ``lemma_suite`` by the containment scan: every pair of
+    cubes is tested with ``GridSpec.contains``, and each subcube and random
+    cell union is one masked sum.  Returns (worst subset ratio, checks)."""
+    pc = conjugate(p)
+    lat = _grid_of(w, depth)
+    c_lemma, rh_value = sigma_rh(star_constant(w, p, q, depth))
+    sigma = dual_weight(w, p, "ap" if q is None else "apq")
+    if isinstance(sigma, PowerWeight):
+        h = lat.side(depth)
+        cell_mass = np.array([sigma.integral(sigma.left + j * h, sigma.left + (j + 1) * h)
+                              for j in range(lat.finest_count)])
+    else:
+        cell_mass = sigma.values * lat.cell_measure
+
+    worst = 0.0
+    rng = np.random.default_rng(seed)
+    checks = 0
+    for cube in all_cubes(lat):
+        q_cells = np.flatnonzero(lat.cell_mask(cube))
+        sigma_q = float(cell_mass[q_cells].sum())
+        q_meas = lat.cube_measure(cube.level)
+
+        def subset_ratio(e_cells):
+            e_meas = e_cells.size * lat.cell_measure
+            sigma_e = float(cell_mass[e_cells].sum())
+            lhs = (e_meas / q_meas) ** (2.0 * pc)
+            rhs = c_lemma * rh_value * sigma_e / sigma_q
+            return lhs / rhs if rhs > 0 else math.inf
+
+        for sub in all_cubes(lat):
+            if lat.contains(cube, sub):
+                worst = max(worst, subset_ratio(np.flatnonzero(lat.cell_mask(sub))))
+                checks += 1
+        for _ in range(n_random):
+            worst = max(worst, subset_ratio(_random_cell_union(rng, q_cells)))
+            checks += 1
+    return worst, checks

@@ -214,6 +214,32 @@ class TestLemmas:
         assert report["verdict"] is True
 
 
+class TestUnderflowingWeights:
+    """Constant weights whose dual weight or maximal function underflows exit
+    1 with a message, never with a traceback."""
+
+    @staticmethod
+    def _assert_error(capsys, message):
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert message in err
+
+    def test_lemmas_zero_star_constant(self, tmp_path, capsys):
+        # sigma = w^-2 = 1e-400 underflows to 0, and the star constant with it
+        path = write_weight(tmp_path, "w.json", StepFunction.constant(unit_grid(3), 1e200))
+        assert main(["lemmas", "--weight", path, "--p", "1.5"]) == 1
+        self._assert_error(capsys, "star constant is 0")
+
+    def test_verify_identity_routes_disagree(self, tmp_path, capsys):
+        # (M f)^2 underflows to a subnormal, so the power-identity route
+        # loses digits against the direct one
+        path = write_weight(tmp_path, "w.json", StepFunction.constant(unit_grid(3), 1e160))
+        assert main(["verify", "--weight", path, "--p", "2"]) == 1
+        self._assert_error(capsys, "weak-norm identity routes disagree")
+
+
 class TestFlagsPerCommand:
     # each command takes only the flags it reads
     @pytest.mark.parametrize("command,flag,value", [

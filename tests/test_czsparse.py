@@ -20,6 +20,7 @@ from weakmax import (
 )
 
 from conftest import unit_grid
+from oracles import all_cubes
 
 
 def seeded(depth, seed, kind="lognormal", n=1):
@@ -323,7 +324,7 @@ class TestSparseSum:
         sigma = dual_weight(w, 2.0)
         g = StepFunction(grid, f.values / sigma.values)
         m = dyadic_maximal(g, MaximalQuery(weight=sigma))
-        for cube in grid.all_cubes():
+        for cube in all_cubes(grid):
             avg = f.integral(cube) / sigma.integral(cube)
             assert np.all(m.block(cube) >= avg * (1 - 1e-12))
 

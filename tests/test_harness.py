@@ -24,7 +24,7 @@ from weakmax import (
 from weakmax import harness, weights
 
 from conftest import unit_grid
-from oracles import chebyshev_check
+from oracles import all_cubes, chebyshev_check, lemma_subset_scan
 
 
 class TestMultiplierRatio:
@@ -112,9 +112,9 @@ def _oracle_ratio(f, w, p, alpha=0.0, q=None):
 
 
 def _oracle_suite(grid, sigma, seed, n_random):
-    for cube in grid.all_cubes():
+    for cube in all_cubes(grid):
         yield f"chi[{cube.level},{cube.index}]", StepFunction(grid, grid.cell_mask(cube).astype(float))
-    for cube in grid.all_cubes():
+    for cube in all_cubes(grid):
         yield (f"sigma_chi[{cube.level},{cube.index}]",
                StepFunction(grid, sigma.values * grid.cell_mask(cube)))
     rng = np.random.default_rng(seed)
@@ -138,7 +138,7 @@ def _first_maximum(pairs):
 
 def _oracle_necessity(w, sigma, p, alpha, q):
     rows = []
-    for cube in w.grid.all_cubes():
+    for cube in all_cubes(w.grid):
         f = StepFunction(w.grid, sigma.values * w.grid.cell_mask(cube))
         rows.append({"level": cube.level, "index": list(cube.index),
                      "ratio": _oracle_ratio(f, w, p, alpha, q)})
@@ -228,7 +228,7 @@ def _name(driver):
 def _oracle_cube_ratios(w, values, p, alpha, q):
     # one validated function and one sweep per cube, None where g chi_Q = 0
     out = []
-    for cube in w.grid.all_cubes():
+    for cube in all_cubes(w.grid):
         f = StepFunction(w.grid, values * w.grid.cell_mask(cube))
         out.append((cube, _oracle_ratio(f, w, p, alpha, q) if np.any(f.values > 0) else None))
     return out
@@ -277,7 +277,7 @@ class TestClosedFormRows:
         sigma = dual_weight(w, 1.01)
         rows_out = self._assert_rows(monkeypatch, rows, w, sigma.values, 1.01)
         skipped = [cube for cube, ratio in rows_out if ratio is None]
-        assert skipped == [cube for cube in grid.all_cubes()
+        assert skipped == [cube for cube in all_cubes(grid)
                            if grid.contains(grid.cells(1)[1], cube)]
 
     @pytest.mark.parametrize("cell,message", [(math.inf, "finite"), (math.nan, "finite"),
@@ -379,6 +379,14 @@ class TestCheckedResolution:
         w = StepFunction(unit_grid(3), np.linspace(1.0, 2.0, 8))
         with pytest.raises(ValueError, match="c_desk must be positive and finite"):
             driver(w, 2.0, c_desk=c_desk)
+
+    @pytest.mark.parametrize("driver", [sufficiency_check, lemma_suite], ids=_name)
+    def test_zero_star_constant(self, driver):
+        # sigma = w^-2 = 1e-400 underflows to 0, and the star constant with it
+        w = StepFunction.constant(unit_grid(3), 1e200)
+        assert harness.star_constant(w, 1.5).value == 0.0
+        with pytest.raises(ValueError, match="star constant is 0"):
+            driver(w, 1.5)
 
     def test_verify_row_count(self, monkeypatch):
         # chi_Q and sigma_chi_Q rows once each, plus the random rows: every
@@ -533,7 +541,39 @@ class TestNecessity:
             necessity_check(w, 2.0)
 
 
+LEMMA_GRIDS = [(1, 0), (1, 1), (1, 3), (1, 6), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2)]
+
+
 class TestLemmaSuite:
+    @pytest.mark.parametrize("q", [None, 4.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("w,depth", [
+        *[(random_weight(unit_grid(depth, n), np.random.default_rng(10 * n + depth),
+                         log_spread=1.2), None) for n, depth in LEMMA_GRIDS],
+        (PowerWeight(0.0, -0.2, 0.0, 1.0), 5),  # in both star classes at every p
+    ], ids=[f"{n}d_depth{depth}" for n, depth in LEMMA_GRIDS] + ["power"])
+    def test_matches_containment_oracle(self, monkeypatch, w, depth, p, q):
+        # the per-level subcube arrays check the same pairs as the scan over
+        # every pair of cubes, and reach the same worst ratio to the last bit
+        report = lemma_suite(w, p, q, seed=3, n_random=5, depth=depth)
+        worst, checks = lemma_subset_scan(w, p, q, seed=3, n_random=5, depth=depth)
+        assert report.context["subset_checks"] == checks
+        membership = [m["constant"] / m["bound"] for m in report.context["membership"].values()]
+        assert report.measured_ratio == max(*membership, worst)
+        # the subcubes alone, where neither the membership part nor a random
+        # union can hide them in the maximum
+        monkeypatch.setattr(harness, "S_VALUES", ())
+        report = lemma_suite(w, p, q, n_random=0, depth=depth)
+        assert (report.measured_ratio, report.context["subset_checks"]) == \
+            lemma_subset_scan(w, p, q, n_random=0, depth=depth)
+
+    def test_sigma_underflow(self):
+        # sigma = w^-100 underflows to 0 on the cell where w = 2000, so that
+        # cell's sigma(Q) vanishes; the star constant stays finite
+        w = StepFunction(unit_grid(1), [1.0, 2000.0])
+        with pytest.raises(ValueError, match="sigma underflows to 0 on a cell"):
+            lemma_suite(w, 1.01, n_random=0)
+
     def test_trivial_weight(self):
         w = StepFunction.constant(unit_grid(3), 1.0)
         report = lemma_suite(w, 2.0, seed=1, n_random=8)

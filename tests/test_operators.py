@@ -15,7 +15,7 @@ from weakmax import (
 from weakmax.operators import _batch_maximal
 
 from conftest import step_functions, unit_grid
-from oracles import brute_force_maximal, cube_score, pointwise_lower_bound_check
+from oracles import all_cubes, brute_force_maximal, cube_score, pointwise_lower_bound_check
 
 
 def all_queries(grid, rng):
@@ -79,7 +79,7 @@ class TestFractional:
         grid = unit_grid(4)
         f = StepFunction(grid, rng.uniform(0, 4, grid.finest_count))
         w = StepFunction(grid, rng.uniform(0.2, 3.0, grid.finest_count))
-        for cube in grid.all_cubes():
+        for cube in all_cubes(grid):
             assert cube_score(f, cube, MaximalQuery()) == f.average(cube)
             assert (cube_score(f, cube, MaximalQuery(weight=w))
                     == (f * w).integral(cube) / w.integral(cube))
