@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks, level_value_sums
-from .lorentz import weak_scan
+from .lorentz import _descending_counts, _sorted_scan
 from .operators import MaximalQuery, _average_scores, _batch_maximal, _validate
 from .weights import (
     PowerWeight,
@@ -132,59 +132,78 @@ def _check_cells(values: np.ndarray):
         raise ValueError("cell values must be nonnegative")
 
 
-def _norm_cells(values: np.ndarray, w: np.ndarray, p: float, q: float | None) -> np.ndarray:
-    """Cell integrands of ||f||^p: f^p w (plain) or f^p w^p (fractional)."""
-    return values ** p * w if q is None else values ** p * w ** p
+class _RatioKernel:
+    """The weak-type ratio of every suite row against one weight, built once
+    per call and applied per chunk.
 
-
-def _ratios(F: np.ndarray, w_tab: StepFunction, p: float, alpha: float,
-            q: float | None) -> list[float]:
-    """Weak-type ratio of every row of the (B, N) cell array F against w_tab,
-    each row swept by ``_batch_maximal``; the rows must be finite and
-    nonnegative."""
-    _check_cells(F)
-    mf = _batch_maximal(F, w_tab.grid, alpha)
-    return _weak_ratios(mf, _norm_cells(F, w_tab.values, p, q).sum(axis=-1), w_tab, p, q)
-
-
-def _weak_ratios(mf: np.ndarray, den_sums: np.ndarray, w_tab: StepFunction, p: float,
-                 q: float | None) -> list[float]:
-    """Weak-type ratio of every row, from its (B, N) maximal function mf and
-    the cell sum of its norm integrand.
-
-    Each row gets the checks of a single function, and a chunk raises the
-    error of its first failing row: every intermediate must stay finite, the
-    weighted norm must not vanish, and the power-identity route must agree
-    with the direct one.  The final 1/p and 1/q powers are Python-float
-    powers, which numpy's array power does not always match to the last bit.
+    Built once: the weight powers of the two routes, w^(1/p) and w (plain)
+    or w and w^q (fractional), the norm weight w (plain) or w^p
+    (fractional), and each route's scan counts, the descending rank counts
+    of ``lorentz.weak_scan``.  Per chunk, both routes are formed, sorted and
+    scanned in place, and each row gets the checks of a single function.
     """
-    grid = w_tab.grid
-    w = w_tab.values
-    if q is None:
-        direct, r = w ** (1.0 / p) * mf, p
-        identity = w * mf ** float(p)
-    else:
-        direct, r = w * mf, q
-        identity = w ** float(q) * mf ** float(q)
-    if not r > 0:
-        raise ValueError(f"p must be positive, got {r}")
-    # Everything upstream is nonnegative, so an overflow in M f or in a power
-    # of w or of M f leaves inf or nan in one of these two products.
-    finite = np.isfinite(direct).all(axis=-1) & np.isfinite(identity).all(axis=-1)
-    cm = grid.cell_measure
-    out = []
-    for ok, num, cross, den_sum in zip(finite.tolist(), weak_scan(direct, cm, r).tolist(),
-                                       weak_scan(identity, cm).tolist(), den_sums.tolist()):
-        if not ok:
-            raise ValueError("cell values must be finite")
-        cross = cross ** (1.0 / r)
-        den = (den_sum * cm) ** (1.0 / p)
-        if den == 0.0:
-            raise ValueError(_DEGENERATE)
-        if abs(num - cross) > 1e-10 * max(num, cross, 1e-300):
-            raise RuntimeError(f"weak-norm identity routes disagree: {num} vs {cross}")
-        out.append(num / den)
-    return out
+
+    def __init__(self, w_tab: StepFunction, p: float, q: float | None):
+        w = w_tab.values
+        if q is None:
+            self.direct_w, self.identity_w, self.norm_w, r = w ** (1.0 / p), w, w, p
+        else:
+            self.direct_w, self.identity_w, self.norm_w, r = w, w ** float(q), w ** p, q
+        if not r > 0:
+            raise ValueError(f"p must be positive, got {r}")
+        self.grid, self.p, self.r = w_tab.grid, p, r
+        cm = self.grid.cell_measure
+        self.direct_counts = _descending_counts(w.size, cm, r)
+        self.identity_counts = _descending_counts(w.size, cm, 1.0)
+
+    def norm_cells(self, values: np.ndarray) -> np.ndarray:
+        """Cell integrands of ||f||^p: f^p w (plain) or f^p w^p (fractional)."""
+        return values ** self.p * self.norm_w
+
+    def __call__(self, mf: np.ndarray, den_sums: np.ndarray) -> list[float]:
+        """Weak-type ratio of every row, from its (B, N) maximal function mf
+        and the cell sum of its norm integrand; mf is left unchanged.
+
+        A chunk raises the error of its first failing row: every
+        intermediate must stay finite, the weighted norm must not vanish,
+        and the power-identity route must agree with the direct one.  The
+        final 1/p and 1/q powers are Python-float powers, which numpy's array
+        power does not always match to the last bit.
+        """
+        r = self.r
+        direct = self.direct_w * mf
+        identity = mf ** float(r)
+        identity *= self.identity_w
+        # Everything upstream is nonnegative, so an overflow in M f or in a
+        # power of w or of M f leaves inf or nan in one of these two products,
+        # and the ascending sort puts it last in its row (nan sorts last).
+        direct.sort(axis=-1)
+        identity.sort(axis=-1)
+        finite = np.isfinite(direct[..., -1]) & np.isfinite(identity[..., -1])
+        nums = _sorted_scan(direct, self.direct_counts)
+        crosses = _sorted_scan(identity, self.identity_counts)
+        cm = self.grid.cell_measure
+        out = []
+        for ok, num, cross, den_sum in zip(finite.tolist(), nums.tolist(), crosses.tolist(),
+                                           den_sums.tolist()):
+            if not ok:
+                raise ValueError("cell values must be finite")
+            cross = cross ** (1.0 / r)
+            den = (den_sum * cm) ** (1.0 / self.p)
+            if den == 0.0:
+                raise ValueError(_DEGENERATE)
+            if abs(num - cross) > 1e-10 * max(num, cross, 1e-300):
+                raise RuntimeError(f"weak-norm identity routes disagree: {num} vs {cross}")
+            out.append(num / den)
+        return out
+
+
+def _ratios(F: np.ndarray, kernel: _RatioKernel, alpha: float) -> list[float]:
+    """Weak-type ratio of every row of the (B, N) cell array F, each row
+    swept by ``_batch_maximal``; the rows must be finite and nonnegative."""
+    _check_cells(F)
+    mf = _batch_maximal(F, kernel.grid, alpha)
+    return kernel(mf, kernel.norm_cells(F).sum(axis=-1))
 
 
 def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
@@ -198,7 +217,7 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
     if w.grid != f.grid:
         raise ValueError("weight grid does not match f")
     _require_q(alpha, q)
-    return _ratios(f.values[None, :], w, p, alpha, q)[0]
+    return _ratios(f.values[None, :], _RatioKernel(w, p, q), alpha)[0]
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +304,8 @@ def _cube_ratios(w_tab: StepFunction, values: np.ndarray, p, alpha,
     cm = grid.cell_measure
     sums = level_value_sums(values, grid)
     scores = _average_scores(values, grid, alpha)
-    norm_cells = _norm_cells(values, w_tab.values, p, q)
+    kernel = _RatioKernel(w_tab, p, q)
+    norm_cells = kernel.norm_cells(values)
     # run[l]: the max of g's scores over levels l..depth along each cell's path
     run = [scores[depth]]
     for level in range(depth - 1, -1, -1):
@@ -320,7 +340,7 @@ def _cube_ratios(w_tab: StepFunction, values: np.ndarray, p, alpha,
             on_q = up == 0
             np.maximum(mf, run[level], out=mf, where=on_q)
             den_sums = np.where(on_q, norm_cells, 0.0).sum(axis=-1)
-            ratios = iter(_weak_ratios(mf, den_sums, w_tab, p, q))
+            ratios = iter(kernel(mf, den_sums))
             out += [(cube, next(ratios) if keep else None)
                     for cube, keep in zip(cubes[start:start + rows], positive.tolist())]
     return out
@@ -332,10 +352,11 @@ def _random_ratios(w_tab: StepFunction, p, alpha, q, seed, n_random) -> list[flo
     grid = w_tab.grid
     rng = np.random.default_rng(seed)
     rows = _chunk_rows(grid)
+    kernel = _RatioKernel(w_tab, p, q)
     out = []
     for start in range(0, n_random, rows):
         F = _lognormal(rng, (min(rows, n_random - start), grid.finest_count))
-        out += _ratios(F, w_tab, p, alpha, q)
+        out += _ratios(F, kernel, alpha)
     return out
 
 
@@ -373,8 +394,14 @@ def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random,
         "star_constant": star.value, "sigma_rh": rh.value, "mode": res.mode,
     }
     if not math.isfinite(bound):
+        if not math.isfinite(star.value):
+            why = "star constant is infinite"
+        elif not math.isfinite(rh.value):
+            why = "sigma-RH constant overflows"
+        else:
+            why = "bound overflows"
         return VerificationReport(
-            context | {"diagnostic": "star constant is infinite; bound is vacuous"},
+            context | {"diagnostic": f"{why}; bound is vacuous"},
             math.inf, bound, 0.0, {}, False, c_desk)
     if star.value == 0.0:
         raise ValueError("star constant is 0: sigma underflows against w")
@@ -463,6 +490,9 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     if star.value == 0.0:
         raise ValueError("star constant is 0: sigma underflows against w")
     c_lemma, rh_value = sigma_rh(star)
+    if not (math.isfinite(c_lemma) and math.isfinite(rh_value)):
+        raise ValueError(f"sigma-RH pair (c, [sigma]_RH) = ({c_lemma:g}, {rh_value:g}) "
+                         "overflows; it must be finite for the lemma suite")
 
     worst = 0.0
     membership = {}

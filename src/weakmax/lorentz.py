@@ -47,11 +47,26 @@ def weak_scan(values: np.ndarray, cell_measure: float, p: float = 1.0) -> np.nda
     the result is max_v v |{>= v}|^(1/p) per row, with |{>= v}| the rank of v
     in decreasing order times ``cell_measure``.
     """
-    vals = np.sort(values, axis=-1)[..., ::-1]
-    counts = np.arange(1, vals.shape[-1] + 1, dtype=float) * cell_measure
+    vals = np.sort(np.asarray(values, dtype=float), axis=-1)
+    return _sorted_scan(vals, _descending_counts(vals.shape[-1], cell_measure, p))
+
+
+def _descending_counts(size: int, cell_measure: float, p: float) -> np.ndarray:
+    """The scan's rank counts |{>= v}|^(1/p) for the ranks size, ..., 1, one
+    per position of an ascending row; each is the float of the ascending
+    rank order, reversed after the power, and the array is contiguous."""
+    counts = np.arange(1, size + 1, dtype=float) * cell_measure
     if p != 1.0:
         counts = counts ** (1.0 / p)
-    return np.max(vals * counts, axis=-1)
+    return np.ascontiguousarray(counts[::-1])
+
+
+def _sorted_scan(vals: np.ndarray, descending: np.ndarray) -> np.ndarray:
+    """The scan of float rows already sorted ascending: multiply them in
+    place by ``_descending_counts`` and return each row's max.  Each product
+    is the one of the decreasing-order scan, so the max is the same float."""
+    vals *= descending
+    return vals.max(axis=-1)
 
 
 def lorentz_norm(f: StepFunction, p: float, q: float) -> float:

@@ -445,13 +445,21 @@ def sigma_rh(star: WeightConstant) -> SigmaRH:
     Plain flavor: c = 4^{p'/p} and [sigma]_RH = [w]_{A_p^*}^{p'-1} for
     sigma = w^{1-p'}; fractional flavor (star.q given): c = 4^{p'/q} and
     [sigma]_RH = [w]_{A_{p,q}^*}^{p'} for sigma = w^{-p'}.  An infinite star
-    constant propagates to +inf.
+    constant, or a power past the float range, gives +inf.
     """
     p, q = star.p, star.q
     pc = conjugate(p)
     if q is None:
-        return SigmaRH(4.0 ** (pc / p), star.value ** (pc - 1.0))
-    return SigmaRH(4.0 ** (pc / q), star.value ** pc)
+        return SigmaRH(_power(4.0, pc / p), _power(star.value, pc - 1.0))
+    return SigmaRH(_power(4.0, pc / q), _power(star.value, pc))
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, +inf where the Python float power overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def sigma_rh_constant(w: Weight, p: float, q: float | None = None,

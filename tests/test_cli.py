@@ -215,8 +215,8 @@ class TestLemmas:
 
 
 class TestUnderflowingWeights:
-    """Constant weights whose dual weight or maximal function underflows exit
-    1 with a message, never with a traceback."""
+    """Weights whose dual weight, maximal function or sigma-RH constant leaves
+    the float range exit 1 with a message, never with a traceback."""
 
     @staticmethod
     def _assert_error(capsys, message):
@@ -238,6 +238,28 @@ class TestUnderflowingWeights:
         path = write_weight(tmp_path, "w.json", StepFunction.constant(unit_grid(3), 1e160))
         assert main(["verify", "--weight", path, "--p", "2"]) == 1
         self._assert_error(capsys, "weak-norm identity routes disagree")
+
+    @pytest.fixture
+    def spike_weight(self, tmp_path):
+        # at p = 1.5, [sigma]_RH = star^2 ~ 1e338 overflows, and sigma = w^-2
+        # underflows to 0 on the 1e170 cell
+        return write_weight(tmp_path, "w.json", StepFunction(unit_grid(3), [1.0] * 7 + [1e170]))
+
+    def test_lemmas_sigma_rh_overflow(self, spike_weight, capsys):
+        assert main(["lemmas", "--weight", spike_weight, "--p", "1.5"]) == 1
+        self._assert_error(capsys, "sigma-RH pair (c, [sigma]_RH) = (16, inf) overflows")
+
+    def test_verify_sigma_rh_overflow(self, spike_weight, capsys):
+        # the sufficiency bound is vacuous, and the necessity side cannot
+        # take the ratio of the cube where sigma vanishes
+        assert main(["verify", "--weight", spike_weight, "--p", "1.5"]) == 1
+        self._assert_error(capsys, "degenerate input")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_constants_sigma_rh_overflow(self, spike_weight, capsys):
+        assert main(["constants", "--weight", spike_weight, "--p", "1.5"]) == 0
+        rows = {row["class"]: row for row in json.loads(capsys.readouterr().out)}
+        assert rows["sigma_rh"]["value"] == float("inf")
 
 
 class TestFlagsPerCommand:

@@ -22,6 +22,7 @@ from weakmax import (
     weak_norm,
 )
 from weakmax import harness, weights
+from weakmax.lorentz import weak_scan
 
 from conftest import unit_grid
 from oracles import all_cubes, chebyshev_check, lemma_subset_scan
@@ -305,6 +306,81 @@ class TestClosedFormRows:
             driver(w, 2.0)
 
 
+def _kernel_reference(w, mf, den_sums, p, q):
+    # one lorentz.weak_scan per row and route, as a single function's ratio
+    cm = w.grid.cell_measure
+    out = []
+    for row, den_sum in zip(mf, den_sums.tolist()):
+        if q is None:
+            num = float(weak_scan(w.values ** (1.0 / p) * row, cm, p))
+            cross = float(weak_scan(w.values * row ** float(p), cm)) ** (1.0 / p)
+        else:
+            num = float(weak_scan(w.values * row, cm, q))
+            cross = float(weak_scan(w.values ** float(q) * row ** float(q), cm)) ** (1.0 / q)
+        assert abs(num - cross) <= 1e-10 * max(num, cross)
+        out.append(num / (den_sum * cm) ** (1.0 / p))
+    return out
+
+
+class TestRatioKernel:
+    """The per-call kernel equals a weak_scan of each row to the last bit,
+    and raises the error of the first failing row of a chunk."""
+
+    GRID = unit_grid(6)
+
+    @classmethod
+    def _rows(cls, count, seed):
+        # ties within and across rows, and zero cells
+        rng = np.random.default_rng(seed)
+        mf = rng.integers(0, 4, (count, cls.GRID.finest_count)).astype(float)
+        mf[::3] *= harness._lognormal(rng, cls.GRID.finest_count)
+        mf[:, 0] = 1.0  # no row vanishes
+        return mf
+
+    @pytest.mark.parametrize("rows", [1, 5, "full"])
+    @pytest.mark.parametrize("p,q", [(2.0, None), (1.5, None), (2.0, 4.0), (3.0, 6.0)])
+    def test_matches_weak_scan_per_row(self, rows, p, q):
+        w = random_weight(self.GRID, np.random.default_rng(8))
+        count = harness._chunk_rows(self.GRID) if rows == "full" else rows
+        mf = self._rows(count, count)
+        before = mf.copy()
+        kernel = harness._RatioKernel(w, p, q)
+        den_sums = kernel.norm_cells(mf).sum(axis=-1)
+        assert kernel(mf, den_sums) == _kernel_reference(w, mf, den_sums, p, q)
+        assert np.array_equal(mf, before)
+
+    @staticmethod
+    def _failing_chunk(kinds):
+        # one row per kind, "+" joining the faults of one row; "flat" is
+        # M f = 1e-160 on w = 1, whose square is subnormal, so the identity
+        # route loses digits at p = 2
+        grid = unit_grid(3)
+        mf = np.ones((len(kinds), 8))
+        den_sums = np.ones(len(kinds))
+        for i, kind in enumerate(kinds):
+            if kind == "flat":
+                mf[i] = 1e-160
+            if "inf" in kind:
+                mf[i, 5] = math.inf
+            if "zero_norm" in kind:
+                den_sums[i] = 0.0
+        return harness._RatioKernel(StepFunction.constant(grid, 1.0), 2.0, None), mf, den_sums
+
+    @pytest.mark.parametrize("kinds,error,message", [
+        (("ok", "inf", "zero_norm"), ValueError, "cell values must be finite"),
+        (("ok", "zero_norm", "inf"), ValueError, "degenerate input"),
+        (("zero_norm", "flat"), ValueError, "degenerate input"),
+        (("flat", "zero_norm"), RuntimeError, "weak-norm identity routes disagree"),
+        # within a row: finite, then degenerate, then the identity check
+        (("ok", "inf+zero_norm"), ValueError, "cell values must be finite"),
+        (("ok", "flat+zero_norm"), ValueError, "degenerate input"),
+    ])
+    def test_first_failing_row_raises(self, kinds, error, message):
+        kernel, mf, den_sums = self._failing_chunk(kinds)
+        with pytest.raises(error, match=message):
+            kernel(mf, den_sums)
+
+
 DRIVERS = [necessity_check, sufficiency_check, verify_weight]
 
 
@@ -392,13 +468,13 @@ class TestCheckedResolution:
         # chi_Q and sigma_chi_Q rows once each, plus the random rows: every
         # row, closed-form or swept, reaches the shared ratio tail once
         evaluated = []
-        ratios = harness._weak_ratios
+        ratios = harness._RatioKernel.__call__
 
-        def counting(mf, *args):
+        def counting(kernel, mf, *args):
             evaluated.append(mf.shape[0])
-            return ratios(mf, *args)
+            return ratios(kernel, mf, *args)
 
-        monkeypatch.setattr(harness, "_weak_ratios", counting)
+        monkeypatch.setattr(harness._RatioKernel, "__call__", counting)
         w = random_weight(unit_grid(6), np.random.default_rng(3))
         verify_weight(w, 2.0, n_random=10)
         assert sum(evaluated) == 2 * (2 ** 7 - 1) + 10
@@ -493,6 +569,34 @@ class TestSufficiency:
         assert report.theoretical_bound == math.inf
         assert "diagnostic" in report.context
 
+    @pytest.mark.parametrize("spike,p,why", [
+        # [sigma]_RH = star^2 overflows; sigma = w^-2 underflows to 0 on the
+        # spike, whose sigma chi_Q rows are skipped
+        (1e170, 1.5, "sigma-RH constant overflows"),
+        # star ~ 7.9e248 and [sigma]_RH ~ 1.7e62 are finite, their product is not
+        (1e250, 5.0, "bound overflows"),
+    ])
+    def test_overflowing_bound_is_vacuous(self, spike, p, why):
+        w = StepFunction(unit_grid(3), [1.0] * 7 + [spike])
+        report = sufficiency_check(w, p, n_random=5)
+        assert not report.verdict
+        assert report.theoretical_bound == math.inf
+        assert math.isfinite(report.context["star_constant"])
+        assert report.context["diagnostic"] == f"{why}; bound is vacuous"
+
+    def test_verify_sigma_rh_overflow_is_vacuous(self, monkeypatch):
+        # no weight the necessity side can evaluate overflows [sigma]_RH, so
+        # the pair is replaced; the sufficiency side of verify is vacuous
+        monkeypatch.setattr(harness, "sigma_rh",
+                            lambda star: weights.SigmaRH(16.0, math.inf))
+        w = random_weight(unit_grid(4), np.random.default_rng(5))
+        out = verify_weight(w, 1.5, n_random=5)
+        assert out["necessity"] == necessity_check(w, 1.5).to_dict()
+        suf = out["sufficiency"]
+        assert suf["context"]["diagnostic"] == "sigma-RH constant overflows; bound is vacuous"
+        assert suf["theoretical_bound"] == math.inf
+        assert not out["verdict"]
+
     def test_reports_reproducible(self):
         w = StepFunction(unit_grid(3), np.linspace(0.5, 2.0, 8))
         a = sufficiency_check(w, 2.0, seed=11, n_random=40).to_dict()
@@ -573,6 +677,14 @@ class TestLemmaSuite:
         w = StepFunction(unit_grid(1), [1.0, 2000.0])
         with pytest.raises(ValueError, match="sigma underflows to 0 on a cell"):
             lemma_suite(w, 1.01, n_random=0)
+
+    @pytest.mark.parametrize("values,p", [([1.0] * 7 + [1e170], 1.5), ([1.0, 1.5], 1.001)],
+                             ids=["sigma_rh", "c"])
+    def test_sigma_rh_overflow(self, values, p):
+        # star^(p'-1) = star^2 resp. 4^(p'/p) = 4^1000 passes the float range
+        w = StepFunction(unit_grid(3 if len(values) == 8 else 1), values)
+        with pytest.raises(ValueError, match=r"sigma-RH pair .* overflows"):
+            lemma_suite(w, p, n_random=0)
 
     def test_trivial_weight(self):
         w = StepFunction.constant(unit_grid(3), 1.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from weakmax import (
     lorentz_norm,
     weak_norm,
 )
+from weakmax.lorentz import weak_scan
 
 from conftest import step_functions, unit_grid
 from oracles import all_cubes, lorentz_holder_check, power_identity_check
@@ -82,6 +84,39 @@ class TestWeakNorm:
         f = StepFunction(unit_grid(1), [1, 1])
         with pytest.raises(ValueError):
             weak_norm(f, 0.0)
+
+
+class TestWeakScan:
+    @staticmethod
+    def _descending_loop(row, cell_measure, p):
+        # the values in decreasing order against the ascending rank counts,
+        # each count the float of the array power weak_scan takes
+        counts = np.arange(1, row.size + 1, dtype=float) * cell_measure
+        if p != 1.0:
+            counts = counts ** (1.0 / p)
+        best = -math.inf
+        for value, count in zip(sorted(row.tolist(), reverse=True), counts.tolist()):
+            best = max(best, value * count)
+        return best
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("cell_measure", [0.125, 0.3])
+    def test_batched_rows_match_descending_loop(self, rng, p, cell_measure):
+        # ties, zero cells, a row of zeros and an infinite cell, in a (2, 3, N) batch
+        values = rng.integers(0, 4, (2, 3, 32)) * rng.lognormal(0.0, 1.0, (2, 3, 32))
+        values[0, 1] = 0.0
+        values[1, 2, 7] = math.inf
+        out = weak_scan(values, cell_measure, p)
+        assert out.shape == (2, 3)
+        expected = [[self._descending_loop(row, cell_measure, p) for row in block]
+                     for block in values]
+        assert out.tolist() == expected
+
+    def test_input_unchanged(self, rng):
+        values = rng.uniform(0.0, 1.0, (4, 16))
+        before = values.copy()
+        weak_scan(values, 0.25, 2.0)
+        assert np.array_equal(values, before)
 
 
 class TestLorentzNorm:

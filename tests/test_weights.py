@@ -426,6 +426,19 @@ class TestSigmaRH:
         assert pair == (4.0 ** (conjugate(p) / q), INF)
         assert pair == sigma_rh_constant(pw, p, q, depth=4)
 
+    def test_star_power_overflow_is_infinite(self):
+        # star ~ 3.5e169 is finite, but [sigma]_RH = star^2 passes the float range
+        star = star_constant(StepFunction(unit_grid(3), [1.0] * 7 + [1e170]), 1.5)
+        assert math.isfinite(star.value)
+        assert sigma_rh(star) == (4.0 ** (conjugate(1.5) / 1.5), INF)
+
+    def test_c_overflow_is_infinite(self):
+        # p = 1.001: c = 4^{p'/p} = 4^1000 passes the float range
+        star = star_constant(StepFunction(unit_grid(1), [1.0, 1.5]), 1.001)
+        c, rh = sigma_rh(star)
+        assert c == INF
+        assert rh == star.value ** (conjugate(1.001) - 1.0)
+
 
 @pytest.fixture
 def star_scans(monkeypatch):
