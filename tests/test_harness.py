@@ -585,8 +585,8 @@ class TestSufficiency:
         assert report.context["diagnostic"] == f"{why}; bound is vacuous"
 
     def test_verify_sigma_rh_overflow_is_vacuous(self, monkeypatch):
-        # no weight the necessity side can evaluate overflows [sigma]_RH, so
-        # the pair is replaced; the sufficiency side of verify is vacuous
+        # on the weights tried, [sigma]_RH overflows only where sigma
+        # underflows and stops the necessity side, so the pair is replaced
         monkeypatch.setattr(harness, "sigma_rh",
                             lambda star: weights.SigmaRH(16.0, math.inf))
         w = random_weight(unit_grid(4), np.random.default_rng(5))
