@@ -132,29 +132,61 @@ def _check_cells(values: np.ndarray):
         raise ValueError("cell values must be nonnegative")
 
 
+# The ratio has degree 0 in w and in f, so dividing either by any power of two
+# leaves it unchanged.  A factor whose powers stay within 2^+-_SCALE_BUDGET is
+# left as it is, so the bits of every such input are kept: a product of two
+# such factors, summed over up to 2^60 cells, stays finite and normal
+# (2 * 480 + 60 < 1022).
+_SCALE_BUDGET = 480
+
+
+def _unit_scale(values: np.ndarray, power: float) -> np.ndarray:
+    """values / 2^e for each row (last axis), exactly, so that the row's
+    positive values raised to any power up to ``power`` stay within the
+    budget where they can.
+
+    e = 0 while the binary exponents of the row's largest and smallest
+    positive values, times ``power``, lie within 2^+-_SCALE_BUDGET.  Otherwise
+    e centres that exponent range on 2^0, but never so low that the largest
+    value's power leaves the budget: a range too wide to fit loses its
+    smallest values, never its largest, to the float range.
+    """
+    span = int(_SCALE_BUDGET // power)
+    hi = np.frexp(values.max(axis=-1, keepdims=True))[1]
+    lo = np.frexp(values.min(axis=-1, keepdims=True, where=values > 0, initial=np.inf))[1]
+    e = np.where((hi <= span) & (lo >= -span), 0, np.maximum((hi + lo) // 2, hi - span))
+    return np.ldexp(values, -e) if e.any() else values
+
+
 class _RatioKernel:
     """The weak-type ratio of every suite row against one weight, built once
     per call and applied per chunk.
 
-    Built once: the weight powers of the two routes, w^(1/p) and w (plain)
-    or w and w^q (fractional), the norm weight w (plain) or w^p
-    (fractional), and each route's scan counts, the descending rank counts
-    of ``lorentz.weak_scan``.  Per chunk, both routes are formed, sorted and
-    scanned in place, and each row gets the checks of a single function.
+    Built once: the weight, scaled by ``_unit_scale``; its numerator power
+    w^(1/p) (plain) or w (fractional); the norm weight w (plain) or w^p
+    (fractional); and the scan counts, the descending rank counts of
+    ``lorentz.weak_scan``.  Each suite's values go through ``scale`` before
+    any power, so no change of scale alone takes a power of w or of f out of
+    the float range, and one weak-norm route suffices.  Per chunk, each row
+    is formed, sorted and scanned in place once, and gets the checks of a
+    single function.
     """
 
     def __init__(self, w_tab: StepFunction, p: float, q: float | None):
-        w = w_tab.values
-        if q is None:
-            self.direct_w, self.identity_w, self.norm_w, r = w ** (1.0 / p), w, w, p
-        else:
-            self.direct_w, self.identity_w, self.norm_w, r = w, w ** float(q), w ** p, q
+        r = p if q is None else q
         if not r > 0:
             raise ValueError(f"p must be positive, got {r}")
-        self.grid, self.p, self.r = w_tab.grid, p, r
-        cm = self.grid.cell_measure
-        self.direct_counts = _descending_counts(w.size, cm, r)
-        self.identity_counts = _descending_counts(w.size, cm, 1.0)
+        w = _unit_scale(w_tab.values, max(1.0, 1.0 / p) if q is None else max(1.0, p))
+        if q is None:
+            self.direct_w, self.norm_w = w ** (1.0 / p), w
+        else:
+            self.direct_w, self.norm_w = w, w ** p
+        self.grid, self.p = w_tab.grid, p
+        self.counts = _descending_counts(w.size, self.grid.cell_measure, r)
+
+    def scale(self, values: np.ndarray) -> np.ndarray:
+        """Each row of suite values by ``_unit_scale`` for its powers f and f^p."""
+        return _unit_scale(values, max(1.0, self.p))
 
     def norm_cells(self, values: np.ndarray) -> np.ndarray:
         """Cell integrands of ||f||^p: f^p w (plain) or f^p w^p (fractional)."""
@@ -164,36 +196,26 @@ class _RatioKernel:
         """Weak-type ratio of every row, from its (B, N) maximal function mf
         and the cell sum of its norm integrand; mf is left unchanged.
 
-        A chunk raises the error of its first failing row: every
-        intermediate must stay finite, the weighted norm must not vanish,
-        and the power-identity route must agree with the direct one.  The
-        final 1/p and 1/q powers are Python-float powers, which numpy's array
+        A chunk raises the error of its first failing row: the numerator
+        and the weighted norm must be finite, and the norm must not vanish.
+        The final 1/p power is a Python-float power, which numpy's array
         power does not always match to the last bit.
         """
-        r = self.r
         direct = self.direct_w * mf
-        identity = mf ** float(r)
-        identity *= self.identity_w
-        # Everything upstream is nonnegative, so an overflow in M f or in a
-        # power of w or of M f leaves inf or nan in one of these two products,
-        # and the ascending sort puts it last in its row (nan sorts last).
+        # Everything upstream is nonnegative, so an overflow in M f or in the
+        # product leaves inf or nan in the row, and the ascending sort puts it
+        # last (nan sorts last).
         direct.sort(axis=-1)
-        identity.sort(axis=-1)
-        finite = np.isfinite(direct[..., -1]) & np.isfinite(identity[..., -1])
-        nums = _sorted_scan(direct, self.direct_counts)
-        crosses = _sorted_scan(identity, self.identity_counts)
+        finite = np.isfinite(direct[..., -1])
+        nums = _sorted_scan(direct, self.counts)
         cm = self.grid.cell_measure
         out = []
-        for ok, num, cross, den_sum in zip(finite.tolist(), nums.tolist(), crosses.tolist(),
-                                           den_sums.tolist()):
-            if not ok:
-                raise ValueError("cell values must be finite")
-            cross = cross ** (1.0 / r)
+        for ok, num, den_sum in zip(finite.tolist(), nums.tolist(), den_sums.tolist()):
             den = (den_sum * cm) ** (1.0 / self.p)
+            if not (ok and math.isfinite(den)):
+                raise ValueError("cell values must be finite")
             if den == 0.0:
                 raise ValueError(_DEGENERATE)
-            if abs(num - cross) > 1e-10 * max(num, cross, 1e-300):
-                raise RuntimeError(f"weak-norm identity routes disagree: {num} vs {cross}")
             out.append(num / den)
         return out
 
@@ -202,6 +224,7 @@ def _ratios(F: np.ndarray, kernel: _RatioKernel, alpha: float) -> list[float]:
     """Weak-type ratio of every row of the (B, N) cell array F, each row
     swept by ``_batch_maximal``; the rows must be finite and nonnegative."""
     _check_cells(F)
+    F = kernel.scale(F)
     mf = _batch_maximal(F, kernel.grid, alpha)
     return kernel(mf, kernel.norm_cells(F).sum(axis=-1))
 
@@ -211,8 +234,13 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
     """Weak-type ratio of f against the multiplier weight w.
 
     Plain: ||w^{1/p} M^D f||_{p,inf} / (int f^p w)^{1/p}.  Fractional
-    (q given): ||w M_alpha^D f||_{q,inf} / (int f^p w^p)^{1/p}.  The
-    equivalent power-identity route is evaluated as a consistency check.
+    (q given): ||w M_alpha^D f||_{q,inf} / (int f^p w^p)^{1/p}.
+
+    One route: the direct weak norm, one sort of the row.  The ratio is
+    scale-free, so f and w are each divided by a power of two before any
+    power (see ``_unit_scale``) and nothing is multiplied back; within the
+    float budget the power is 2^0, and the bits are those of the plain
+    formula.
     """
     if w.grid != f.grid:
         raise ValueError("weight grid does not match f")
@@ -274,11 +302,12 @@ def _require_positive(w: Weight):
                          "infinite; the harness needs w > 0 on every cell")
 
 
-def _cube_ratios(w_tab: StepFunction, values: np.ndarray, p, alpha,
-                 q) -> list[tuple[DyadicCube, float | None]]:
-    """(Q, ratio of g chi_Q) for g = values and every lattice cube Q, level
-    by level, row-major, in chunks of at most CHUNK_BYTES within a level; the
-    ratio is None where g vanishes on Q.
+def _cube_ratios(w_tab: StepFunction, suites: np.ndarray, p, alpha,
+                 q) -> list[list[tuple[DyadicCube, float | None]]]:
+    """For each suite g, a row of the (S, N) array ``suites``: (Q, ratio of
+    g chi_Q) for every lattice cube Q, level by level, row-major, in chunks of
+    at most CHUNK_BYTES within a level; the ratio is None where g vanishes
+    on Q.
 
     M_alpha^D(g chi_Q) has a closed form, so one sweep of g serves every row.
     For Q at level l with ancestors A_j (j <= l, A_l = Q), g chi_Q scores
@@ -295,21 +324,29 @@ def _cube_ratios(w_tab: StepFunction, values: np.ndarray, p, alpha,
     explicitly, never assuming c_Q monotone, so every row is bit-identical to
     its own sweep.  The norm sum stays a sum over the whole row, whose
     pairwise rounding depends on where Q's cells sit in it.
+
+    The suites share one lattice sweep: per chunk of cubes, the geometry of
+    every row (the level of the cube holding x and Q, and whether x lies in
+    Q) is computed once, and each suite reads its maximal functions from its
+    own C_Q table.  Each suite is scaled by the kernel before any sum or
+    power; a suite's rows fail with the errors of their own sweeps, in suite
+    order within a chunk.
     """
     grid = w_tab.grid
     n, depth = grid.n, grid.depth
-    _check_cells(values)
+    _check_cells(suites)
     _validate(grid, MaximalQuery(alpha))
     s = alpha / n
     cm = grid.cell_measure
-    sums = level_value_sums(values, grid)
-    scores = _average_scores(values, grid, alpha)
     kernel = _RatioKernel(w_tab, p, q)
-    norm_cells = kernel.norm_cells(values)
+    suites = kernel.scale(suites)
+    sums = level_value_sums(suites, grid)
+    scores = _average_scores(suites, grid, alpha)
+    norm_cells = kernel.norm_cells(suites)
     # run[l]: the max of g's scores over levels l..depth along each cell's path
     run = [scores[depth]]
     for level in range(depth - 1, -1, -1):
-        run.append(np.maximum(scores[level][grid.ancestor_index(level)], run[-1]))
+        run.append(np.maximum(scores[level][:, grid.ancestor_index(level)], run[-1]))
     run.reverse()
     cell_coords = np.indices((2 ** depth,) * n).reshape(n, -1)
     # two cubes of one level first share an ancestor b levels up, where b is
@@ -318,31 +355,33 @@ def _cube_ratios(w_tab: StepFunction, values: np.ndarray, p, alpha,
     for b in range(depth):
         bit_length[2 ** b:2 ** (b + 1)] = b + 1
     rows = _chunk_rows(grid)
-    out = []
+    out = [[] for _ in suites]
     for level in range(depth + 1):
         cubes = grid.cells(level)
         meas = [grid.cube_measure(j) for j in range(level + 1)]
-        avg = sums[level][:, None] * cm / np.array(meas)
-        C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=1)
+        avg = sums[level][..., None] * cm / np.array(meas)
+        C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=-1)
         # C_Q(level - b) at flat index (level + 1) * i + b, for the i-th cube Q
-        table = np.ascontiguousarray(C[:, ::-1]).reshape(-1)
+        tables = np.ascontiguousarray(C[..., ::-1]).reshape(len(suites), -1)
         coords = cell_coords >> (depth - level)
         cube_coords = np.indices((2 ** level,) * n).reshape(n, -1)
         for start in range(0, len(cubes), rows):
             chunk = np.arange(start, min(start + rows, len(cubes)))
-            positive = sums[level][chunk] > 0
-            kept = chunk[positive]
-            diff = coords[0] ^ cube_coords[0, kept, None]
+            diff = coords[0] ^ cube_coords[0, chunk, None]
             for axis in range(1, n):
-                diff |= coords[axis] ^ cube_coords[axis, kept, None]
+                diff |= coords[axis] ^ cube_coords[axis, chunk, None]
             up = bit_length.take(diff)  # levels from Q up to the cube holding x and Q
-            mf = table.take(up + (level + 1) * kept[:, None])
             on_q = up == 0
-            np.maximum(mf, run[level], out=mf, where=on_q)
-            den_sums = np.where(on_q, norm_cells, 0.0).sum(axis=-1)
-            ratios = iter(kernel(mf, den_sums))
-            out += [(cube, next(ratios) if keep else None)
-                    for cube, keep in zip(cubes[start:start + rows], positive.tolist())]
+            up += (level + 1) * chunk[:, None]
+            for rows_out, level_sums, table, run_g, norm_g in zip(
+                    out, sums[level], tables, run[level], norm_cells):
+                positive = level_sums[chunk] > 0
+                at, on = (up, on_q) if positive.all() else (up[positive], on_q[positive])
+                mf = table.take(at)
+                np.maximum(mf, run_g, out=mf, where=on)
+                ratios = iter(kernel(mf, np.where(on, norm_g, 0.0).sum(axis=-1)))
+                rows_out += [(cube, next(ratios) if keep else None)
+                             for cube, keep in zip(cubes[start:start + rows], positive.tolist())]
     return out
 
 
@@ -358,6 +397,31 @@ def _random_ratios(w_tab: StepFunction, p, alpha, q, seed, n_random) -> list[flo
         F = _lognormal(rng, (min(rows, n_random - start), grid.finest_count))
         out += _ratios(F, kernel, alpha)
     return out
+
+
+def _bound(res: _Resolved, p, q) -> float:
+    """The sufficiency bound ([w]_* [sigma]_RH)^{1/p} (plain) or
+    [w]_* [sigma]_RH^{1/q} (fractional).  Where the plain product overflows,
+    each factor takes its own 1/p power, so a bound in range stays finite;
+    every product in range keeps the bits of the single power."""
+    star, rh = res.star.value, res.rh.value
+    if q is not None:
+        return star * rh ** (1.0 / q)
+    product = star * rh
+    if math.isfinite(product):
+        return product ** (1.0 / p)
+    return star ** (1.0 / p) * rh ** (1.0 / p)
+
+
+def _cube_suites(res: _Resolved, p, alpha, q, chi: bool):
+    """The sigma chi_Q rows and, where the sufficiency side will read them
+    (chi asked for, a finite bound and a nonzero star constant), the chi_Q
+    rows, from one ``_cube_ratios`` sweep; None in place of chi_Q rows that
+    are not evaluated."""
+    sigma = res.sigma_tab.values
+    if not (chi and math.isfinite(_bound(res, p, q)) and res.star.value > 0.0):
+        return _cube_ratios(res.w_tab, sigma[None], p, alpha, q)[0], None
+    return tuple(_cube_ratios(res.w_tab, np.stack([sigma, np.ones_like(sigma)]), p, alpha, q))
 
 
 def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,
@@ -376,17 +440,14 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
     _require_suite(n_random, seed, c_desk)
     res = _resolve_weight(w, p, alpha, q, depth)
     return _sufficiency(res, p, alpha, q, c_desk, seed, n_random,
-                        _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q))
+                        *_cube_suites(res, p, alpha, q, chi=True))
 
 
 def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random,
-                 sigma_rows) -> VerificationReport:
-    """sigma_rows are the sigma chi_Q rows of ``_cube_ratios``."""
+                 sigma_rows, chi_rows) -> VerificationReport:
+    """sigma_rows and chi_rows are the rows of ``_cube_suites``."""
     star, rh = res.star, res.rh
-    if q is None:
-        bound = (star.value * rh.value) ** (1.0 / p)
-    else:
-        bound = star.value * rh.value ** (1.0 / q)
+    bound = _bound(res, p, q)
     grid = res.w_tab.grid
     context = {
         "check": "sufficiency", "p": p, "q": q, "alpha": alpha, "seed": seed,
@@ -405,8 +466,7 @@ def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random,
             math.inf, bound, 0.0, {}, False, c_desk)
     if star.value == 0.0:
         raise ValueError("star constant is 0: sigma underflows against w")
-    suite = [(f"chi[{cube.level},{cube.index}]", ratio) for cube, ratio in
-             _cube_ratios(res.w_tab, np.ones(grid.finest_count), p, alpha, q)]
+    suite = [(f"chi[{cube.level},{cube.index}]", ratio) for cube, ratio in chi_rows]
     suite += [(f"sigma_chi[{cube.level},{cube.index}]", ratio)
               for cube, ratio in sigma_rows if ratio is not None]
     suite += [(f"random[{i}]", ratio) for i, ratio in
@@ -431,8 +491,7 @@ def necessity_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = N
     cube's ratio at least that cube's star expression to the right power.
     """
     res = _resolve_weight(w, p, alpha, q, depth)
-    return _necessity(res, p, alpha, q,
-                      _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q))
+    return _necessity(res, p, alpha, q, _cube_suites(res, p, alpha, q, chi=False)[0])
 
 
 def _necessity(res: _Resolved, p, alpha, q, sigma_rows) -> VerificationReport:
@@ -552,12 +611,13 @@ def verify_weight(w: Weight, p: float, alpha: float = 0.0, q: float | None = Non
                   depth: int | None = None) -> dict:
     """The two-sided sandwich: necessity lower bound and sufficiency upper
     bound in one run, from one resolution of the weight, as consumed by the
-    CLI verify command.  Both sides read the same sigma chi_Q rows."""
+    CLI verify command.  Both sides read the same sigma chi_Q rows, swept
+    together with the chi_Q rows of the sufficiency side."""
     _require_suite(n_random, seed, c_desk)
     res = _resolve_weight(w, p, alpha, q, depth)
-    sigma_rows = _cube_ratios(res.w_tab, res.sigma_tab.values, p, alpha, q)
+    sigma_rows, chi_rows = _cube_suites(res, p, alpha, q, chi=True)
     nec = _necessity(res, p, alpha, q, sigma_rows)
-    suf = _sufficiency(res, p, alpha, q, c_desk, seed, n_random, sigma_rows)
+    suf = _sufficiency(res, p, alpha, q, c_desk, seed, n_random, sigma_rows, chi_rows)
     return {
         "necessity": nec.to_dict(),
         "sufficiency": suf.to_dict(),

@@ -194,8 +194,9 @@ def _grid_of(w: Weight, depth: int | None) -> GridSpec:
 
 
 def _cell_power(vals: np.ndarray, e: float) -> np.ndarray:
-    # 0^e for e < 0 is +inf here (zero cells make the dual mass divergent).
-    with np.errstate(divide="ignore"):
+    # 0^e for e < 0 is +inf here (zero cells make the dual mass divergent),
+    # and a power past the float range is +inf, which the constant reports.
+    with np.errstate(divide="ignore", over="ignore"):
         return vals ** e
 
 

@@ -233,11 +233,17 @@ class TestUnderflowingWeights:
         self._assert_error(capsys, "star constant is 0")
 
     def test_verify_identity_routes_disagree(self, tmp_path, capsys):
-        # (M f)^2 underflows to a subnormal, so the power-identity route
-        # loses digits against the direct one
-        path = write_weight(tmp_path, "w.json", StepFunction.constant(unit_grid(3), 1e160))
-        assert main(["verify", "--weight", path, "--p", "2"]) == 1
-        self._assert_error(capsys, "weak-norm identity routes disagree")
+        # sigma^2 = 1e-320 is subnormal on this weight, but the ratio has
+        # degree 0 in w, so verify reports what it does on the weight 1
+        reports = []
+        for value in (1e160, 1.0):
+            path = write_weight(tmp_path, f"w{value}.json",
+                                StepFunction.constant(unit_grid(3), value))
+            assert main(["verify", "--weight", path, "--p", "2"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        for side in ("necessity", "sufficiency"):
+            assert reports[0][side]["measured_ratio"] == pytest.approx(
+                reports[1][side]["measured_ratio"], rel=1e-12)
 
     @pytest.fixture
     def spike_weight(self, tmp_path):
@@ -255,10 +261,15 @@ class TestUnderflowingWeights:
         assert main(["verify", "--weight", spike_weight, "--p", "1.5"]) == 1
         self._assert_error(capsys, "degenerate input")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_constants_sigma_rh_overflow(self, spike_weight, capsys):
-        assert main(["constants", "--weight", spike_weight, "--p", "1.5"]) == 0
-        rows = {row["class"]: row for row in json.loads(capsys.readouterr().out)}
+        # the overflow is the reported +inf, not a warning on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["constants", "--weight", spike_weight, "--p", "1.5"]) == 0
+        out, err = capsys.readouterr()
+        assert caught == []
+        assert err == ""
+        rows = {row["class"]: row for row in json.loads(out)}
         assert rows["sigma_rh"]["value"] == float("inf")
 
 

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from weakmax import (
     GridSpec,
@@ -150,9 +152,10 @@ def _oracle_necessity(w, sigma, p, alpha, q):
 def _chunked_suite_ratios(w, sigma, p, alpha, q, seed, n_random):
     # The sufficiency suite as the chunked engine evaluates it, labelled as
     # in the reports.
-    rows = [("chi", c, r) for c, r in
-            harness._cube_ratios(w, np.ones(w.grid.finest_count), p, alpha, q)]
-    rows += [("sigma_chi", c, r) for c, r in harness._cube_ratios(w, sigma.values, p, alpha, q)]
+    sigma_rows, chi_rows = harness._cube_ratios(
+        w, np.stack([sigma.values, np.ones(w.grid.finest_count)]), p, alpha, q)
+    rows = [("chi", c, r) for c, r in chi_rows]
+    rows += [("sigma_chi", c, r) for c, r in sigma_rows]
     return ([(f"{kind}[{c.level},{c.index}]", r) for kind, c, r in rows if r is not None]
             + [(f"random[{i}]", r) for i, r in
                enumerate(harness._random_ratios(w, p, alpha, q, seed, n_random))])
@@ -236,15 +239,17 @@ def _oracle_cube_ratios(w, values, p, alpha, q):
 
 
 class TestClosedFormRows:
-    """The closed-form chi_Q and sigma chi_Q rows equal a sweep of each row
-    to the last bit, and fail with the errors of the swept rows."""
+    """The closed-form chi_Q and sigma chi_Q rows, swept together, equal a
+    sweep of each row to the last bit, and fail with the errors of the swept
+    rows."""
 
     @staticmethod
-    def _assert_rows(monkeypatch, rows, w, values, p, alpha=0.0, q=None):
+    def _assert_rows(monkeypatch, rows, w, suites, p, alpha=0.0, q=None):
+        # suites: the g of each suite, evaluated in one shared sweep
         if rows is not None:
             monkeypatch.setattr(harness, "CHUNK_BYTES", rows * 8 * w.grid.finest_count)
-        expected = _oracle_cube_ratios(w, values, p, alpha, q)
-        assert harness._cube_ratios(w, values, p, alpha, q) == expected
+        expected = [_oracle_cube_ratios(w, g, p, alpha, q) for g in suites]
+        assert harness._cube_ratios(w, np.stack(suites), p, alpha, q) == expected
         return expected
 
     @pytest.mark.parametrize("rows", [None, 1, 3])
@@ -254,16 +259,14 @@ class TestClosedFormRows:
         rng = np.random.default_rng(10 * n + depth)
         w = random_weight(grid, rng)
         g = harness._lognormal(rng, grid.finest_count)
-        self._assert_rows(monkeypatch, rows, w, g, 2.0, alpha, 4.0)
-        self._assert_rows(monkeypatch, rows, w, np.ones(grid.finest_count), 2.0, alpha, 4.0)
+        self._assert_rows(monkeypatch, rows, w, [g, np.ones(grid.finest_count)], 2.0, alpha, 4.0)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("alpha,q", [(0.0, None), (0.5, 4.0)])
     def test_depth_zero(self, monkeypatch, n, alpha, q):
         grid = GridSpec(n, (0.0,) * n, 2.0, 0)
         w = StepFunction(grid, [3.0])
-        for g in ([0.5], [0.0]):
-            self._assert_rows(monkeypatch, None, w, np.array(g), 2.0, alpha, q)
+        self._assert_rows(monkeypatch, None, w, [np.array([0.5]), np.array([0.0])], 2.0, alpha, q)
 
     @pytest.mark.parametrize("rows", [None, 1, 3])
     @pytest.mark.parametrize("n,depth", [(1, 4), (2, 2)])
@@ -276,7 +279,8 @@ class TestClosedFormRows:
         w_vals[grid.cell_mask(grid.cells(1)[1])] = 2000.0
         w = StepFunction(grid, w_vals)
         sigma = dual_weight(w, 1.01)
-        rows_out = self._assert_rows(monkeypatch, rows, w, sigma.values, 1.01)
+        rows_out, _ = self._assert_rows(monkeypatch, rows, w,
+                                        [sigma.values, np.ones(grid.finest_count)], 1.01)
         skipped = [cube for cube, ratio in rows_out if ratio is None]
         assert skipped == [cube for cube in all_cubes(grid)
                            if grid.contains(grid.cells(1)[1], cube)]
@@ -288,26 +292,32 @@ class TestClosedFormRows:
         values = np.ones(8)
         values[5] = cell
         with pytest.raises(ValueError, match=f"cell values must be {message}"):
-            harness._cube_ratios(w, values, 2.0, 0.0, None)
+            harness._cube_ratios(w, np.stack([np.ones(8), values]), 2.0, 0.0, None)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @staticmethod
+    def _assert_scale_free(driver, scale):
+        # the ratio has degree 0 in w, so a weight far from 1 measures what
+        # the weight 1 does
+        grid = unit_grid(3)
+        report = driver(StepFunction.constant(grid, scale), 2.0)
+        at_one = driver(StepFunction.constant(grid, 1.0), 2.0)
+        assert report.measured_ratio == pytest.approx(at_one.measured_ratio, rel=1e-12)
+        assert report.verdict
+
     @pytest.mark.parametrize("driver", [necessity_check, sufficiency_check], ids=_name)
     def test_overflowing_identity_route(self, driver):
-        # sigma = 1e160, so w (M sigma chi_Q)^2 = 1e-160 * 1e320 overflows
-        w = StepFunction.constant(unit_grid(3), 1e-160)
-        with pytest.raises(ValueError, match="cell values must be finite"):
-            driver(w, 2.0)
+        # sigma = 1e160, so (sigma chi_Q)^2 w = 1e320 * 1e-160 overflows unscaled
+        self._assert_scale_free(driver, 1e-160)
 
     @pytest.mark.parametrize("driver", [necessity_check, sufficiency_check], ids=_name)
     def test_vanishing_norm(self, driver):
-        # sigma = 1e-200, so sigma^2 w underflows to 0 on every cell
-        w = StepFunction.constant(unit_grid(3), 1e200)
-        with pytest.raises(ValueError, match="degenerate input"):
-            driver(w, 2.0)
+        # sigma = 1e-200, so sigma^2 w underflows to 0 on every cell unscaled
+        self._assert_scale_free(driver, 1e200)
 
 
 def _kernel_reference(w, mf, den_sums, p, q):
-    # one lorentz.weak_scan per row and route, as a single function's ratio
+    # one lorentz.weak_scan per row, as a single function's ratio, with the
+    # power-identity route as the oracle of the numerator
     cm = w.grid.cell_measure
     out = []
     for row, den_sum in zip(mf, den_sums.tolist()):
@@ -352,16 +362,18 @@ class TestRatioKernel:
     @staticmethod
     def _failing_chunk(kinds):
         # one row per kind, "+" joining the faults of one row; "flat" is
-        # M f = 1e-160 on w = 1, whose square is subnormal, so the identity
-        # route loses digits at p = 2
+        # M f = 1e-160 on w = 1, whose square is subnormal, and "inf_norm" a
+        # norm sum that overflowed
         grid = unit_grid(3)
         mf = np.ones((len(kinds), 8))
         den_sums = np.ones(len(kinds))
         for i, kind in enumerate(kinds):
-            if kind == "flat":
+            if kind.startswith("flat"):
                 mf[i] = 1e-160
-            if "inf" in kind:
+            if "inf+" in kind or kind == "inf":
                 mf[i, 5] = math.inf
+            if "inf_norm" in kind:
+                den_sums[i] = math.inf
             if "zero_norm" in kind:
                 den_sums[i] = 0.0
         return harness._RatioKernel(StepFunction.constant(grid, 1.0), 2.0, None), mf, den_sums
@@ -370,10 +382,11 @@ class TestRatioKernel:
         (("ok", "inf", "zero_norm"), ValueError, "cell values must be finite"),
         (("ok", "zero_norm", "inf"), ValueError, "degenerate input"),
         (("zero_norm", "flat"), ValueError, "degenerate input"),
-        (("flat", "zero_norm"), RuntimeError, "weak-norm identity routes disagree"),
-        # within a row: finite, then degenerate, then the identity check
+        (("flat", "inf_norm", "zero_norm"), ValueError, "cell values must be finite"),
+        # within a row: finite, then degenerate
         (("ok", "inf+zero_norm"), ValueError, "cell values must be finite"),
         (("ok", "flat+zero_norm"), ValueError, "degenerate input"),
+        (("ok", "flat+inf_norm"), ValueError, "cell values must be finite"),
     ])
     def test_first_failing_row_raises(self, kinds, error, message):
         kernel, mf, den_sums = self._failing_chunk(kinds)
@@ -464,20 +477,48 @@ class TestCheckedResolution:
         with pytest.raises(ValueError, match="star constant is 0"):
             driver(w, 1.5)
 
+    @staticmethod
+    def _count_rows(monkeypatch, owner, name, arg=1):
+        # the rows of every call of owner.name, whose argument arg is a
+        # (B, N) array (argument 0 of a method is the kernel)
+        evaluated = []
+        wrapped = getattr(owner, name)
+
+        def counting(*args):
+            evaluated.append(args[arg].shape[0])
+            return wrapped(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return evaluated
+
     def test_verify_row_count(self, monkeypatch):
         # chi_Q and sigma_chi_Q rows once each, plus the random rows: every
         # row, closed-form or swept, reaches the shared ratio tail once
-        evaluated = []
-        ratios = harness._RatioKernel.__call__
-
-        def counting(kernel, mf, *args):
-            evaluated.append(mf.shape[0])
-            return ratios(kernel, mf, *args)
-
-        monkeypatch.setattr(harness._RatioKernel, "__call__", counting)
+        evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "__call__")
         w = random_weight(unit_grid(6), np.random.default_rng(3))
         verify_weight(w, 2.0, n_random=10)
         assert sum(evaluated) == 2 * (2 ** 7 - 1) + 10
+
+    def test_one_sort_per_row(self, monkeypatch):
+        # 1-D depth 10: 2C + 200 = 4,294 rows (C = 2,047 cubes), each sorted
+        # and scanned once
+        scanned = self._count_rows(monkeypatch, harness, "_sorted_scan", arg=0)
+        w = random_weight(unit_grid(10), np.random.default_rng(3))
+        verify_weight(w, 2.0)
+        assert sum(scanned) == 4294
+
+    def test_no_chi_rows_without_a_bound(self, monkeypatch):
+        evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "__call__")
+        # a vacuous bound: only the sigma chi_Q rows are evaluated, those of
+        # the 14 cubes off the spike cell, where sigma = w^-2 underflows to 0
+        spike = StepFunction(unit_grid(3), [1.0] * 7 + [1e170])
+        assert sufficiency_check(spike, 1.5, n_random=5).theoretical_bound == math.inf
+        assert sum(evaluated) == 14
+        # a star constant of 0: sigma = 0 everywhere, so no row at all
+        evaluated.clear()
+        with pytest.raises(ValueError, match="star constant is 0"):
+            sufficiency_check(StepFunction.constant(unit_grid(3), 1e200), 1.5)
+        assert sum(evaluated) == 0
 
     @pytest.mark.parametrize("alpha,q", [(0.0, None), (0.25, 4.0)], ids=["plain", "fractional"])
     @pytest.mark.parametrize("w,depth", [
@@ -497,7 +538,7 @@ class TestCheckedResolution:
         w = StepFunction(unit_grid(1), [1.0, 2000.0])
         sigma = dual_weight(w, 1.01)
         assert sigma.values.tolist() == [1.0, 0.0]
-        rows = harness._cube_ratios(w, sigma.values, 1.01, 0.0, None)
+        rows, = harness._cube_ratios(w, sigma.values[None], 1.01, 0.0, None)
         assert [ratio is None for _, ratio in rows] == [False, False, True]
         suf = sufficiency_check(w, 1.01, seed=2, n_random=5)
         best, label = _first_maximum(_oracle_suite_ratios(w, sigma, 1.01, 0.0, None, 2, 5))
@@ -506,6 +547,49 @@ class TestCheckedResolution:
             necessity_check(w, 1.01)
         with pytest.raises(ValueError, match="degenerate input"):
             verify_weight(w, 1.01, n_random=5)
+
+
+# (p, alpha, q) of the plain and fractional ratios
+EXPONENTS = [(1.5, 0.0, None), (2.0, 0.0, None), (3.0, 0.0, None), (2.0, 0.25, 4.0)]
+
+
+def _scaled(f, exponent):
+    return StepFunction(f.grid, f.values * 10.0 ** exponent)
+
+
+class TestScaleInvariance:
+    """The ratio has degree 0 in w and in f, and so has each check's measured
+    maximum: rescaling either anywhere in the float range moves no ratio by
+    more than 1e-12 relative."""
+
+    GRID = unit_grid(4)
+
+    @given(seed=st.integers(0, 2 ** 16), lam=st.integers(-300, 300), mu=st.integers(-300, 300),
+           kind=st.sampled_from(["lognormal", "spiky"]), exponents=st.sampled_from(EXPONENTS))
+    @settings(max_examples=60)
+    def test_multiplier_ratio(self, seed, lam, mu, kind, exponents):
+        p, alpha, q = exponents
+        rng = np.random.default_rng(seed)
+        f, w = random_step(self.GRID, rng, kind), random_weight(self.GRID, rng)
+        ratio = multiplier_ratio(f, w, p, alpha, q)
+        assert multiplier_ratio(f, _scaled(w, lam), p, alpha, q) == pytest.approx(ratio, rel=1e-12)
+        assert multiplier_ratio(_scaled(f, mu), w, p, alpha, q) == pytest.approx(ratio, rel=1e-12)
+
+    @given(seed=st.integers(0, 2 ** 16), scale=st.floats(-1.0, 1.0),
+           exponents=st.sampled_from(EXPONENTS))
+    @settings(max_examples=30)
+    def test_checks(self, seed, scale, exponents):
+        # sigma scales as lambda^(1 - p') (fractional: lambda^-p'), so
+        # |log10 lambda| <= 300 / max(1, p' - 1) keeps it in range (fractional:
+        # 300 / max(q, p'), as the star scan raises w to the q)
+        p, alpha, q = exponents
+        pc = p / (p - 1.0)
+        lam = round(scale * 300 / (max(1.0, pc - 1.0) if q is None else max(q, pc)))
+        w = random_weight(self.GRID, np.random.default_rng(seed))
+        for check, kwargs in ((necessity_check, {}), (sufficiency_check, {"n_random": 5})):
+            report = check(w, p, alpha, q, **kwargs)
+            scaled = check(_scaled(w, lam), p, alpha, q, **kwargs)
+            assert scaled.measured_ratio == pytest.approx(report.measured_ratio, rel=1e-12)
 
 
 class TestChebyshev:
@@ -573,8 +657,6 @@ class TestSufficiency:
         # [sigma]_RH = star^2 overflows; sigma = w^-2 underflows to 0 on the
         # spike, whose sigma chi_Q rows are skipped
         (1e170, 1.5, "sigma-RH constant overflows"),
-        # star ~ 7.9e248 and [sigma]_RH ~ 1.7e62 are finite, their product is not
-        (1e250, 5.0, "bound overflows"),
     ])
     def test_overflowing_bound_is_vacuous(self, spike, p, why):
         w = StepFunction(unit_grid(3), [1.0] * 7 + [spike])
@@ -583,6 +665,32 @@ class TestSufficiency:
         assert report.theoretical_bound == math.inf
         assert math.isfinite(report.context["star_constant"])
         assert report.context["diagnostic"] == f"{why}; bound is vacuous"
+
+    def test_overflowing_product_bound(self):
+        # star ~ 7.9e248 and [sigma]_RH ~ 1.7e62 are finite and their product
+        # is not, but the bound, its 1/5 power, is in range
+        w = StepFunction(unit_grid(3), [1.0] * 7 + [1e250])
+        report = sufficiency_check(w, 5.0, n_random=5)
+        star, rh = report.context["star_constant"], report.context["sigma_rh"]
+        assert star * rh == math.inf
+        assert report.theoretical_bound == star ** 0.2 * rh ** 0.2
+        assert report.theoretical_bound == pytest.approx(1.677e62, rel=1e-3)
+        assert "diagnostic" not in report.context
+        assert report.verdict
+        scaled = sufficiency_check(StepFunction(unit_grid(3), [1e-250] * 7 + [1.0]), 5.0,
+                                   n_random=5)
+        assert report.measured_ratio == pytest.approx(scaled.measured_ratio, rel=1e-12)
+
+    def test_bound_overflows_is_vacuous(self, monkeypatch):
+        # a finite pair whose bound itself passes the float range:
+        # (star * 1e300)^(2/3) > 1e333 at p = 1.5
+        monkeypatch.setattr(harness, "sigma_rh", lambda star: weights.SigmaRH(16.0, 1e300))
+        w = StepFunction(unit_grid(3), [1.0] * 7 + [1e200])
+        report = sufficiency_check(w, 1.5, n_random=5)
+        assert report.context["star_constant"] > 1e170
+        assert report.theoretical_bound == math.inf
+        assert report.context["diagnostic"] == "bound overflows; bound is vacuous"
+        assert not report.verdict
 
     def test_verify_sigma_rh_overflow_is_vacuous(self, monkeypatch):
         # on the weights tried, [sigma]_RH overflows only where sigma
