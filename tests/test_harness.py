@@ -362,15 +362,15 @@ class TestRatioKernel:
     @staticmethod
     def _failing_chunk(kinds):
         # one row per kind, "+" joining the faults of one row; "flat" is
-        # M f = 1e-160 on w = 1, whose square is subnormal, and "inf_norm" a
-        # norm sum that overflowed
+        # M f = 1e-160 on w = 1, whose square is subnormal; "inf_mf" an
+        # overflowed cell of M f and "inf_norm" an overflowed norm sum
         grid = unit_grid(3)
         mf = np.ones((len(kinds), 8))
         den_sums = np.ones(len(kinds))
         for i, kind in enumerate(kinds):
             if kind.startswith("flat"):
                 mf[i] = 1e-160
-            if "inf+" in kind or kind == "inf":
+            if "inf_mf" in kind:
                 mf[i, 5] = math.inf
             if "inf_norm" in kind:
                 den_sums[i] = math.inf
@@ -379,12 +379,12 @@ class TestRatioKernel:
         return harness._RatioKernel(StepFunction.constant(grid, 1.0), 2.0, None), mf, den_sums
 
     @pytest.mark.parametrize("kinds,error,message", [
-        (("ok", "inf", "zero_norm"), ValueError, "cell values must be finite"),
-        (("ok", "zero_norm", "inf"), ValueError, "degenerate input"),
+        (("ok", "inf_mf", "zero_norm"), ValueError, "cell values must be finite"),
+        (("ok", "zero_norm", "inf_mf"), ValueError, "degenerate input"),
         (("zero_norm", "flat"), ValueError, "degenerate input"),
         (("flat", "inf_norm", "zero_norm"), ValueError, "cell values must be finite"),
         # within a row: finite, then degenerate
-        (("ok", "inf+zero_norm"), ValueError, "cell values must be finite"),
+        (("ok", "inf_mf+zero_norm"), ValueError, "cell values must be finite"),
         (("ok", "flat+zero_norm"), ValueError, "degenerate input"),
         (("ok", "flat+inf_norm"), ValueError, "cell values must be finite"),
     ])
@@ -559,8 +559,8 @@ def _scaled(f, exponent):
 
 class TestScaleInvariance:
     """The ratio has degree 0 in w and in f, and so has each check's measured
-    maximum: rescaling either anywhere in the float range moves no ratio by
-    more than 1e-12 relative."""
+    maximum: rescaling w or f by 10^k, |k| <= 300, moves no ratio by more
+    than 1e-12 relative."""
 
     GRID = unit_grid(4)
 
