@@ -246,8 +246,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (CliError, RuntimeError, ValueError) as exc:
-        # a RuntimeError is a library cross-check that this input defeats,
-        # such as the two weak-norm routes disagreeing after an underflow
+        # the RuntimeError left (SparsityError is caught above) is
+        # cz_decompose's bug check that its stopping cubes tile each level set
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import DyadicCube, StepFunction
-from .lorentz import weak_norm
+from .lorentz import weak_norm, weak_scan
 from .operators import MaximalQuery, dyadic_maximal, level_scores, running_ancestor_max
 from .weights import conjugate, sigma_rh, star_constant
 
@@ -139,17 +139,17 @@ class SparseEntry:
     k: int
     j: int
     cube: DyadicCube
-    e_mask: np.ndarray
+    e_cells: np.ndarray  # E's flat finest-cell indices, ascending
 
     def e_measure(self, grid) -> float:
-        return float(self.e_mask.sum()) * grid.cell_measure
+        return self.e_cells.size * grid.cell_measure
 
     def to_dict(self) -> dict:
         return {
             "k": self.k,
             "j": self.j,
             "Q": self.cube.to_dict(),
-            "E_cells": [int(i) for i in np.flatnonzero(self.e_mask)],
+            "E_cells": self.e_cells.tolist(),
         }
 
 
@@ -170,23 +170,25 @@ def build_sparse(dec: CZDecomposition) -> SparseFamily:
     along with |Q| <= 2|E| before the family is returned.
     """
     grid = dec.f.grid
+    # flat cell indices on the lattice: a cube's slice holds its cells, ascending
+    index = np.arange(grid.finest_count).reshape((2 ** grid.depth,) * grid.n)
     entries: list[SparseEntry] = []
     taken = np.zeros(grid.finest_count, dtype=bool)
     for k in range(dec.k_min, dec.k_max + 1):
         next_mask = dec.omega_mask.get(k + 1)
         for j, cube in enumerate(dec.cubes.get(k, [])):
-            q_mask = grid.cell_mask(cube)
-            e_mask = q_mask if next_mask is None else q_mask & ~next_mask
+            q_cells = index[grid.cell_slices(cube)].reshape(-1)
+            e_cells = q_cells if next_mask is None else q_cells[~next_mask[q_cells]]
             q_meas = grid.cube_measure(cube.level)
-            e_meas = float(e_mask.sum()) * grid.cell_measure
+            e_meas = e_cells.size * grid.cell_measure
             if q_meas > 2.0 * e_meas:
                 raise SparsityError(
                     f"sparsity violated at k={k}, Q={cube}: |Q|={q_meas} > 2|E|={2 * e_meas}"
                 )
-            if np.any(taken & e_mask):
+            if taken[e_cells].any():
                 raise SparsityError(f"E sets overlap at k={k}, Q={cube} (bug)")
-            taken |= e_mask
-            entries.append(SparseEntry(k, j, cube, e_mask))
+            taken[e_cells] = True
+            entries.append(SparseEntry(k, j, cube, e_cells))
     return SparseFamily(dec, entries)
 
 
@@ -275,14 +277,18 @@ def sparse_sum(family: SparseFamily, w: StepFunction, sigma: StepFunction,
 
     t0 = weak_norm(weak_obj, 1.0)
     t1 = t2 = t3 = t4 = 0.0
+    index = np.arange(grid.finest_count).reshape((2 ** grid.depth,) * grid.n)
     for entry in family.entries:
         cube = entry.cube
+        cells = index[grid.cell_slices(cube)].reshape(-1)
         lam_next = a ** (entry.k + 1)
-        wk = weak_norm(w_s, 1.0, cube)
-        score = grid.cube_measure(cube.level) ** (alpha / grid.n) * f.average(cube)
-        sig_q = sigma.integral(cube)
-        avg_sigma = f.integral(cube) / sig_q  # <f sigma^{-1}>_{sigma, Q}
-        sig_e = float(sigma.values[entry.e_mask].sum()) * grid.cell_measure
+        wk = float(weak_scan(w_s.values[cells], grid.cell_measure))  # ||w_s chi_Q||_{1,inf}
+        f_q = float(f.values[cells].sum()) * grid.cell_measure
+        q_meas = grid.cube_measure(cube.level)
+        score = q_meas ** (alpha / grid.n) * (f_q / q_meas)
+        sig_q = float(sigma.values[cells].sum()) * grid.cell_measure
+        avg_sigma = f_q / sig_q  # <f sigma^{-1}>_{sigma, Q}
+        sig_e = float(sigma.values[entry.e_cells].sum()) * grid.cell_measure
         t1 += lam_next ** s * wk
         t2 += score ** s * wk
         if fractional:

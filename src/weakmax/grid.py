@@ -146,10 +146,6 @@ class StepFunction:
         self.values = vals
 
     # ------------------------------------------------------------ constructors
-    @classmethod
-    def constant(cls, grid: GridSpec, c: float) -> "StepFunction":
-        return cls(grid, np.full(grid.finest_count, float(c)))
-
     def with_values(self, values) -> "StepFunction":
         return StepFunction(self.grid, values)
 
@@ -166,21 +162,9 @@ class StepFunction:
     def __pow__(self, e: float):
         return StepFunction(self.grid, self.values ** float(e))
 
-    # ------------------------------------------------------------ cube access
-    def block(self, cube: DyadicCube | None = None) -> np.ndarray:
-        """Values of the cells inside ``cube`` (whole root if None), row-major."""
-        if cube is None:
-            return self.values
-        full = self.values.reshape((2 ** self.grid.depth,) * self.grid.n)
-        return full[self.grid.cell_slices(cube)].reshape(-1)
-
-    def integral(self, cube: DyadicCube | None = None) -> float:
-        """Exact integral over ``cube``: sum of cell values times cell measure."""
-        return float(self.block(cube).sum()) * self.grid.cell_measure
-
-    def average(self, cube: DyadicCube | None = None) -> float:
-        measure = self.grid.root_measure if cube is None else self.grid.cube_measure(cube.level)
-        return self.integral(cube) / measure
+    def integral(self) -> float:
+        """Exact integral over the root: sum of cell values times cell measure."""
+        return float(self.values.sum()) * self.grid.cell_measure
 
     # ----------------------------------------------------------- serialization
     def to_dict(self) -> dict:
@@ -238,7 +222,7 @@ def cube_blocks(values: np.ndarray, grid: GridSpec, level: int) -> np.ndarray:
     """Reshape flat cell values to (cubes at level, cells per cube).
 
     Rows run over cubes in row-major index order; columns are the cells of
-    each cube in row-major order, matching ``StepFunction.block``.
+    each cube in row-major order, the order of ``cell_slices``.
     """
     n, depth = grid.n, grid.depth
     m, b = 2 ** level, 2 ** (depth - level)

@@ -123,6 +123,8 @@ def _require_q(alpha: float, q: float | None):
 
 
 _DEGENERATE = "degenerate input: ||f|| vanishes in the weighted norm"
+_TOO_WIDE = ("the weight's range is too wide for the float range of its powers: "
+             "||f|| > 0, but its weighted integrand underflows to 0")
 
 
 def _check_cells(values: np.ndarray):
@@ -215,7 +217,7 @@ class _RatioKernel:
             if not (ok and math.isfinite(den)):
                 raise ValueError("cell values must be finite")
             if den == 0.0:
-                raise ValueError(_DEGENERATE)
+                raise ValueError(_TOO_WIDE if mf[len(out)].max() > 0.0 else _DEGENERATE)
             out.append(num / den)
         return out
 

@@ -18,14 +18,14 @@ import math
 
 import numpy as np
 
-from .grid import DyadicCube, StepFunction
+from .grid import StepFunction
 
 
 Q_INF = math.inf  # the q of the weak space L^{p,inf}
 
 
-def weak_norm(f: StepFunction, p: float, cube: DyadicCube | None = None) -> float:
-    """||f chi_cube||_{p,inf}, exact for step functions.
+def weak_norm(f: StepFunction, p: float) -> float:
+    """||f||_{p,inf}, exact for step functions.
 
     The supremum over lam is attained in the left limit at a distinct value v,
     where lam d_f(lam)^(1/p) -> v |{f >= v}|^(1/p); scanning the cell values in
@@ -34,7 +34,7 @@ def weak_norm(f: StepFunction, p: float, cube: DyadicCube | None = None) -> floa
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    vals = f.block(cube)
+    vals = f.values
     if not np.any(vals > 0):
         return 0.0
     return float(weak_scan(vals, f.grid.cell_measure, p))

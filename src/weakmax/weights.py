@@ -136,17 +136,18 @@ class PowerWeight:
         breaks = sorted({d for d in (dlo, dhi) if d > 0.0})
         for t in breaks:
             best = max(best, g(t))
-        # Interior critical points of each affine piece of h.
+        # Interior critical points of each affine piece of h where the ball
+        # meets [lo, hi]: each end of the overlap is pinned at hi or lo or moves
+        # with t, read from the exact breakpoint distances (c +- t_lo rounds).
         edges = [0.0] + breaks
         edges.append(edges[-1] * 2.0 + length)
         for t_lo, t_hi in zip(edges[:-1], edges[1:]):
-            if not t_hi > t_lo:
-                continue
-            t1 = t_lo + (t_hi - t_lo) / 3.0
-            t2 = t_lo + 2.0 * (t_hi - t_lo) / 3.0
-            v = (h(t2) - h(t1)) / (t2 - t1)
-            u = h(t1) - v * t1
-            if a != -1.0 and v != 0.0:
+            top, bottom = t_lo >= hi - c, t_lo >= c - lo  # ends pinned at hi, lo
+            u = (hi - c) * top + (c - lo) * bottom
+            v = 2.0 - top - bottom
+            if a > 0.0:
+                u, v = length - u, -v
+            if a != -1.0 and v != 0.0 and t_lo >= max(lo - c, c - hi):
                 t_star = -a * u / ((a + 1.0) * v)
                 if t_lo < t_star < t_hi:
                     best = max(best, g(t_star))

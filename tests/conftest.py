@@ -13,6 +13,11 @@ def unit_grid(depth, n=1):
     return GridSpec(n, (0.0,) * n, 1.0, depth)
 
 
+def constant(grid, c):
+    """The constant step function c on ``grid``."""
+    return StepFunction(grid, np.full(grid.finest_count, float(c)))
+
+
 @st.composite
 def step_functions(st_draw, max_depth=3, n=1, min_value=0.0, max_value=8.0):
     depth = st_draw(st.integers(min_value=0, max_value=max_depth))

@@ -2,6 +2,9 @@
 
 Each one is the reference for a fast library path, and only tests call them:
 
+- one cube's block of cells, its integral, average and weak-L^p norm, read
+  through a (2^depth,)*n view of the values (for every per-level and
+  cell-index path);
 - the brute-force maximal operator and its per-cube score (for the ancestor
   sweep ``dyadic_maximal``);
 - the Lorentz power identity and Hoelder inequality (for ``weak_norm`` and
@@ -10,7 +13,9 @@ Each one is the reference for a fast library path, and only tests call them:
   A_p^* (for the constant scans);
 - the Chebyshev ordering of the weak and strong multiplier norms;
 - the containment scan over every pair of cubes (for the subset inequality
-  of ``lemma_suite``).
+  of ``lemma_suite``);
+- the CZ sparse family by full-lattice masks and its proof-chain sums by
+  per-cube integrals (for ``build_sparse`` and ``sparse_sum``).
 
 ``all_cubes`` enumerates the lattice in the library's cube order.
 
@@ -25,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from weakmax.czsparse import CZDecomposition, SparseTrace, SparsityError, TraceLink
 from weakmax.grid import DyadicCube, GridSpec, StepFunction
 from weakmax.harness import _random_cell_union
 from weakmax.lorentz import lorentz_norm, weak_norm, weak_scan
@@ -52,6 +58,35 @@ def all_cubes(grid: GridSpec):
 
 
 # --------------------------------------------------------------------------
+# one cube's cells
+# --------------------------------------------------------------------------
+
+def cube_block(f: StepFunction, cube: DyadicCube) -> np.ndarray:
+    """Values of the cells inside ``cube``, row-major."""
+    full = f.values.reshape((2 ** f.grid.depth,) * f.grid.n)
+    return full[f.grid.cell_slices(cube)].reshape(-1)
+
+
+def cube_integral(f: StepFunction, cube: DyadicCube) -> float:
+    """Exact integral over ``cube``: sum of cell values times cell measure."""
+    return float(cube_block(f, cube).sum()) * f.grid.cell_measure
+
+
+def cube_average(f: StepFunction, cube: DyadicCube) -> float:
+    return cube_integral(f, cube) / f.grid.cube_measure(cube.level)
+
+
+def cube_weak_norm(f: StepFunction, p: float, cube: DyadicCube) -> float:
+    """||f chi_cube||_{p,inf} by the sorted scan of the cube's cells."""
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
+    vals = cube_block(f, cube)
+    if not np.any(vals > 0):
+        return 0.0
+    return float(weak_scan(vals, f.grid.cell_measure, p))
+
+
+# --------------------------------------------------------------------------
 # the maximal operators
 # --------------------------------------------------------------------------
 
@@ -65,11 +100,11 @@ def cube_score(f: StepFunction, cube: DyadicCube, query: MaximalQuery) -> float:
     s = query.alpha / grid.n
     w = query.weight
     if w is None:
-        return grid.cube_measure(cube.level) ** s * f.average(cube)
-    w_int = w.integral(cube)
+        return grid.cube_measure(cube.level) ** s * cube_average(f, cube)
+    w_int = cube_integral(w, cube)
     if w_int == 0.0:
         return 0.0
-    return (f * w).integral(cube) / w_int * w_int ** s
+    return cube_integral(f * w, cube) / w_int * w_int ** s
 
 
 def brute_force_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> StepFunction:
@@ -94,7 +129,7 @@ def pointwise_lower_bound_check(f: StepFunction, cube: DyadicCube, query: Maxima
     """Check M f >= score(f, cube) on every cell of cube (true by construction)."""
     maximal = dyadic_maximal(f, query)
     score = cube_score(f, cube, query)
-    block = maximal.block(cube)
+    block = cube_block(maximal, cube)
     return bool(np.all(block >= score - 1e-12 * max(score, 1.0)))
 
 
@@ -187,7 +222,7 @@ def ap_star_kernel_cube_value(w: StepFunction, p: float, cube: DyadicCube) -> fl
     dist = np.linalg.norm(cell_centers(grid) - x_q, axis=1)
     kernel = meas ** (p - 1.0) / (meas ** p + dist ** p)
     weak = float(weak_scan(w.values * kernel, grid.cell_measure))
-    avg_s = float(_cell_power(w.block(cube), 1.0 - pc).sum()) * grid.cell_measure / meas
+    avg_s = float(_cell_power(cube_block(w, cube), 1.0 - pc).sum()) * grid.cell_measure / meas
     value = weak * avg_s ** (p - 1.0)
     return 0.0 if math.isnan(value) else value
 
@@ -262,3 +297,92 @@ def lemma_subset_scan(w: Weight, p: float, q: float | None = None, seed: int = 0
             worst = max(worst, subset_ratio(_random_cell_union(rng, q_cells)))
             checks += 1
     return worst, checks
+
+
+# --------------------------------------------------------------------------
+# the CZ sparse family
+# --------------------------------------------------------------------------
+
+class MaskEntry(NamedTuple):
+    """A sparse entry with E as a full-lattice boolean mask."""
+    k: int
+    j: int
+    cube: DyadicCube
+    e_mask: np.ndarray
+
+
+def sparse_masks(dec: CZDecomposition) -> list[MaskEntry]:
+    """``build_sparse`` by masks: E_{k,j} = cell_mask(Q_{k,j}) minus
+    Omega_{k+1}, with the same |Q| <= 2|E| and overlap checks and errors."""
+    grid = dec.f.grid
+    entries = []
+    taken = np.zeros(grid.finest_count, dtype=bool)
+    for k in range(dec.k_min, dec.k_max + 1):
+        next_mask = dec.omega_mask.get(k + 1)
+        for j, cube in enumerate(dec.cubes.get(k, [])):
+            q_mask = grid.cell_mask(cube)
+            e_mask = q_mask if next_mask is None else q_mask & ~next_mask
+            q_meas = grid.cube_measure(cube.level)
+            e_meas = float(e_mask.sum()) * grid.cell_measure
+            if q_meas > 2.0 * e_meas:
+                raise SparsityError(
+                    f"sparsity violated at k={k}, Q={cube}: |Q|={q_meas} > 2|E|={2 * e_meas}"
+                )
+            if np.any(taken & e_mask):
+                raise SparsityError(f"E sets overlap at k={k}, Q={cube} (bug)")
+            taken |= e_mask
+            entries.append(MaskEntry(k, j, cube, e_mask))
+    return entries
+
+
+def sparse_sum_by_cube(dec: CZDecomposition, entries: list[MaskEntry], w: StepFunction,
+                       sigma: StepFunction, p: float, q: float | None = None) -> SparseTrace:
+    """``sparse_sum`` with per-cube integrals, averages and weak norms, and
+    sigma(E) read through each entry's mask."""
+    f = dec.f
+    grid = f.grid
+    a, alpha = dec.a, dec.alpha
+    pc = conjugate(p)
+    fractional = q is not None
+    s = q if fractional else p
+    g = f.with_values(np.divide(f.values, sigma.values,
+                                out=np.zeros_like(f.values), where=sigma.values > 0))
+    m_sigma = dyadic_maximal(g, MaximalQuery(alpha, sigma))
+    w_s = w ** q if fractional else w
+    star = star_constant(w, p, q)
+    c_lemma, rh = sigma_rh(star)
+
+    t0 = weak_norm(w_s * (dec.maximal ** s), 1.0)
+    t1 = t2 = t3 = t4 = 0.0
+    for entry in entries:
+        cube = entry.cube
+        lam_next = a ** (entry.k + 1)
+        wk = cube_weak_norm(w_s, 1.0, cube)
+        score = grid.cube_measure(cube.level) ** (alpha / grid.n) * cube_average(f, cube)
+        sig_q = cube_integral(sigma, cube)
+        avg_sigma = cube_integral(f, cube) / sig_q
+        sig_e = float(sigma.values[entry.e_mask].sum()) * grid.cell_measure
+        t1 += lam_next ** s * wk
+        t2 += score ** s * wk
+        if fractional:
+            t3 += avg_sigma ** q * sig_q ** (q - q / pc)
+            t4 += (sig_q ** (alpha / grid.n) * avg_sigma) ** q * sig_e
+        else:
+            t3 += avg_sigma ** p * sig_q
+            t4 += avg_sigma ** p * sig_e
+    t5 = float((m_sigma.values ** s * sigma.values).sum()) * grid.cell_measure
+
+    links = [
+        TraceLink("weak_norm_vs_level_sum", t0, t1, 1.0),
+        TraceLink("level_to_stopping_average", t1, t2, a ** s),
+        TraceLink("multiplier_class_dualization", t2, t3, star.value ** s if fractional else star.value),
+        TraceLink("sigma_reverse_holder", t3, t4, c_lemma * 4.0 ** pc * rh),
+        TraceLink("disjoint_sparse_energy", t4, t5, 1.0),
+    ]
+    if fractional:
+        target = (float((f.values ** p * w.values ** p).sum()) * grid.cell_measure) ** (q / p)
+        links.append(TraceLink("weighted_maximal_bootstrap", t5, target, None))
+    else:
+        target = float((f.values ** p * w.values).sum()) * grid.cell_measure
+        links.append(TraceLink("weighted_maximal_bootstrap", t5, target, pc ** p))
+    return SparseTrace(links)

@@ -37,7 +37,7 @@ from weakmax import (
 )
 from weakmax.cli import main as cli_main
 
-from conftest import unit_grid
+from conftest import constant, unit_grid
 from oracles import brute_force_maximal, chebyshev_check, power_identity_check
 from test_czsparse import check_invariants
 
@@ -76,7 +76,7 @@ def test_1_oracle_equivalence():
 
 def test_2_trivial_exactness():
     grid = unit_grid(3)
-    w = StepFunction.constant(grid, 1.0)
+    w = constant(grid, 1.0)
     p, q, r = 2.0, 4.0, 2.0
     constants = {
         "A_p": ap_constant(w, p).value,
@@ -89,7 +89,7 @@ def test_2_trivial_exactness():
         "sigma_RH": sigma_rh_constant(w, p).value,
     }
     bad = {k: v for k, v in constants.items() if abs(v - 1.0) > 1e-12}
-    ratio = multiplier_ratio(StepFunction.constant(grid, 1.0), w, p)
+    ratio = multiplier_ratio(constant(grid, 1.0), w, p)
     ratio_ok = abs(ratio - 1.0) <= 1e-12
     _report(2, "trivial exactness", not bad and ratio_ok,
             f"constants off: {bad}, chi_root ratio = {ratio}")

@@ -9,7 +9,7 @@ import pytest
 from weakmax import StepFunction, weight_to_dict
 from weakmax.cli import main
 
-from conftest import unit_grid
+from conftest import constant, unit_grid
 
 
 def write_weight(tmp_path, name, w):
@@ -27,7 +27,7 @@ def write_power(tmp_path, name, center, exponent, root):
 
 @pytest.fixture
 def trivial_weight(tmp_path):
-    return write_weight(tmp_path, "one.json", StepFunction.constant(unit_grid(2), 1.0))
+    return write_weight(tmp_path, "one.json", constant(unit_grid(2), 1.0))
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ class TestMaximal:
 
     def test_weighted(self, tmp_path, capsys):
         f = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
-        w = write_weight(tmp_path, "w.json", StepFunction.constant(unit_grid(2), 2.0))
+        w = write_weight(tmp_path, "w.json", constant(unit_grid(2), 2.0))
         assert main(["maximal", "--weight", f, "--with-weight", w]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["values"] == [4.0, 2.0, 1.0, 1.0]
@@ -228,7 +228,7 @@ class TestUnderflowingWeights:
 
     def test_lemmas_zero_star_constant(self, tmp_path, capsys):
         # sigma = w^-2 = 1e-400 underflows to 0, and the star constant with it
-        path = write_weight(tmp_path, "w.json", StepFunction.constant(unit_grid(3), 1e200))
+        path = write_weight(tmp_path, "w.json", constant(unit_grid(3), 1e200))
         assert main(["lemmas", "--weight", path, "--p", "1.5"]) == 1
         self._assert_error(capsys, "star constant is 0")
 
@@ -238,7 +238,7 @@ class TestUnderflowingWeights:
         reports = []
         for value in (1e160, 1.0):
             path = write_weight(tmp_path, f"w{value}.json",
-                                StepFunction.constant(unit_grid(3), value))
+                                constant(unit_grid(3), value))
             assert main(["verify", "--weight", path, "--p", "2"]) == 0
             reports.append(json.loads(capsys.readouterr().out))
         for side in ("necessity", "sufficiency"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given
 
 from weakmax import (
     DyadicCube,
+    GridSpec,
     MaximalQuery,
     SparsityError,
     StepFunction,
@@ -19,8 +21,15 @@ from weakmax import (
     sparse_sum,
 )
 
-from conftest import unit_grid
-from oracles import all_cubes
+from conftest import constant, unit_grid
+from oracles import (
+    all_cubes,
+    cube_average,
+    cube_block,
+    cube_integral,
+    sparse_masks,
+    sparse_sum_by_cube,
+)
 
 
 def seeded(depth, seed, kind="lognormal", n=1):
@@ -61,10 +70,10 @@ def check_invariants(dec):
         for cube in dec.cubes[k]:
             if dec.alpha > 0:
                 score = (grid.cube_measure(cube.level) ** (dec.alpha / grid.n)
-                         * dec.f.average(cube))
+                         * cube_average(dec.f, cube))
                 upper = 2.0 ** (grid.n - dec.alpha) * lam
             else:
-                score = dec.f.average(cube)
+                score = cube_average(dec.f, cube)
                 upper = 2.0 ** grid.n * lam
             assert score > lam
             if cube.level > 0:
@@ -78,7 +87,7 @@ class TestWorkedExample:
         assert (dec.k_min, dec.k_max) == (-1, 1)
         assert [c.level for c in dec.cubes[-1]] == [0]
         assert dec.cubes[0] == [DyadicCube(1, (0,))]
-        assert f.average(dec.cubes[0][0]) == pytest.approx(2.0)  # in (1, 2]
+        assert cube_average(f, dec.cubes[0][0]) == pytest.approx(2.0)  # in (1, 2]
         assert dec.cubes[1] == []
         assert dec.omega_measure(0) == 0.5
         assert dec.omega_measure(1) == 0.0
@@ -94,7 +103,7 @@ class TestWorkedExample:
         assert inner.e_measure(f.grid) == pytest.approx(0.5)  # Omega_1 empty
 
     def test_constant_function(self):
-        f = StepFunction.constant(unit_grid(2), 1.0)
+        f = constant(unit_grid(2), 1.0)
         dec = cz_decompose(f, a=4.0)
         populated = [k for k in range(dec.k_min, dec.k_max + 1) if dec.cubes[k]]
         assert populated == [dec.k_min]
@@ -104,7 +113,7 @@ class TestWorkedExample:
         assert family.entries[0].e_measure(f.grid) == pytest.approx(1.0)
 
     def test_zero_function_empty(self):
-        f = StepFunction.constant(unit_grid(2), 0.0)
+        f = constant(unit_grid(2), 0.0)
         dec = cz_decompose(f, a=4.0)
         assert dec.k_min > dec.k_max
         assert build_sparse(dec).entries == []
@@ -174,8 +183,8 @@ class TestInvariantSweep:
         family = build_sparse(cz_decompose(f, a=4.0))
         seen = np.zeros(f.grid.finest_count, dtype=bool)
         for e in family.entries:
-            assert not np.any(seen & e.e_mask)
-            seen |= e.e_mask
+            assert not np.any(seen[e.e_cells])
+            seen[e.e_cells] = True
 
 
 @st.composite
@@ -267,11 +276,109 @@ class TestRootEdgeCase:
             build_sparse(dec)
 
 
+# 1-D, 2-D and 3-D grids up to 2^14 cells, the sizes of the benchmark's
+# certificate ops and beyond.
+ORACLE_GRIDS = [(1, 6), (1, 10), (1, 14), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)]
+
+
+def _chain(f, w, fractional):
+    """(alpha, q, sigma) of the plain (p = 2) or fractional (q = 4) chain."""
+    alpha, q = (f.grid.n / 4.0, 4.0) if fractional else (0.0, None)
+    return alpha, q, dual_weight(w, 2.0, "apq" if fractional else "ap")
+
+
+def _links(trace):
+    return [(l.name, l.lhs, l.base, l.constant) for l in trace.links]
+
+
+class TestMaskOracle:
+    """build_sparse and sparse_sum against the per-cube mask oracles, with =="""
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("kind", ["uniform", "lognormal", "spiky"])
+    @pytest.mark.parametrize("n,depth", ORACLE_GRIDS)
+    def test_family_and_trace_match(self, n, depth, kind, fractional):
+        grid = unit_grid(depth, n)
+        for seed in range(3):
+            rng = np.random.default_rng([n, depth, seed])
+            f = random_step(grid, rng, kind)
+            w = random_weight(grid, rng)
+            alpha, q, sigma = _chain(f, w, fractional)
+            dec = cz_decompose(f, alpha=alpha)
+            try:
+                masks = sparse_masks(dec)
+            except SparsityError as exc:
+                with pytest.raises(SparsityError, match=re.escape(str(exc))):
+                    build_sparse(dec)
+                continue
+            family = build_sparse(dec)
+            assert family.to_json_list() == [
+                {"k": m.k, "j": m.j, "Q": m.cube.to_dict(),
+                 "E_cells": np.flatnonzero(m.e_mask).tolist()} for m in masks]
+            assert ([e.e_measure(grid) for e in family.entries]
+                    == [float(m.e_mask.sum()) * grid.cell_measure for m in masks])
+            trace = sparse_sum(family, w, sigma, p=2.0, alpha=alpha, q=q)
+            assert _links(trace) == _links(sparse_sum_by_cube(dec, masks, w, sigma, 2.0, q))
+
+    def test_root_sparsity_error_matches(self):
+        dec = cz_decompose(StepFunction(unit_grid(3), [32, 11, 11, 11, 17, 0, 0, 0]), a=4.0)
+        with pytest.raises(SparsityError) as expected:
+            sparse_masks(dec)
+        with pytest.raises(SparsityError, match=re.escape(str(expected.value))):
+            build_sparse(dec)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(n, depth, f cells, w cells): 1-D up to depth 6, 2-D up to depth 3."""
+    n = draw(st.sampled_from((1, 2)))
+    depth = draw(st.integers(0, 6 // n))
+    size = 2 ** (n * depth)
+    logs = st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size)
+    return n, depth, np.exp(draw(logs)), np.exp(draw(logs))
+
+
+def _certificate(grid, f_cells, w_cells, fractional, trace=True):
+    """Stopping cubes, then E cells and trace links or the SparsityError."""
+    f, w = StepFunction(grid, f_cells), StepFunction(grid, w_cells)
+    alpha, q, sigma = _chain(f, w, fractional)
+    dec = cz_decompose(f, alpha=alpha)
+    out = [dec.k_min, dec.k_max, dec.cubes]
+    try:
+        family = build_sparse(dec)
+    except SparsityError:
+        return out + ["SparsityError"]
+    out.append([e.e_cells.tolist() for e in family.entries])
+    if trace:
+        out.append(_links(sparse_sum(family, w, sigma, p=2.0, alpha=alpha, q=q)))
+    return out
+
+
+class TestCertificateInvariance:
+    @given(certificate_cases(), st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+           st.booleans())
+    def test_translation(self, case, corner, fractional):
+        # nothing in the certificate reads the root corner
+        n, depth, f_cells, w_cells = case
+        moved = GridSpec(n, tuple(corner[:n]), 1.0, depth)
+        assert (_certificate(moved, f_cells, w_cells, fractional)
+                == _certificate(unit_grid(depth, n), f_cells, w_cells, fractional))
+
+    @given(certificate_cases(), st.integers(-8, 8))
+    def test_dilation_at_alpha_zero(self, case, k):
+        # a side of 2^k scales every measure exactly, so each average is
+        # the same float and the level sets, cubes and E cells stay put
+        n, depth, f_cells, w_cells = case
+        dilated = GridSpec(n, (0.0,) * n, 2.0 ** k, depth)
+        assert (_certificate(dilated, f_cells, w_cells, False, trace=False)
+                == _certificate(unit_grid(depth, n), f_cells, w_cells, False, trace=False))
+
+
 class TestSparseSum:
     def test_trivial_chain(self):
         grid = unit_grid(2)
-        f = StepFunction.constant(grid, 1.0)
-        w = StepFunction.constant(grid, 1.0)
+        f = constant(grid, 1.0)
+        w = constant(grid, 1.0)
         family = build_sparse(cz_decompose(f, a=4.0))
         trace = sparse_sum(family, w, dual_weight(w, 2.0), p=2.0)
         assert trace.all_hold
@@ -325,19 +432,19 @@ class TestSparseSum:
         g = StepFunction(grid, f.values / sigma.values)
         m = dyadic_maximal(g, MaximalQuery(weight=sigma))
         for cube in all_cubes(grid):
-            avg = f.integral(cube) / sigma.integral(cube)
-            assert np.all(m.block(cube) >= avg * (1 - 1e-12))
+            avg = cube_integral(f, cube) / cube_integral(sigma, cube)
+            assert np.all(cube_block(m, cube) >= avg * (1 - 1e-12))
 
     def test_grid_mismatch(self):
         f = StepFunction(unit_grid(2), [4, 0, 0, 0])
         family = build_sparse(cz_decompose(f, a=4.0))
-        w = StepFunction.constant(unit_grid(3), 1.0)
+        w = constant(unit_grid(3), 1.0)
         with pytest.raises(ValueError):
             sparse_sum(family, w, w, p=2.0)
 
     def test_chain_kind_mismatch(self):
         f = StepFunction(unit_grid(2), [4, 0, 0, 0])
         family = build_sparse(cz_decompose(f, a=4.0))
-        w = StepFunction.constant(unit_grid(2), 1.0)
+        w = constant(unit_grid(2), 1.0)
         with pytest.raises(ValueError):
             sparse_sum(family, w, w, p=2.0, alpha=0.5, q=4.0)

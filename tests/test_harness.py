@@ -26,20 +26,20 @@ from weakmax import (
 from weakmax import harness, weights
 from weakmax.lorentz import weak_scan
 
-from conftest import unit_grid
+from conftest import constant, unit_grid
 from oracles import all_cubes, chebyshev_check, lemma_subset_scan
 
 
 class TestMultiplierRatio:
     def test_trivial_one(self):
         grid = unit_grid(3)
-        one = StepFunction.constant(grid, 1.0)
+        one = constant(grid, 1.0)
         assert multiplier_ratio(one, one, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_spike_ratio_one(self):
         grid = unit_grid(2)
         f = StepFunction(grid, [4, 0, 0, 0])
-        w = StepFunction.constant(grid, 1.0)
+        w = constant(grid, 1.0)
         # numerator weak_norm([4,2,1,1], 2) = 2, denominator (16/4)^{1/2} = 2
         assert multiplier_ratio(f, w, 2.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -67,8 +67,8 @@ class TestMultiplierRatio:
 
     def test_degenerate_input(self):
         grid = unit_grid(2)
-        zero = StepFunction.constant(grid, 0.0)
-        one = StepFunction.constant(grid, 1.0)
+        zero = constant(grid, 0.0)
+        one = constant(grid, 1.0)
         with pytest.raises(ValueError):
             multiplier_ratio(zero, one, 2.0)
 
@@ -210,7 +210,7 @@ class TestChunkedEngineOracle:
     def test_ties_keep_first_maximum(self, n, depth):
         # A flat weight ties every cube of a level with its neighbours, and
         # chi_Q with sigma chi_Q; the first maximum in suite order wins.
-        w = StepFunction.constant(GridSpec(n, (0.0,) * n, 1.0, depth), 2.0)
+        w = constant(GridSpec(n, (0.0,) * n, 1.0, depth), 2.0)
         self._assert_agrees(w, 2.0, 0.0, None)
         self._assert_agrees(w, 2.0, n / 4.0, 4.0)
 
@@ -299,8 +299,8 @@ class TestClosedFormRows:
         # the ratio has degree 0 in w, so a weight far from 1 measures what
         # the weight 1 does
         grid = unit_grid(3)
-        report = driver(StepFunction.constant(grid, scale), 2.0)
-        at_one = driver(StepFunction.constant(grid, 1.0), 2.0)
+        report = driver(constant(grid, scale), 2.0)
+        at_one = driver(constant(grid, 1.0), 2.0)
         assert report.measured_ratio == pytest.approx(at_one.measured_ratio, rel=1e-12)
         assert report.verdict
 
@@ -362,36 +362,52 @@ class TestRatioKernel:
     @staticmethod
     def _failing_chunk(kinds):
         # one row per kind, "+" joining the faults of one row; "flat" is
-        # M f = 1e-160 on w = 1, whose square is subnormal; "inf_mf" an
-        # overflowed cell of M f and "inf_norm" an overflowed norm sum
+        # M f = 1e-160 on w = 1, whose square is subnormal; "zero" is f = 0;
+        # "inf_mf" an overflowed cell of M f and "inf_norm" an overflowed
+        # norm sum
         grid = unit_grid(3)
         mf = np.ones((len(kinds), 8))
         den_sums = np.ones(len(kinds))
         for i, kind in enumerate(kinds):
             if kind.startswith("flat"):
                 mf[i] = 1e-160
+            if kind.startswith("zero+"):
+                mf[i] = 0.0
             if "inf_mf" in kind:
                 mf[i, 5] = math.inf
             if "inf_norm" in kind:
                 den_sums[i] = math.inf
             if "zero_norm" in kind:
                 den_sums[i] = 0.0
-        return harness._RatioKernel(StepFunction.constant(grid, 1.0), 2.0, None), mf, den_sums
+        return harness._RatioKernel(constant(grid, 1.0), 2.0, None), mf, den_sums
 
+    # A zero norm with M f positive somewhere is an integrand that underflowed
+    # (f != 0); with M f = 0 it is f = 0, the degenerate input.
     @pytest.mark.parametrize("kinds,error,message", [
         (("ok", "inf_mf", "zero_norm"), ValueError, "cell values must be finite"),
-        (("ok", "zero_norm", "inf_mf"), ValueError, "degenerate input"),
-        (("zero_norm", "flat"), ValueError, "degenerate input"),
+        (("ok", "zero_norm", "inf_mf"), ValueError, "too wide"),
+        (("zero_norm", "flat"), ValueError, "too wide"),
         (("flat", "inf_norm", "zero_norm"), ValueError, "cell values must be finite"),
         # within a row: finite, then degenerate
         (("ok", "inf_mf+zero_norm"), ValueError, "cell values must be finite"),
-        (("ok", "flat+zero_norm"), ValueError, "degenerate input"),
+        (("ok", "flat+zero_norm"), ValueError, "too wide"),
         (("ok", "flat+inf_norm"), ValueError, "cell values must be finite"),
+        (("ok", "zero+zero_norm", "inf_mf"), ValueError, "degenerate input"),
+        (("zero+zero_norm", "flat+zero_norm"), ValueError, "degenerate input"),
     ])
     def test_first_failing_row_raises(self, kinds, error, message):
         kernel, mf, den_sums = self._failing_chunk(kinds)
         with pytest.raises(error, match=message):
             kernel(mf, den_sums)
+
+    def test_underflowing_integrand_is_named(self):
+        # w spans e^+-700, so w^p underflows to 0 on the cells where a sigma
+        # chi_Q row lives: ||f|| > 0, yet its weighted integrand sums to 0
+        grid = GridSpec(2, (0.0, 0.0), 1.0, 4)
+        logs = np.random.default_rng(0).normal(0.0, 100.0, grid.finest_count)
+        w = StepFunction(grid, np.exp(np.clip(logs, -700.0, 700.0)))
+        with pytest.raises(ValueError, match="range is too wide for the float range"):
+            verify_weight(w, 2.0, 0.5, 4.0, n_random=8)
 
 
 DRIVERS = [necessity_check, sufficiency_check, verify_weight]
@@ -472,7 +488,7 @@ class TestCheckedResolution:
     @pytest.mark.parametrize("driver", [sufficiency_check, lemma_suite], ids=_name)
     def test_zero_star_constant(self, driver):
         # sigma = w^-2 = 1e-400 underflows to 0, and the star constant with it
-        w = StepFunction.constant(unit_grid(3), 1e200)
+        w = constant(unit_grid(3), 1e200)
         assert harness.star_constant(w, 1.5).value == 0.0
         with pytest.raises(ValueError, match="star constant is 0"):
             driver(w, 1.5)
@@ -517,7 +533,7 @@ class TestCheckedResolution:
         # a star constant of 0: sigma = 0 everywhere, so no row at all
         evaluated.clear()
         with pytest.raises(ValueError, match="star constant is 0"):
-            sufficiency_check(StepFunction.constant(unit_grid(3), 1e200), 1.5)
+            sufficiency_check(constant(unit_grid(3), 1e200), 1.5)
         assert sum(evaluated) == 0
 
     @pytest.mark.parametrize("alpha,q", [(0.0, None), (0.25, 4.0)], ids=["plain", "fractional"])
@@ -595,13 +611,13 @@ class TestScaleInvariance:
 class TestChebyshev:
     def test_trivial(self):
         grid = unit_grid(2)
-        one = StepFunction.constant(grid, 1.0)
+        one = constant(grid, 1.0)
         assert chebyshev_check(one, one, 2.0)
 
     def test_spike_values(self):
         grid = unit_grid(2)
         f = StepFunction(grid, [4, 0, 0, 0])
-        w = StepFunction.constant(grid, 1.0)
+        w = constant(grid, 1.0)
         mf = dyadic_maximal(f)
         weak = weak_norm(w * mf, 2.0)
         strong = (float((mf.values ** 2).sum()) / 4) ** 0.5
@@ -621,7 +637,7 @@ class TestChebyshev:
 class TestSufficiency:
     def test_trivial_weight_normalized_below_one(self):
         grid = unit_grid(4)
-        w = StepFunction.constant(grid, 1.0)
+        w = constant(grid, 1.0)
         report = sufficiency_check(w, 2.0, seed=3, n_random=50)
         assert report.verdict
         assert report.theoretical_bound == pytest.approx(1.0, abs=1e-12)
@@ -715,7 +731,7 @@ class TestSufficiency:
 class TestNecessity:
     def test_trivial_weight(self):
         grid = unit_grid(3)
-        w = StepFunction.constant(grid, 1.0)
+        w = constant(grid, 1.0)
         report = necessity_check(w, 2.0)
         assert report.verdict
         assert report.measured_ratio >= 1.0 - 1e-9
@@ -795,7 +811,7 @@ class TestLemmaSuite:
             lemma_suite(w, p, n_random=0)
 
     def test_trivial_weight(self):
-        w = StepFunction.constant(unit_grid(3), 1.0)
+        w = constant(unit_grid(3), 1.0)
         report = lemma_suite(w, 2.0, seed=1, n_random=8)
         assert report.verdict
         assert report.measured_ratio < 0.9  # large slack

@@ -35,9 +35,6 @@ ALLOWED = {
                     "counterpart of weak_norm; only its reference checks call it",
     "Q_INF": "names q = infinity, the weak space L^{p,inf}, for callers of the "
              "Lorentz norms",
-    "StepFunction.constant": "the constant function c on a grid; 35 test call "
-                             "sites build one, and each would otherwise spell "
-                             "out np.full(grid.finest_count, c)",
 }
 
 CLASSES = {name for name in weakmax.__all__ if inspect.isclass(getattr(weakmax, name))}

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 from collections import Counter
@@ -38,11 +39,14 @@ from weakmax import (
 
 from weakmax import cli, weights
 
-from conftest import unit_grid
+from conftest import constant, unit_grid
 from oracles import (
     all_cubes,
     ap_star_kernel_constant,
     ap_star_kernel_cube_value,
+    cube_average,
+    cube_block,
+    cube_weak_norm,
     weight_cube_value,
 )
 
@@ -65,7 +69,7 @@ def oracle_constant(kind, w, p=None, q=None, r=None):
     grid = w.grid
     best, witness = -INF, None
     for cube in all_cubes(grid):
-        block = w.block(cube)
+        block = cube_block(w, cube)
         meas = grid.cube_measure(cube.level)
         avg = lambda arr: arr.sum() * grid.cell_measure / meas
         if kind == "ap":
@@ -96,7 +100,7 @@ def oracle_constant(kind, w, p=None, q=None, r=None):
 class TestTrivialWeight:
     def test_all_constants_one(self):
         grid = unit_grid(3)
-        w = StepFunction.constant(grid, 1.0)
+        w = constant(grid, 1.0)
         p, q, r = 2.0, 4.0, 2.0
         assert ap_constant(w, p).value == pytest.approx(1.0, abs=1e-12)
         assert a1_constant(w).value == pytest.approx(1.0, abs=1e-12)
@@ -127,7 +131,7 @@ class TestWorkedExamples:
         w = StepFunction(unit_grid(1), [2, 1])
         expected = math.sqrt(2.5) / 1.5
         assert rh_constant(w, 2).value == pytest.approx(expected, rel=1e-14)
-        assert rh_constant(StepFunction.constant(unit_grid(2), 3.0), 2).value == pytest.approx(1.0)
+        assert rh_constant(constant(unit_grid(2), 3.0), 2).value == pytest.approx(1.0)
 
     def test_apq_halves_hand_expansion(self):
         w = StepFunction(unit_grid(1), [2, 1])
@@ -136,7 +140,7 @@ class TestWorkedExamples:
         assert apq_constant(w, p, q).value == pytest.approx(max(root, 1.0), rel=1e-14)
 
     def test_apq_exponent_error(self):
-        w = StepFunction.constant(unit_grid(1), 1.0)
+        w = constant(unit_grid(1), 1.0)
         with pytest.raises(ValueError):
             apq_constant(w, 2.0, 2.0)
         with pytest.raises(ValueError):
@@ -211,7 +215,7 @@ class TestAgainstBruteForce:
             w = StepFunction(grid, rng.uniform(0.2, 4.0, grid.finest_count))
             for cube in all_cubes(grid):
                 meas = grid.cube_measure(cube.level)
-                assert weak_norm(w, 1.0, cube) / meas <= w.average(cube) * (1 + 1e-14)
+                assert cube_weak_norm(w, 1.0, cube) / meas <= cube_average(w, cube) * (1 + 1e-14)
             assert ap_star_constant(w, 2).value <= ap_constant(w, 2).value * (1 + 1e-14)
             assert (apq_star_constant(w, 2, 4).value
                     <= apq_constant(w, 2, 4).value * (1 + 1e-14))
@@ -219,7 +223,7 @@ class TestAgainstBruteForce:
 
 class TestDualWeight:
     def test_trivial(self):
-        w = StepFunction.constant(unit_grid(2), 1.0)
+        w = constant(unit_grid(2), 1.0)
         assert np.array_equal(dual_weight(w, 2.0).values, w.values)
 
     def test_halves(self):
@@ -251,7 +255,7 @@ class TestDualWeight:
             dual_weight(w, 2.0)
 
     def test_bad_flavor(self):
-        w = StepFunction.constant(unit_grid(1), 1.0)
+        w = constant(unit_grid(1), 1.0)
         with pytest.raises(ValueError):
             dual_weight(w, 2.0, "nope")
 
@@ -291,6 +295,41 @@ class TestPowerIntegrals:
         assert up.ess_sup_inv(0.75, 1.0) == pytest.approx(4.0)
 
 
+def decimal_weak_l1(c, a, lo, hi, steps=60):
+    """sup_t t^a h(t) in 40-digit decimal arithmetic, h(t) the measure of
+    {x in [lo, hi): |x - c|^a > t^a}: the breakpoints |lo - c| and |hi - c|,
+    and a golden-section search on each piece between them, where
+    g = t^a h is unimodal.  The t -> 0 limit is left out: it is 0 for
+    a > -1, and +inf for a < -1 with c in [lo, hi]."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        D = decimal.Decimal
+        c, a, lo, hi = D(c), D(a), D(lo), D(hi)
+
+        def g(t):
+            overlap = max(D(0), min(hi, c + t) - max(lo, c - t))
+            ht = overlap if a < 0 else hi - lo - overlap
+            return t ** a * ht if ht > 0 else D(0)
+
+        breaks = sorted({d for d in (abs(lo - c), abs(hi - c)) if d > 0})
+        best = max(g(t) for t in breaks)
+        shrink = (D(5).sqrt() - 1) / 2
+        for x0, x1 in zip([D(0)] + breaks, breaks + [2 * breaks[-1] + hi - lo]):
+            m1, m2 = x1 - shrink * (x1 - x0), x0 + shrink * (x1 - x0)
+            g1, g2 = g(m1), g(m2)
+            for _ in range(steps):
+                if g1 < g2:
+                    x0, m1, g1 = m1, m2, g2
+                    m2 = x0 + shrink * (x1 - x0)
+                    g2 = g(m2)
+                else:
+                    x1, m2, g2 = m2, m1, g1
+                    m1 = x1 - shrink * (x1 - x0)
+                    g1 = g(m1)
+            best = max(best, g1, g2)
+        return float(best)
+
+
 class TestPowerWeakL1:
     def test_known_values(self):
         assert PowerWeight(0.0, -1.0, 0.0, 1.0).weak_l1(0.0, 0.5) == pytest.approx(1.0)
@@ -327,6 +366,29 @@ class TestPowerWeakL1:
             scan = max(lam * measure(lam) for lam in lams)
             assert closed >= scan - 1e-9
             assert closed == pytest.approx(scan, rel=2e-3)
+
+    # a centre inside a cell, on a cell edge, and outside the root on each side
+    @pytest.mark.parametrize("c", [0.3, 0.25, -0.3, 1.25])
+    @pytest.mark.parametrize("a", [-1.0 - 1e-6, -1.0 + 1e-6, 0.5, 2.0])
+    def test_against_decimal_reference(self, c, a):
+        pw = PowerWeight(c, a, 0.0, 1.0)
+        grid = pw.lattice(2)
+        for cube in all_cubes(grid):
+            lo = cube.index[0] * grid.side(cube.level)
+            hi = lo + grid.side(cube.level)
+            closed = pw.weak_l1(lo, hi)
+            if a < -1.0 and lo <= c <= hi:
+                assert closed == INF
+            else:
+                assert closed == pytest.approx(decimal_weak_l1(c, a, lo, hi), rel=1e-13)
+
+    @pytest.mark.parametrize("hi", [1.0, 0.9])
+    def test_piece_read_from_distances(self, hi):
+        # c - t_lo or c + t_lo rounds off the breakpoint lo here; reading a
+        # piece's pinned ends from them misses the interior maximum by 16-21%
+        pw = PowerWeight(0.4, 2.0, 0.0, 1.0)
+        assert pw.weak_l1(0.15, hi) == pytest.approx(decimal_weak_l1(0.4, 2.0, 0.15, hi),
+                                                     rel=1e-13)
 
     def test_power_argument(self):
         pw = PowerWeight(0.0, -0.25, 0.0, 1.0)
@@ -547,7 +609,7 @@ class TestKernelForm:
     def test_trivial_weight_root_cube_bound(self):
         # on the root the kernel is at most 1/|root|, so the weak norm over
         # the root and hence the product stay at most one
-        w = StepFunction.constant(unit_grid(4), 1.0)
+        w = constant(unit_grid(4), 1.0)
         root_val = ap_star_kernel_cube_value(w, 2.0, w.grid.root)
         assert root_val <= 1.0 + 1e-12
 
