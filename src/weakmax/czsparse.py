@@ -141,9 +141,6 @@ class SparseEntry:
     cube: DyadicCube
     e_cells: np.ndarray  # E's flat finest-cell indices, ascending
 
-    def e_measure(self, grid) -> float:
-        return self.e_cells.size * grid.cell_measure
-
     def to_dict(self) -> dict:
         return {
             "k": self.k,
@@ -175,10 +172,11 @@ def build_sparse(dec: CZDecomposition) -> SparseFamily:
     entries: list[SparseEntry] = []
     taken = np.zeros(grid.finest_count, dtype=bool)
     for k in range(dec.k_min, dec.k_max + 1):
-        next_mask = dec.omega_mask.get(k + 1)
+        # a^k_max >= max M f leaves level k_max without cubes, so every level
+        # with cubes has Omega_{k+1}
         for j, cube in enumerate(dec.cubes.get(k, [])):
             q_cells = index[grid.cell_slices(cube)].reshape(-1)
-            e_cells = q_cells if next_mask is None else q_cells[~next_mask[q_cells]]
+            e_cells = q_cells[~dec.omega_mask[k + 1][q_cells]]
             q_meas = grid.cube_measure(cube.level)
             e_meas = e_cells.size * grid.cell_measure
             if q_meas > 2.0 * e_meas:

@@ -523,6 +523,15 @@ def _necessity(res: _Resolved, p, alpha, q, sigma_rows) -> VerificationReport:
 # the lemma suites
 # --------------------------------------------------------------------------
 
+def _cell_masses(sigma: Weight, lat: GridSpec) -> np.ndarray:
+    """sigma's mass on each finest cell of the lattice."""
+    if isinstance(sigma, PowerWeight):
+        h = lat.side(lat.depth)
+        j = np.arange(lat.finest_count)
+        return sigma.integral(sigma.left + j * h, sigma.left + (j + 1) * h)
+    return sigma.values * lat.cell_measure
+
+
 def _random_cell_union(rng: np.random.Generator, cells: np.ndarray) -> np.ndarray:
     """Nonempty random subset of the given flat cell indices."""
     keep = rng.random(cells.size) < rng.uniform(0.1, 0.9)
@@ -568,13 +577,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
         membership[f"s={s}"] = {"constant": const, "bound": lim}
         worst = max(worst, const / lim)
 
-    sigma = dual_weight(w, p, "ap" if q is None else "apq")
-    if isinstance(sigma, PowerWeight):
-        h = lat.side(depth)
-        cell_mass = np.array([sigma.integral(sigma.left + j * h, sigma.left + (j + 1) * h)
-                              for j in range(lat.finest_count)])
-    else:
-        cell_mass = sigma.values * lat.cell_measure
+    cell_mass = _cell_masses(dual_weight(w, p, "ap" if q is None else "apq"), lat)
     if not cell_mass.all():
         raise ValueError("sigma underflows to 0 on a cell, and sigma(Q) divides the lemma")
 

@@ -8,15 +8,21 @@ returned as witness.  The multiplier classes replace the L^1 average of w
 
 The power engine evaluates w(x) = |x - center|^exponent on an interval with
 closed-form cube integrals, essential suprema and weak-L^1 norms, so weights
-like |x|^(-1) can be probed without discretization: divergent integrals
-produce +inf as a first-class value, never an exception.  Throughout, the
-0 * inf = 0 convention applies to degenerate products.
+like |x|^(-1) can be probed without discretization: divergent integrals,
+and closed forms past the float range, produce +inf as a first-class value,
+never an exception.  Both backends evaluate a constant on per-level arrays.
+For power weights each power and log is still taken per element as a Python
+float, because numpy's vectorized ``**`` and ``log`` round some results
+differently, and the values must match the one-cube closed forms bit for
+bit.  Throughout, the 0 * inf = 0 convention applies to degenerate products.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -38,20 +44,71 @@ def conjugate(p: float) -> float:
 # analytic power weights
 # --------------------------------------------------------------------------
 
-def _distance_integral(a: float, d1: float, d2: float) -> float:
-    """int_{d1}^{d2} u^a du for 0 <= d1 < d2, +inf when divergent at 0."""
-    if d1 == 0.0:
-        if a <= -1.0:
-            return INF
-        return d2 ** (a + 1.0) / (a + 1.0)
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, +inf where the Python float power overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+def _pow(base: np.ndarray, e: float) -> np.ndarray:
+    """_power on each element of ``base``, taken as a Python float.
+
+    Every power of the power engine goes through here, and every log through
+    _log.  numpy's vectorized ``**`` and ``log`` round some results
+    differently from the C library's pow and log behind Python's float
+    ``**`` and ``math.log``, and the engine's values are pinned bit for bit
+    to those Python-float closed forms.  Callers pass only the entries that
+    need the power, since 0.0 ** e raises for e < 0."""
+    vals = base.tolist()
+    try:
+        return np.fromiter(map(pow, vals, repeat(e)), dtype=float, count=len(vals))
+    except OverflowError:
+        return np.array([_power(v, e) for v in vals], dtype=float)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log on each element of ``x`` (see _pow)."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+
+
+def _distance_integral(a: float, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """int_{d1}^{d2} u^a du per entry, for 0 <= d1 < d2; +inf when divergent
+    at 0 or past the float range."""
+    b = a + 1.0
+    out = np.empty(d2.shape)
+    at0 = d1 == 0.0
+    out[at0] = INF if a <= -1.0 else _pow(d2[at0], b) / b
+    off = ~at0
     if a == -1.0:
-        return math.log(d2 / d1)
-    return (d2 ** (a + 1.0) - d1 ** (a + 1.0)) / (a + 1.0)
+        out[off] = _log(d2[off] / d1[off])
+    else:
+        top, bottom = _pow(d2[off], b), _pow(d1[off], b)
+        with np.errstate(invalid="ignore"):
+            # inf - inf: both ends overflow, and the integral with them
+            out[off] = np.where(np.isinf(top) & np.isinf(bottom), INF, (top - bottom) / b)
+    return out
+
+
+def _cube_ends(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Cube ends as 1-D float arrays: one cube's floats, or a level's arrays."""
+    return (np.atleast_1d(np.asarray(lo, dtype=float)),
+            np.atleast_1d(np.asarray(hi, dtype=float)))
+
+
+def _as_given(out: np.ndarray, lo):
+    """A float for one cube given as floats, else the per-cube array."""
+    return float(out[0]) if np.ndim(lo) == 0 else out
 
 
 @dataclass(frozen=True)
 class PowerWeight:
-    """w(x) = |x - center|^exponent on the root interval [left, right)."""
+    """w(x) = |x - center|^exponent on the root interval [left, right).
+
+    ``moment``, ``weak_l1`` and ``ess_sup_inv`` take a cube [lo, hi) as two
+    floats and return a float, or a run of cubes as two equal-length arrays
+    and return an array."""
 
     center: float
     exponent: float
@@ -69,92 +126,106 @@ class PowerWeight:
         """w^e, again a power weight."""
         return PowerWeight(self.center, self.exponent * e, self.left, self.right)
 
-    def moment(self, e: float, lo: float, hi: float) -> float:
+    def moment(self, e: float, lo, hi):
         """int_lo^hi |x - c|^(exponent * e) dx, +inf when divergent."""
+        los, his = _cube_ends(lo, hi)
         a = self.exponent * e
         c = self.center
-        if hi <= c:
-            return _distance_integral(a, c - hi, c - lo)
-        if lo >= c:
-            return _distance_integral(a, lo - c, hi - c)
-        return _distance_integral(a, 0.0, c - lo) + _distance_integral(a, 0.0, hi - c)
+        below, above = his <= c, los >= c
+        out = np.empty(los.shape)
+        side = below | above
+        out[side] = _distance_integral(a, np.where(below, c - his, los - c)[side],
+                                       np.where(below, c - los, his - c)[side])
+        mid = ~side
+        zero = np.zeros(int(mid.sum()))
+        out[mid] = (_distance_integral(a, zero, c - los[mid])
+                    + _distance_integral(a, zero, his[mid] - c))
+        return _as_given(out, lo)
 
-    def integral(self, lo: float, hi: float) -> float:
+    def integral(self, lo, hi):
         return self.moment(1.0, lo, hi)
 
-    def ess_sup_inv(self, lo: float, hi: float) -> float:
+    def ess_sup_inv(self, lo, hi):
         """ess sup of w^(-1) = |x-c|^(-exponent) over [lo, hi)."""
+        los, his = _cube_ends(lo, hi)
         a = self.exponent
         c = self.center
         if a == 0.0:
-            return 1.0
-        dlo, dhi = abs(lo - c), abs(hi - c)
+            return _as_given(np.ones(los.shape), lo)
+        dlo, dhi = np.abs(los - c), np.abs(his - c)
         if a < 0.0:
-            return max(dlo, dhi) ** (-a)
-        if lo <= c <= hi:
-            return INF
-        return min(dlo, dhi) ** (-a)
+            return _as_given(_pow(np.maximum(dlo, dhi), -a), lo)
+        out = np.full(los.shape, INF)
+        outside = ~((los <= c) & (c <= his))
+        out[outside] = _pow(np.minimum(dlo, dhi)[outside], -a)
+        return _as_given(out, lo)
 
-    def weak_l1(self, lo: float, hi: float, power: float = 1.0) -> float:
+    def weak_l1(self, lo, hi, power: float = 1.0):
         """|| w^power chi_[lo,hi) ||_{L^{1,inf}} in closed form.
 
         With t the distance threshold (lam = t^a), the superlevel measure
         h(t) is piecewise affine with breakpoints at the endpoint distances,
         so sup_t t^a h(t) is attained at a breakpoint, at an interior critical
         point t* = -a u / ((a+1) v) of an affine piece h = u + v t, or in the
-        t -> 0 limit at the singularity.
+        t -> 0 limit at the singularity.  Each cube has at most two
+        breakpoints and three pieces; a candidate that a cube lacks is masked
+        off.
         """
+        los, his = _cube_ends(lo, hi)
         a = self.exponent * power
         c = self.center
-        length = hi - lo
+        length = his - los
         if a == 0.0:
-            return length
+            return _as_given(length, lo)
 
-        dlo, dhi = abs(lo - c), abs(hi - c)
-        inside_closure = lo <= c <= hi
+        def g(t, mask):
+            """t^a h(t) where mask holds and h(t) > 0, else 0."""
+            overlap = np.maximum(0.0, np.minimum(his, c + t) - np.maximum(los, c - t))
+            ht = overlap if a < 0.0 else length - overlap
+            live = mask & (ht > 0.0)
+            out = np.zeros(los.shape)
+            out[live] = _pow(t[live], a) * ht[live]
+            return out
 
-        if a < 0.0:
-            def h(t):
-                return max(0.0, min(hi, c + t) - max(lo, c - t))
-        else:
-            def h(t):
-                return length - max(0.0, min(hi, c + t) - max(lo, c - t))
-
-        def g(t):
-            ht = h(t)
-            return t ** a * ht if ht > 0.0 else 0.0
-
-        best = 0.0
-        if a < 0.0 and inside_closure:
-            # h(t) = v0 * t near 0, so g -> v0 * t^(a+1).
-            v0 = 2.0 if lo < c < hi else 1.0
-            if a < -1.0:
-                return INF
-            if a == -1.0:
-                best = v0
-
-        breaks = sorted({d for d in (dlo, dhi) if d > 0.0})
-        for t in breaks:
-            best = max(best, g(t))
-        # Interior critical points of each affine piece of h where the ball
-        # meets [lo, hi]: each end of the overlap is pinned at hi or lo or moves
-        # with t, read from the exact breakpoint distances (c +- t_lo rounds).
-        edges = [0.0] + breaks
-        edges.append(edges[-1] * 2.0 + length)
-        for t_lo, t_hi in zip(edges[:-1], edges[1:]):
-            top, bottom = t_lo >= hi - c, t_lo >= c - lo  # ends pinned at hi, lo
-            u = (hi - c) * top + (c - lo) * bottom
+        def piece(t_lo, t_hi, mask):
+            """g at the interior critical point of the piece (t_lo, t_hi).
+            Each end of the overlap is pinned at hi or lo or moves with t,
+            read from the exact breakpoint distances (c +- t_lo rounds)."""
+            top, bottom = t_lo >= his - c, t_lo >= c - los  # ends pinned at hi, lo
+            u = (his - c) * top + (c - los) * bottom
             v = 2.0 - top - bottom
             if a > 0.0:
                 u, v = length - u, -v
-            if a != -1.0 and v != 0.0 and t_lo >= max(lo - c, c - hi):
-                t_star = -a * u / ((a + 1.0) * v)
-                if t_lo < t_star < t_hi:
-                    best = max(best, g(t_star))
+            live = mask & (v != 0.0) & (t_lo >= np.maximum(los - c, c - his))
+            t_star = -a * u / ((a + 1.0) * v)
+            return g(t_star, live & (t_lo < t_star) & (t_star < t_hi))
+
+        everywhere = np.ones(los.shape, dtype=bool)
+        inside_closure = (los <= c) & (c <= his)
+        best = np.zeros(los.shape)
+        if a == -1.0:
+            # h(t) = v0 * t near 0, so g -> v0 * t^(a+1) = v0.
+            best[inside_closure] = np.where((los < c) & (c < his), 2.0, 1.0)[inside_closure]
+
+        # The sorted positive breakpoints: [near, far] where both differ and
+        # are positive, else [far].
+        dlo, dhi = np.abs(los - c), np.abs(his - c)
+        near, far = np.minimum(dlo, dhi), np.maximum(dlo, dhi)
+        two = (near > 0.0) & (near != far)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            candidates = [g(near, two), g(far, everywhere)]
+            if a != -1.0:
+                candidates += [piece(np.zeros(los.shape), np.where(two, near, far), everywhere),
+                               piece(near, far, two),
+                               piece(far, far * 2.0 + length, everywhere)]
         # Beyond the last breakpoint h is constant: g decays for a < 0 and
         # vanishes for a > 0 (the ball swallowed the interval), so no further
         # candidates arise past the last edge.
-        return best
+        for cand in candidates:
+            best = np.where(cand > best, cand, best)
+        if a < -1.0:
+            best[inside_closure] = INF
+        return _as_given(best, lo)
 
     def tabulate(self, depth: int) -> StepFunction:
         """Exact cell averages; a cell with divergent integral falls back to
@@ -162,15 +233,14 @@ class PowerWeight:
         since |x-c|^a and |x-c|^(-a) cannot both be non-integrable)."""
         grid = self.lattice(depth)
         h = grid.side(depth)
-        vals = np.empty(grid.finest_count)
-        for j in range(grid.finest_count):
-            lo = self.left + j * h
-            hi = lo + h
-            mass = self.integral(lo, hi)
-            if math.isfinite(mass):
-                vals[j] = mass / h
-            else:
-                vals[j] = h / self.moment(-1.0, lo, hi)
+        lo = self.left + np.arange(grid.finest_count) * h
+        hi = lo + h
+        mass = self.integral(lo, hi)
+        vals = mass / h
+        divergent = ~np.isfinite(mass)
+        if divergent.any():
+            with np.errstate(divide="ignore"):
+                vals[divergent] = h / self.moment(-1.0, lo[divergent], hi[divergent])
         return StepFunction(grid, vals)
 
 
@@ -232,24 +302,19 @@ _ROWS = {
 }
 
 
-def _evaluate(row: tuple, factor):
-    """Combine a row's factors left to right; ``factor(kind, e, t)`` returns
-    the backend's (base, t) for one factor, on per-level arrays or on one
-    cube's floats.  The backend may override t: the tabulated ess sup of
-    w^{-1} is a division by min w."""
+def _evaluate(row: tuple, factor, power=operator.pow, divide=operator.truediv):
+    """Combine a row's factors left to right on per-level arrays;
+    ``factor(kind, e, t)`` returns the backend's (base, t) for one factor.
+    The backend may override t (the tabulated ess sup of w^{-1} is a division
+    by min w), how a base is raised to t, and how a t = -1 factor divides."""
     value = None
     for kind, e, t in row:
         base, t = factor(kind, e, t)
         if t == -1.0:
-            if isinstance(base, np.ndarray):
-                value = value / base
-            else:
-                # A power weight's <w>_Q = inf is a true divergence (RH_r's
-                # numerator diverges with it): +inf, not inf/inf read as 0.
-                value = INF if base == INF else value / base
+            value = divide(value, base)
             continue
         if t != 1.0:
-            base = base ** t
+            base = power(base, t)
         value = base if value is None else value * base
     return value
 
@@ -281,8 +346,14 @@ def _tabulated_levels(row: tuple, w: StepFunction, grid: GridSpec):
     return level_values
 
 
-def _power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float:
-    """One cube's row value for a power weight, in Python float arithmetic."""
+def _divide_divergent(value: np.ndarray, base: np.ndarray) -> np.ndarray:
+    # A power weight's <w>_Q = inf is a true divergence (RH_r's numerator
+    # diverges with it): +inf, not inf/inf read as 0.
+    return np.where(base == INF, INF, value / base)
+
+
+def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A row's values on the cubes [lo, hi) of a power weight, all at once."""
     meas = hi - lo
 
     def factor(kind, e, t):
@@ -292,7 +363,8 @@ def _power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> floa
             return pw.weak_l1(lo, hi, power=e) / meas, t
         return pw.ess_sup_inv(lo, hi), t
 
-    return _evaluate(row, factor)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _evaluate(row, factor, power=_pow, divide=_divide_divergent)
 
 
 def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
@@ -305,8 +377,8 @@ def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
 
     def level_values(lev):
         h = grid.side(lev)
-        return np.array([_power_cube_value(row, w, w.left + i * h, w.left + (i + 1) * h)
-                         for i in range(2 ** lev)])
+        i = np.arange(2 ** lev)
+        return _power_values(row, w, w.left + i * h, w.left + (i + 1) * h)
     return level_values
 
 
@@ -403,7 +475,8 @@ def apq_star_constant(w: Weight, p: float, q: float, depth: int | None = None) -
 
 def ap_star_cube_value(pw: PowerWeight, p: float, lo: float, hi: float) -> float:
     """Single-cube A_p^* expression for a power weight, in closed form."""
-    return _power_cube_value(_ROWS["ap_star"](p, None, None), pw, lo, hi)
+    row = _ROWS["ap_star"](p, None, None)
+    return float(_power_values(row, pw, *_cube_ends(lo, hi))[0])
 
 
 # --------------------------------------------------------------------------
@@ -454,14 +527,6 @@ def sigma_rh(star: WeightConstant) -> SigmaRH:
     if q is None:
         return SigmaRH(_power(4.0, pc / p), _power(star.value, pc - 1.0))
     return SigmaRH(_power(4.0, pc / q), _power(star.value, pc))
-
-
-def _power(base: float, exponent: float) -> float:
-    """base ** exponent, +inf where the Python float power overflows."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.inf
 
 
 def sigma_rh_constant(w: Weight, p: float, q: float | None = None,

@@ -11,6 +11,9 @@ Each one is the reference for a fast library path, and only tests call them:
   ``lorentz_norm``);
 - the single-cube re-evaluation of a weight constant, and the kernel form of
   A_p^* (for the constant scans);
+- a power weight's closed forms one cube at a time in Python floats: its
+  moments, weak-L^1 norms, ess sup of w^{-1} and constant rows, its cell
+  averages and its cell masses (for the per-level arrays of ``PowerWeight``);
 - the Chebyshev ordering of the weak and strong multiplier norms;
 - the containment scan over every pair of cubes (for the subset inequality
   of ``lemma_suite``);
@@ -40,6 +43,7 @@ from weakmax.weights import (
     PowerWeight,
     Weight,
     WeightConstant,
+    _ROWS,
     _cell_power,
     _grid_of,
     _levels,
@@ -247,6 +251,145 @@ def ap_star_kernel_constant(w: Weight, p: float) -> WeightConstant:
 
 
 # --------------------------------------------------------------------------
+# power weights, one cube at a time
+# --------------------------------------------------------------------------
+
+def _distance_integral(a: float, d1: float, d2: float) -> float:
+    """int_{d1}^{d2} u^a du for 0 <= d1 < d2, +inf when divergent at 0."""
+    if d1 == 0.0:
+        if a <= -1.0:
+            return INF
+        return d2 ** (a + 1.0) / (a + 1.0)
+    if a == -1.0:
+        return math.log(d2 / d1)
+    return (d2 ** (a + 1.0) - d1 ** (a + 1.0)) / (a + 1.0)
+
+
+def power_moment(pw: PowerWeight, e: float, lo: float, hi: float) -> float:
+    """int_lo^hi |x - c|^(exponent * e) dx, +inf when divergent."""
+    a = pw.exponent * e
+    c = pw.center
+    if hi <= c:
+        return _distance_integral(a, c - hi, c - lo)
+    if lo >= c:
+        return _distance_integral(a, lo - c, hi - c)
+    return _distance_integral(a, 0.0, c - lo) + _distance_integral(a, 0.0, hi - c)
+
+
+def power_ess_sup_inv(pw: PowerWeight, lo: float, hi: float) -> float:
+    """ess sup of w^(-1) = |x-c|^(-exponent) over [lo, hi)."""
+    a = pw.exponent
+    c = pw.center
+    if a == 0.0:
+        return 1.0
+    dlo, dhi = abs(lo - c), abs(hi - c)
+    if a < 0.0:
+        return max(dlo, dhi) ** (-a)
+    if lo <= c <= hi:
+        return INF
+    return min(dlo, dhi) ** (-a)
+
+
+def power_weak_l1(pw: PowerWeight, lo: float, hi: float, power: float = 1.0) -> float:
+    """|| w^power chi_[lo,hi) ||_{L^{1,inf}}: the largest t^a h(t) over the
+    breakpoints, the interior critical points of each affine piece of h, and
+    the t -> 0 limit at the singularity."""
+    a = pw.exponent * power
+    c = pw.center
+    length = hi - lo
+    if a == 0.0:
+        return length
+
+    dlo, dhi = abs(lo - c), abs(hi - c)
+    inside_closure = lo <= c <= hi
+
+    if a < 0.0:
+        def h(t):
+            return max(0.0, min(hi, c + t) - max(lo, c - t))
+    else:
+        def h(t):
+            return length - max(0.0, min(hi, c + t) - max(lo, c - t))
+
+    def g(t):
+        ht = h(t)
+        return t ** a * ht if ht > 0.0 else 0.0
+
+    best = 0.0
+    if a < 0.0 and inside_closure:
+        v0 = 2.0 if lo < c < hi else 1.0
+        if a < -1.0:
+            return INF
+        if a == -1.0:
+            best = v0
+
+    breaks = sorted({d for d in (dlo, dhi) if d > 0.0})
+    for t in breaks:
+        best = max(best, g(t))
+    edges = [0.0] + breaks
+    edges.append(edges[-1] * 2.0 + length)
+    for t_lo, t_hi in zip(edges[:-1], edges[1:]):
+        top, bottom = t_lo >= hi - c, t_lo >= c - lo
+        u = (hi - c) * top + (c - lo) * bottom
+        v = 2.0 - top - bottom
+        if a > 0.0:
+            u, v = length - u, -v
+        if a != -1.0 and v != 0.0 and t_lo >= max(lo - c, c - hi):
+            t_star = -a * u / ((a + 1.0) * v)
+            if t_lo < t_star < t_hi:
+                best = max(best, g(t_star))
+    return best
+
+
+def power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float:
+    """One cube's row value (a ``weights._ROWS`` entry) for a power weight."""
+    meas = hi - lo
+    value = None
+    for kind, e, t in row:
+        if kind == "avg":
+            base = power_moment(pw, e, lo, hi) / meas
+        elif kind == "weak":
+            base = power_weak_l1(pw, lo, hi, power=e) / meas
+        else:
+            base = power_ess_sup_inv(pw, lo, hi)
+        if t == -1.0:
+            # <w>_Q = inf is a true divergence: +inf, not inf/inf
+            value = INF if base == INF else value / base
+            continue
+        if t != 1.0:
+            base = base ** t
+        value = base if value is None else value * base
+    return value
+
+
+def power_level_values(kind: str, pw: PowerWeight, grid: GridSpec, level: int, *,
+                       p=None, q=None, r=None) -> np.ndarray:
+    """One level's row values of a constant, one cube at a time."""
+    row = _ROWS[kind](p, q, r)
+    h = grid.side(level)
+    return np.array([power_cube_value(row, pw, pw.left + i * h, pw.left + (i + 1) * h)
+                     for i in range(2 ** level)])
+
+
+def power_tabulate_values(pw: PowerWeight, depth: int) -> np.ndarray:
+    """``PowerWeight.tabulate``'s cell values, one cell at a time."""
+    h = pw.lattice(depth).side(depth)
+    vals = np.empty(2 ** depth)
+    for j in range(2 ** depth):
+        lo = pw.left + j * h
+        hi = lo + h
+        mass = power_moment(pw, 1.0, lo, hi)
+        vals[j] = mass / h if math.isfinite(mass) else h / power_moment(pw, -1.0, lo, hi)
+    return vals
+
+
+def power_cell_masses(sigma: PowerWeight, depth: int) -> np.ndarray:
+    """sigma's mass on each finest cell, as ``lemma_suite`` forms it."""
+    h = sigma.lattice(depth).side(depth)
+    return np.array([power_moment(sigma, 1.0, sigma.left + j * h, sigma.left + (j + 1) * h)
+                     for j in range(2 ** depth)])
+
+
+# --------------------------------------------------------------------------
 # the harness
 # --------------------------------------------------------------------------
 
@@ -268,9 +411,7 @@ def lemma_subset_scan(w: Weight, p: float, q: float | None = None, seed: int = 0
     c_lemma, rh_value = sigma_rh(star_constant(w, p, q, depth))
     sigma = dual_weight(w, p, "ap" if q is None else "apq")
     if isinstance(sigma, PowerWeight):
-        h = lat.side(depth)
-        cell_mass = np.array([sigma.integral(sigma.left + j * h, sigma.left + (j + 1) * h)
-                              for j in range(lat.finest_count)])
+        cell_mass = power_cell_masses(sigma, depth)
     else:
         cell_mass = sigma.values * lat.cell_measure
 

@@ -273,6 +273,24 @@ class TestUnderflowingWeights:
         assert rows["sigma_rh"]["value"] == float("inf")
 
 
+class TestPowerOverflow:
+    """A power weight whose closed-form integrals pass the float range: each
+    command reports Infinity or names an error, never a traceback."""
+
+    @pytest.mark.parametrize("command,code", [("constants", 0), ("verify", 2), ("lemmas", 1)])
+    def test_sigma_integral_overflows(self, tmp_path, capsys, command, code):
+        # sigma = |x + 1e-4|^-100 at p = 1.01: its first cell's integral ~ 1e394
+        path = write_power(tmp_path, "pw.json", -0.0001, 1.0, [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--weight", path, "--p", "1.01", "--depth", "4"]) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "Infinity" in out or err.startswith("error: ")
+        if command == "lemmas":
+            assert "star constant must be finite" in err
+
+
 class TestFlagsPerCommand:
     # each command takes only the flags it reads
     @pytest.mark.parametrize("command,flag,value", [

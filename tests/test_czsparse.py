@@ -97,10 +97,9 @@ class TestWorkedExample:
         f = StepFunction(unit_grid(2), [4, 0, 0, 0])
         family = build_sparse(cz_decompose(f, a=4.0))
         by_key = {(e.k, e.cube.level): e for e in family.entries}
-        root_entry = by_key[(-1, 0)]
-        assert root_entry.e_measure(f.grid) == pytest.approx(0.5)
-        inner = by_key[(0, 1)]
-        assert inner.e_measure(f.grid) == pytest.approx(0.5)  # Omega_1 empty
+        cell = f.grid.cell_measure
+        assert by_key[(-1, 0)].e_cells.size * cell == pytest.approx(0.5)
+        assert by_key[(0, 1)].e_cells.size * cell == pytest.approx(0.5)  # Omega_1 empty
 
     def test_constant_function(self):
         f = constant(unit_grid(2), 1.0)
@@ -110,7 +109,7 @@ class TestWorkedExample:
         assert dec.cubes[dec.k_min] == [f.grid.root]
         family = build_sparse(dec)
         assert len(family.entries) == 1
-        assert family.entries[0].e_measure(f.grid) == pytest.approx(1.0)
+        assert family.entries[0].e_cells.size * f.grid.cell_measure == pytest.approx(1.0)
 
     def test_zero_function_empty(self):
         f = constant(unit_grid(2), 0.0)
@@ -157,7 +156,8 @@ class TestInvariantSweep:
             family = build_sparse(dec)
             grid = f.grid
             for e in family.entries:
-                assert grid.cube_measure(e.cube.level) <= 2.0 * e.e_measure(grid)
+                e_meas = e.e_cells.size * grid.cell_measure
+                assert grid.cube_measure(e.cube.level) <= 2.0 * e_meas
 
     def test_fractional(self):
         alpha = 0.5
@@ -168,7 +168,8 @@ class TestInvariantSweep:
             check_invariants(dec)
             family = build_sparse(dec)
             for e in family.entries:
-                assert f.grid.cube_measure(e.cube.level) <= 2.0 * e.e_measure(f.grid)
+                e_meas = e.e_cells.size * f.grid.cell_measure
+                assert f.grid.cube_measure(e.cube.level) <= 2.0 * e_meas
 
     def test_two_dimensional(self):
         for seed in range(6):
@@ -315,7 +316,7 @@ class TestMaskOracle:
             assert family.to_json_list() == [
                 {"k": m.k, "j": m.j, "Q": m.cube.to_dict(),
                  "E_cells": np.flatnonzero(m.e_mask).tolist()} for m in masks]
-            assert ([e.e_measure(grid) for e in family.entries]
+            assert ([e.e_cells.size * grid.cell_measure for e in family.entries]
                     == [float(m.e_mask.sum()) * grid.cell_measure for m in masks])
             trace = sparse_sum(family, w, sigma, p=2.0, alpha=alpha, q=q)
             assert _links(trace) == _links(sparse_sum_by_cube(dec, masks, w, sigma, 2.0, q))

@@ -3,8 +3,10 @@ import json
 import math
 from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import quad
 
 from weakmax import (
@@ -38,6 +40,7 @@ from weakmax import (
 )
 
 from weakmax import cli, weights
+from weakmax.harness import _cell_masses
 
 from conftest import constant, unit_grid
 from oracles import (
@@ -47,6 +50,9 @@ from oracles import (
     cube_average,
     cube_block,
     cube_weak_norm,
+    power_cell_masses,
+    power_level_values,
+    power_tabulate_values,
     weight_cube_value,
 )
 
@@ -448,6 +454,97 @@ class TestPowerConstants:
         analytic = ap_constant(pw, 2.0, depth=4).value
         tab = ap_constant(pw.tabulate(8), 2.0).value
         assert tab == pytest.approx(analytic, rel=0.05)
+
+
+def same_bits(got, expected) -> bool:
+    """Equal bit for bit elementwise, with nan equal to nan."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and bool(np.all(
+        (np.isnan(got) & np.isnan(expected)) | (got.view(np.uint64) == expected.view(np.uint64))))
+
+
+CLASS_PARAMS = {
+    "ap": ("p",), "a1": (), "apq": ("p", "q"), "a1q": ("q",), "rh": ("r",),
+    "ap_star": ("p",), "apq_star": ("p", "q"),
+}
+
+
+@st.composite
+def power_weights(draw):
+    """A power weight and a depth <= 8, its center inside the root, on a
+    lattice cell edge, or outside the root."""
+    depth = draw(st.integers(min_value=0, max_value=8))
+    left, side = draw(st.sampled_from([(0.0, 1.0), (-1.0, 3.0), (0.25, 0.5)]))
+    where = draw(st.sampled_from(["inside", "edge", "outside"]))
+    if where == "inside":
+        center = left + side * draw(st.integers(min_value=1, max_value=999)) / 1000.0
+    elif where == "edge":
+        center = left + draw(st.integers(min_value=0, max_value=2 ** depth)) * (side * 2.0 ** -depth)
+    else:
+        center = draw(st.sampled_from([left - 1e-4, left - 0.5 * side,
+                                       left + 1.25 * side, left + side + 3.0]))
+    exponent = draw(st.sampled_from([-2.0, -1.0 - 1e-6, -1.0, -1.0 + 1e-6, -0.5, 0.0, 1.0, 2.5]))
+    return PowerWeight(center, exponent, left, left + side), depth
+
+
+class TestPowerLevelsMatchOracle:
+    """The per-level arrays of a power weight equal the one-cube-at-a-time
+    Python-float closed forms bit for bit (nan equal to nan)."""
+
+    @settings(max_examples=400)
+    @given(power_weights(), st.sampled_from(sorted(CLASS_PARAMS)),
+           st.sampled_from([1.5, 2.0, 3.0]))
+    def test_constant_levels(self, drawn, kind, p):
+        pw, depth = drawn
+        values = {"p": p, "q": 2.0 * p, "r": p}
+        kw = {name: values[name] for name in CLASS_PARAMS[kind]}
+        grid = pw.lattice(depth)
+        level_values = weights._levels(kind, pw, grid, **kw)
+        for lev in range(depth + 1):
+            assert same_bits(level_values(lev), power_level_values(kind, pw, grid, lev, **kw))
+
+    @given(power_weights())
+    def test_tabulate(self, drawn):
+        pw, depth = drawn
+        assert same_bits(pw.tabulate(depth).values, power_tabulate_values(pw, depth))
+
+    @given(power_weights(), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from(["ap", "apq"]))
+    def test_lemma_cell_masses(self, drawn, p, flavor):
+        pw, depth = drawn
+        sigma = dual_weight(pw, p, flavor)
+        assert same_bits(_cell_masses(sigma, sigma.lattice(depth)),
+                         power_cell_masses(sigma, depth))
+
+    def test_floats_in_float_out(self):
+        pw = PowerWeight(0.3, -0.5, 0.0, 1.0)
+        for value in (pw.moment(2.0, 0.0, 0.5), pw.weak_l1(0.0, 0.5, power=2.0),
+                      pw.ess_sup_inv(0.0, 0.5), ap_star_cube_value(pw, 2.0, 0.0, 0.5)):
+            assert type(value) is float
+
+
+class TestPowerOverflow:
+    """A closed form past the float range reads +inf, never an exception."""
+
+    # sigma = |x + 1e-4|^-100 (p = 1.01): its integral near the center ~ 1e394
+    pw = PowerWeight(-1e-4, -100.0, 0.0, 1.0)
+
+    def test_one_end_overflows(self):
+        assert self.pw.moment(1.0, 0.0, 0.0625) == INF
+        assert math.isfinite(self.pw.moment(1.0, 0.5, 1.0))
+
+    def test_both_ends_overflow(self):
+        # inf - inf is the divergence, not nan read as 0 by the constant scan
+        assert self.pw.moment(1.0, 0.0, 1e-6) == INF
+
+    def test_ess_sup_and_weak_norm(self):
+        up = PowerWeight(-1e-4, 100.0, 0.0, 1.0)
+        assert up.ess_sup_inv(0.0, 1.0) == INF
+        assert self.pw.weak_l1(0.0, 1.0) == INF
+
+    def test_constants(self):
+        w = PowerWeight(-1e-4, 1.0, 0.0, 1.0)
+        assert ap_constant(w, 1.01, depth=4).value == INF
+        assert ap_star_constant(w, 1.01, depth=4).value == INF
 
 
 class TestSigmaRH:
