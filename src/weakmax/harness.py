@@ -532,12 +532,185 @@ def _cell_masses(sigma: Weight, lat: GridSpec) -> np.ndarray:
     return sigma.values * lat.cell_measure
 
 
-def _random_cell_union(rng: np.random.Generator, cells: np.ndarray) -> np.ndarray:
-    """Nonempty random subset of the given flat cell indices."""
-    keep = rng.random(cells.size) < rng.uniform(0.1, 0.9)
-    if not keep.any():
-        keep[rng.integers(cells.size)] = True
-    return cells[keep]
+# Cap on one (B, k + 1) array of a chunk of B random unions of k cells each.
+# A chunk holds a few such arrays at once (its words and doubles, the
+# gathered doubles, the cubes' masses), so its working set is bounded by a
+# small multiple of this cap, not by the level's size.  On the lemmas
+# benchmark, 64 KiB chunks ran faster than 32 KiB ones at the same peak
+# memory, and 128 KiB ones raised peak memory by about 0.3 MiB.
+UNION_CHUNK_BYTES = 64 * 1024
+
+
+def _union_rows(k: int) -> int:
+    return max(1, UNION_CHUNK_BYTES // (8 * (k + 1)))
+
+
+_LOW, _HIGH = 0.1, 0.9  # the range of each union's keep threshold
+
+
+def _window_min(d: np.ndarray, k: int) -> np.ndarray:
+    """min(d[s:s + k]) for every start s, by doubling windows: the window
+    of k is two overlapping windows of the largest power of two <= k."""
+    m, width = d, 1
+    while 2 * width <= k:
+        m = np.minimum(m[:-width], m[width:])
+        width *= 2
+    return m if width == k else np.minimum(m[:width - k], m[k - width:])
+
+
+class _UnionStream:
+    """The draws of seeded random cell unions, read from a Generator's PCG64
+    output in chunks, exactly as the per-union loop
+
+        keep = rng.random(k) < rng.uniform(0.1, 0.9)
+        if not keep.any():
+            keep[rng.integers(k)] = True
+
+    consumed them.  Each 64-bit word of ``bit_generator.random_raw`` is one
+    double, (word >> 11) * 2^-53: k of them for ``random(k)``, then one for
+    ``uniform``, which is 0.1 + (0.9 - 0.1) * d.  ``integers(k)`` is Lemire's
+    method on 32-bit draws, and draws nothing for k = 1.  A 32-bit draw takes
+    the upper half of the word the previous one split, while that half is
+    buffered, and splits the next word otherwise.  The buffer is PCG64's own
+    (``has_uint32``, ``uinteger``); it is read when the stream starts, and
+    ``close`` writes it back.  No word is read before it is consumed, so the
+    generator's state after ``close`` is the one the loop leaves.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.bitgen = rng.bit_generator
+        state = self.bitgen.state
+        self.buffered, self.upper = state["has_uint32"], state["uinteger"]
+        # the chunk being read, and its next word a 32-bit draw would split
+        self._words, self._next = np.empty(0, dtype=np.uint64), 0
+
+    def close(self):
+        """Write the 32-bit buffer back into the generator's state."""
+        state = self.bitgen.state
+        state["has_uint32"], state["uinteger"] = self.buffered, self.upper
+        self.bitgen.state = state
+
+    def unions(self, k: int, count: int):
+        """Yield the keep masks of the next ``count`` unions of k cells, in
+        order, as (B, k) boolean arrays of at most UNION_CHUNK_BYTES (and
+        at least one union)."""
+        rows = _union_rows(k)
+        pending = np.empty(0, dtype=np.uint64)
+        while count:
+            keep, pending = self._chunk(k, min(rows, count), pending)
+            count -= len(keep)
+            yield keep
+
+    def _chunk(self, k: int, most: int, pending: np.ndarray):
+        """The keep masks of at most ``most`` unions, and the words read for
+        the next ones.  ``pending`` (the words left over by the last chunk)
+        is shorter than one union, so no word is read past the ``most`` *
+        (k + 1) words that the unions consume at the least."""
+        span = k + 1  # the words of a union without a fallback
+        words = np.concatenate((pending, self.bitgen.random_raw(most * span - pending.size)))
+        d = (words >> np.uint64(11)) * 2.0 ** -53
+        # a union starting at word s: doubles d[s:s + k], threshold thresholds[s]
+        thresholds = _LOW + (_HIGH - _LOW) * d[k:]
+        self._words = words
+        starts, fallbacks, end = self._walk(d, thresholds, k)
+        keep = d[starts[:, None] + np.arange(k)] < thresholds[starts, None]
+        if k == 1:
+            keep[:] = True  # integers(1) is 0
+        elif fallbacks:
+            keep[tuple(zip(*fallbacks))] = True
+        return keep, words[end:].copy()
+
+    def _walk(self, d: np.ndarray, thresholds: np.ndarray, k: int):
+        """The starts of the unions that fit in the chunk, their fallback
+        cells as (row, cell) pairs, and the end of the words they consume.
+
+        Without a fallback the unions start every k + 1 words.  A union
+        keeps nothing where the least of its k doubles is at least its
+        threshold, which a sliding minimum tells for every start at once.
+        The walk goes from one empty union to the next, through each start's
+        next empty start in its residue class mod k + 1: a fallback that
+        splits a new word moves every later start one word on, and one that
+        reads the buffered half moves nothing.  For k = 1 no fallback draws,
+        so none is walked.
+        """
+        span = k + 1
+        last = thresholds.size - 1  # the last start at which a whole union fits
+        segments = [(0, 0)]  # (row, start): from there on, a union every span words
+        fallbacks = []
+        empty = np.flatnonzero(_window_min(d, k)[:last + 1] >= thresholds) if k > 1 else ()
+        if len(empty):
+            # after[s]: the first empty start at or after s, s mod span (last + 1: none)
+            lines = last // span + 1
+            after = np.full(lines * span, last + 1)
+            after[empty] = empty
+            after = np.minimum.accumulate(after.reshape(lines, span)[::-1], axis=0)[::-1].ravel()
+            pos = 0
+            while pos <= last and (e := int(after[pos])) <= last:
+                row0, start0 = segments[-1]
+                row = row0 + (e - start0) // span
+                self._next = e + span
+                fallbacks.append((row, self._below(k)))
+                if self._next > e + span:
+                    segments.append((row + 1, self._next))
+                pos = self._next
+        row0, start0 = segments[-1]
+        rows = row0 + max(0, (last - start0) // span + 1)
+        firsts = [row for row, _ in segments]
+        offsets = np.repeat([start - row * span for row, start in segments],
+                            np.diff(firsts + [rows]))
+        return np.arange(rows) * span + offsets, fallbacks, start0 + (rows - row0) * span
+
+    def _split(self) -> int:
+        """The next 32-bit draw."""
+        if self.buffered:
+            self.buffered = 0
+            return self.upper
+        if self._next < self._words.size:
+            word = int(self._words[self._next])
+        else:  # past the chunk: the word follows it in the stream
+            word = int(self.bitgen.random_raw())
+        self._next += 1
+        self.buffered, self.upper = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def _below(self, k: int) -> int:
+        """``integers(k)`` for 1 < k < 2^32 (a grid has at most CELL_CAP
+        cells): Lemire's method on 32-bit draws."""
+        m = self._split() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (0xFFFFFFFF - (k - 1)) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._split() * k
+        return m >> 32
+
+
+def _union_worst(chunks, masses: np.ndarray, sigma_q: np.ndarray, c_rh: float,
+                 n_random: int, lhs_of) -> float:
+    """The worst subset ratio lhs_of(|E|) / (c_rh sigma(E) / sigma(Q)) over the
+    random unions E of one level, n_random per cube in a row, from their keep
+    masks in ``chunks``; row i of ``masses`` holds the cell masses of the
+    i-th cube Q, and ``sigma_q[i]`` their sum.
+
+    sigma(E) is a union's kept masses summed in ascending cell order, as the
+    per-union sum ``cell_mass[e_cells].sum()`` added them: the unions of one
+    chunk that keep m cells are gathered into an (r, m) array of their kept
+    masses, and numpy sums each row of it with the same pairwise rounding.
+    Their lhs is one float, and a correctly rounded lhs / rhs falls as rhs
+    grows, so their worst ratio is lhs over their least rhs, bit for bit.
+    """
+    worst, done = 0.0, 0
+    for keep in chunks:
+        cube = np.arange(done, done + len(keep)) // n_random
+        done += len(keep)
+        kept = keep.sum(axis=1)
+        for m in np.flatnonzero(np.bincount(kept)).tolist():
+            rows = np.flatnonzero(kept == m)
+            cubes = cube[rows]
+            sigma_e = masses[cubes][keep[rows]].reshape(-1, m).sum(axis=1)
+            # a nan rhs makes the least nan, which counts as inf like rhs <= 0
+            least = (c_rh * sigma_e / sigma_q[cubes]).min()
+            worst = max(worst, float(lhs_of(m) / least) if least > 0 else math.inf)
+    return worst
 
 
 def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
@@ -549,6 +722,23 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     (ii) (|E|/|Q|)^{2p'} <= c [sigma]_RH sigma(E)/sigma(Q) for every dyadic
          subcube E of every cube Q plus n_random seeded cell unions per Q,
          with c = 4^{p'/p} (plain) or 4^{p'/q} (fractional).
+
+    The unions are those of the per-union loop over the cubes, level by
+    level, each Q in row-major order, n_random times:
+
+        keep = rng.random(k) < rng.uniform(0.1, 0.9)   # k cells in Q
+        if not keep.any():
+            keep[rng.integers(k)] = True
+
+    with rng = default_rng(seed).  They are evaluated per level in chunks,
+    from the same PCG64 stream (``_UnionStream``): random and uniform each
+    read one 64-bit word per double, and integers(k) 32-bit halves of words,
+    so the unions' words follow one another in stream order, and only a
+    fallback that splits a new word moves the later ones.  A union's
+    sigma(E) is its kept masses summed in ascending cell order with numpy's
+    pairwise rounding, as the loop's sum of ``cell_mass[e_cells]``, and
+    the ratio is taken in the loop's order of operations, so every check
+    and the worst ratio are bit-identical to the loop's.
     """
     _require_suite(n_random, seed)
     _require_positive(w)
@@ -584,7 +774,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     # cells[l][i]: the flat cells of the i-th cube of level l, ascending
     cells = [cube_blocks(np.arange(lat.finest_count), lat, lev) for lev in range(lat.depth + 1)]
     sigma_sums = [cell_mass[block].sum(axis=1) for block in cells]
-    rng = np.random.default_rng(seed)
+    stream = _UnionStream(np.random.default_rng(seed))
     checks = 0
     for level in range(lat.depth + 1):
         q_meas = lat.cube_measure(level)
@@ -596,13 +786,12 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
             ratio = np.divide(lhs, rhs, out=np.full(rhs.shape, math.inf), where=rhs > 0)
             worst = max(worst, float(ratio.max()))
             checks += ratio.size
-        for q_cells, sigma_q in zip(cells[level], sigma_sums[level].tolist()):
-            for _ in range(n_random):
-                e_cells = _random_cell_union(rng, q_cells)
-                lhs = (e_cells.size * lat.cell_measure / q_meas) ** (2.0 * pc)
-                rhs = c_lemma * rh_value * float(cell_mass[e_cells].sum()) / sigma_q
-                worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
-                checks += 1
+        masses = cell_mass[cells[level]]
+        worst = max(worst, _union_worst(
+            stream.unions(masses.shape[1], masses.shape[0] * n_random), masses,
+            sigma_sums[level], c_lemma * rh_value, n_random,
+            lambda m: (m * lat.cell_measure / q_meas) ** (2.0 * pc)))
+        checks += masses.shape[0] * n_random
 
     context = {"check": "lemma_suite", "p": p, "q": q, "seed": seed,
                "n": lat.n, "depth": lat.depth, "subset_checks": checks,

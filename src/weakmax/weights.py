@@ -453,10 +453,24 @@ def a1q_constant(w: Weight, q: float, depth: int | None = None) -> WeightConstan
     return _scan("a1q", w, _grid_of(w, depth), q=q)
 
 
+def _rh_scaled(w: StepFunction, r: float) -> StepFunction:
+    """w / 2^e, exactly.  [w]_{RH_r} has degree 0 in w, so the scale is
+    free; e = 0 while the largest w^r and its sum over every cell stay
+    normal floats, so the bits of every such weight are kept, and otherwise
+    the largest value is brought into [1, 2)."""
+    hi = int(np.frexp(w.values.max())[1])  # max w < 2^hi
+    if (hi - 1) * r >= -1022 and hi * r + w.grid.n * w.grid.depth <= 1023:
+        return w
+    return StepFunction(w.grid, np.ldexp(w.values, 1 - hi))
+
+
 def rh_constant(w: Weight, r: float, depth: int | None = None) -> WeightConstant:
-    """[w]_{RH_r} = max_Q <w^r>_Q^{1/r} / <w>_Q."""
+    """[w]_{RH_r} = max_Q <w^r>_Q^{1/r} / <w>_Q; a tabulated w is scaled by
+    ``_rh_scaled`` first."""
     if not 1 < r < INF:
         raise ValueError(f"reverse Hoelder needs 1 < r < inf, got {r}")
+    if isinstance(w, StepFunction):
+        w = _rh_scaled(w, r)
     return _scan("rh", w, _grid_of(w, depth), r=r)
 
 

@@ -15,8 +15,8 @@ Each one is the reference for a fast library path, and only tests call them:
   moments, weak-L^1 norms, ess sup of w^{-1} and constant rows, its cell
   averages and its cell masses (for the per-level arrays of ``PowerWeight``);
 - the Chebyshev ordering of the weak and strong multiplier norms;
-- the containment scan over every pair of cubes (for the subset inequality
-  of ``lemma_suite``);
+- the containment scan over every pair of cubes, and the per-union loop
+  over seeded cell unions (for the subset inequality of ``lemma_suite``);
 - the CZ sparse family by full-lattice masks and its proof-chain sums by
   per-cube integrals (for ``build_sparse`` and ``sparse_sum``).
 
@@ -35,7 +35,6 @@ import numpy as np
 
 from weakmax.czsparse import CZDecomposition, SparseTrace, SparsityError, TraceLink
 from weakmax.grid import DyadicCube, GridSpec, StepFunction
-from weakmax.harness import _random_cell_union
 from weakmax.lorentz import lorentz_norm, weak_norm, weak_scan
 from weakmax.operators import MaximalQuery, _validate, dyadic_maximal
 from weakmax.weights import (
@@ -401,11 +400,18 @@ def chebyshev_check(f: StepFunction, w: StepFunction, p: float) -> bool:
     return weak <= strong * (1.0 + 1e-12)
 
 
-def lemma_subset_scan(w: Weight, p: float, q: float | None = None, seed: int = 0,
-                      n_random: int = 64, depth: int | None = None) -> tuple[float, int]:
-    """Part (ii) of ``lemma_suite`` by the containment scan: every pair of
-    cubes is tested with ``GridSpec.contains``, and each subcube and random
-    cell union is one masked sum.  Returns (worst subset ratio, checks)."""
+def random_cell_union(rng: np.random.Generator, cells: np.ndarray) -> np.ndarray:
+    """Nonempty random subset of the given flat cell indices, one union per
+    call: the draws ``harness._UnionStream`` reads in chunks."""
+    keep = rng.random(cells.size) < rng.uniform(0.1, 0.9)
+    if not keep.any():
+        keep[rng.integers(cells.size)] = True
+    return cells[keep]
+
+
+def _lemma_ratios(w: Weight, p: float, q: float | None, depth: int | None):
+    """The lattice, and for a cube Q its cells and the subset ratio
+    (|E|/|Q|)^{2p'} / (c [sigma]_RH sigma(E)/sigma(Q)) of a set E of cells."""
     pc = conjugate(p)
     lat = _grid_of(w, depth)
     c_lemma, rh_value = sigma_rh(star_constant(w, p, q, depth))
@@ -415,10 +421,7 @@ def lemma_subset_scan(w: Weight, p: float, q: float | None = None, seed: int = 0
     else:
         cell_mass = sigma.values * lat.cell_measure
 
-    worst = 0.0
-    rng = np.random.default_rng(seed)
-    checks = 0
-    for cube in all_cubes(lat):
+    def ratios_in(cube):
         q_cells = np.flatnonzero(lat.cell_mask(cube))
         sigma_q = float(cell_mass[q_cells].sum())
         q_meas = lat.cube_measure(cube.level)
@@ -429,13 +432,38 @@ def lemma_subset_scan(w: Weight, p: float, q: float | None = None, seed: int = 0
             lhs = (e_meas / q_meas) ** (2.0 * pc)
             rhs = c_lemma * rh_value * sigma_e / sigma_q
             return lhs / rhs if rhs > 0 else math.inf
+        return q_cells, subset_ratio
+    return lat, ratios_in
 
+
+def lemma_subcube_scan(w: Weight, p: float, q: float | None = None,
+                       depth: int | None = None) -> tuple[float, int]:
+    """The dyadic subcubes of part (ii) of ``lemma_suite`` by the containment
+    scan: every pair of cubes is tested with ``GridSpec.contains``, and each
+    subcube is one masked sum.  Returns (worst subset ratio, checks)."""
+    lat, ratios_in = _lemma_ratios(w, p, q, depth)
+    worst, checks = 0.0, 0
+    for cube in all_cubes(lat):
+        _, subset_ratio = ratios_in(cube)
         for sub in all_cubes(lat):
             if lat.contains(cube, sub):
                 worst = max(worst, subset_ratio(np.flatnonzero(lat.cell_mask(sub))))
                 checks += 1
+    return worst, checks
+
+
+def lemma_union_scan(w: Weight, p: float, q: float | None = None, seed: int = 0,
+                     n_random: int = 64, depth: int | None = None) -> tuple[float, int]:
+    """The seeded cell unions of part (ii) of ``lemma_suite`` by the
+    per-union loop: n_random ``random_cell_union`` draws per cube, in lattice
+    order, each one masked sum.  Returns (worst subset ratio, checks)."""
+    lat, ratios_in = _lemma_ratios(w, p, q, depth)
+    rng = np.random.default_rng(seed)
+    worst, checks = 0.0, 0
+    for cube in all_cubes(lat):
+        q_cells, subset_ratio = ratios_in(cube)
         for _ in range(n_random):
-            worst = max(worst, subset_ratio(_random_cell_union(rng, q_cells)))
+            worst = max(worst, subset_ratio(random_cell_union(rng, q_cells)))
             checks += 1
     return worst, checks
 

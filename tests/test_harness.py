@@ -24,10 +24,12 @@ from weakmax import (
     weak_norm,
 )
 from weakmax import harness, weights
+from weakmax.grid import cube_blocks
 from weakmax.lorentz import weak_scan
 
 from conftest import constant, unit_grid
-from oracles import all_cubes, chebyshev_check, lemma_subset_scan
+from oracles import (all_cubes, chebyshev_check, lemma_subcube_scan, lemma_union_scan,
+                     random_cell_union)
 
 
 class TestMultiplierRatio:
@@ -770,30 +772,107 @@ class TestNecessity:
 
 
 LEMMA_GRIDS = [(1, 0), (1, 1), (1, 3), (1, 6), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2)]
+LEMMA_WEIGHTS = [
+    *[(random_weight(unit_grid(depth, n), np.random.default_rng(10 * n + depth),
+                     log_spread=1.2), None) for n, depth in LEMMA_GRIDS],
+    (PowerWeight(0.0, -0.2, 0.0, 1.0), 5),  # in both star classes at every p
+]
+LEMMA_IDS = [f"{n}d_depth{depth}" for n, depth in LEMMA_GRIDS] + ["power"]
+
+
+def old_unions(rng, k, count):
+    """The keep masks of ``count`` unions of k cells, drawn one union at a
+    time as ``oracles.random_cell_union`` draws them."""
+    masks = np.zeros((count, k), dtype=bool)
+    for row in masks:
+        row[:] = rng.random(k) < rng.uniform(0.1, 0.9)
+        if not row.any():
+            row[rng.integers(k)] = True
+    return masks
 
 
 class TestLemmaSuite:
     @pytest.mark.parametrize("q", [None, 4.0])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("w,depth", [
-        *[(random_weight(unit_grid(depth, n), np.random.default_rng(10 * n + depth),
-                         log_spread=1.2), None) for n, depth in LEMMA_GRIDS],
-        (PowerWeight(0.0, -0.2, 0.0, 1.0), 5),  # in both star classes at every p
-    ], ids=[f"{n}d_depth{depth}" for n, depth in LEMMA_GRIDS] + ["power"])
+    @pytest.mark.parametrize("w,depth", LEMMA_WEIGHTS, ids=LEMMA_IDS)
     def test_matches_containment_oracle(self, monkeypatch, w, depth, p, q):
         # the per-level subcube arrays check the same pairs as the scan over
-        # every pair of cubes, and reach the same worst ratio to the last bit
-        report = lemma_suite(w, p, q, seed=3, n_random=5, depth=depth)
-        worst, checks = lemma_subset_scan(w, p, q, seed=3, n_random=5, depth=depth)
-        assert report.context["subset_checks"] == checks
-        membership = [m["constant"] / m["bound"] for m in report.context["membership"].values()]
-        assert report.measured_ratio == max(*membership, worst)
+        # every pair of cubes, the chunked unions are the per-union loop's,
+        # and both reach the same worst ratio to the last bit
+        sub_worst, sub_checks = lemma_subcube_scan(w, p, q, depth)
+        for seed in (0, 3, 11):
+            for n_random in (1, 5, 64):
+                union_worst, union_checks = lemma_union_scan(w, p, q, seed, n_random, depth)
+                report = lemma_suite(w, p, q, seed=seed, n_random=n_random, depth=depth)
+                assert report.context["subset_checks"] == sub_checks + union_checks
+                membership = [m["constant"] / m["bound"]
+                              for m in report.context["membership"].values()]
+                assert report.measured_ratio == max(*membership, sub_worst, union_worst)
         # the subcubes alone, where neither the membership part nor a random
         # union can hide them in the maximum
         monkeypatch.setattr(harness, "S_VALUES", ())
         report = lemma_suite(w, p, q, n_random=0, depth=depth)
-        assert (report.measured_ratio, report.context["subset_checks"]) == \
-            lemma_subset_scan(w, p, q, n_random=0, depth=depth)
+        assert (report.measured_ratio, report.context["subset_checks"]) == (sub_worst, sub_checks)
+
+    @pytest.mark.parametrize("overflowing", [False, True], ids=["in_range", "overflowing"])
+    @pytest.mark.parametrize("n_random,rows", [(1, None), (5, None), (64, None),
+                                               (1, 1), (5, 1), (5, 3), (64, 3)])
+    @pytest.mark.parametrize("n,depth", [(1, 6), (2, 3), (3, 2)])
+    def test_union_worst_matches_loop(self, monkeypatch, n, depth, n_random, rows, overflowing):
+        # sigma(E) of the chunked unions, summed per kept count, against one
+        # masked sum per union, on cell masses spread over many binary
+        # orders, or near the top of the float range, where sums and
+        # products overflow (rhs inf or nan); in chunks of one or three
+        # unions, chunk edges fall on fallbacks
+        if rows is not None:
+            monkeypatch.setattr(harness, "_union_rows", lambda k: rows)
+        lat = unit_grid(depth, n)
+        cell_mass = np.exp(np.random.default_rng(depth).normal(0.0, 0.5 if overflowing else 4.0,
+                                                               lat.finest_count))
+        if overflowing:  # the largest mass in [2^1022, 2^1023)
+            cell_mass = np.ldexp(cell_mass, 1023 - np.frexp(cell_mass.max())[1])
+        stream = harness._UnionStream(np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        for level in range(depth + 1):
+            cells = cube_blocks(np.arange(lat.finest_count), lat, level)
+            k = cells.shape[1]
+
+            def lhs_of(m):
+                return (m / k) ** 3.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigma_q = cell_mass[cells].sum(axis=1)
+                got = harness._union_worst(stream.unions(k, len(cells) * n_random),
+                                           cell_mass[cells], sigma_q, 1.7, n_random, lhs_of)
+                want = 0.0
+                for q_cells, sq in zip(cells, sigma_q.tolist()):
+                    for _ in range(n_random):
+                        e_cells = random_cell_union(rng, q_cells)
+                        rhs = 1.7 * float(cell_mass[e_cells].sum()) / sq
+                        want = max(want, lhs_of(e_cells.size) / rhs if rhs > 0 else math.inf)
+            assert got == want
+
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["one", "three", "default"])
+    def test_union_stream(self, monkeypatch, rows):
+        # the chunked reader against Generator.random(k), uniform and
+        # integers(k) called in the per-union loop's order, for many seeds,
+        # with the 32-bit buffer empty or holding a half at the start.  NumPy
+        # does not promise stable Generator streams across versions: if this
+        # fails, lemma_suite's random unions no longer repeat the loop's.
+        if rows is not None:
+            monkeypatch.setattr(harness, "_union_rows", lambda k: rows)
+        plan = [(1, 40), (2, 150), (3, 100), (4, 100), (256, 6), (2 ** 14, 2), (2, 50)]
+        for seed in range(24):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (old, new):
+                rng.integers(7, size=seed % 2)  # leaves the upper half buffered
+            stream = harness._UnionStream(new)
+            for k, count in plan:
+                keep = np.concatenate(list(stream.unions(k, count)))
+                assert (keep == old_unions(old, k, count)).all(), \
+                    f"union stream differs from numpy's Generator (seed {seed}, k {k})"
+            stream.close()
+            assert new.bit_generator.state == old.bit_generator.state, \
+                f"generator state differs from numpy's Generator (seed {seed})"
 
     def test_sigma_underflow(self):
         # sigma = w^-100 underflows to 0 on the cell where w = 2000, so that

@@ -175,6 +175,32 @@ class TestWorkedExamples:
         assert star.value <= ap_constant(w, 2).value + 1e-15
 
 
+class TestRHScale:
+    @pytest.mark.parametrize("values,r", [([1.7e308] * 4, 1.0001), ([1.7e308] * 2, 1.0001),
+                                          ([1e-300] * 4, 2.0)],
+                             ids=["sums_overflow", "power_overflows", "power_underflows"])
+    def test_constant_weight(self, values, r):
+        # unscaled, the level sums of w^r overflow (first), w^r itself
+        # overflows (second) or underflows (third); RH of a constant is 1
+        w = StepFunction(unit_grid(1 if len(values) == 2 else 2), values)
+        assert rh_constant(w, r).value == pytest.approx(1.0, rel=1e-15)
+
+    def test_degree_zero(self, rng):
+        w = random_weight(unit_grid(5), rng)
+        expected = rh_constant(w, 2.0)
+        for e in (-1000, -600, 600, 1000):
+            got = rh_constant(StepFunction(w.grid, np.ldexp(w.values, e)), 2.0)
+            assert got.value == pytest.approx(expected.value, rel=1e-13)
+            assert got.witness == expected.witness
+
+    def test_in_range_unscaled(self, rng):
+        # a weight whose powers and sums fit is scanned as given, bit for bit
+        w = random_weight(unit_grid(5), rng)
+        for e in (-400, 0, 400):
+            scaled = StepFunction(w.grid, np.ldexp(w.values, e))
+            assert weights._rh_scaled(scaled, 2.0) is scaled
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("kind,kwargs", [
         ("ap", {"p": 2.0}), ("ap", {"p": 1.5}), ("a1", {}),
