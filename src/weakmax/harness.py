@@ -116,7 +116,9 @@ def random_weight(grid: GridSpec, rng: np.random.Generator, log_spread: float = 
 # the measured ratio
 # --------------------------------------------------------------------------
 
-def _require_q(alpha: float, q: float | None):
+def _require_alpha(alpha: float, q: float | None):
+    if not alpha >= 0:  # with MaximalQuery's message, before any scan; nan fails too
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     if q is None and alpha != 0.0:
         raise ValueError(f"alpha = {alpha} needs q, the fractional exponent with "
                          "1/p - 1/q = alpha/n; the plain ratio (q None) takes alpha = 0")
@@ -246,7 +248,7 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
     """
     if w.grid != f.grid:
         raise ValueError("weight grid does not match f")
-    _require_q(alpha, q)
+    _require_alpha(alpha, q)
     return _ratios(f.values[None, :], _RatioKernel(w, p, q), alpha)[0]
 
 
@@ -270,7 +272,7 @@ def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
     """Check a harness call before any scan, then resolve its weight.  Power
     mode runs with analytic constants and exactly tabulated w and sigma (each
     tabulated from its own closed-form cell integrals)."""
-    _require_q(alpha, q)
+    _require_alpha(alpha, q)
     if alpha > 0:
         n = 1 if isinstance(w, PowerWeight) else w.grid.n
         if not (p > 0 and q > 0):
@@ -343,7 +345,7 @@ def _cube_ratios(w_tab: StepFunction, suites: np.ndarray, p, alpha,
     kernel = _RatioKernel(w_tab, p, q)
     suites = kernel.scale(suites)
     sums = level_value_sums(suites, grid)
-    scores = _average_scores(suites, grid, alpha)
+    scores = _average_scores(sums, grid, alpha)
     norm_cells = kernel.norm_cells(suites)
     # run[l]: the max of g's scores over levels l..depth along each cell's path
     run = [scores[depth]]
@@ -549,46 +551,38 @@ _LOW, _HIGH = 0.1, 0.9  # the range of each union's keep threshold
 
 
 def _window_min(d: np.ndarray, k: int) -> np.ndarray:
-    """min(d[s:s + k]) for every start s, by doubling windows: the window
-    of k is two overlapping windows of the largest power of two <= k."""
+    """min(d[s:s + k]) for every start s and a power of two k, by doubling
+    windows."""
     m, width = d, 1
-    while 2 * width <= k:
+    while width < k:
         m = np.minimum(m[:-width], m[width:])
         width *= 2
-    return m if width == k else np.minimum(m[:width - k], m[k - width:])
+    return m
 
 
 class _UnionStream:
-    """The draws of seeded random cell unions, read from a Generator's PCG64
-    output in chunks, exactly as the per-union loop
+    """The draws of ``lemma_suite``'s random cell unions, read from the
+    PCG64 output of a fresh ``default_rng(seed)`` in chunks, exactly as the
+    per-union loop
 
         keep = rng.random(k) < rng.uniform(0.1, 0.9)
         if not keep.any():
             keep[rng.integers(k)] = True
 
-    consumed them.  Each 64-bit word of ``bit_generator.random_raw`` is one
-    double, (word >> 11) * 2^-53: k of them for ``random(k)``, then one for
-    ``uniform``, which is 0.1 + (0.9 - 0.1) * d.  ``integers(k)`` is Lemire's
-    method on 32-bit draws, and draws nothing for k = 1.  A 32-bit draw takes
-    the upper half of the word the previous one split, while that half is
-    buffered, and splits the next word otherwise.  The buffer is PCG64's own
-    (``has_uint32``, ``uinteger``); it is read when the stream starts, and
-    ``close`` writes it back.  No word is read before it is consumed, so the
-    generator's state after ``close`` is the one the loop leaves.
+    consumed them, for unions of k = 2^b cells.  Each 64-bit word of
+    ``random_raw`` is one double, (word >> 11) * 2^-53: k of them for
+    ``random(k)``, then one for ``uniform``, which is 0.1 + (0.9 - 0.1) * d.
+    ``integers(k)`` draws nothing for k = 1; otherwise it is Lemire's method
+    on one 32-bit draw, which for k = 2^b never rejects and returns the
+    draw's top b bits.  A 32-bit draw splits the next word and holds its
+    upper half for the draw after it.  The generator starts with no half
+    held, so every other fallback splits a new word, and the held half
+    carries from one chunk or level to the next.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self.bitgen = rng.bit_generator
-        state = self.bitgen.state
-        self.buffered, self.upper = state["has_uint32"], state["uinteger"]
-        # the chunk being read, and its next word a 32-bit draw would split
-        self._words, self._next = np.empty(0, dtype=np.uint64), 0
-
-    def close(self):
-        """Write the 32-bit buffer back into the generator's state."""
-        state = self.bitgen.state
-        state["has_uint32"], state["uinteger"] = self.buffered, self.upper
-        self.bitgen.state = state
+    def __init__(self, seed: int):
+        self.bitgen = np.random.PCG64(seed)
+        self.upper = None  # the held upper half of the last split word
 
     def unions(self, k: int, count: int):
         """Yield the keep masks of the next ``count`` unions of k cells, in
@@ -606,23 +600,22 @@ class _UnionStream:
         the next ones.  ``pending`` (the words left over by the last chunk)
         is shorter than one union, so no word is read past the ``most`` *
         (k + 1) words that the unions consume at the least."""
-        span = k + 1  # the words of a union without a fallback
-        words = np.concatenate((pending, self.bitgen.random_raw(most * span - pending.size)))
+        words = np.concatenate((pending, self.bitgen.random_raw(most * (k + 1) - pending.size)))
         d = (words >> np.uint64(11)) * 2.0 ** -53
         # a union starting at word s: doubles d[s:s + k], threshold thresholds[s]
         thresholds = _LOW + (_HIGH - _LOW) * d[k:]
-        self._words = words
-        starts, fallbacks, end = self._walk(d, thresholds, k)
+        starts, rows, halves, end = self._walk(words, d, thresholds, k)
         keep = d[starts[:, None] + np.arange(k)] < thresholds[starts, None]
         if k == 1:
             keep[:] = True  # integers(1) is 0
-        elif fallbacks:
-            keep[tuple(zip(*fallbacks))] = True
+        elif rows:
+            keep[rows, np.array(halves) >> (33 - k.bit_length())] = True
         return keep, words[end:].copy()
 
-    def _walk(self, d: np.ndarray, thresholds: np.ndarray, k: int):
-        """The starts of the unions that fit in the chunk, their fallback
-        cells as (row, cell) pairs, and the end of the words they consume.
+    def _walk(self, words: np.ndarray, d: np.ndarray, thresholds: np.ndarray, k: int):
+        """The starts of the unions that fit in the chunk, the rows of their
+        fallbacks and each fallback's 32-bit draw, and the end of the words
+        they consume.
 
         Without a fallback the unions start every k + 1 words.  A union
         keeps nothing where the least of its k doubles is at least its
@@ -630,13 +623,13 @@ class _UnionStream:
         The walk goes from one empty union to the next, through each start's
         next empty start in its residue class mod k + 1: a fallback that
         splits a new word moves every later start one word on, and one that
-        reads the buffered half moves nothing.  For k = 1 no fallback draws,
-        so none is walked.
+        reads the held half moves nothing.  For k = 1 no fallback draws, so
+        none is walked.
         """
         span = k + 1
         last = thresholds.size - 1  # the last start at which a whole union fits
-        segments = [(0, 0)]  # (row, start): from there on, a union every span words
-        fallbacks = []
+        rows, halves = [], []
+        splits = []  # the row after each fallback that split a word
         empty = np.flatnonzero(_window_min(d, k)[:last + 1] >= thresholds) if k > 1 else ()
         if len(empty):
             # after[s]: the first empty start at or after s, s mod span (last + 1: none)
@@ -646,50 +639,28 @@ class _UnionStream:
             after = np.minimum.accumulate(after.reshape(lines, span)[::-1], axis=0)[::-1].ravel()
             pos = 0
             while pos <= last and (e := int(after[pos])) <= last:
-                row0, start0 = segments[-1]
-                row = row0 + (e - start0) // span
-                self._next = e + span
-                fallbacks.append((row, self._below(k)))
-                if self._next > e + span:
-                    segments.append((row + 1, self._next))
-                pos = self._next
-        row0, start0 = segments[-1]
-        rows = row0 + max(0, (last - start0) // span + 1)
-        firsts = [row for row, _ in segments]
-        offsets = np.repeat([start - row * span for row, start in segments],
-                            np.diff(firsts + [rows]))
-        return np.arange(rows) * span + offsets, fallbacks, start0 + (rows - row0) * span
-
-    def _split(self) -> int:
-        """The next 32-bit draw."""
-        if self.buffered:
-            self.buffered = 0
-            return self.upper
-        if self._next < self._words.size:
-            word = int(self._words[self._next])
-        else:  # past the chunk: the word follows it in the stream
-            word = int(self.bitgen.random_raw())
-        self._next += 1
-        self.buffered, self.upper = 1, word >> 32
-        return word & 0xFFFFFFFF
-
-    def _below(self, k: int) -> int:
-        """``integers(k)`` for 1 < k < 2^32 (a grid has at most CELL_CAP
-        cells): Lemire's method on 32-bit draws."""
-        m = self._split() * k
-        if m & 0xFFFFFFFF < k:
-            threshold = (0xFFFFFFFF - (k - 1)) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = self._split() * k
-        return m >> 32
+                rows.append((e - len(splits)) // span)
+                pos = e + span
+                if self.upper is None:  # split the next word, which may follow the chunk
+                    word = int(words[pos] if pos < words.size else self.bitgen.random_raw())
+                    halves.append(word & 0xFFFFFFFF)
+                    self.upper, pos = word >> 32, pos + 1
+                    splits.append(rows[-1] + 1)
+                else:
+                    halves.append(self.upper)
+                    self.upper = None
+        # union r starts r * span words in, plus one per word split before it
+        count = max((last - len(splits)) // span + 1, splits[-1] if splits else 0)
+        starts = np.arange(count) * span + np.searchsorted(splits, np.arange(count), side="right")
+        return starts, rows, halves, count * span + len(splits)
 
 
-def _union_worst(chunks, masses: np.ndarray, sigma_q: np.ndarray, c_rh: float,
+def _union_worst(stream: _UnionStream, masses: np.ndarray, sigma_q: np.ndarray, c_rh: float,
                  n_random: int, lhs_of) -> float:
-    """The worst subset ratio lhs_of(|E|) / (c_rh sigma(E) / sigma(Q)) over the
-    random unions E of one level, n_random per cube in a row, from their keep
-    masks in ``chunks``; row i of ``masses`` holds the cell masses of the
-    i-th cube Q, and ``sigma_q[i]`` their sum.
+    """The worst subset ratio lhs_of(|E|) / (c_rh sigma(E) / sigma(Q)) over
+    the next random unions E of ``stream``, n_random per cube in a row; row
+    i of ``masses`` holds the cell masses of the i-th cube Q, and
+    ``sigma_q[i]`` their sum.
 
     sigma(E) is a union's kept masses summed in ascending cell order, as the
     per-union sum ``cell_mass[e_cells].sum()`` added them: the unions of one
@@ -699,7 +670,7 @@ def _union_worst(chunks, masses: np.ndarray, sigma_q: np.ndarray, c_rh: float,
     grows, so their worst ratio is lhs over their least rhs, bit for bit.
     """
     worst, done = 0.0, 0
-    for keep in chunks:
+    for keep in stream.unions(masses.shape[1], len(masses) * n_random):
         cube = np.arange(done, done + len(keep)) // n_random
         done += len(keep)
         kept = keep.sum(axis=1)
@@ -726,15 +697,16 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     The unions are those of the per-union loop over the cubes, level by
     level, each Q in row-major order, n_random times:
 
-        keep = rng.random(k) < rng.uniform(0.1, 0.9)   # k cells in Q
+        keep = rng.random(k) < rng.uniform(0.1, 0.9)   # k = 2^b cells in Q
         if not keep.any():
             keep[rng.integers(k)] = True
 
-    with rng = default_rng(seed).  They are evaluated per level in chunks,
-    from the same PCG64 stream (``_UnionStream``): random and uniform each
-    read one 64-bit word per double, and integers(k) 32-bit halves of words,
-    so the unions' words follow one another in stream order, and only a
-    fallback that splits a new word moves the later ones.  A union's
+    with one fresh rng = default_rng(seed) for the whole suite.  They are
+    evaluated per level in chunks, from the same PCG64 stream
+    (``_UnionStream(seed)``): random and uniform each read one 64-bit word
+    per double, and integers(k) the top b bits of one 32-bit half, so the
+    unions' words follow one another in stream order, and only a fallback
+    that splits a new word moves the later ones.  A union's
     sigma(E) is its kept masses summed in ascending cell order with numpy's
     pairwise rounding, as the loop's sum of ``cell_mass[e_cells]``, and
     the ratio is taken in the loop's order of operations, so every check
@@ -774,7 +746,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     # cells[l][i]: the flat cells of the i-th cube of level l, ascending
     cells = [cube_blocks(np.arange(lat.finest_count), lat, lev) for lev in range(lat.depth + 1)]
     sigma_sums = [cell_mass[block].sum(axis=1) for block in cells]
-    stream = _UnionStream(np.random.default_rng(seed))
+    stream = _UnionStream(seed)
     checks = 0
     for level in range(lat.depth + 1):
         q_meas = lat.cube_measure(level)
@@ -788,8 +760,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
             checks += ratio.size
         masses = cell_mass[cells[level]]
         worst = max(worst, _union_worst(
-            stream.unions(masses.shape[1], masses.shape[0] * n_random), masses,
-            sigma_sums[level], c_lemma * rh_value, n_random,
+            stream, masses, sigma_sums[level], c_lemma * rh_value, n_random,
             lambda m: (m * lat.cell_measure / q_meas) ** (2.0 * pc)))
         checks += masses.shape[0] * n_random
 

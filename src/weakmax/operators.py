@@ -56,7 +56,7 @@ def level_scores(f: StepFunction, query: MaximalQuery) -> list[np.ndarray]:
     _validate(f.grid, query)
     grid = f.grid
     if query.weight is None:
-        return _average_scores(f.values, grid, query.alpha)
+        return _average_scores(level_value_sums(f.values, grid), grid, query.alpha)
     cm = grid.cell_measure
     s = query.alpha / grid.n
     scores = []
@@ -70,14 +70,14 @@ def level_scores(f: StepFunction, query: MaximalQuery) -> list[np.ndarray]:
     return scores
 
 
-def _average_scores(values: np.ndarray, grid: GridSpec, alpha: float) -> list[np.ndarray]:
+def _average_scores(f_sums: list[np.ndarray], grid: GridSpec, alpha: float) -> list[np.ndarray]:
     """The unweighted scores |Q|^(alpha/n) <f>_Q of every row of a (..., N)
-    batch of cell arrays, one (..., 2^(lev*n)) array per level."""
+    batch of cell arrays, from its ``level_value_sums``, one (..., 2^(lev*n))
+    array per level."""
     cm = grid.cell_measure
     # The factor is exactly 1.0 at alpha = 0, so skipping it there changes no
     # score and spares the plain sweep, the harness hot path, an array product.
     s = alpha / grid.n
-    f_sums = level_value_sums(values, grid)
     scores = []
     for lev in range(grid.depth + 1):
         meas = grid.cube_measure(lev)
@@ -117,4 +117,4 @@ def _batch_maximal(values: np.ndarray, grid: GridSpec, alpha: float = 0.0) -> np
     nonnegative.
     """
     _validate(grid, MaximalQuery(alpha))
-    return running_ancestor_max(_average_scores(values, grid, alpha), grid)
+    return running_ancestor_max(_average_scores(level_value_sums(values, grid), grid, alpha), grid)
