@@ -657,7 +657,7 @@ class TestReflectionInvariance:
     def test_constants_and_checks(self, seed, n, depth, p, spread):
         depth = min(depth, 6 // n)
         w = random_weight(unit_grid(depth, n), np.random.default_rng(seed), log_spread=spread)
-        alpha = n / 4.0
+        alpha = n / 4.0  # 1/p - 1/q = alpha/n = 1/4
         q = 1.0 / (1.0 / p - 0.25)
         values = [
             lambda x: ap_constant(x, p).value,
