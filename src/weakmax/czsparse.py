@@ -23,8 +23,8 @@ import numpy as np
 
 from .grid import DyadicCube, StepFunction
 from .lorentz import weak_norm, weak_scan
-from .operators import MaximalQuery, dyadic_maximal, level_scores, running_ancestor_max
-from .weights import conjugate, sigma_rh, star_constant
+from .operators import MaximalQuery, _validate, dyadic_maximal, level_scores, running_ancestor_max
+from .weights import check_exponent_relation, conjugate, sigma_rh, star_constant
 
 
 class SparsityError(RuntimeError):
@@ -83,10 +83,13 @@ def _bracket_power(a: float, value: float, strictly_below: bool) -> int:
 def cz_decompose(f: StepFunction, a: float | None = None, alpha: float = 0.0) -> CZDecomposition:
     """Decompose the level sets of M^D f (alpha = 0) or M_alpha^D f.
 
-    The base must be finite and satisfy a >= 2^(n+1-alpha); the default is
-    that threshold, the smallest base the sparsity argument permits.
+    alpha must lie in [0, n), checked first, even for f = 0.  The base must
+    be finite and satisfy a >= 2^(n+1-alpha); the default is that threshold,
+    the smallest base the sparsity argument permits.
     """
     grid = f.grid
+    query = MaximalQuery(alpha)
+    _validate(grid, query)
     threshold = 2.0 ** (grid.n + 1 - alpha)
     if a is None:
         a = threshold
@@ -98,7 +101,7 @@ def cz_decompose(f: StepFunction, a: float | None = None, alpha: float = 0.0) ->
         return CZDecomposition(f, a, alpha, f.with_values(np.zeros_like(f.values)),
                                k_min=0, k_max=-1)
 
-    scores = level_scores(f, MaximalQuery(alpha))
+    scores = level_scores(f, query)
     max_vals = running_ancestor_max(scores, grid)
     maximal = f.with_values(max_vals)
     m_lo, m_hi = float(max_vals.min()), float(max_vals.max())
@@ -258,10 +261,10 @@ def sparse_sum(family: SparseFamily, w: StepFunction, sigma: StepFunction,
     a = dec.a
     pc = conjugate(p)
     fractional = q is not None
-    if fractional and not q > p:
-        raise ValueError(f"fractional chain needs q > p, got p={p}, q={q}")
     if alpha != dec.alpha or fractional != (dec.alpha > 0):
         raise ValueError("decomposition kind does not match the requested chain")
+    if fractional:
+        check_exponent_relation(p, q, alpha, grid.n)
 
     s = q if fractional else p
     g = f.with_values(np.divide(f.values, sigma.values,

@@ -1,10 +1,11 @@
 """Dyadic lattice over a fixed root cube, and exact step-function arithmetic.
 
 Everything downstream (maximal operators, Lorentz norms, weight constants,
-Calderon-Zygmund decompositions) operates on nonnegative functions that are
-constant on the 2^(depth*n) finest cells of the lattice.  Cell measures are
-dyadic rationals times the root measure, so partitions and parent/child sums
-stay exact in double precision; suprema over cubes are finite maxima.
+Calderon-Zygmund decompositions) operates on finite nonnegative functions
+(the one rule ``check_cells``) constant on the 2^(depth*n) finest cells.
+Cell measures are dyadic rationals times the root measure, so partitions and
+parent/child sums stay exact in double precision; suprema over cubes are
+finite maxima.
 
 Cubes are half-open boxes [a, a + h)^n, so the cells at each level partition
 the root with no boundary double counting.  All enumerations are row-major in
@@ -124,6 +125,14 @@ class GridSpec:
         return anc.reshape(-1)
 
 
+def check_cells(values: np.ndarray):
+    """Cell values, of one function or a (..., N) batch: finite and nonnegative."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cell values must be finite")
+    if np.any(values < 0):
+        raise ValueError("cell values must be nonnegative")
+
+
 class StepFunction:
     """Nonnegative function constant on the finest cells of a grid.
 
@@ -137,10 +146,7 @@ class StepFunction:
             raise ValueError(
                 f"expected {grid.finest_count} cell values, got {vals.size}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("cell values must be finite")
-        if np.any(vals < 0):
-            raise ValueError("cell values must be nonnegative")
+        check_cells(vals)
         vals.setflags(write=False)
         self.grid = grid
         self.values = vals

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks, level_value_sums
+from .grid import DyadicCube, GridSpec, StepFunction, check_cells, cube_blocks, level_value_sums
 from .lorentz import _descending_counts, _sorted_scan
 from .operators import MaximalQuery, _average_scores, _batch_maximal, _validate
 from .weights import (
@@ -29,8 +29,10 @@ from .weights import (
     Weight,
     WeightConstant,
     _grid_of,
+    _unit_scale,
     ap_constant,
     apq_constant,
+    check_exponent_relation,
     conjugate,
     dual_weight,
     sigma_rh,
@@ -117,8 +119,7 @@ def random_weight(grid: GridSpec, rng: np.random.Generator, log_spread: float = 
 # --------------------------------------------------------------------------
 
 def _require_alpha(alpha: float, q: float | None):
-    if not alpha >= 0:  # with MaximalQuery's message, before any scan; nan fails too
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    MaximalQuery(alpha)  # alpha's domain, before any scan
     if q is None and alpha != 0.0:
         raise ValueError(f"alpha = {alpha} needs q, the fractional exponent with "
                          "1/p - 1/q = alpha/n; the plain ratio (q None) takes alpha = 0")
@@ -127,39 +128,6 @@ def _require_alpha(alpha: float, q: float | None):
 _DEGENERATE = "degenerate input: ||f|| vanishes in the weighted norm"
 _TOO_WIDE = ("the weight's range is too wide for the float range of its powers: "
              "||f|| > 0, but its weighted integrand underflows to 0")
-
-
-def _check_cells(values: np.ndarray):
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cell values must be finite")
-    if np.any(values < 0):
-        raise ValueError("cell values must be nonnegative")
-
-
-# The ratio has degree 0 in w and in f, so dividing either by any power of two
-# leaves it unchanged.  A factor whose powers stay within 2^+-_SCALE_BUDGET is
-# left as it is, so the bits of every such input are kept: a product of two
-# such factors, summed over up to 2^60 cells, stays finite and normal
-# (2 * 480 + 60 < 1022).
-_SCALE_BUDGET = 480
-
-
-def _unit_scale(values: np.ndarray, power: float) -> np.ndarray:
-    """values / 2^e for each row (last axis), exactly, so that the row's
-    positive values raised to any power up to ``power`` stay within the
-    budget where they can.
-
-    e = 0 while the binary exponents of the row's largest and smallest
-    positive values, times ``power``, lie within 2^+-_SCALE_BUDGET.  Otherwise
-    e centres that exponent range on 2^0, but never so low that the largest
-    value's power leaves the budget: a range too wide to fit loses its
-    smallest values, never its largest, to the float range.
-    """
-    span = int(_SCALE_BUDGET // power)
-    hi = np.frexp(values.max(axis=-1, keepdims=True))[1]
-    lo = np.frexp(values.min(axis=-1, keepdims=True, where=values > 0, initial=np.inf))[1]
-    e = np.where((hi <= span) & (lo >= -span), 0, np.maximum((hi + lo) // 2, hi - span))
-    return np.ldexp(values, -e) if e.any() else values
 
 
 class _RatioKernel:
@@ -227,7 +195,7 @@ class _RatioKernel:
 def _ratios(F: np.ndarray, kernel: _RatioKernel, alpha: float) -> list[float]:
     """Weak-type ratio of every row of the (B, N) cell array F, each row
     swept by ``_batch_maximal``; the rows must be finite and nonnegative."""
-    _check_cells(F)
+    check_cells(F)
     F = kernel.scale(F)
     mf = _batch_maximal(F, kernel.grid, alpha)
     return kernel(mf, kernel.norm_cells(F).sum(axis=-1))
@@ -274,18 +242,10 @@ def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
     tabulated from its own closed-form cell integrals)."""
     _require_alpha(alpha, q)
     if alpha > 0:
-        n = 1 if isinstance(w, PowerWeight) else w.grid.n
-        if not (p > 0 and q > 0):
-            raise ValueError(f"exponents must be positive, got p={p}, q={q}")
-        gap = 1.0 / p - 1.0 / q
-        if abs(gap - alpha / n) > 1e-12:
-            raise ValueError(f"exponent relation violated: 1/p - 1/q = {gap:g} "
-                             f"but alpha/n = {alpha / n:g}")
-    _require_positive(w)
-    flavor = "ap" if q is None else "apq"
+        check_exponent_relation(p, q, alpha, 1 if isinstance(w, PowerWeight) else w.grid.n)
+    sigma = dual_weight(w, p, "ap" if q is None else "apq")
     star = star_constant(w, p, q, depth)
     rh = sigma_rh(star)
-    sigma = dual_weight(w, p, flavor)
     if isinstance(w, PowerWeight):
         return _Resolved(star, rh, w.tabulate(depth), sigma.tabulate(depth), "power")
     return _Resolved(star, rh, w, sigma, "tabulated")
@@ -298,12 +258,6 @@ def _require_suite(n_random: int, seed: int, c_desk: float | None = None):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if c_desk is not None and not 0 < c_desk < math.inf:
         raise ValueError(f"c_desk must be positive and finite, got {c_desk}")
-
-
-def _require_positive(w: Weight):
-    if isinstance(w, StepFunction) and np.any(w.values == 0.0):
-        raise ValueError("weight has zero cells, where the dual weight sigma is "
-                         "infinite; the harness needs w > 0 on every cell")
 
 
 def _cube_ratios(w_tab: StepFunction, suites: np.ndarray, p, alpha,
@@ -338,7 +292,7 @@ def _cube_ratios(w_tab: StepFunction, suites: np.ndarray, p, alpha,
     """
     grid = w_tab.grid
     n, depth = grid.n, grid.depth
-    _check_cells(suites)
+    check_cells(suites)
     _validate(grid, MaximalQuery(alpha))
     s = alpha / n
     cm = grid.cell_measure
@@ -569,15 +523,14 @@ class _UnionStream:
         if not keep.any():
             keep[rng.integers(k)] = True
 
-    consumed them, for unions of k = 2^b cells.  Each 64-bit word of
+    consumed them, for unions of k = 2^b >= 2 cells.  Each 64-bit word of
     ``random_raw`` is one double, (word >> 11) * 2^-53: k of them for
     ``random(k)``, then one for ``uniform``, which is 0.1 + (0.9 - 0.1) * d.
-    ``integers(k)`` draws nothing for k = 1; otherwise it is Lemire's method
-    on one 32-bit draw, which for k = 2^b never rejects and returns the
-    draw's top b bits.  A 32-bit draw splits the next word and holds its
-    upper half for the draw after it.  The generator starts with no half
-    held, so every other fallback splits a new word, and the held half
-    carries from one chunk or level to the next.
+    ``integers(k)`` is Lemire's method on one 32-bit draw, which for k = 2^b
+    never rejects and returns the draw's top b bits.  A 32-bit draw splits
+    the next word and holds its upper half for the draw after it.  The
+    generator starts with no half held, so every other fallback splits a new
+    word, and the held half carries from one chunk or level to the next.
     """
 
     def __init__(self, seed: int):
@@ -606,9 +559,7 @@ class _UnionStream:
         thresholds = _LOW + (_HIGH - _LOW) * d[k:]
         starts, rows, halves, end = self._walk(words, d, thresholds, k)
         keep = d[starts[:, None] + np.arange(k)] < thresholds[starts, None]
-        if k == 1:
-            keep[:] = True  # integers(1) is 0
-        elif rows:
+        if rows:
             keep[rows, np.array(halves) >> (33 - k.bit_length())] = True
         return keep, words[end:].copy()
 
@@ -623,14 +574,13 @@ class _UnionStream:
         The walk goes from one empty union to the next, through each start's
         next empty start in its residue class mod k + 1: a fallback that
         splits a new word moves every later start one word on, and one that
-        reads the held half moves nothing.  For k = 1 no fallback draws, so
-        none is walked.
+        reads the held half moves nothing.
         """
         span = k + 1
         last = thresholds.size - 1  # the last start at which a whole union fits
         rows, halves = [], []
         splits = []  # the row after each fallback that split a word
-        empty = np.flatnonzero(_window_min(d, k)[:last + 1] >= thresholds) if k > 1 else ()
+        empty = np.flatnonzero(_window_min(d, k)[:last + 1] >= thresholds)
         if len(empty):
             # after[s]: the first empty start at or after s, s mod span (last + 1: none)
             lines = last // span + 1
@@ -710,10 +660,13 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
     sigma(E) is its kept masses summed in ascending cell order with numpy's
     pairwise rounding, as the loop's sum of ``cell_mass[e_cells]``, and
     the ratio is taken in the loop's order of operations, so every check
-    and the worst ratio are bit-identical to the loop's.
+    and the worst ratio are bit-identical to the loop's.  A union of at
+    most two cells is Q or one of its cells, whose ratio the subcube check
+    takes with the same floats, so those levels, the last, draw nothing;
+    ``subset_checks`` still counts their unions.
     """
     _require_suite(n_random, seed)
-    _require_positive(w)
+    sigma = dual_weight(w, p, "ap" if q is None else "apq")
     pc = conjugate(p)
     lat = _grid_of(w, depth)
     star = star_constant(w, p, q, depth)
@@ -739,7 +692,7 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
         membership[f"s={s}"] = {"constant": const, "bound": lim}
         worst = max(worst, const / lim)
 
-    cell_mass = _cell_masses(dual_weight(w, p, "ap" if q is None else "apq"), lat)
+    cell_mass = _cell_masses(sigma, lat)
     if not cell_mass.all():
         raise ValueError("sigma underflows to 0 on a cell, and sigma(Q) divides the lemma")
 
@@ -759,9 +712,10 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
             worst = max(worst, float(ratio.max()))
             checks += ratio.size
         masses = cell_mass[cells[level]]
-        worst = max(worst, _union_worst(
-            stream, masses, sigma_sums[level], c_lemma * rh_value, n_random,
-            lambda m: (m * lat.cell_measure / q_meas) ** (2.0 * pc)))
+        if masses.shape[1] > 2:  # see the docstring for smaller unions
+            worst = max(worst, _union_worst(
+                stream, masses, sigma_sums[level], c_lemma * rh_value, n_random,
+                lambda m: (m * lat.cell_measure / q_meas) ** (2.0 * pc)))
         checks += masses.shape[0] * n_random
 
     context = {"check": "lemma_suite", "p": p, "q": q, "seed": seed,

@@ -7,6 +7,8 @@ to the cell itself), of a cube score
     weighted    w(Q)^(alpha/n) <f>_{w,Q},  <f>_{w,Q} = (1/w(Q)) int_Q f w
 
 so alpha and the weight name the operator; alpha = 0 is the plain M^D.
+alpha's domain [0, n) is checked here for every module: alpha >= 0 when a
+MaximalQuery is built, alpha < n by ``_validate`` against a grid.
 
 The sweep computes per-level score arrays bottom-up and pushes a running
 maximum top-down, costing O(2^(depth*n) * depth).  Cubes with w(Q) = 0 score
@@ -31,7 +33,7 @@ class MaximalQuery:
     weight: StepFunction | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # nan fails too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 

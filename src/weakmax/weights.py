@@ -15,6 +15,8 @@ For power weights each power and log is still taken per element as a Python
 float, because numpy's vectorized ``**`` and ``log`` round some results
 differently, and the values must match the one-cube closed forms bit for
 bit.  Throughout, the 0 * inf = 0 convention applies to degenerate products.
+Three input rules live here alone: w > 0 (``dual_weight``), 1/p - 1/q =
+alpha/n (``check_exponent_relation``) and the scale rule (``_unit_scale``).
 """
 
 from __future__ import annotations
@@ -265,7 +267,7 @@ def _grid_of(w: Weight, depth: int | None) -> GridSpec:
 
 
 def _cell_power(vals: np.ndarray, e: float) -> np.ndarray:
-    # 0^e for e < 0 is +inf here (zero cells make the dual mass divergent),
+    # 0^e for e < 0 is +inf here (where w = 0, the dual mass diverges),
     # and a power past the float range is +inf, which the constant reports.
     with np.errstate(divide="ignore", over="ignore"):
         return vals ** e
@@ -423,6 +425,17 @@ class WeightConstant:
         }
 
 
+def check_exponent_relation(p: float, q: float, alpha: float, n: int):
+    """The exponents of a fractional chain: p, q > 0 and 1/p - 1/q = alpha/n
+    within 1e-12, where n is the dimension (1 for a power weight)."""
+    if not (p > 0 and q > 0):
+        raise ValueError(f"exponents must be positive, got p={p}, q={q}")
+    gap = 1.0 / p - 1.0 / q
+    if not abs(gap - alpha / n) <= 1e-12:
+        raise ValueError(f"exponent relation violated: 1/p - 1/q = {gap:g} "
+                         f"but alpha/n = {alpha / n:g}")
+
+
 def _require_fractional(p: float, q: float):
     if not p < q < INF:
         raise ValueError(f"fractional class needs p < q < inf, got p={p}, q={q}")
@@ -453,24 +466,40 @@ def a1q_constant(w: Weight, q: float, depth: int | None = None) -> WeightConstan
     return _scan("a1q", w, _grid_of(w, depth), q=q)
 
 
-def _rh_scaled(w: StepFunction, r: float) -> StepFunction:
-    """w / 2^e, exactly.  [w]_{RH_r} has degree 0 in w, so the scale is
-    free; e = 0 while the largest w^r and its sum over every cell stay
-    normal floats, so the bits of every such weight are kept, and otherwise
-    the largest value is brought into [1, 2)."""
-    hi = int(np.frexp(w.values.max())[1])  # max w < 2^hi
-    if (hi - 1) * r >= -1022 and hi * r + w.grid.n * w.grid.depth <= 1023:
-        return w
-    return StepFunction(w.grid, np.ldexp(w.values, 1 - hi))
+# A quantity of degree 0 in a function, such as [w]_{RH_r} in w or the
+# harness's weak-type ratio in w and in f, is unchanged when the function is
+# divided by a power of two.  A function whose powers stay within
+# 2^+-_SCALE_BUDGET is left as it is, so the bits of every such input are
+# kept: a product of two such factors, summed over up to 2^60 cells, stays
+# finite and normal (2 * 480 + 60 < 1022).
+_SCALE_BUDGET = 480
+
+
+def _unit_scale(values: np.ndarray, power: float) -> np.ndarray:
+    """values / 2^e for each row (last axis), exactly, so that the row's
+    positive values raised to any power up to ``power`` stay within the
+    budget where they can.
+
+    e = 0 while the binary exponents of the row's largest and smallest
+    positive values, times ``power``, lie within 2^+-_SCALE_BUDGET.  Otherwise
+    e centres that exponent range on 2^0, but never so low that the largest
+    value's power leaves the budget: a range too wide to fit loses its
+    smallest values, never its largest, to the float range.
+    """
+    span = int(_SCALE_BUDGET // power)
+    hi = np.frexp(values.max(axis=-1, keepdims=True))[1]
+    lo = np.frexp(values.min(axis=-1, keepdims=True, where=values > 0, initial=np.inf))[1]
+    e = np.where((hi <= span) & (lo >= -span), 0, np.maximum((hi + lo) // 2, hi - span))
+    return np.ldexp(values, -e) if e.any() else values
 
 
 def rh_constant(w: Weight, r: float, depth: int | None = None) -> WeightConstant:
     """[w]_{RH_r} = max_Q <w^r>_Q^{1/r} / <w>_Q; a tabulated w is scaled by
-    ``_rh_scaled`` first."""
+    ``_unit_scale`` for the power r first."""
     if not 1 < r < INF:
         raise ValueError(f"reverse Hoelder needs 1 < r < inf, got {r}")
     if isinstance(w, StepFunction):
-        w = _rh_scaled(w, r)
+        w = w.with_values(_unit_scale(w.values, r))
     return _scan("rh", w, _grid_of(w, depth), r=r)
 
 
@@ -498,7 +527,11 @@ def ap_star_cube_value(pw: PowerWeight, p: float, lo: float, hi: float) -> float
 # --------------------------------------------------------------------------
 
 def dual_weight(w: Weight, p: float, flavor: str = "ap") -> Weight:
-    """sigma = w^{1-p'} (flavor "ap") or w^{-p'} (flavor "apq")."""
+    """sigma = w^{1-p'} (flavor "ap") or w^{-p'} (flavor "apq"), after the
+    one check of w > 0: sigma is infinite on a zero cell."""
+    if isinstance(w, StepFunction) and np.any(w.values == 0.0):
+        raise ValueError("weight has zero cells, where the dual weight sigma is "
+                         "infinite; sigma needs w > 0 on every cell")
     pc = conjugate(p)
     if flavor == "ap":
         e = 1.0 - pc
@@ -506,8 +539,6 @@ def dual_weight(w: Weight, p: float, flavor: str = "ap") -> Weight:
         e = -pc
     else:
         raise ValueError(f"flavor must be 'ap' or 'apq', got {flavor!r}")
-    if isinstance(w, StepFunction) and np.any(w.values <= 0.0):
-        raise ValueError("dual weight needs strictly positive cell values")
     return w ** e
 
 

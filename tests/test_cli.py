@@ -77,6 +77,13 @@ class TestMaximal:
         assert main(["maximal", "--weight", path, "--with-weight", power]) == 1
         assert "--with-weight" in capsys.readouterr().err
 
+    def test_nan_alpha(self, tmp_path, capsys):
+        path = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
+        assert main(["maximal", "--weight", path, "--alpha", "nan"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "alpha must be >= 0, got nan" in err
+
     def test_weighted(self, tmp_path, capsys):
         f = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))
         w = write_weight(tmp_path, "w.json", constant(unit_grid(2), 2.0))
@@ -116,6 +123,19 @@ class TestCz:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert "base a = 1e+308 is too large" in err
+
+    @pytest.mark.parametrize("cells,alpha,message", [
+        ([4, 0, 0, 0], "nan", "alpha must be >= 0, got nan"),
+        ([0, 0, 0, 0], "nan", "alpha must be >= 0, got nan"),
+        ([0, 0, 0, 0], "7", "alpha must lie in [0, n), got 7.0 with n=1"),
+        ([0, 0, 0, 0], "-1", "alpha must be >= 0, got -1.0"),
+    ], ids=["nan", "nan_zero", "above_n_zero", "negative_zero"])
+    def test_alpha_out_of_domain(self, tmp_path, capsys, cells, alpha, message):
+        path = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), cells))
+        assert main(["cz", "--weight", path, "--alpha", alpha]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
     def test_infinite_base(self, tmp_path, capsys):
         path = write_weight(tmp_path, "f.json", StepFunction(unit_grid(2), [4, 0, 0, 0]))

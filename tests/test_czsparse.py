@@ -126,6 +126,18 @@ class TestWorkedExample:
             cz_decompose(f, a=2.5, alpha=0.5)
         cz_decompose(f, a=2.0 ** 1.5, alpha=0.5)
 
+    @pytest.mark.parametrize("cells", [[4, 0, 0, 0], [0, 0, 0, 0]], ids=["spike", "zero"])
+    @pytest.mark.parametrize("alpha,message", [
+        (math.nan, "alpha must be >= 0"), (-1.0, "alpha must be >= 0"),
+        (7.0, r"alpha must lie in \[0, n\)"),
+    ], ids=["nan", "negative", "above_n"])
+    def test_alpha_checked_first(self, cells, alpha, message):
+        # before the base threshold, which nan alpha makes nan, and before
+        # the early return for f = 0
+        f = StepFunction(unit_grid(2), cells)
+        with pytest.raises(ValueError, match=message):
+            cz_decompose(f, alpha=alpha)
+
     def test_nan_base_refused(self):
         # nan compares False with the threshold, so "a < threshold" lets it through
         f = StepFunction(unit_grid(2), [4, 0, 0, 0])
@@ -442,6 +454,15 @@ class TestSparseSum:
         w = constant(unit_grid(3), 1.0)
         with pytest.raises(ValueError):
             sparse_sum(family, w, w, p=2.0)
+
+    @pytest.mark.parametrize("q", [8.0, 2.5])
+    def test_exponent_relation(self, q):
+        # q > p, but 1/p - 1/q is not alpha/n = 1/4
+        f = StepFunction(unit_grid(2), [4, 0, 0, 0])
+        w = constant(unit_grid(2), 1.0)
+        family = build_sparse(cz_decompose(f, alpha=0.25))
+        with pytest.raises(ValueError, match="exponent relation violated"):
+            sparse_sum(family, w, dual_weight(w, 2.0, "apq"), p=2.0, alpha=0.25, q=q)
 
     def test_chain_kind_mismatch(self):
         f = StepFunction(unit_grid(2), [4, 0, 0, 0])

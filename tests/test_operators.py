@@ -97,6 +97,14 @@ class TestFractional:
         with pytest.raises(ValueError):
             dyadic_maximal(f, MaximalQuery(alpha=1.0))
 
+    def test_nan_alpha(self):
+        # nan fails alpha >= 0, so the query names alpha before any sweep
+        f = StepFunction(unit_grid(1), [1, 0])
+        with pytest.raises(ValueError, match="alpha must be >= 0, got nan"):
+            dyadic_maximal(f, MaximalQuery(alpha=math.nan))
+        with pytest.raises(ValueError, match="alpha must be >= 0, got nan"):
+            _batch_maximal(f.values[None], f.grid, math.nan)
+
 
 class TestWeighted:
     def test_constant_weight_reduces_to_plain(self, rng):

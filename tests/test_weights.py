@@ -188,17 +188,19 @@ class TestRHScale:
     def test_degree_zero(self, rng):
         w = random_weight(unit_grid(5), rng)
         expected = rh_constant(w, 2.0)
-        for e in (-1000, -600, 600, 1000):
+        # 2^400: powers past the budget, where the old rule scanned w as given
+        for e in (-1000, -600, 400, 600, 1000):
             got = rh_constant(StepFunction(w.grid, np.ldexp(w.values, e)), 2.0)
             assert got.value == pytest.approx(expected.value, rel=1e-13)
             assert got.witness == expected.witness
 
     def test_in_range_unscaled(self, rng):
-        # a weight whose powers and sums fit is scanned as given, bit for bit
+        # a weight whose squares stay within the scale budget is scanned as
+        # given, bit for bit
         w = random_weight(unit_grid(5), rng)
-        for e in (-400, 0, 400):
-            scaled = StepFunction(w.grid, np.ldexp(w.values, e))
-            assert weights._rh_scaled(scaled, 2.0) is scaled
+        for e in (-200, 0, 200):
+            values = np.ldexp(w.values, e)
+            assert weights._unit_scale(values, 2.0) is values
 
 
 class TestAgainstBruteForce:
