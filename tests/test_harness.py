@@ -926,8 +926,9 @@ class TestLemmaSuite:
         # the chunked reader against a fresh Generator's random(k), uniform
         # and integers(k) called in the per-union loop's order, for many
         # seeds and power-of-two k >= 2; the last k = 2 run follows unions
-        # without fallbacks, so the held half carries across levels, and chunks of one or three unions put
-        # fallbacks and split words on chunk edges.  NumPy does not promise
+        # without fallbacks, so the held half carries across levels, and
+        # chunks of one or three unions put fallbacks and split words on
+        # chunk edges.  NumPy does not promise
         # stable Generator streams across versions: if this fails,
         # lemma_suite's random unions no longer repeat the loop's.
         if rows is not None:

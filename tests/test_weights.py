@@ -188,7 +188,7 @@ class TestRHScale:
     def test_degree_zero(self, rng):
         w = random_weight(unit_grid(5), rng)
         expected = rh_constant(w, 2.0)
-        # 2^400: powers past the budget, where the old rule scanned w as given
+        # 2^400 takes w^2 past the scale budget, though not past the float range
         for e in (-1000, -600, 400, 600, 1000):
             got = rh_constant(StepFunction(w.grid, np.ldexp(w.values, e)), 2.0)
             assert got.value == pytest.approx(expected.value, rel=1e-13)
