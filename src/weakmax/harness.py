@@ -118,11 +118,14 @@ def random_weight(grid: GridSpec, rng: np.random.Generator, log_spread: float = 
 # the measured ratio
 # --------------------------------------------------------------------------
 
-def _require_alpha(alpha: float, q: float | None):
-    MaximalQuery(alpha)  # alpha's domain, before any scan
+def _require_alpha(alpha: float, p: float, q: float | None, n: int):
+    """alpha's domain, then q and 1/p - 1/q = alpha/n; before any scan."""
+    MaximalQuery(alpha)
     if q is None and alpha != 0.0:
         raise ValueError(f"alpha = {alpha} needs q, the fractional exponent with "
                          "1/p - 1/q = alpha/n; the plain ratio (q None) takes alpha = 0")
+    if alpha > 0:
+        check_exponent_relation(p, q, alpha, n)
 
 
 _DEGENERATE = "degenerate input: ||f|| vanishes in the weighted norm"
@@ -216,7 +219,7 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
     """
     if w.grid != f.grid:
         raise ValueError("weight grid does not match f")
-    _require_alpha(alpha, q)
+    _require_alpha(alpha, p, q, w.grid.n)
     return _ratios(f.values[None, :], _RatioKernel(w, p, q), alpha)[0]
 
 
@@ -240,9 +243,7 @@ def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
     """Check a harness call before any scan, then resolve its weight.  Power
     mode runs with analytic constants and exactly tabulated w and sigma (each
     tabulated from its own closed-form cell integrals)."""
-    _require_alpha(alpha, q)
-    if alpha > 0:
-        check_exponent_relation(p, q, alpha, 1 if isinstance(w, PowerWeight) else w.grid.n)
+    _require_alpha(alpha, p, q, 1 if isinstance(w, PowerWeight) else w.grid.n)
     sigma = dual_weight(w, p, "ap" if q is None else "apq")
     star = star_constant(w, p, q, depth)
     rh = sigma_rh(star)

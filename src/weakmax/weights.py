@@ -466,30 +466,29 @@ def a1q_constant(w: Weight, q: float, depth: int | None = None) -> WeightConstan
     return _scan("a1q", w, _grid_of(w, depth), q=q)
 
 
-# A quantity of degree 0 in a function, such as [w]_{RH_r} in w or the
-# harness's weak-type ratio in w and in f, is unchanged when the function is
-# divided by a power of two.  A function whose powers stay within
-# 2^+-_SCALE_BUDGET is left as it is, so the bits of every such input are
-# kept: a product of two such factors, summed over up to 2^60 cells, stays
-# finite and normal (2 * 480 + 60 < 1022).
+# [w]_{RH_r} has degree 0 in w, and the harness's weak-type ratio in w and in
+# f, so dividing the function by a power of two changes nothing.  Powers
+# within 2^+-_SCALE_BUDGET are left as they are, keeping every such input's
+# bits: a product of two, summed over up to 2^60 cells, stays finite and
+# normal (2 * 480 + 60 < 1022).
 _SCALE_BUDGET = 480
 
 
 def _unit_scale(values: np.ndarray, power: float) -> np.ndarray:
-    """values / 2^e for each row (last axis), exactly, so that the row's
-    positive values raised to any power up to ``power`` stay within the
-    budget where they can.
-
-    e = 0 while the binary exponents of the row's largest and smallest
-    positive values, times ``power``, lie within 2^+-_SCALE_BUDGET.  Otherwise
-    e centres that exponent range on 2^0, but never so low that the largest
-    value's power leaves the budget: a range too wide to fit loses its
-    smallest values, never its largest, to the float range.
-    """
+    """values / 2^e for each row (last axis), exactly.  e = 0 while the
+    binary exponents of the row's largest and smallest positive values,
+    times ``power``, lie within 2^+-_SCALE_BUDGET.  Otherwise e centres that
+    exponent range on 2^0, but never so low that the largest value's power
+    leaves the budget: a range too wide to fit loses its smallest values,
+    never its largest, to the float range.  Past a power of _SCALE_BUDGET,
+    where no scale fits, the largest value goes into [1, 2)."""
     span = int(_SCALE_BUDGET // power)
     hi = np.frexp(values.max(axis=-1, keepdims=True))[1]
-    lo = np.frexp(values.min(axis=-1, keepdims=True, where=values > 0, initial=np.inf))[1]
-    e = np.where((hi <= span) & (lo >= -span), 0, np.maximum((hi + lo) // 2, hi - span))
+    if span == 0:
+        e = hi - 1
+    else:
+        lo = np.frexp(values.min(axis=-1, keepdims=True, where=values > 0, initial=np.inf))[1]
+        e = np.where((hi <= span) & (lo >= -span), 0, np.maximum((hi + lo) // 2, hi - span))
     return np.ldexp(values, -e) if e.any() else values
 
 
@@ -528,18 +527,20 @@ def ap_star_cube_value(pw: PowerWeight, p: float, lo: float, hi: float) -> float
 
 def dual_weight(w: Weight, p: float, flavor: str = "ap") -> Weight:
     """sigma = w^{1-p'} (flavor "ap") or w^{-p'} (flavor "apq"), after the
-    one check of w > 0: sigma is infinite on a zero cell."""
-    if isinstance(w, StepFunction) and np.any(w.values == 0.0):
+    one check of w > 0; a tabulated sigma must also be finite."""
+    if flavor not in ("ap", "apq"):
+        raise ValueError(f"flavor must be 'ap' or 'apq', got {flavor!r}")
+    e = 1.0 - conjugate(p) if flavor == "ap" else -conjugate(p)
+    if not isinstance(w, StepFunction):
+        return w ** e
+    if np.any(w.values == 0.0):
         raise ValueError("weight has zero cells, where the dual weight sigma is "
                          "infinite; sigma needs w > 0 on every cell")
-    pc = conjugate(p)
-    if flavor == "ap":
-        e = 1.0 - pc
-    elif flavor == "apq":
-        e = -pc
-    else:
-        raise ValueError(f"flavor must be 'ap' or 'apq', got {flavor!r}")
-    return w ** e
+    with np.errstate(over="ignore"):
+        values = w.values ** e
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"sigma = w^{e:g} overflows on a cell")
+    return StepFunction(w.grid, values)
 
 
 class SigmaRH(NamedTuple):

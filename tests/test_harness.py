@@ -120,6 +120,34 @@ class TestMultiplierRatio:
             with pytest.raises(ValueError, match="alpha must be >= 0"):
                 verify_weight(w, 2.0, alpha=-0.5, q=q, n_random=2)
 
+    def test_exponent_relation(self, monkeypatch):
+        # 1/p - 1/q = alpha/n fails at p = 2, alpha = 0.5, q = 8 in one
+        # dimension: every driver refuses it, before the star scan
+        grid = unit_grid(3)
+        w = random_weight(grid, np.random.default_rng(8))
+        f = random_step(grid, np.random.default_rng(9))
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the star scan ran before the relation was checked")
+        monkeypatch.setattr(harness, "star_constant", no_scan)
+        with pytest.raises(ValueError, match="exponent relation violated"):
+            multiplier_ratio(f, w, 2.0, alpha=0.5, q=8.0)
+        with pytest.raises(ValueError, match="exponent relation violated"):
+            necessity_check(w, 2.0, alpha=0.5, q=8.0)
+        with pytest.raises(ValueError, match="exponent relation violated"):
+            sufficiency_check(w, 2.0, alpha=0.5, q=8.0, n_random=2)
+        with pytest.raises(ValueError, match="exponent relation violated"):
+            verify_weight(w, 2.0, alpha=0.5, q=8.0, n_random=2)
+
+    def test_dual_weight_overflow(self):
+        # at p = 1.5, sigma = w^-2 = 1e400 on the first cell: the drivers
+        # report sigma, before any scan
+        w = StepFunction(unit_grid(1), [1e-200, 1.0])
+        with pytest.raises(ValueError, match=r"sigma = w\^-2 overflows"):
+            lemma_suite(w, 1.5, n_random=2, seed=0)
+        with pytest.raises(ValueError, match=r"sigma = w\^-2 overflows"):
+            necessity_check(w, 1.5)
+
 
 # The seed's per-function loops, kept as the oracle of the chunked engine:
 # one validated StepFunction per suite item, one dyadic_maximal sweep and two

@@ -177,11 +177,14 @@ class TestWorkedExamples:
 
 class TestRHScale:
     @pytest.mark.parametrize("values,r", [([1.7e308] * 4, 1.0001), ([1.7e308] * 2, 1.0001),
-                                          ([1e-300] * 4, 2.0)],
-                             ids=["sums_overflow", "power_overflows", "power_underflows"])
+                                          ([1e-300] * 4, 2.0), ([1.0] * 4, 2000.0),
+                                          ([0.5] * 4, 2000.0)],
+                             ids=["sums_overflow", "power_overflows", "power_underflows",
+                                  "unit_past_budget", "half_past_budget"])
     def test_constant_weight(self, values, r):
         # unscaled, the level sums of w^r overflow (first), w^r itself
-        # overflows (second) or underflows (third); RH of a constant is 1
+        # overflows (second) or underflows (third and fifth); RH of a
+        # constant is 1, also at a power past the scale budget
         w = StepFunction(unit_grid(1 if len(values) == 2 else 2), values)
         assert rh_constant(w, r).value == pytest.approx(1.0, rel=1e-15)
 
