@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, StepFunction
+from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks
 from .lorentz import weak_norm, weak_scan
 from .operators import MaximalQuery, _validate, dyadic_maximal, level_scores, running_ancestor_max
 from .weights import check_exponent_relation, conjugate, sigma_rh, star_constant
@@ -109,32 +109,41 @@ def cz_decompose(f: StepFunction, a: float | None = None, alpha: float = 0.0) ->
     k_max = _bracket_power(a, m_hi, strictly_below=False)
 
     dec = CZDecomposition(f, a, alpha, maximal, k_min, k_max)
-    shape = (2 ** grid.depth,) * grid.n
     for k in range(k_min, k_max + 1):
         lam = a ** k
         selected: list[DyadicCube] = []
-        canvas = np.zeros(shape, dtype=bool)
+        # cubes no selected ancestor covers, carried down to each level
         active = np.ones((1,) * grid.n, dtype=bool)
         for lev in range(grid.depth + 1):
-            score_arr = scores[lev].reshape((2 ** lev,) * grid.n)
-            sel = active & (score_arr > lam)
-            if sel.any():
-                for flat in np.flatnonzero(sel.reshape(-1)):
-                    cube = grid.cube_from_flat(lev, int(flat))
-                    selected.append(cube)
-                    canvas[grid.cell_slices(cube)] = True
+            shape = (2 ** lev,) * grid.n
+            sel = active & (scores[lev].reshape(shape) > lam)
+            index = np.unravel_index(np.flatnonzero(sel), shape)
+            selected.extend(DyadicCube(lev, idx) for idx in zip(*(i.tolist() for i in index)))
+            active &= ~sel
             if lev < grid.depth:
-                carry = active & ~sel
                 for axis in range(grid.n):
-                    carry = np.repeat(carry, 2, axis=axis)
-                active = carry
-        mask = canvas.reshape(-1)
+                    active = np.repeat(active, 2, axis=axis)
+        # the finest cells left active are those no stopping cube covers
+        mask = ~active.reshape(-1)
         # The stopping cubes must tile the level set cell-exactly.
         if not np.array_equal(mask, max_vals > lam):
             raise RuntimeError("stopping cubes do not tile the level set (bug)")
         dec.cubes[k] = selected
         dec.omega_mask[k] = mask
     return dec
+
+
+def _runs(keys: list) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal consecutive keys."""
+    starts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+    return list(zip(starts, starts[1:] + [len(keys)]))
+
+
+def _cube_cells(grid: GridSpec, cubes: list[DyadicCube], level: int) -> np.ndarray:
+    """The flat finest-cell indices of cubes at one level, one ascending row
+    per cube: their rows of ``cube_blocks`` on the flat cell indices."""
+    flat = np.ravel_multi_index(np.array([c.index for c in cubes]).T, (2 ** level,) * grid.n)
+    return cube_blocks(np.arange(grid.finest_count), grid, level)[flat]
 
 
 @dataclass(frozen=True)
@@ -167,30 +176,48 @@ def build_sparse(dec: CZDecomposition) -> SparseFamily:
 
     Containment and pairwise disjointness hold by construction (E stays inside
     its own Q and avoids every later level set); both are re-checked here
-    along with |Q| <= 2|E| before the family is returned.
+    along with |Q| <= 2|E| before the family is returned.  The cubes of one
+    level of one Omega_k are checked together, as one block of cells.
     """
     grid = dec.f.grid
-    # flat cell indices on the lattice: a cube's slice holds its cells, ascending
-    index = np.arange(grid.finest_count).reshape((2 ** grid.depth,) * grid.n)
     entries: list[SparseEntry] = []
     taken = np.zeros(grid.finest_count, dtype=bool)
     for k in range(dec.k_min, dec.k_max + 1):
-        # a^k_max >= max M f leaves level k_max without cubes, so every level
-        # with cubes has Omega_{k+1}
-        for j, cube in enumerate(dec.cubes.get(k, [])):
-            q_cells = index[grid.cell_slices(cube)].reshape(-1)
-            e_cells = q_cells[~dec.omega_mask[k + 1][q_cells]]
-            q_meas = grid.cube_measure(cube.level)
-            e_meas = e_cells.size * grid.cell_measure
-            if q_meas > 2.0 * e_meas:
-                raise SparsityError(
-                    f"sparsity violated at k={k}, Q={cube}: |Q|={q_meas} > 2|E|={2 * e_meas}"
-                )
-            if taken[e_cells].any():
-                raise SparsityError(f"E sets overlap at k={k}, Q={cube} (bug)")
-            taken[e_cells] = True
-            entries.append(SparseEntry(k, j, cube, e_cells))
+        cubes = dec.cubes.get(k, [])
+        for start, stop in _runs([cube.level for cube in cubes]):
+            run = cubes[start:stop]
+            q_meas = grid.cube_measure(run[0].level)
+            cells = _cube_cells(grid, run, run[0].level)
+            # a^k_max >= max M f leaves level k_max without cubes, so every
+            # level with cubes has Omega_{k+1}
+            keep = ~dec.omega_mask[k + 1][cells]
+            counts = keep.sum(axis=1)
+            e_all = cells[keep]
+            # distinct cubes of one level, in ascending order, are disjoint
+            if (np.any(q_meas > 2.0 * (counts * grid.cell_measure))
+                    or taken[e_all].any() or np.any(cells[1:, 0] <= cells[:-1, 0])):
+                _check_one_by_one(k, run, cells, keep, taken, q_meas, grid.cell_measure)
+            taken[e_all] = True
+            ends = np.cumsum(counts).tolist()
+            entries.extend(SparseEntry(k, j, cube, e_all[lo:hi]) for j, cube, lo, hi
+                           in zip(range(start, stop), run, [0] + ends, ends))
     return SparseFamily(dec, entries)
+
+
+def _check_one_by_one(k: int, run: list[DyadicCube], cells: np.ndarray, keep: np.ndarray,
+                      taken: np.ndarray, q_meas: float, cell_measure: float):
+    """Raise the first fault of a run's entries in entry order: |Q| > 2|E|,
+    or an E meeting an earlier one (of this run too)."""
+    for cube, q_cells, q_keep in zip(run, cells, keep):
+        e_cells = q_cells[q_keep]
+        e_meas = e_cells.size * cell_measure
+        if q_meas > 2.0 * e_meas:
+            raise SparsityError(
+                f"sparsity violated at k={k}, Q={cube}: |Q|={q_meas} > 2|E|={2 * e_meas}"
+            )
+        if taken[e_cells].any():
+            raise SparsityError(f"E sets overlap at k={k}, Q={cube} (bug)")
+        taken[e_cells] = True
 
 
 # --------------------------------------------------------------------------
@@ -277,21 +304,40 @@ def sparse_sum(family: SparseFamily, w: StepFunction, sigma: StepFunction,
     c_lemma, rh = sigma_rh(star)
 
     t0 = weak_norm(weak_obj, 1.0)
+    entries = family.entries
+    cm = grid.cell_measure
+    # ||w_s chi_Q||_{1,inf}, f(Q) and sigma(Q) per entry, one block of cells
+    # per level of each Omega_k
+    wk, f_sums, sig_sums = (np.empty(len(entries)) for _ in range(3))
+    for start, stop in _runs([(e.k, e.cube.level) for e in entries]):
+        run = entries[start:stop]
+        cells = _cube_cells(grid, [e.cube for e in run], run[0].cube.level)
+        wk[start:stop] = weak_scan(w_s.values[cells], cm)
+        f_sums[start:stop] = f.values[cells].sum(axis=1)
+        sig_sums[start:stop] = sigma.values[cells].sum(axis=1)
+    # sigma(E) per entry, summed as one ascending row of |E| cells: the E sets
+    # of one size form one (r, |E|) array with the same pairwise rounding
+    sig_es = np.empty(len(entries))
+    sizes = [e.e_cells.size for e in entries]
+    by_size = np.array(sizes, dtype=int)
+    for m in set(sizes):
+        rows = np.flatnonzero(by_size == m)
+        e_cells = np.concatenate([entries[i].e_cells for i in rows.tolist()])
+        sig_es[rows] = sigma.values[e_cells].reshape(rows.size, m).sum(axis=1)
+
+    measures = [grid.cube_measure(level) for level in range(grid.depth + 1)]
     t1 = t2 = t3 = t4 = 0.0
-    index = np.arange(grid.finest_count).reshape((2 ** grid.depth,) * grid.n)
-    for entry in family.entries:
-        cube = entry.cube
-        cells = index[grid.cell_slices(cube)].reshape(-1)
+    for entry, wk_q, f_sum, sig_sum, sig_e_sum in zip(entries, wk.tolist(), f_sums.tolist(),
+                                                      sig_sums.tolist(), sig_es.tolist()):
         lam_next = a ** (entry.k + 1)
-        wk = float(weak_scan(w_s.values[cells], grid.cell_measure))  # ||w_s chi_Q||_{1,inf}
-        f_q = float(f.values[cells].sum()) * grid.cell_measure
-        q_meas = grid.cube_measure(cube.level)
+        f_q = f_sum * cm
+        q_meas = measures[entry.cube.level]
         score = q_meas ** (alpha / grid.n) * (f_q / q_meas)
-        sig_q = float(sigma.values[cells].sum()) * grid.cell_measure
+        sig_q = sig_sum * cm
         avg_sigma = f_q / sig_q  # <f sigma^{-1}>_{sigma, Q}
-        sig_e = float(sigma.values[entry.e_cells].sum()) * grid.cell_measure
-        t1 += lam_next ** s * wk
-        t2 += score ** s * wk
+        sig_e = sig_e_sum * cm
+        t1 += lam_next ** s * wk_q
+        t2 += score ** s * wk_q
         if fractional:
             t3 += avg_sigma ** q * sig_q ** (q - q / pc)
             t4 += (sig_q ** (alpha / grid.n) * avg_sigma) ** q * sig_e

@@ -103,16 +103,10 @@ class GridSpec:
         idx = np.unravel_index(flat, (2 ** level,) * self.n)
         return DyadicCube(level, tuple(int(i) for i in idx))
 
-    def cell_slices(self, cube: DyadicCube) -> tuple[slice, ...]:
-        """Slices into the (2^depth,)*n value array covering ``cube``."""
-        s = 2 ** (self.depth - cube.level)
-        return tuple(slice(i * s, (i + 1) * s) for i in cube.index)
-
     def cell_mask(self, cube: DyadicCube) -> np.ndarray:
         """Boolean mask over the flat finest-cell array selecting ``cube``."""
-        mask = np.zeros((2 ** self.depth,) * self.n, dtype=bool)
-        mask[self.cell_slices(cube)] = True
-        return mask.reshape(-1)
+        flat = np.ravel_multi_index(cube.index, (2 ** cube.level,) * self.n)
+        return self.ancestor_index(cube.level) == flat
 
     def ancestor_index(self, level: int) -> np.ndarray:
         """Flat index, among the cubes at ``level``, of each finest cell's
@@ -228,7 +222,7 @@ def cube_blocks(values: np.ndarray, grid: GridSpec, level: int) -> np.ndarray:
     """Reshape flat cell values to (cubes at level, cells per cube).
 
     Rows run over cubes in row-major index order; columns are the cells of
-    each cube in row-major order, the order of ``cell_slices``.
+    each cube in row-major order, which is their ascending flat order.
     """
     n, depth = grid.n, grid.depth
     m, b = 2 ** level, 2 ** (depth - level)

@@ -348,6 +348,21 @@ def _tabulated_levels(row: tuple, w: StepFunction, grid: GridSpec):
     return level_values
 
 
+def _relative_rh_levels(w: StepFunction, grid: GridSpec, r: float):
+    """Per-level RH_r arrays for a tabulated weight past the scale budget,
+    where no one scale keeps every w^r in range: each cube's <w^r>^{1/r} is
+    taken relative to the cube's largest value m, as m <(w/m)^r>^{1/r},
+    whose powers lie in [0, 1]."""
+    def level_values(lev):
+        blocks = cube_blocks(w.values, grid, lev)
+        top = blocks.max(axis=1)
+        scale = grid.cell_measure / grid.cube_measure(lev)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            moment = (((blocks / top[:, None]) ** r).sum(axis=1) * scale) ** (1.0 / r)
+            return top * moment / (blocks.sum(axis=1) * scale)
+    return level_values
+
+
 def _divide_divergent(value: np.ndarray, base: np.ndarray) -> np.ndarray:
     # A power weight's <w>_Q = inf is a true divergence (RH_r's numerator
     # diverges with it): +inf, not inf/inf read as 0.
@@ -375,6 +390,8 @@ def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
         raise ValueError(f"unknown constant kind {kind!r}")
     row = _ROWS[kind](p, q, r)
     if isinstance(w, StepFunction):
+        if kind == "rh" and r > _SCALE_BUDGET:
+            return _relative_rh_levels(w, grid, r)
         return _tabulated_levels(row, w, grid)
 
     def level_values(lev):
@@ -494,7 +511,8 @@ def _unit_scale(values: np.ndarray, power: float) -> np.ndarray:
 
 def rh_constant(w: Weight, r: float, depth: int | None = None) -> WeightConstant:
     """[w]_{RH_r} = max_Q <w^r>_Q^{1/r} / <w>_Q; a tabulated w is scaled by
-    ``_unit_scale`` for the power r first."""
+    ``_unit_scale`` for the power r first, and past the scale budget each
+    cube's <w^r>_Q^{1/r} is taken relative to its largest value."""
     if not 1 < r < INF:
         raise ValueError(f"reverse Hoelder needs 1 < r < inf, got {r}")
     if isinstance(w, StepFunction):

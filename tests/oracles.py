@@ -2,23 +2,24 @@
 
 Each one is the reference for a fast library path, and only tests call them:
 
-- one cube's block of cells, its integral, average and weak-L^p norm, read
-  through a (2^depth,)*n view of the values (for every per-level and
-  cell-index path);
+- one cube's slices of the (2^depth,)*n lattice, and its block of cells,
+  mask, integral, average and weak-L^p norm read through them (for every
+  per-level and cell-index path);
 - the brute-force maximal operator and its per-cube score (for the ancestor
   sweep ``dyadic_maximal``);
 - the Lorentz power identity and Hoelder inequality (for ``weak_norm`` and
   ``lorentz_norm``);
-- the single-cube re-evaluation of a weight constant, and the kernel form of
-  A_p^* (for the constant scans);
+- the single-cube re-evaluation of a weight constant, the kernel form of
+  A_p^*, and RH_r one cube at a time in logs (for the constant scans);
 - a power weight's closed forms one cube at a time in Python floats: its
   moments, weak-L^1 norms, ess sup of w^{-1} and constant rows, its cell
   averages and its cell masses (for the per-level arrays of ``PowerWeight``);
 - the Chebyshev ordering of the weak and strong multiplier norms;
 - the containment scan over every pair of cubes, and the per-union loop
   over seeded cell unions (for the subset inequality of ``lemma_suite``);
-- the CZ sparse family by full-lattice masks and its proof-chain sums by
-  per-cube integrals (for ``build_sparse`` and ``sparse_sum``).
+- the CZ stopping cubes painted one cube at a time, the sparse family by
+  full-lattice masks and its proof-chain sums by per-cube integrals (for
+  ``cz_decompose``, ``build_sparse`` and ``sparse_sum``).
 
 ``all_cubes`` enumerates the lattice in the library's cube order.
 
@@ -33,10 +34,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from weakmax.czsparse import CZDecomposition, SparseTrace, SparsityError, TraceLink
+from weakmax.czsparse import (
+    CZDecomposition,
+    SparseTrace,
+    SparsityError,
+    TraceLink,
+    _bracket_power,
+)
 from weakmax.grid import DyadicCube, GridSpec, StepFunction
 from weakmax.lorentz import lorentz_norm, weak_norm, weak_scan
-from weakmax.operators import MaximalQuery, _validate, dyadic_maximal
+from weakmax.operators import (
+    MaximalQuery,
+    _validate,
+    dyadic_maximal,
+    level_scores,
+    running_ancestor_max,
+)
 from weakmax.weights import (
     INF,
     PowerWeight,
@@ -64,10 +77,23 @@ def all_cubes(grid: GridSpec):
 # one cube's cells
 # --------------------------------------------------------------------------
 
+def cell_slices(grid: GridSpec, cube: DyadicCube) -> tuple[slice, ...]:
+    """Slices into the (2^depth,)*n value array covering ``cube``."""
+    s = 2 ** (grid.depth - cube.level)
+    return tuple(slice(i * s, (i + 1) * s) for i in cube.index)
+
+
+def cube_mask(grid: GridSpec, cube: DyadicCube) -> np.ndarray:
+    """Boolean mask over the flat finest-cell array selecting ``cube``."""
+    mask = np.zeros((2 ** grid.depth,) * grid.n, dtype=bool)
+    mask[cell_slices(grid, cube)] = True
+    return mask.reshape(-1)
+
+
 def cube_block(f: StepFunction, cube: DyadicCube) -> np.ndarray:
     """Values of the cells inside ``cube``, row-major."""
     full = f.values.reshape((2 ** f.grid.depth,) * f.grid.n)
-    return full[f.grid.cell_slices(cube)].reshape(-1)
+    return full[cell_slices(f.grid, cube)].reshape(-1)
 
 
 def cube_integral(f: StepFunction, cube: DyadicCube) -> float:
@@ -123,7 +149,7 @@ def brute_force_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -
     result = out.reshape(shape)
     for cube in all_cubes(grid):
         score = cube_score(f, cube, query)
-        sl = grid.cell_slices(cube)
+        sl = cell_slices(grid, cube)
         result[sl] = np.maximum(result[sl], score)
     return f.with_values(result.reshape(-1))
 
@@ -210,6 +236,23 @@ def weight_cube_value(w: Weight, kind: str, cube: DyadicCube, *, p=None, q=None,
     level_values = _levels(kind, w, grid, p=p, q=q, r=r)
     arr = _zero_inf(np.asarray(level_values(cube.level), dtype=float))
     return float(arr[np.ravel_multi_index(cube.index, (2 ** cube.level,) * grid.n)])
+
+
+def rh_log_domain_constant(w: StepFunction, r: float) -> float:
+    """[w]_{RH_r} one cube at a time, each <w^r>_Q^{1/r} formed in logs from
+    the cube's largest log value, so no power of w leaves the float range."""
+    best = -INF
+    for cube in all_cubes(w.grid):
+        vals = cube_block(w, cube)
+        avg = cube_average(w, cube)
+        if avg == 0.0:
+            best = max(best, 0.0)
+            continue
+        logs = np.log(vals[vals > 0])
+        top = float(logs.max())
+        log_moment = top + math.log(float(np.exp(r * (logs - top)).sum()) / vals.size) / r
+        best = max(best, math.exp(log_moment) / avg)
+    return best
 
 
 def ap_star_kernel_cube_value(w: StepFunction, p: float, cube: DyadicCube) -> float:
@@ -480,8 +523,45 @@ class MaskEntry(NamedTuple):
     e_mask: np.ndarray
 
 
+def cz_stopping_cubes(f: StepFunction, a: float | None = None, alpha: float = 0.0):
+    """``cz_decompose``'s (k_min, k_max, cubes, omega_mask) by the per-cube
+    loop: at each level the selected cubes are made one at a time with
+    ``cube_from_flat`` and painted into a lattice canvas through their
+    slices, and the canvas is Omega_k."""
+    grid = f.grid
+    query = MaximalQuery(alpha)
+    if a is None:
+        a = 2.0 ** (grid.n + 1 - alpha)
+    if not np.any(f.values > 0):
+        return 0, -1, {}, {}
+    scores = level_scores(f, query)
+    max_vals = running_ancestor_max(scores, grid)
+    k_min = _bracket_power(a, float(max_vals.min()), strictly_below=True)
+    k_max = _bracket_power(a, float(max_vals.max()), strictly_below=False)
+    cubes, omega_mask = {}, {}
+    for k in range(k_min, k_max + 1):
+        lam = a ** k
+        selected = []
+        canvas = np.zeros((2 ** grid.depth,) * grid.n, dtype=bool)
+        active = np.ones((1,) * grid.n, dtype=bool)
+        for lev in range(grid.depth + 1):
+            sel = active & (scores[lev].reshape((2 ** lev,) * grid.n) > lam)
+            for flat in np.flatnonzero(sel.reshape(-1)):
+                cube = grid.cube_from_flat(lev, int(flat))
+                selected.append(cube)
+                canvas[cell_slices(grid, cube)] = True
+            if lev < grid.depth:
+                carry = active & ~sel
+                for axis in range(grid.n):
+                    carry = np.repeat(carry, 2, axis=axis)
+                active = carry
+        cubes[k] = selected
+        omega_mask[k] = canvas.reshape(-1)
+    return k_min, k_max, cubes, omega_mask
+
+
 def sparse_masks(dec: CZDecomposition) -> list[MaskEntry]:
-    """``build_sparse`` by masks: E_{k,j} = cell_mask(Q_{k,j}) minus
+    """``build_sparse`` by masks: E_{k,j} = cube_mask(Q_{k,j}) minus
     Omega_{k+1}, with the same |Q| <= 2|E| and overlap checks and errors."""
     grid = dec.f.grid
     entries = []
@@ -489,7 +569,7 @@ def sparse_masks(dec: CZDecomposition) -> list[MaskEntry]:
     for k in range(dec.k_min, dec.k_max + 1):
         next_mask = dec.omega_mask.get(k + 1)
         for j, cube in enumerate(dec.cubes.get(k, [])):
-            q_mask = grid.cell_mask(cube)
+            q_mask = cube_mask(grid, cube)
             e_mask = q_mask if next_mask is None else q_mask & ~next_mask
             q_meas = grid.cube_measure(cube.level)
             e_meas = float(e_mask.sum()) * grid.cell_measure

@@ -27,6 +27,7 @@ from oracles import (
     cube_average,
     cube_block,
     cube_integral,
+    cz_stopping_cubes,
     sparse_masks,
     sparse_sum_by_cube,
 )
@@ -333,12 +334,53 @@ class TestMaskOracle:
             trace = sparse_sum(family, w, sigma, p=2.0, alpha=alpha, q=q)
             assert _links(trace) == _links(sparse_sum_by_cube(dec, masks, w, sigma, 2.0, q))
 
+    def test_overlap_inside_one_level_matches(self):
+        # a duplicate of a cube, appended at the level of the last cubes of
+        # Omega_k, overlaps a cube of its own level: the error names it
+        rng = np.random.default_rng(11)
+        dec = cz_decompose(random_step(unit_grid(8), rng, "lognormal"))
+        k = max(k for k, cubes in dec.cubes.items() if len(cubes) > 1)
+        cubes = dec.cubes[k]
+        cubes.append(next(c for c in cubes if c.level == cubes[-1].level))
+        with pytest.raises(SparsityError, match="E sets overlap") as expected:
+            sparse_masks(dec)
+        with pytest.raises(SparsityError, match=re.escape(str(expected.value))):
+            build_sparse(dec)
+
     def test_root_sparsity_error_matches(self):
         dec = cz_decompose(StepFunction(unit_grid(3), [32, 11, 11, 11, 17, 0, 0, 0]), a=4.0)
         with pytest.raises(SparsityError) as expected:
             sparse_masks(dec)
         with pytest.raises(SparsityError, match=re.escape(str(expected.value))):
             build_sparse(dec)
+
+
+def _stopping_cubes_match(f, a=None, alpha=0.0):
+    dec = cz_decompose(f, a=a, alpha=alpha)
+    k_min, k_max, cubes, omega_mask = cz_stopping_cubes(f, a=a, alpha=alpha)
+    assert (dec.k_min, dec.k_max) == (k_min, k_max)
+    assert dec.cubes == cubes
+    assert dec.omega_mask.keys() == omega_mask.keys()
+    for k, mask in omega_mask.items():
+        assert np.array_equal(dec.omega_mask[k], mask)
+
+
+class TestStoppingCubeOracle:
+    """cz_decompose's level-at-a-time selection against the per-cube loop"""
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("kind", ["uniform", "lognormal", "spiky"])
+    @pytest.mark.parametrize("n,depth", ORACLE_GRIDS)
+    def test_cubes_and_masks_match(self, n, depth, kind, fractional):
+        grid = unit_grid(depth, n)
+        for seed in range(3):
+            f = random_step(grid, np.random.default_rng([n, depth, seed]), kind)
+            _stopping_cubes_match(f, alpha=n / 4.0 if fractional else 0.0)
+
+    @pytest.mark.parametrize("n,depth", [(1, 10), (2, 5)])
+    def test_base_above_threshold(self, n, depth):
+        f = random_step(unit_grid(depth, n), np.random.default_rng([n, depth]), "lognormal")
+        _stopping_cubes_match(f, a=3.0 * 2.0 ** (n + 1))
 
 
 @st.composite

@@ -9,7 +9,7 @@ from weakmax import DyadicCube, GridSpec, StepFunction
 from weakmax.grid import cube_blocks, level_value_sums
 
 from conftest import constant, step_functions, unit_grid
-from oracles import all_cubes, cube_average, cube_block, cube_integral
+from oracles import all_cubes, cube_average, cube_block, cube_integral, cube_mask
 
 
 def corners(grid, level):
@@ -148,7 +148,8 @@ class TestBlocks:
             anc = grid.ancestor_index(level)
             for cube in grid.cells(level):
                 flat = np.ravel_multi_index(cube.index, (2 ** level,) * n)
-                assert np.array_equal(anc == flat, grid.cell_mask(cube))
+                assert np.array_equal(anc == flat, cube_mask(grid, cube))
+                assert np.array_equal(grid.cell_mask(cube), cube_mask(grid, cube))
 
 
 class TestSerialization:

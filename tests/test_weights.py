@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -53,10 +54,12 @@ from oracles import (
     power_cell_masses,
     power_level_values,
     power_tabulate_values,
+    rh_log_domain_constant,
     weight_cube_value,
 )
 
 INF = math.inf
+CONSTANTS_WEIGHT = Path(__file__).parent / "data" / "constants" / "tab_1d_d6.weight.json"
 
 
 # ---------------------------------------------------------------- oracles
@@ -187,6 +190,18 @@ class TestRHScale:
         # constant is 1, also at a power past the scale budget
         w = StepFunction(unit_grid(1 if len(values) == 2 else 2), values)
         assert rh_constant(w, r).value == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("r", [600.0, 2000.0, 1e4])
+    def test_past_budget_finite(self, r):
+        # past the budget the largest value goes into [1, 2), and its r-th
+        # power alone may overflow; each cube's moment relative to its own
+        # largest value keeps [w]_{RH_r} <= max_Q (max_Q w) / <w>_Q finite
+        spec = json.loads(CONSTANTS_WEIGHT.read_text())
+        w = weight_from_dict(spec)
+        value = rh_constant(w, r).value
+        bound = max(float(cube_block(w, c).max()) / cube_average(w, c) for c in all_cubes(w.grid))
+        assert math.isfinite(value) and 1.0 <= value <= bound
+        assert value == pytest.approx(rh_log_domain_constant(w, r), rel=1e-12, abs=0.0)
 
     def test_degree_zero(self, rng):
         w = random_weight(unit_grid(5), rng)
