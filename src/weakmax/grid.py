@@ -14,6 +14,7 @@ the integer cube index, which keeps reports and tests reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -46,13 +47,15 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.root_side <= 0:
-            raise ValueError(f"root side must be positive, got {self.root_side}")
+        if not 0 < self.root_side < math.inf:
+            raise ValueError(f"root_side must be positive and finite, got {self.root_side}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         corner = tuple(float(c) for c in self.root_corner)
         if len(corner) != self.n:
             raise ValueError(f"corner has {len(corner)} coordinates, expected {self.n}")
+        if not all(map(math.isfinite, corner)):
+            raise ValueError(f"root_corner must be finite, got {list(corner)}")
         object.__setattr__(self, "root_corner", corner)
         if 2 ** (self.depth * self.n) > CELL_CAP:
             raise ValueError(

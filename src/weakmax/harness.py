@@ -211,11 +211,8 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
     Plain: ||w^{1/p} M^D f||_{p,inf} / (int f^p w)^{1/p}.  Fractional
     (q given): ||w M_alpha^D f||_{q,inf} / (int f^p w^p)^{1/p}.
 
-    One route: the direct weak norm, one sort of the row.  The ratio is
-    scale-free, so f and w are each divided by a power of two before any
-    power (see ``_unit_scale``) and nothing is multiplied back; within the
-    float budget the power is 2^0, and the bits are those of the plain
-    formula.
+    One route: the direct weak norm, one sort of the row, with f and w each
+    scaled by ``_unit_scale`` (see ``_RatioKernel``).
     """
     if w.grid != f.grid:
         raise ValueError("weight grid does not match f")
@@ -229,11 +226,11 @@ def multiplier_ratio(f: StepFunction, w: StepFunction, p: float,
 
 class _Resolved(NamedTuple):
     """A weight resolved for the two checks: its star constant, sigma-RH pair,
-    tabulated (w, sigma) test pair, and backend name."""
+    ratio kernel (of the tabulated w), tabulated sigma, and backend name."""
 
     star: WeightConstant
     rh: SigmaRH
-    w_tab: StepFunction
+    kernel: _RatioKernel
     sigma_tab: StepFunction
     mode: str
 
@@ -242,14 +239,15 @@ def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
                     depth: int | None) -> _Resolved:
     """Check a harness call before any scan, then resolve its weight.  Power
     mode runs with analytic constants and exactly tabulated w and sigma (each
-    tabulated from its own closed-form cell integrals)."""
+    from its own closed-form cell integrals).  One kernel serves every row."""
     _require_alpha(alpha, p, q, 1 if isinstance(w, PowerWeight) else w.grid.n)
     sigma = dual_weight(w, p, "ap" if q is None else "apq")
     star = star_constant(w, p, q, depth)
     rh = sigma_rh(star)
     if isinstance(w, PowerWeight):
-        return _Resolved(star, rh, w.tabulate(depth), sigma.tabulate(depth), "power")
-    return _Resolved(star, rh, w, sigma, "tabulated")
+        return _Resolved(star, rh, _RatioKernel(w.tabulate(depth), p, q),
+                         sigma.tabulate(depth), "power")
+    return _Resolved(star, rh, _RatioKernel(w, p, q), sigma, "tabulated")
 
 
 def _require_suite(n_random: int, seed: int, c_desk: float | None = None):
@@ -261,12 +259,20 @@ def _require_suite(n_random: int, seed: int, c_desk: float | None = None):
         raise ValueError(f"c_desk must be positive and finite, got {c_desk}")
 
 
-def _cube_ratios(w_tab: StepFunction, suites: np.ndarray, p, alpha,
-                 q) -> list[list[tuple[DyadicCube, float | None]]]:
-    """For each suite g, a row of the (S, N) array ``suites``: (Q, ratio of
-    g chi_Q) for every lattice cube Q, level by level, row-major, in chunks of
-    at most CHUNK_BYTES within a level; the ratio is None where g vanishes
-    on Q.
+def _lattice_cube(grid: GridSpec, pos: int) -> DyadicCube:
+    """The cube at position pos of the lattice order: level by level,
+    row-major within a level, as ``grid.cells`` lists each level."""
+    level = 0
+    while pos >= 2 ** (level * grid.n):
+        pos, level = pos - 2 ** (level * grid.n), level + 1
+    return grid.cube_from_flat(level, pos)
+
+
+def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha) -> np.ndarray:
+    """For each suite g, a row of the (S, N) array ``suites``, the ratio of
+    g chi_Q for every lattice cube Q in lattice order (``_lattice_cube``), nan
+    where g vanishes on Q: an (S, C) array, written in place per chunk of at
+    most CHUNK_BYTES within a level.
 
     M_alpha^D(g chi_Q) has a closed form, so one sweep of g serves every row.
     For Q at level l with ancestors A_j (j <= l, A_l = Q), g chi_Q scores
@@ -291,13 +297,12 @@ def _cube_ratios(w_tab: StepFunction, suites: np.ndarray, p, alpha,
     power; a suite's rows fail with the errors of their own sweeps, in suite
     order within a chunk.
     """
-    grid = w_tab.grid
+    grid = kernel.grid
     n, depth = grid.n, grid.depth
     check_cells(suites)
     _validate(grid, MaximalQuery(alpha))
     s = alpha / n
     cm = grid.cell_measure
-    kernel = _RatioKernel(w_tab, p, q)
     suites = kernel.scale(suites)
     sums = level_value_sums(suites, grid)
     scores = _average_scores(sums, grid, alpha)
@@ -314,9 +319,9 @@ def _cube_ratios(w_tab: StepFunction, suites: np.ndarray, p, alpha,
     for b in range(depth):
         bit_length[2 ** b:2 ** (b + 1)] = b + 1
     rows = _chunk_rows(grid)
-    out = [[] for _ in suites]
+    out = np.full((len(suites), sum(2 ** (level * n) for level in range(depth + 1))), np.nan)
+    first = 0  # the lattice position of the level's first cube
     for level in range(depth + 1):
-        cubes = grid.cells(level)
         meas = [grid.cube_measure(j) for j in range(level + 1)]
         avg = sums[level][..., None] * cm / np.array(meas)
         C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=-1)
@@ -324,37 +329,35 @@ def _cube_ratios(w_tab: StepFunction, suites: np.ndarray, p, alpha,
         tables = np.ascontiguousarray(C[..., ::-1]).reshape(len(suites), -1)
         coords = cell_coords >> (depth - level)
         cube_coords = np.indices((2 ** level,) * n).reshape(n, -1)
-        for start in range(0, len(cubes), rows):
-            chunk = np.arange(start, min(start + rows, len(cubes)))
+        count = cube_coords.shape[1]
+        for start in range(0, count, rows):
+            chunk = np.arange(start, min(start + rows, count))
             diff = coords[0] ^ cube_coords[0, chunk, None]
             for axis in range(1, n):
                 diff |= coords[axis] ^ cube_coords[axis, chunk, None]
             up = bit_length.take(diff)  # levels from Q up to the cube holding x and Q
             on_q = up == 0
             up += (level + 1) * chunk[:, None]
-            for rows_out, level_sums, table, run_g, norm_g in zip(
+            for ratios, level_sums, table, run_g, norm_g in zip(
                     out, sums[level], tables, run[level], norm_cells):
                 positive = level_sums[chunk] > 0
                 at, on = (up, on_q) if positive.all() else (up[positive], on_q[positive])
                 mf = table.take(at)
                 np.maximum(mf, run_g, out=mf, where=on)
-                ratios = iter(kernel(mf, np.where(on, norm_g, 0.0).sum(axis=-1)))
-                rows_out += [(cube, next(ratios) if keep else None)
-                             for cube, keep in zip(cubes[start:start + rows], positive.tolist())]
+                ratios[first + chunk[positive]] = kernel(mf, np.where(on, norm_g, 0.0).sum(axis=-1))
+        first += count
     return out
 
 
-def _random_ratios(w_tab: StepFunction, p, alpha, q, seed, n_random) -> list[float]:
+def _random_ratios(kernel: _RatioKernel, alpha, seed, n_random) -> np.ndarray:
     """Ratios of n_random seeded lognormal step functions, drawn in chunks of
     at most CHUNK_BYTES."""
-    grid = w_tab.grid
     rng = np.random.default_rng(seed)
-    rows = _chunk_rows(grid)
-    kernel = _RatioKernel(w_tab, p, q)
-    out = []
+    rows = _chunk_rows(kernel.grid)
+    out = np.empty(n_random)
     for start in range(0, n_random, rows):
-        F = _lognormal(rng, (min(rows, n_random - start), grid.finest_count))
-        out += _ratios(F, kernel, alpha)
+        F = _lognormal(rng, (min(rows, n_random - start), kernel.grid.finest_count))
+        out[start:start + len(F)] = _ratios(F, kernel, alpha)
     return out
 
 
@@ -373,14 +376,14 @@ def _bound(res: _Resolved, p, q) -> float:
 
 
 def _cube_suites(res: _Resolved, p, alpha, q, chi: bool):
-    """The sigma chi_Q rows and, where the sufficiency side will read them
+    """The sigma chi_Q ratios and, where the sufficiency side will read them
     (chi asked for, a finite bound and a nonzero star constant), the chi_Q
-    rows, from one ``_cube_ratios`` sweep; None in place of chi_Q rows that
-    are not evaluated."""
+    ratios, from one ``_cube_ratios`` sweep; None in place of chi_Q ratios
+    that are not evaluated."""
     sigma = res.sigma_tab.values
     if not (chi and math.isfinite(_bound(res, p, q)) and res.star.value > 0.0):
-        return _cube_ratios(res.w_tab, sigma[None], p, alpha, q)[0], None
-    return tuple(_cube_ratios(res.w_tab, np.stack([sigma, np.ones_like(sigma)]), p, alpha, q))
+        return _cube_ratios(res.kernel, sigma[None], alpha)[0], None
+    return tuple(_cube_ratios(res.kernel, np.stack([sigma, np.ones_like(sigma)]), alpha))
 
 
 def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,
@@ -404,40 +407,37 @@ def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None =
 
 def _sufficiency(res: _Resolved, p, alpha, q, c_desk, seed, n_random,
                  sigma_rows, chi_rows) -> VerificationReport:
-    """sigma_rows and chi_rows are the rows of ``_cube_suites``."""
+    """sigma_rows and chi_rows are the ratio arrays of ``_cube_suites``."""
     star, rh = res.star, res.rh
     bound = _bound(res, p, q)
-    grid = res.w_tab.grid
+    grid = res.kernel.grid
     context = {
         "check": "sufficiency", "p": p, "q": q, "alpha": alpha, "seed": seed,
         "n": grid.n, "depth": grid.depth, "c_desk": c_desk,
         "star_constant": star.value, "sigma_rh": rh.value, "mode": res.mode,
     }
     if not math.isfinite(bound):
-        if not math.isfinite(star.value):
-            why = "star constant is infinite"
-        elif not math.isfinite(rh.value):
-            why = "sigma-RH constant overflows"
-        else:
-            why = "bound overflows"
+        why = ("star constant is infinite" if not math.isfinite(star.value) else
+               "sigma-RH constant overflows" if not math.isfinite(rh.value) else "bound overflows")
         return VerificationReport(
             context | {"diagnostic": f"{why}; bound is vacuous"},
             math.inf, bound, 0.0, {}, False, c_desk)
     if star.value == 0.0:
         raise ValueError("star constant is 0: sigma underflows against w")
-    suite = [(f"chi[{cube.level},{cube.index}]", ratio) for cube, ratio in chi_rows]
-    suite += [(f"sigma_chi[{cube.level},{cube.index}]", ratio)
-              for cube, ratio in sigma_rows if ratio is not None]
-    suite += [(f"random[{i}]", ratio) for i, ratio in
-              enumerate(_random_ratios(res.w_tab, p, alpha, q, seed, n_random))]
-    best = -math.inf
-    best_label = ""
-    for label, ratio in suite:
-        if ratio > best:
-            best, best_label = ratio, label
+    # every chi_Q, every sigma chi_Q (-inf where sigma vanishes on Q, so it
+    # never wins), every random row; argmax returns the first maximum
+    suite = np.concatenate((chi_rows, np.where(np.isnan(sigma_rows), -math.inf, sigma_rows),
+                            _random_ratios(res.kernel, alpha, seed, n_random)))
+    i = int(np.argmax(suite))
+    best, cubes = float(suite[i]), len(chi_rows)
+    if i < 2 * cubes:
+        cube = _lattice_cube(grid, i % cubes)
+        label = f"{'chi' if i < cubes else 'sigma_chi'}[{cube.level},{cube.index}]"
+    else:
+        label = f"random[{i - 2 * cubes}]"
     normalized = best / bound
     return VerificationReport(
-        context, best, bound, normalized, {"function": best_label},
+        context, best, bound, normalized, {"function": label},
         normalized <= c_desk, c_desk)
 
 
@@ -454,24 +454,21 @@ def necessity_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = N
 
 
 def _necessity(res: _Resolved, p, alpha, q, sigma_rows) -> VerificationReport:
-    grid = res.w_tab.grid
-    exponent = 1.0 / p if q is None else 1.0
-    bound = res.star.value ** exponent
-    best = -math.inf
-    best_cube = grid.root
-    rows = []
-    for cube, ratio in sigma_rows:
-        if ratio is None:  # sigma underflowed to 0 on all of Q
-            raise ValueError(_DEGENERATE)
-        rows.append({"level": cube.level, "index": list(cube.index), "ratio": ratio})
-        if ratio > best:
-            best, best_cube = ratio, cube
+    grid = res.kernel.grid
+    bound = res.star.value ** (1.0 / p if q is None else 1.0)
+    if np.isnan(sigma_rows).any():  # sigma underflowed to 0 on all of some Q
+        raise ValueError(_DEGENERATE)
+    i = int(np.argmax(sigma_rows))  # the first maximum
+    best = float(sigma_rows[i])
+    cubes = (cube for level in range(grid.depth + 1) for cube in grid.cells(level))
+    rows = [{"level": cube.level, "index": list(cube.index), "ratio": ratio}
+            for cube, ratio in zip(cubes, sigma_rows.tolist())]
     context = {"check": "necessity", "p": p, "q": q, "alpha": alpha,
                "n": grid.n, "depth": grid.depth, "star_constant": res.star.value,
                "mode": res.mode}
     verdict = best >= bound - RATIO_TOL
     return VerificationReport(context, best, bound, best / bound if bound > 0 else math.inf,
-                              {"cube": best_cube.to_dict(),
+                              {"cube": _lattice_cube(grid, i).to_dict(),
                                "star_witness": res.star.witness.to_dict()},
                               verdict, RATIO_TOL, per_cube=rows)
 

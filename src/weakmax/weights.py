@@ -118,6 +118,10 @@ class PowerWeight:
     right: float
 
     def __post_init__(self):
+        for name, value in (("center", self.center), ("exponent", self.exponent),
+                            ("root", self.left), ("root", self.right)):
+            if not math.isfinite(value):
+                raise ValueError(f"power weight {name} must be finite, got {value}")
         if not self.right > self.left:
             raise ValueError("empty root interval")
 
@@ -384,6 +388,39 @@ def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -
         return _evaluate(row, factor, power=_pow, divide=_divide_divergent)
 
 
+def _relative_rh(pw: PowerWeight, r: float, lo: np.ndarray, hi: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """A power weight's RH_r values, with each cube where the closed form of
+    <w^r>_Q leaves the normal float range, though w^r is integrable on Q,
+    taken relative to m = ess sup_Q w as m <(w/m)^r>_Q^{1/r}.  m = d*^exponent
+    at the distance d* from the center where w peaks on Q, and each side
+    [d1, d2] of u = |x - c| adds int (u/d*)^(exponent r) du = d* int_{d1/d*}^{d2/d*}
+    v^(exponent r) dv, whose integrand lies in [0, 1].  A cube whose closure
+    holds the center keeps its value if the exponent is negative: there m is
+    infinite, and w^r, if its closed form overflows, diverges."""
+    e, c = pw.exponent, pw.center
+    meas = hi - lo
+    with np.errstate(over="ignore"):
+        plain = pw.moment(r, lo, hi) / meas
+    fix = ~((plain >= np.finfo(float).tiny) & (plain < INF))
+    fix &= ~((e < 0.0) & (lo <= c) & (c <= hi))
+    if not fix.any():
+        return values
+    lo, hi, meas = lo[fix], hi[fix], meas[fix]
+    across = (lo < c) & (c < hi)
+    dlo, dhi = np.abs(lo - c), np.abs(hi - c)
+    d1 = np.where(across, 0.0, np.minimum(dlo, dhi))
+    d2 = np.where(across, dlo, np.maximum(dlo, dhi))
+    peak = np.maximum(dlo, dhi) if e > 0.0 else d1
+    total = _distance_integral(e * r, d1 / peak, d2 / peak)
+    total[across] += _distance_integral(e * r, np.zeros(int(across.sum())),
+                                        dhi[across] / peak[across])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rh = _pow(peak, e) * _pow(peak * total / meas, 1.0 / r) / (pw.moment(1.0, lo, hi) / meas)
+    values[fix] = np.where(np.isfinite(rh), rh, INF)
+    return values
+
+
 def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
     """Build the per-level array closure for one constant's cube expression."""
     if kind not in _ROWS:
@@ -397,7 +434,9 @@ def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
     def level_values(lev):
         h = grid.side(lev)
         i = np.arange(2 ** lev)
-        return _power_values(row, w, w.left + i * h, w.left + (i + 1) * h)
+        lo, hi = w.left + i * h, w.left + (i + 1) * h
+        values = _power_values(row, w, lo, hi)
+        return _relative_rh(w, r, lo, hi, values) if kind == "rh" else values
     return level_values
 
 
@@ -512,7 +551,9 @@ def _unit_scale(values: np.ndarray, power: float) -> np.ndarray:
 def rh_constant(w: Weight, r: float, depth: int | None = None) -> WeightConstant:
     """[w]_{RH_r} = max_Q <w^r>_Q^{1/r} / <w>_Q; a tabulated w is scaled by
     ``_unit_scale`` for the power r first, and past the scale budget each
-    cube's <w^r>_Q^{1/r} is taken relative to its largest value."""
+    cube's <w^r>_Q^{1/r} is taken relative to its largest value, as is a
+    power weight's on a cube where the closed form leaves the float range
+    (``_relative_rh``)."""
     if not 1 < r < INF:
         raise ValueError(f"reverse Hoelder needs 1 < r < inf, got {r}")
     if isinstance(w, StepFunction):

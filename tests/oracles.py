@@ -13,7 +13,8 @@ Each one is the reference for a fast library path, and only tests call them:
   A_p^*, and RH_r one cube at a time in logs (for the constant scans);
 - a power weight's closed forms one cube at a time in Python floats: its
   moments, weak-L^1 norms, ess sup of w^{-1} and constant rows, its cell
-  averages and its cell masses (for the per-level arrays of ``PowerWeight``);
+  averages and its cell masses (for the per-level arrays of ``PowerWeight``),
+  and its RH_r constant in decimal arithmetic (for r past the float range);
 - the Chebyshev ordering of the weak and strong multiplier norms;
 - the containment scan over every pair of cubes, and the per-union loop
   over seeded cell unions (for the subset inequality of ``lemma_suite``);
@@ -29,6 +30,7 @@ Oracles may read private library names; they are not library API.
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import NamedTuple
 
@@ -410,6 +412,47 @@ def power_level_values(kind: str, pw: PowerWeight, grid: GridSpec, level: int, *
     h = grid.side(level)
     return np.array([power_cube_value(row, pw, pw.left + i * h, pw.left + (i + 1) * h)
                      for i in range(2 ** level)])
+
+
+def power_rh_decimal(pw: PowerWeight, r: float, depth: int) -> float:
+    """[w]_{RH_r} of a power weight, each cube's closed-form moments taken in
+    40-digit decimal arithmetic, whose exponent range holds every power of
+    w^r; +inf where w^r is not integrable on a cube."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        D = decimal.Decimal
+        c = D(pw.center)
+
+        def average(a, lo, hi):
+            # <|x - c|^a> over [lo, hi), None when divergent
+            if hi <= c:
+                sides = [(c - hi, c - lo)]
+            elif lo >= c:
+                sides = [(lo - c, hi - c)]
+            else:
+                sides = [(D(0), c - lo), (D(0), hi - c)]
+            total = D(0)
+            for d1, d2 in sides:
+                if d1 == 0 and a <= -1:
+                    return None
+                if a == -1:
+                    total += (d2 / d1).ln()
+                else:
+                    total += (d2 ** (a + 1) - (d1 ** (a + 1) if d1 > 0 else 0)) / (a + 1)
+            return total / (hi - lo)
+
+        best = -INF
+        grid = pw.lattice(depth)
+        for level in range(depth + 1):
+            h = grid.side(level)
+            for i in range(2 ** level):
+                lo, hi = D(pw.left + i * h), D(pw.left + (i + 1) * h)
+                num = average(D(pw.exponent) * D(r), lo, hi)
+                den = average(D(pw.exponent), lo, hi)
+                if num is None or den is None:
+                    return INF
+                best = max(best, float(num ** (1 / D(r)) / den))
+        return best
 
 
 def power_tabulate_values(pw: PowerWeight, depth: int) -> np.ndarray:

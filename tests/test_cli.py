@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -407,6 +408,26 @@ class TestMalformedWeightFiles:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert MALFORMED_MESSAGES.get(name, "") in err
+
+
+    # json reads NaN and Infinity; a lattice or power weight built on them
+    # used to print every constant as 0.0
+    @pytest.mark.parametrize("spec,field", [
+        (_step_spec(root_side=math.nan), "root_side"),
+        (_step_spec(root_side=math.inf), "root_side"),
+        (_step_spec(root_corner=[-math.inf]), "root_corner"),
+        (_power_spec(center=math.nan), "center"),
+        (_power_spec(exponent=math.inf), "exponent"),
+        (_power_spec(root=[0.0, math.inf]), "root"),
+        (_power_spec(root=[math.nan, 1.0]), "root"),
+    ])
+    def test_non_finite_geometry(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(spec))
+        assert main(["constants", "--weight", str(path), "--depth", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be " in err
+        assert "finite" in err
 
 
 class TestEntryPoint:

@@ -28,7 +28,7 @@ from weakmax import (
     verify_weight,
     weak_norm,
 )
-from weakmax import harness, weights
+from weakmax import grid as grid_module, harness, weights
 from weakmax.grid import cube_blocks
 from weakmax.lorentz import weak_scan
 
@@ -206,14 +206,17 @@ def _oracle_necessity(w, sigma, p, alpha, q):
 
 def _chunked_suite_ratios(w, sigma, p, alpha, q, seed, n_random):
     # The sufficiency suite as the chunked engine evaluates it, labelled as
-    # in the reports.
+    # in the reports; the ratio arrays are in lattice order, nan where the
+    # row vanishes.
+    kernel = harness._RatioKernel(w, p, q)
     sigma_rows, chi_rows = harness._cube_ratios(
-        w, np.stack([sigma.values, np.ones(w.grid.finest_count)]), p, alpha, q)
-    rows = [("chi", c, r) for c, r in chi_rows]
-    rows += [("sigma_chi", c, r) for c, r in sigma_rows]
-    return ([(f"{kind}[{c.level},{c.index}]", r) for kind, c, r in rows if r is not None]
+        kernel, np.stack([sigma.values, np.ones(w.grid.finest_count)]), alpha)
+    cubes = list(all_cubes(w.grid))
+    rows = [("chi", c, r) for c, r in zip(cubes, chi_rows.tolist())]
+    rows += [("sigma_chi", c, r) for c, r in zip(cubes, sigma_rows.tolist())]
+    return ([(f"{kind}[{c.level},{c.index}]", r) for kind, c, r in rows if not math.isnan(r)]
             + [(f"random[{i}]", r) for i, r in
-               enumerate(harness._random_ratios(w, p, alpha, q, seed, n_random))])
+               enumerate(harness._random_ratios(kernel, alpha, seed, n_random).tolist())])
 
 
 ORACLE_GRIDS = [(1, 6), (1, 10), (2, 3), (2, 4), (3, 2)]
@@ -300,11 +303,15 @@ class TestClosedFormRows:
 
     @staticmethod
     def _assert_rows(monkeypatch, rows, w, suites, p, alpha=0.0, q=None):
-        # suites: the g of each suite, evaluated in one shared sweep
+        # suites: the g of each suite, evaluated in one shared sweep into an
+        # (S, C) array in the oracle's cube order, nan where it has None
         if rows is not None:
             monkeypatch.setattr(harness, "CHUNK_BYTES", rows * 8 * w.grid.finest_count)
         expected = [_oracle_cube_ratios(w, g, p, alpha, q) for g in suites]
-        assert harness._cube_ratios(w, np.stack(suites), p, alpha, q) == expected
+        ratios = harness._cube_ratios(harness._RatioKernel(w, p, q), np.stack(suites), alpha)
+        assert ratios.shape == (len(suites), len(expected[0]))
+        assert [[None if math.isnan(r) else r for r in row] for row in ratios.tolist()] \
+            == [[r for _, r in row] for row in expected]
         return expected
 
     @pytest.mark.parametrize("rows", [None, 1, 3])
@@ -347,7 +354,8 @@ class TestClosedFormRows:
         values = np.ones(8)
         values[5] = cell
         with pytest.raises(ValueError, match=f"cell values must be {message}"):
-            harness._cube_ratios(w, np.stack([np.ones(8), values]), 2.0, 0.0, None)
+            harness._cube_ratios(harness._RatioKernel(w, 2.0, None),
+                                 np.stack([np.ones(8), values]), 0.0)
 
     @staticmethod
     def _assert_scale_free(driver, scale):
@@ -368,6 +376,57 @@ class TestClosedFormRows:
     def test_vanishing_norm(self, driver):
         # sigma = 1e-200, so sigma^2 w underflows to 0 on every cell unscaled
         self._assert_scale_free(driver, 1e200)
+
+
+class TestLatticeOrder:
+    """The suites' ratio arrays are in lattice order, and each verify side
+    takes the first maximum of them, never a nan row."""
+
+    @pytest.mark.parametrize("n,depth", [(1, 0), (1, 5), (2, 0), (2, 3), (3, 0), (3, 2)])
+    def test_position_to_cube(self, n, depth):
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        cubes = list(all_cubes(grid))
+        assert [harness._lattice_cube(grid, pos) for pos in range(len(cubes))] == cubes
+
+    def test_no_cube_objects(self, monkeypatch):
+        # the sweep works on lattice positions alone
+        grid = GridSpec(2, (0.0, 0.0), 1.0, 3)
+        w = random_weight(grid, np.random.default_rng(1))
+        kernel = harness._RatioKernel(w, 2.0, None)
+
+        def no_cube(*args):
+            raise AssertionError("the sweep built a DyadicCube")
+        monkeypatch.setattr(grid_module, "DyadicCube", no_cube)
+        ratios = harness._cube_ratios(kernel, np.stack([w.values, np.ones(64)]), 0.0)
+        assert ratios.shape == (2, 1 + 4 + 16 + 64)
+
+    # chi_Q and sigma chi_Q ratios of the three cubes of a 1-D depth-1 grid
+    # (the root, then [0, 1/2) and [1/2, 1)), with a nan sigma chi_Q row and
+    # a +inf ratio beside the maximum
+    @pytest.mark.parametrize("sigma,chi,measured,label", [
+        ([2.0, math.nan, 1.0], [0.5, 0.25, 0.25], 2.0, "sigma_chi[0,(0,)]"),
+        ([1.0, math.nan, 3.0], [0.5, 0.25, 3.0], 3.0, "chi[1,(1,)]"),
+        ([math.nan, math.inf, 1.0], [0.5, 0.25, 0.25], math.inf, "sigma_chi[1,(0,)]"),
+        ([1.0, 2.0, math.inf], [0.5, math.inf, 0.25], math.inf, "chi[1,(0,)]"),
+    ])
+    def test_sufficiency_witness(self, monkeypatch, sigma, chi, measured, label):
+        monkeypatch.setattr(harness, "_cube_suites",
+                            lambda *args, **kwargs: (np.array(sigma), np.array(chi)))
+        report = sufficiency_check(constant(unit_grid(1), 1.0), 2.0, n_random=0)
+        assert (report.measured_ratio, report.witnesses["function"]) == (measured, label)
+
+    def test_necessity_witness(self, monkeypatch):
+        w = constant(unit_grid(1), 1.0)
+        rows = np.array([1.0, math.inf, math.inf])
+        monkeypatch.setattr(harness, "_cube_suites", lambda *args, **kwargs: (rows, rows))
+        out = verify_weight(w, 2.0, n_random=0)
+        assert out["necessity"]["measured_ratio"] == math.inf
+        assert out["necessity"]["witnesses"]["cube"] == {"level": 1, "index": [0]}
+        assert [row["ratio"] for row in out["necessity"]["per_cube"]] == rows.tolist()
+        assert out["sufficiency"]["witnesses"]["function"] == "chi[1,(0,)]"
+        rows[2] = math.nan
+        with pytest.raises(ValueError, match="degenerate input"):
+            verify_weight(w, 2.0, n_random=0)
 
 
 def _kernel_reference(w, mf, den_sums, p, q):
@@ -570,6 +629,19 @@ class TestCheckedResolution:
         verify_weight(w, 2.0, n_random=10)
         assert sum(evaluated) == 2 * (2 ** 7 - 1) + 10
 
+    @pytest.mark.parametrize("driver", DRIVERS, ids=_name)
+    def test_one_kernel_per_resolution(self, monkeypatch, driver):
+        # the cube rows and the random rows share the resolution's kernel
+        built = []
+        init = harness._RatioKernel.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+        monkeypatch.setattr(harness._RatioKernel, "__init__", counting)
+        driver(random_weight(unit_grid(5), np.random.default_rng(3)), 2.0)
+        assert len(built) == 1
+
     def test_one_sort_per_row(self, monkeypatch):
         # 1-D depth 10: 2C + 200 = 4,294 rows (C = 2,047 cubes), each sorted
         # and scanned once
@@ -609,8 +681,8 @@ class TestCheckedResolution:
         w = StepFunction(unit_grid(1), [1.0, 2000.0])
         sigma = dual_weight(w, 1.01)
         assert sigma.values.tolist() == [1.0, 0.0]
-        rows, = harness._cube_ratios(w, sigma.values[None], 1.01, 0.0, None)
-        assert [ratio is None for _, ratio in rows] == [False, False, True]
+        rows, = harness._cube_ratios(harness._RatioKernel(w, 1.01, None), sigma.values[None], 0.0)
+        assert np.isnan(rows).tolist() == [False, False, True]
         suf = sufficiency_check(w, 1.01, seed=2, n_random=5)
         best, label = _first_maximum(_oracle_suite_ratios(w, sigma, 1.01, 0.0, None, 2, 5))
         assert (suf.measured_ratio, suf.witnesses["function"]) == (best, label)

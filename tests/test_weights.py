@@ -52,7 +52,10 @@ from oracles import (
     cube_block,
     cube_weak_norm,
     power_cell_masses,
+    power_ess_sup_inv,
     power_level_values,
+    power_moment,
+    power_rh_decimal,
     power_tabulate_values,
     rh_log_domain_constant,
     weight_cube_value,
@@ -202,6 +205,33 @@ class TestRHScale:
         bound = max(float(cube_block(w, c).max()) / cube_average(w, c) for c in all_cubes(w.grid))
         assert math.isfinite(value) and 1.0 <= value <= bound
         assert value == pytest.approx(rh_log_domain_constant(w, r), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("pw,r", [
+        (PowerWeight(0.3, 2.0, 0.0, 4.0), 479.0),
+        (PowerWeight(0.3, 2.0, 0.0, 4.0), 600.0),
+        (PowerWeight(0.3, 2.0, 0.0, 4.0), 2000.0),
+        (PowerWeight(5.0, -3.0, 0.0, 1.0), 700.0),
+    ], ids=["overflow_479", "overflow_600", "overflow_2000", "underflow_700"])
+    def test_power_past_float_range(self, pw, r):
+        # the closed form of <w^r>_Q overflows (w reaches 13.7 on [0, 4)) or
+        # underflows (w <= 4^-3 on [0, 1)) on some cubes, where taking it
+        # relative to ess sup_Q w keeps [w]_{RH_r} finite and exact
+        value = rh_constant(pw, r, depth=6).value
+        sides = [pw.lattice(6).side(level) for level in range(7)]
+        cubes = [(pw.left + i * h, pw.left + (i + 1) * h) for h in sides
+                 for i in range(round((pw.right - pw.left) / h))]
+        bound = max(power_ess_sup_inv(pw ** -1.0, lo, hi) / (power_moment(pw, 1.0, lo, hi) / (hi - lo))
+                    for lo, hi in cubes)
+        assert math.isfinite(value)
+        assert rh_constant(pw, 100.0, depth=6).value <= value <= bound
+        assert value == pytest.approx(power_rh_decimal(pw, r, 6), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("pw", [PowerWeight(0.0, -1.0, 0.0, 1.0),
+                                    PowerWeight(0.77, -0.5, 0.0, 1.0)])
+    @pytest.mark.parametrize("r", [2.0, 600.0, 2000.0])
+    def test_power_divergence_stays_infinite(self, pw, r):
+        # |x - c|^(exponent r) is not integrable at c once exponent r <= -1
+        assert rh_constant(pw, r, depth=6).value == INF == power_rh_decimal(pw, r, 6)
 
     def test_degree_zero(self, rng):
         w = random_weight(unit_grid(5), rng)
