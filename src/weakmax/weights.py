@@ -392,12 +392,13 @@ def _relative_rh(pw: PowerWeight, r: float, lo: np.ndarray, hi: np.ndarray,
                  values: np.ndarray) -> np.ndarray:
     """A power weight's RH_r values, with each cube where the closed form of
     <w^r>_Q leaves the normal float range, though w^r is integrable on Q,
-    taken relative to m = ess sup_Q w as m <(w/m)^r>_Q^{1/r}.  m = d*^exponent
-    at the distance d* from the center where w peaks on Q, and each side
-    [d1, d2] of u = |x - c| adds int (u/d*)^(exponent r) du = d* int_{d1/d*}^{d2/d*}
-    v^(exponent r) dv, whose integrand lies in [0, 1].  A cube whose closure
-    holds the center keeps its value if the exponent is negative: there m is
-    infinite, and w^r, if its closed form overflows, diverges."""
+    taken relative to m = ess sup_Q w: RH_r(Q) = <(w/m)^r>_Q^{1/r} / <w/m>_Q.
+    m = d*^exponent at the distance d* from the center where w peaks on Q,
+    and each side [d1, d2] of u = |x - c| adds int (u/d*)^(exponent s) du =
+    d* int_{d1/d*}^{d2/d*} v^(exponent s) dv to |Q| <(w/m)^s>_Q, an integrand
+    in [0, 1].  A cube whose closure holds the center keeps its value if the
+    exponent is negative: there m is infinite, and w^r, if its closed form
+    overflows, diverges."""
     e, c = pw.exponent, pw.center
     meas = hi - lo
     with np.errstate(over="ignore"):
@@ -412,12 +413,15 @@ def _relative_rh(pw: PowerWeight, r: float, lo: np.ndarray, hi: np.ndarray,
     d1 = np.where(across, 0.0, np.minimum(dlo, dhi))
     d2 = np.where(across, dlo, np.maximum(dlo, dhi))
     peak = np.maximum(dlo, dhi) if e > 0.0 else d1
-    total = _distance_integral(e * r, d1 / peak, d2 / peak)
-    total[across] += _distance_integral(e * r, np.zeros(int(across.sum())),
-                                        dhi[across] / peak[across])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rh = _pow(peak, e) * _pow(peak * total / meas, 1.0 / r) / (pw.moment(1.0, lo, hi) / meas)
-    values[fix] = np.where(np.isfinite(rh), rh, INF)
+
+    def relative(s):
+        """<(w/m)^s>_Q on each fixed cube."""
+        total = _distance_integral(e * s, d1 / peak, d2 / peak)
+        total[across] += _distance_integral(e * s, np.zeros(int(across.sum())),
+                                            dhi[across] / peak[across])
+        return peak * total / meas
+
+    values[fix] = _pow(relative(r), 1.0 / r) / relative(1.0)
     return values
 
 

@@ -226,6 +226,14 @@ class TestRHScale:
         assert rh_constant(pw, 100.0, depth=6).value <= value <= bound
         assert value == pytest.approx(power_rh_decimal(pw, r, 6), rel=1e-12, abs=0.0)
 
+    def test_power_mean_past_float_range(self):
+        # <w>_Q itself overflows for w = x^400 on [0, 10); every cube with 0
+        # in its closure attains [w]_{RH_2} = 401 / 801^(1/2)
+        pw = PowerWeight(0.0, 400.0, 0.0, 10.0)
+        value = rh_constant(pw, 2.0, depth=6).value
+        assert value == pytest.approx(401.0 / math.sqrt(801.0), rel=1e-13)
+        assert value == pytest.approx(power_rh_decimal(pw, 2.0, 6), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("pw", [PowerWeight(0.0, -1.0, 0.0, 1.0),
                                     PowerWeight(0.77, -0.5, 0.0, 1.0)])
     @pytest.mark.parametrize("r", [2.0, 600.0, 2000.0])
