@@ -3,9 +3,11 @@
 They drive the harness from outside the library, so a harness change that
 breaks them would not show in the unit tests.  Each runs once at toy size,
 writing under pytest's tmp_path, and must exit 0 with its files written.
+The parity corpus runs twice at toy size and must print the same lines.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,20 @@ def test_script_runs(script, args, files, tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     for name in files:
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_parity_corpus_is_deterministic():
+    # scripts/parity.py backs "no output change" claims: its toy corpus must
+    # print the same lines on every run, one per call id
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    runs = [subprocess.run([sys.executable, str(ROOT / "scripts" / "parity.py"), "--toy"],
+                           env=env, capture_output=True, text=True, timeout=300, check=False)
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert lines and all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    ids = [line.split(" ")[0] for line in lines]
+    assert len(ids) == len(set(ids))
