@@ -135,18 +135,25 @@ class PowerWeight:
     def moment(self, e: float, lo, hi):
         """int_lo^hi |x - c|^(exponent * e) dx, +inf when divergent."""
         los, his = _cube_ends(lo, hi)
+        return _as_given(self._split_moment(e, los, his, np.ones(los.shape)), lo)
+
+    def _split_moment(self, e: float, los: np.ndarray, his: np.ndarray,
+                      unit: np.ndarray) -> np.ndarray:
+        """int_lo^hi (|x - c| / d*)^(exponent * e) dx on each cube, with d*
+        the cube's entry of ``unit``: each side [d1, d2] of the center that
+        the cube meets adds d* int_{d1/d*}^{d2/d*} v^(exponent e) dv.  At
+        d* = 1 this is ``moment``; at d* = the distance where w peaks on Q
+        it is |Q| <(w/m)^e>_Q with m = ess sup_Q w, an integrand in [0, 1]."""
         a = self.exponent * e
         c = self.center
         below, above = his <= c, los >= c
-        out = np.empty(los.shape)
-        side = below | above
-        out[side] = _distance_integral(a, np.where(below, c - his, los - c)[side],
-                                       np.where(below, c - los, his - c)[side])
-        mid = ~side
-        zero = np.zeros(int(mid.sum()))
-        out[mid] = (_distance_integral(a, zero, c - los[mid])
-                    + _distance_integral(a, zero, his[mid] - c))
-        return _as_given(out, lo)
+        across = ~(below | above)
+        near = np.where(below, c - his, np.where(above, los - c, 0.0))
+        far = np.where(above, his - c, c - los)
+        total = _distance_integral(a, near / unit, far / unit)
+        total[across] += _distance_integral(a, np.zeros(int(across.sum())),
+                                            (his - c)[across] / unit[across])
+        return unit * total
 
     def integral(self, lo, hi):
         return self.moment(1.0, lo, hi)
@@ -373,55 +380,45 @@ def _divide_divergent(value: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.where(base == INF, INF, value / base)
 
 
-def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """A row's values on the cubes [lo, hi) of a power weight, all at once."""
+def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray):
+    """A row's values on the cubes [lo, hi) of a power weight, all at once,
+    and the averages <w^e>_Q its "avg" factors took, keyed by e."""
     meas = hi - lo
+    averages = {}
 
     def factor(kind, e, t):
         if kind == "avg":
-            return pw.moment(e, lo, hi) / meas, t
+            averages[e] = pw.moment(e, lo, hi) / meas
+            return averages[e], t
         if kind == "weak":
             return pw.weak_l1(lo, hi, power=e) / meas, t
         return pw.ess_sup_inv(lo, hi), t
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _evaluate(row, factor, power=_pow, divide=_divide_divergent)
+        return _evaluate(row, factor, power=_pow, divide=_divide_divergent), averages
 
 
 def _relative_rh(pw: PowerWeight, r: float, lo: np.ndarray, hi: np.ndarray,
-                 values: np.ndarray) -> np.ndarray:
+                 values: np.ndarray, plain: np.ndarray) -> np.ndarray:
     """A power weight's RH_r values, with each cube where the closed form of
-    <w^r>_Q leaves the normal float range, though w^r is integrable on Q,
-    taken relative to m = ess sup_Q w: RH_r(Q) = <(w/m)^r>_Q^{1/r} / <w/m>_Q.
-    m = d*^exponent at the distance d* from the center where w peaks on Q,
-    and each side [d1, d2] of u = |x - c| adds int (u/d*)^(exponent s) du =
-    d* int_{d1/d*}^{d2/d*} v^(exponent s) dv to |Q| <(w/m)^s>_Q, an integrand
-    in [0, 1].  A cube whose closure holds the center keeps its value if the
-    exponent is negative: there m is infinite, and w^r, if its closed form
-    overflows, diverges."""
+    <w^r>_Q (``plain``, from the row's first factor) leaves the normal float
+    range, though w^r is integrable on Q, taken relative to m = ess sup_Q w:
+    RH_r(Q) = <(w/m)^r>_Q^{1/r} / <w/m>_Q.  m = d*^exponent at the distance
+    d* from the center where w peaks on Q, and ``_split_moment`` in units of
+    d* integrates (w/m)^s.  A cube whose closure holds the center keeps its
+    value if the exponent is negative: there m is infinite, and w^r, if its
+    closed form overflows, diverges."""
     e, c = pw.exponent, pw.center
-    meas = hi - lo
-    with np.errstate(over="ignore"):
-        plain = pw.moment(r, lo, hi) / meas
     fix = ~((plain >= np.finfo(float).tiny) & (plain < INF))
     fix &= ~((e < 0.0) & (lo <= c) & (c <= hi))
     if not fix.any():
         return values
-    lo, hi, meas = lo[fix], hi[fix], meas[fix]
-    across = (lo < c) & (c < hi)
+    lo, hi = lo[fix], hi[fix]
+    meas = hi - lo
     dlo, dhi = np.abs(lo - c), np.abs(hi - c)
-    d1 = np.where(across, 0.0, np.minimum(dlo, dhi))
-    d2 = np.where(across, dlo, np.maximum(dlo, dhi))
-    peak = np.maximum(dlo, dhi) if e > 0.0 else d1
-
-    def relative(s):
-        """<(w/m)^s>_Q on each fixed cube."""
-        total = _distance_integral(e * s, d1 / peak, d2 / peak)
-        total[across] += _distance_integral(e * s, np.zeros(int(across.sum())),
-                                            dhi[across] / peak[across])
-        return peak * total / meas
-
-    values[fix] = _pow(relative(r), 1.0 / r) / relative(1.0)
+    peak = np.maximum(dlo, dhi) if e > 0.0 else np.minimum(dlo, dhi)
+    values[fix] = (_pow(pw._split_moment(r, lo, hi, peak) / meas, 1.0 / r)
+                   / (pw._split_moment(1.0, lo, hi, peak) / meas))
     return values
 
 
@@ -439,8 +436,8 @@ def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
         h = grid.side(lev)
         i = np.arange(2 ** lev)
         lo, hi = w.left + i * h, w.left + (i + 1) * h
-        values = _power_values(row, w, lo, hi)
-        return _relative_rh(w, r, lo, hi, values) if kind == "rh" else values
+        values, averages = _power_values(row, w, lo, hi)
+        return _relative_rh(w, r, lo, hi, values, averages[r]) if kind == "rh" else values
     return level_values
 
 
@@ -581,7 +578,7 @@ def apq_star_constant(w: Weight, p: float, q: float, depth: int | None = None) -
 def ap_star_cube_value(pw: PowerWeight, p: float, lo: float, hi: float) -> float:
     """Single-cube A_p^* expression for a power weight, in closed form."""
     row = _ROWS["ap_star"](p, None, None)
-    return float(_power_values(row, pw, *_cube_ends(lo, hi))[0])
+    return float(_power_values(row, pw, *_cube_ends(lo, hi))[0][0])
 
 
 # --------------------------------------------------------------------------

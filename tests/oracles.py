@@ -12,7 +12,8 @@ Each one is the reference for a fast library path, and only tests call them:
 - the single-cube re-evaluation of a weight constant, the kernel form of
   A_p^*, and RH_r one cube at a time in logs (for the constant scans);
 - a power weight's closed forms one cube at a time in Python floats: its
-  moments, weak-L^1 norms, ess sup of w^{-1} and constant rows, its cell
+  moments, weak-L^1 norms, ess sup of w^{-1} and constant rows, RH_r taken
+  relative to ess sup_Q w where <w^r>_Q leaves the float range, its cell
   averages and its cell masses (for the per-level arrays of ``PowerWeight``),
   and its RH_r constant in decimal arithmetic (for r past the float range);
 - the Chebyshev ordering of the weak and strong multiplier norms;
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -298,26 +300,38 @@ def ap_star_kernel_constant(w: Weight, p: float) -> WeightConstant:
 # power weights, one cube at a time
 # --------------------------------------------------------------------------
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, +inf where the Python float power overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return INF
+
+
 def _distance_integral(a: float, d1: float, d2: float) -> float:
-    """int_{d1}^{d2} u^a du for 0 <= d1 < d2, +inf when divergent at 0."""
+    """int_{d1}^{d2} u^a du for 0 <= d1 < d2, +inf when divergent at 0 or
+    past the float range."""
     if d1 == 0.0:
         if a <= -1.0:
             return INF
-        return d2 ** (a + 1.0) / (a + 1.0)
+        return _power(d2, a + 1.0) / (a + 1.0)
     if a == -1.0:
         return math.log(d2 / d1)
-    return (d2 ** (a + 1.0) - d1 ** (a + 1.0)) / (a + 1.0)
+    top, bottom = _power(d2, a + 1.0), _power(d1, a + 1.0)
+    return INF if top == bottom == INF else (top - bottom) / (a + 1.0)
 
 
-def power_moment(pw: PowerWeight, e: float, lo: float, hi: float) -> float:
-    """int_lo^hi |x - c|^(exponent * e) dx, +inf when divergent."""
+def power_moment(pw: PowerWeight, e: float, lo: float, hi: float, unit: float = 1.0) -> float:
+    """int_lo^hi (|x - c| / unit)^(exponent * e) dx, +inf when divergent:
+    unit times the integral over each side of c, in distances / unit."""
     a = pw.exponent * e
     c = pw.center
     if hi <= c:
-        return _distance_integral(a, c - hi, c - lo)
+        return unit * _distance_integral(a, (c - hi) / unit, (c - lo) / unit)
     if lo >= c:
-        return _distance_integral(a, lo - c, hi - c)
-    return _distance_integral(a, 0.0, c - lo) + _distance_integral(a, 0.0, hi - c)
+        return unit * _distance_integral(a, (lo - c) / unit, (hi - c) / unit)
+    return unit * (_distance_integral(a, 0.0, (c - lo) / unit)
+                   + _distance_integral(a, 0.0, (hi - c) / unit))
 
 
 def power_ess_sup_inv(pw: PowerWeight, lo: float, hi: float) -> float:
@@ -405,13 +419,32 @@ def power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float
     return value
 
 
+def power_rh_cube_value(pw: PowerWeight, r: float, lo: float, hi: float) -> float:
+    """One cube's RH_r value.  Where the closed form of <w^r>_Q leaves the
+    normal float range, and w^r is integrable on Q, it is taken relative to
+    m = ess sup_Q w, as <(w/m)^r>_Q^{1/r} / <w/m>_Q with distances measured
+    in units of the distance where w peaks on Q."""
+    e, c = pw.exponent, pw.center
+    meas = hi - lo
+    plain = power_moment(pw, r, lo, hi) / meas
+    if sys.float_info.min <= plain < INF or (e < 0.0 and lo <= c <= hi):
+        return power_cube_value(_ROWS["rh"](None, None, r), pw, lo, hi)
+    dlo, dhi = abs(lo - c), abs(hi - c)
+    peak = max(dlo, dhi) if e > 0.0 else min(dlo, dhi)
+    return ((power_moment(pw, r, lo, hi, peak) / meas) ** (1.0 / r)
+            / (power_moment(pw, 1.0, lo, hi, peak) / meas))
+
+
 def power_level_values(kind: str, pw: PowerWeight, grid: GridSpec, level: int, *,
                        p=None, q=None, r=None) -> np.ndarray:
-    """One level's row values of a constant, one cube at a time."""
+    """One level's row values of a constant, one cube at a time; RH_r takes
+    the relative rule of ``power_rh_cube_value``."""
     row = _ROWS[kind](p, q, r)
     h = grid.side(level)
-    return np.array([power_cube_value(row, pw, pw.left + i * h, pw.left + (i + 1) * h)
-                     for i in range(2 ** level)])
+    cubes = [(pw.left + i * h, pw.left + (i + 1) * h) for i in range(2 ** level)]
+    if kind == "rh":
+        return np.array([power_rh_cube_value(pw, r, lo, hi) for lo, hi in cubes])
+    return np.array([power_cube_value(row, pw, lo, hi) for lo, hi in cubes])
 
 
 def power_rh_decimal(pw: PowerWeight, r: float, depth: int) -> float:

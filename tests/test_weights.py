@@ -63,6 +63,14 @@ from oracles import (
 
 INF = math.inf
 CONSTANTS_WEIGHT = Path(__file__).parent / "data" / "constants" / "tab_1d_d6.weight.json"
+# power weights whose closed form of <w^r>_Q overflows (w reaches 13.7 on
+# [0, 4)) or underflows (w <= 4^-3 on [0, 1)) on some cubes at depth 6
+PAST_FLOAT_RANGE = pytest.mark.parametrize("pw,r", [
+    (PowerWeight(0.3, 2.0, 0.0, 4.0), 479.0),
+    (PowerWeight(0.3, 2.0, 0.0, 4.0), 600.0),
+    (PowerWeight(0.3, 2.0, 0.0, 4.0), 2000.0),
+    (PowerWeight(5.0, -3.0, 0.0, 1.0), 700.0),
+], ids=["overflow_479", "overflow_600", "overflow_2000", "underflow_700"])
 
 
 # ---------------------------------------------------------------- oracles
@@ -206,12 +214,7 @@ class TestRHScale:
         assert math.isfinite(value) and 1.0 <= value <= bound
         assert value == pytest.approx(rh_log_domain_constant(w, r), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("pw,r", [
-        (PowerWeight(0.3, 2.0, 0.0, 4.0), 479.0),
-        (PowerWeight(0.3, 2.0, 0.0, 4.0), 600.0),
-        (PowerWeight(0.3, 2.0, 0.0, 4.0), 2000.0),
-        (PowerWeight(5.0, -3.0, 0.0, 1.0), 700.0),
-    ], ids=["overflow_479", "overflow_600", "overflow_2000", "underflow_700"])
+    @PAST_FLOAT_RANGE
     def test_power_past_float_range(self, pw, r):
         # the closed form of <w^r>_Q overflows (w reaches 13.7 on [0, 4)) or
         # underflows (w <= 4^-3 on [0, 1)) on some cubes, where taking it
@@ -604,6 +607,41 @@ class TestPowerLevelsMatchOracle:
         for value in (pw.moment(2.0, 0.0, 0.5), pw.weak_l1(0.0, 0.5, power=2.0),
                       pw.ess_sup_inv(0.0, 0.5), ap_star_cube_value(pw, 2.0, 0.0, 0.5)):
             assert type(value) is float
+
+
+class TestRelativeRHMatchesOracle:
+    """A power weight's RH_r levels, where the closed form of <w^r>_Q leaves
+    the float range and the cube is taken relative to ess sup_Q w, equal the
+    one-cube oracle bit for bit."""
+
+    @PAST_FLOAT_RANGE
+    def test_past_float_range(self, pw, r):
+        grid = pw.lattice(6)
+        level_values = weights._levels("rh", pw, grid, r=r)
+        for lev in range(grid.depth + 1):
+            assert same_bits(level_values(lev), power_level_values("rh", pw, grid, lev, r=r))
+
+    @settings(max_examples=150)
+    @given(power_weights(), st.sampled_from([479.0, 600.0, 2000.0]))
+    def test_drawn(self, drawn, r):
+        pw, depth = drawn
+        grid = pw.lattice(depth)
+        level_values = weights._levels("rh", pw, grid, r=r)
+        for lev in range(depth + 1):
+            assert same_bits(level_values(lev), power_level_values("rh", pw, grid, lev, r=r))
+
+    def test_one_plain_moment_per_level(self, monkeypatch):
+        # the relative rule reads the <w^r>_Q that the row's first factor took
+        calls = Counter()
+        moment = PowerWeight.moment
+
+        def counting(self, e, lo, hi):
+            calls[e] += 1
+            return moment(self, e, lo, hi)
+
+        monkeypatch.setattr(PowerWeight, "moment", counting)
+        rh_constant(PowerWeight(0.3, 2.0, 0.0, 4.0), 600.0, depth=6)
+        assert calls[600.0] == 7
 
 
 class TestPowerOverflow:
