@@ -15,7 +15,8 @@ Each one is the reference for a fast library path, and only tests call them:
   moments, weak-L^1 norms, ess sup of w^{-1} and constant rows, RH_r taken
   relative to ess sup_Q w where <w^r>_Q leaves the float range, its cell
   averages and its cell masses (for the per-level arrays of ``PowerWeight``),
-  and its RH_r constant in decimal arithmetic (for r past the float range);
+  and its moments and RH_r constant in decimal arithmetic (for far centres
+  and for r past the float range);
 - the Chebyshev ordering of the weak and strong multiplier norms;
 - the containment scan over every pair of cubes, and the per-union loop
   over seeded cell unions (for the subset inequality of ``lemma_suite``);
@@ -308,17 +309,22 @@ def _power(base: float, exponent: float) -> float:
         return INF
 
 
-def _distance_integral(a: float, d1: float, d2: float) -> float:
-    """int_{d1}^{d2} u^a du for 0 <= d1 < d2, +inf when divergent at 0 or
-    past the float range."""
+def _distance_integral(a: float, d1: float, d2: float, length: float) -> float:
+    """int_{d1}^{d2} u^a du for 0 <= d1 < d2 = d1 + length, +inf when
+    divergent at 0 or past the float range; far from the center, where the
+    library reads the cube length, the same expm1 form."""
+    b = a + 1.0
     if d1 == 0.0:
         if a <= -1.0:
             return INF
-        return _power(d2, a + 1.0) / (a + 1.0)
+        return _power(d2, b) / b
+    if length * max(1.0, abs(b)) < d1 * 2.0 ** -8:
+        lp = math.log1p(length / d1)
+        return lp if a == -1.0 else _power(d1, a) * (d1 * math.expm1(b * lp) / b)
     if a == -1.0:
         return math.log(d2 / d1)
-    top, bottom = _power(d2, a + 1.0), _power(d1, a + 1.0)
-    return INF if top == bottom == INF else (top - bottom) / (a + 1.0)
+    top, bottom = _power(d2, b), _power(d1, b)
+    return INF if top == bottom == INF else (top - bottom) / b
 
 
 def power_moment(pw: PowerWeight, e: float, lo: float, hi: float, unit: float = 1.0) -> float:
@@ -326,12 +332,14 @@ def power_moment(pw: PowerWeight, e: float, lo: float, hi: float, unit: float = 
     unit times the integral over each side of c, in distances / unit."""
     a = pw.exponent * e
     c = pw.center
+    length = (hi - lo) / unit
     if hi <= c:
-        return unit * _distance_integral(a, (c - hi) / unit, (c - lo) / unit)
+        return unit * _distance_integral(a, (c - hi) / unit, (c - lo) / unit, length)
     if lo >= c:
-        return unit * _distance_integral(a, (lo - c) / unit, (hi - c) / unit)
-    return unit * (_distance_integral(a, 0.0, (c - lo) / unit)
-                   + _distance_integral(a, 0.0, (hi - c) / unit))
+        return unit * _distance_integral(a, (lo - c) / unit, (hi - c) / unit, length)
+    left, right = (c - lo) / unit, (hi - c) / unit
+    return unit * (_distance_integral(a, 0.0, left, left)
+                   + _distance_integral(a, 0.0, right, right))
 
 
 def power_ess_sup_inv(pw: PowerWeight, lo: float, hi: float) -> float:
@@ -447,10 +455,51 @@ def power_level_values(kind: str, pw: PowerWeight, grid: GridSpec, level: int, *
     return np.array([power_cube_value(row, pw, lo, hi) for lo, hi in cubes])
 
 
+# wide enough to hold the exact difference of any two floats
+_EXACT = decimal.Context(prec=1200)
+
+
+def decimal_moment(c: decimal.Decimal, a: decimal.Decimal, lo: decimal.Decimal,
+                   hi: decimal.Decimal) -> decimal.Decimal | None:
+    """int_lo^hi |x - c|^a dx to at least 40 significant digits, None when
+    divergent.  The distances to c are exact, and each side's d2^b - d1^b
+    is taken with as many more digits as it cancels, so a center far from
+    the cube costs precision, not accuracy."""
+    if hi <= c:
+        sides = [(_EXACT.subtract(c, hi), _EXACT.subtract(c, lo))]
+    elif lo >= c:
+        sides = [(_EXACT.subtract(lo, c), _EXACT.subtract(hi, c))]
+    else:
+        sides = [(decimal.Decimal(0), _EXACT.subtract(c, lo)),
+                 (decimal.Decimal(0), _EXACT.subtract(hi, c))]
+    b = _EXACT.add(a, 1)
+    total = decimal.Decimal(0)
+    for d1, d2 in sides:
+        if d1 == 0 and a <= -1:
+            return None
+        with decimal.localcontext() as ctx:
+            ctx.prec = 45
+            if d1 > 0:
+                ctx.prec += max(0, -((d2 - d1) / d1).adjusted()) + max(0, -b.adjusted())
+            if a == -1:
+                part = (d2 / d1).ln()
+            else:
+                part = (d2 ** b - (d1 ** b if d1 > 0 else 0)) / b
+        total = _EXACT.add(total, part)
+    return total
+
+
+def power_moment_decimal(pw: PowerWeight, e: float, lo: float, hi: float) -> float:
+    """``PowerWeight.moment`` in decimal arithmetic, rounded once to a float."""
+    D = decimal.Decimal
+    total = decimal_moment(D(pw.center), _EXACT.multiply(D(pw.exponent), D(e)), D(lo), D(hi))
+    return INF if total is None else float(total)
+
+
 def power_rh_decimal(pw: PowerWeight, r: float, depth: int) -> float:
     """[w]_{RH_r} of a power weight, each cube's closed-form moments taken in
-    40-digit decimal arithmetic, whose exponent range holds every power of
-    w^r; +inf where w^r is not integrable on a cube."""
+    decimal arithmetic (``decimal_moment``), whose exponent range holds every
+    power of w^r; +inf where w^r is not integrable on a cube."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         D = decimal.Decimal
@@ -458,21 +507,8 @@ def power_rh_decimal(pw: PowerWeight, r: float, depth: int) -> float:
 
         def average(a, lo, hi):
             # <|x - c|^a> over [lo, hi), None when divergent
-            if hi <= c:
-                sides = [(c - hi, c - lo)]
-            elif lo >= c:
-                sides = [(lo - c, hi - c)]
-            else:
-                sides = [(D(0), c - lo), (D(0), hi - c)]
-            total = D(0)
-            for d1, d2 in sides:
-                if d1 == 0 and a <= -1:
-                    return None
-                if a == -1:
-                    total += (d2 / d1).ln()
-                else:
-                    total += (d2 ** (a + 1) - (d1 ** (a + 1) if d1 > 0 else 0)) / (a + 1)
-            return total / (hi - lo)
+            total = decimal_moment(c, a, lo, hi)
+            return None if total is None else total / (hi - lo)
 
         best = -INF
         grid = pw.lattice(depth)

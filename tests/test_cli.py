@@ -312,6 +312,24 @@ class TestPowerOverflow:
             assert "star constant must be finite" in err
 
 
+class TestFarCentre:
+    """A power weight centred far from its root: at c >= 1e16 the ends of a
+    cube's distance range round together, and the constants used to read 0
+    with an 'invalid value' warning on stderr."""
+
+    @pytest.mark.parametrize("center", [1e16])
+    def test_constants_near_one_and_silent(self, tmp_path, capsys, center):
+        path = write_power(tmp_path, "far.json", center, -0.5, [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["constants", "--weight", path, "--depth", "6"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        values = {d["class"]: d["value"] for d in json.loads(out)}
+        for name in ("ap", "a1", "apq", "a1q", "rh"):
+            assert values[name] == pytest.approx(1.0, rel=1e-12), name
+
+
 class TestFlagsPerCommand:
     # each command takes only the flags it reads
     @pytest.mark.parametrize("command,flag,value", [

@@ -55,6 +55,7 @@ from oracles import (
     power_ess_sup_inv,
     power_level_values,
     power_moment,
+    power_moment_decimal,
     power_rh_decimal,
     power_tabulate_values,
     rh_log_domain_constant,
@@ -642,6 +643,51 @@ class TestRelativeRHMatchesOracle:
         monkeypatch.setattr(PowerWeight, "moment", counting)
         rh_constant(PowerWeight(0.3, 2.0, 0.0, 4.0), 600.0, depth=6)
         assert calls[600.0] == 7
+
+
+@st.composite
+def far_power_weights(draw):
+    """A power weight, a depth <= 8 and a level of it: the center at
+    +-10^[0, 300], on a lattice edge, or inside the root off the lattice."""
+    depth = draw(st.integers(min_value=0, max_value=8))
+    left, side = draw(st.sampled_from([(0.0, 1.0), (-1.0, 3.0)]))
+    where = draw(st.sampled_from(["far", "edge", "inside"]))
+    if where == "far":
+        center = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(0.0, 300.0))
+    elif where == "edge":
+        center = left + draw(st.integers(min_value=0, max_value=2 ** depth)) * (side * 2.0 ** -depth)
+    else:
+        center = left + side * draw(st.integers(min_value=1, max_value=999)) / 1000.0
+    exponent = draw(st.sampled_from([-1.5, -1.0, -0.5, 0.5, 2.0]))
+    level = draw(st.integers(min_value=0, max_value=depth))
+    return PowerWeight(center, exponent, left, left + side), depth, level
+
+
+class TestFarCentre:
+    """A center far from a cube, relative to its length, costs no accuracy:
+    d1 = |c - hi| and d2 = |c - lo| round together, and the integral reads
+    the cube length instead of their difference."""
+
+    @settings(max_examples=200)
+    @given(far_power_weights())
+    def test_moment_against_decimal(self, drawn):
+        pw, depth, level = drawn
+        h = pw.lattice(depth).side(level)
+        lo = pw.left + np.arange(2 ** level) * h
+        hi = pw.left + (np.arange(2 ** level) + 1) * h
+        got = pw.moment(1.0, lo, hi)
+        for g, a, b in zip(got.tolist(), lo.tolist(), hi.tolist()):
+            want = power_moment_decimal(pw, 1.0, a, b)
+            assert math.isclose(g, want, rel_tol=1e-13, abs_tol=2.0 ** -1072), (a, b, g, want)
+
+    @pytest.mark.parametrize("c", [1e12, 1e16])
+    def test_seen_cases(self, c):
+        # |x - c|^(-1/2) on [0, 1): ap read 1.018 at c = 1e12, and ap, a1,
+        # apq and rh read 0 at c = 1e16; 1 + O(1/c) is right
+        pw = PowerWeight(c, -0.5, 0.0, 1.0)
+        for const in (ap_constant(pw, 2.0, depth=6), a1_constant(pw, depth=6),
+                      apq_constant(pw, 2.0, 4.0, depth=6), rh_constant(pw, 2.0, depth=6)):
+            assert const.value == pytest.approx(1.0, rel=1e-9)
 
 
 class TestPowerOverflow:
