@@ -399,45 +399,52 @@ def _divide_divergent(value: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.where(base == INF, INF, value / base)
 
 
-def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray):
-    """A row's values on the cubes [lo, hi) of a power weight, all at once,
-    and the averages <w^e>_Q its "avg" factors took, keyed by e."""
-    meas = hi - lo
-    averages = {}
+def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A row's values on the cubes [lo, hi) of a power weight, all at once.
 
-    def factor(kind, e, t):
+    Every class has degree 0 in w.  So a cube where the closed form of an
+    average <w^e>_Q of the row leaves the normal float range, though w^e may
+    be integrable on Q, is evaluated again on w/m, with m = ess sup_Q w =
+    d*^exponent at the distance d* from the center where w peaks on Q:
+    ``_split_moment`` in units of d* gives <(w/m)^e>_Q, and ess sup_Q
+    (w/m)^{-1} = (d/d*)^(-exponent) at the distance d where w is least.
+    This skips the rows with a weak factor, and a cube whose closure holds
+    the center when the exponent is negative: there m is infinite, and an
+    average that overflows diverges."""
+    e, c = pw.exponent, pw.center
+    meas = hi - lo
+    averages = []
+
+    def factor(kind, s, t):
         if kind == "avg":
-            averages[e] = pw.moment(e, lo, hi) / meas
-            return averages[e], t
+            averages.append(pw.moment(s, lo, hi) / meas)
+            return averages[-1], t
         if kind == "weak":
-            return pw.weak_l1(lo, hi, power=e) / meas, t
+            return pw.weak_l1(lo, hi, power=s) / meas, t
         return pw.ess_sup_inv(lo, hi), t
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _evaluate(row, factor, power=_pow, divide=_divide_divergent), averages
-
-
-def _relative_rh(pw: PowerWeight, r: float, lo: np.ndarray, hi: np.ndarray,
-                 values: np.ndarray, plain: np.ndarray) -> np.ndarray:
-    """A power weight's RH_r values, with each cube where the closed form of
-    <w^r>_Q (``plain``, from the row's first factor) leaves the normal float
-    range, though w^r is integrable on Q, taken relative to m = ess sup_Q w:
-    RH_r(Q) = <(w/m)^r>_Q^{1/r} / <w/m>_Q.  m = d*^exponent at the distance
-    d* from the center where w peaks on Q, and ``_split_moment`` in units of
-    d* integrates (w/m)^s.  A cube whose closure holds the center keeps its
-    value if the exponent is negative: there m is infinite, and w^r, if its
-    closed form overflows, diverges."""
-    e, c = pw.exponent, pw.center
-    fix = ~((plain >= np.finfo(float).tiny) & (plain < INF))
-    fix &= ~((e < 0.0) & (lo <= c) & (c <= hi))
-    if not fix.any():
+        values = _evaluate(row, factor, power=_pow, divide=_divide_divergent)
+    closure = (lo <= c) & (c <= hi)
+    fix = ~((e < 0.0) & closure)
+    fix &= np.logical_or.reduce([~((avg >= np.finfo(float).tiny) & (avg < INF))
+                                 for avg in averages])
+    if any(kind == "weak" for kind, _, _ in row) or not fix.any():
         return values
-    lo, hi = lo[fix], hi[fix]
-    meas = hi - lo
+    lo, hi, meas = lo[fix], hi[fix], meas[fix]
     dlo, dhi = np.abs(lo - c), np.abs(hi - c)
-    peak = np.maximum(dlo, dhi) if e > 0.0 else np.minimum(dlo, dhi)
-    values[fix] = (_pow(pw._split_moment(r, lo, hi, peak) / meas, 1.0 / r)
-                   / (pw._split_moment(1.0, lo, hi, peak) / meas))
+    near = np.where(closure[fix], 0.0, np.minimum(dlo, dhi))
+    peak, least = (np.maximum(dlo, dhi), near) if e > 0.0 else (near, np.maximum(dlo, dhi))
+
+    def relative(kind, s, t):
+        if kind == "avg":
+            return pw._split_moment(s, lo, hi, peak) / meas, t
+        out = np.full(lo.shape, INF)
+        out[least > 0.0] = _pow(least[least > 0.0] / peak[least > 0.0], -e)
+        return out, t
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values[fix] = _evaluate(row, relative, power=_pow, divide=_divide_divergent)
     return values
 
 
@@ -455,8 +462,7 @@ def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
         h = grid.side(lev)
         i = np.arange(2 ** lev)
         lo, hi = w.left + i * h, w.left + (i + 1) * h
-        values, averages = _power_values(row, w, lo, hi)
-        return _relative_rh(w, r, lo, hi, values, averages[r]) if kind == "rh" else values
+        return _power_values(row, w, lo, hi)
     return level_values
 
 
@@ -572,8 +578,8 @@ def rh_constant(w: Weight, r: float, depth: int | None = None) -> WeightConstant
     """[w]_{RH_r} = max_Q <w^r>_Q^{1/r} / <w>_Q; a tabulated w is scaled by
     ``_unit_scale`` for the power r first, and past the scale budget each
     cube's <w^r>_Q^{1/r} is taken relative to its largest value, as is a
-    power weight's on a cube where the closed form leaves the float range
-    (``_relative_rh``)."""
+    power weight's on a cube where a closed form leaves the float range
+    (``_power_values``)."""
     if not 1 < r < INF:
         raise ValueError(f"reverse Hoelder needs 1 < r < inf, got {r}")
     if isinstance(w, StepFunction):
@@ -597,7 +603,7 @@ def apq_star_constant(w: Weight, p: float, q: float, depth: int | None = None) -
 def ap_star_cube_value(pw: PowerWeight, p: float, lo: float, hi: float) -> float:
     """Single-cube A_p^* expression for a power weight, in closed form."""
     row = _ROWS["ap_star"](p, None, None)
-    return float(_power_values(row, pw, *_cube_ends(lo, hi))[0][0])
+    return float(_power_values(row, pw, *_cube_ends(lo, hi))[0])
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,8 @@ Each one is the reference for a fast library path, and only tests call them:
 - the single-cube re-evaluation of a weight constant, the kernel form of
   A_p^*, and RH_r one cube at a time in logs (for the constant scans);
 - a power weight's closed forms one cube at a time in Python floats: its
-  moments, weak-L^1 norms, ess sup of w^{-1} and constant rows, RH_r taken
-  relative to ess sup_Q w where <w^r>_Q leaves the float range, its cell
+  moments, weak-L^1 norms, ess sup of w^{-1} and constant rows (taken
+  relative to ess sup_Q w where an average leaves the float range), its cell
   averages and its cell masses (for the per-level arrays of ``PowerWeight``),
   and its moments and RH_r constant in decimal arithmetic (for far centres
   and for r past the float range);
@@ -406,53 +406,61 @@ def power_weak_l1(pw: PowerWeight, lo: float, hi: float, power: float = 1.0) -> 
     return best
 
 
-def power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float:
-    """One cube's row value (a ``weights._ROWS`` entry) for a power weight."""
-    meas = hi - lo
+def _row_value(row: tuple, base) -> float:
+    """A row's factors combined left to right; ``base(kind, e)`` is one
+    factor's base."""
     value = None
     for kind, e, t in row:
-        if kind == "avg":
-            base = power_moment(pw, e, lo, hi) / meas
-        elif kind == "weak":
-            base = power_weak_l1(pw, lo, hi, power=e) / meas
-        else:
-            base = power_ess_sup_inv(pw, lo, hi)
+        b = base(kind, e)
         if t == -1.0:
             # <w>_Q = inf is a true divergence: +inf, not inf/inf
-            value = INF if base == INF else value / base
+            value = INF if b == INF else value / b
             continue
         if t != 1.0:
-            base = base ** t
-        value = base if value is None else value * base
+            b = _power(b, t)
+        value = b if value is None else value * b
     return value
 
 
-def power_rh_cube_value(pw: PowerWeight, r: float, lo: float, hi: float) -> float:
-    """One cube's RH_r value.  Where the closed form of <w^r>_Q leaves the
-    normal float range, and w^r is integrable on Q, it is taken relative to
-    m = ess sup_Q w, as <(w/m)^r>_Q^{1/r} / <w/m>_Q with distances measured
-    in units of the distance where w peaks on Q."""
+def power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float:
+    """One cube's row value (a ``weights._ROWS`` entry) for a power weight.
+    Where the closed form of an average <w^e>_Q leaves the normal float
+    range, in a row with no weak factor, the row is taken on w/m with
+    m = ess sup_Q w, in distances measured from the center in units of the
+    distance where w peaks on Q; unless the exponent is negative and the
+    cube's closure holds the center."""
     e, c = pw.exponent, pw.center
     meas = hi - lo
-    plain = power_moment(pw, r, lo, hi) / meas
-    if sys.float_info.min <= plain < INF or (e < 0.0 and lo <= c <= hi):
-        return power_cube_value(_ROWS["rh"](None, None, r), pw, lo, hi)
-    dlo, dhi = abs(lo - c), abs(hi - c)
-    peak = max(dlo, dhi) if e > 0.0 else min(dlo, dhi)
-    return ((power_moment(pw, r, lo, hi, peak) / meas) ** (1.0 / r)
-            / (power_moment(pw, 1.0, lo, hi, peak) / meas))
+
+    def plain(kind, s):
+        if kind == "avg":
+            return power_moment(pw, s, lo, hi) / meas
+        if kind == "weak":
+            return power_weak_l1(pw, lo, hi, power=s) / meas
+        return power_ess_sup_inv(pw, lo, hi)
+
+    closure = lo <= c <= hi
+    if (all(sys.float_info.min <= plain(kind, s) < INF for kind, s, _ in row if kind == "avg")
+            or (e < 0.0 and closure) or any(kind == "weak" for kind, _, _ in row)):
+        return _row_value(row, plain)
+    near, far = (0.0 if closure else min(abs(lo - c), abs(hi - c))), max(abs(lo - c), abs(hi - c))
+    peak, least = (far, near) if e > 0.0 else (near, far)
+
+    def relative(kind, s):
+        if kind == "avg":
+            return power_moment(pw, s, lo, hi, peak) / meas
+        return INF if least == 0.0 else _power(least / peak, -e)
+
+    return _row_value(row, relative)
 
 
 def power_level_values(kind: str, pw: PowerWeight, grid: GridSpec, level: int, *,
                        p=None, q=None, r=None) -> np.ndarray:
-    """One level's row values of a constant, one cube at a time; RH_r takes
-    the relative rule of ``power_rh_cube_value``."""
+    """One level's row values of a constant, one cube at a time."""
     row = _ROWS[kind](p, q, r)
     h = grid.side(level)
-    cubes = [(pw.left + i * h, pw.left + (i + 1) * h) for i in range(2 ** level)]
-    if kind == "rh":
-        return np.array([power_rh_cube_value(pw, r, lo, hi) for lo, hi in cubes])
-    return np.array([power_cube_value(row, pw, lo, hi) for lo, hi in cubes])
+    return np.array([power_cube_value(row, pw, pw.left + i * h, pw.left + (i + 1) * h)
+                     for i in range(2 ** level)])
 
 
 # wide enough to hold the exact difference of any two floats

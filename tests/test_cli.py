@@ -317,7 +317,7 @@ class TestFarCentre:
     cube's distance range round together, and the constants used to read 0
     with an 'invalid value' warning on stderr."""
 
-    @pytest.mark.parametrize("center", [1e16])
+    @pytest.mark.parametrize("center", [1e16, -1e300])
     def test_constants_near_one_and_silent(self, tmp_path, capsys, center):
         path = write_power(tmp_path, "far.json", center, -0.5, [0.0, 1.0])
         with warnings.catch_warnings():

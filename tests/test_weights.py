@@ -680,6 +680,17 @@ class TestFarCentre:
             want = power_moment_decimal(pw, 1.0, a, b)
             assert math.isclose(g, want, rel_tol=1e-13, abs_tol=2.0 ** -1072), (a, b, g, want)
 
+    @settings(max_examples=200)
+    @given(far_power_weights(), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([2.0, 600.0]))
+    def test_constants_at_least_one(self, drawn, p, r):
+        # Hoelder and Jensen put each of these constants at >= 1
+        pw, depth, _ = drawn
+        for const in (ap_constant(pw, p, depth=depth), a1_constant(pw, depth=depth),
+                      apq_constant(pw, p, 2.0 * p, depth=depth),
+                      a1q_constant(pw, 2.0 * p, depth=depth), rh_constant(pw, r, depth=depth)):
+            if math.isfinite(const.value):
+                assert const.value >= 1.0 - 1e-12, const
+
     @pytest.mark.parametrize("c", [1e12, 1e16])
     def test_seen_cases(self, c):
         # |x - c|^(-1/2) on [0, 1): ap read 1.018 at c = 1e12, and ap, a1,
