@@ -15,6 +15,7 @@ the integer cube index, which keeps reports and tests reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -61,6 +62,16 @@ class GridSpec:
             raise ValueError(
                 f"2^(depth*n) = 2^{self.depth * self.n} exceeds the cell cap {CELL_CAP}"
             )
+        # Every average divides by a cube measure, and every integral sums
+        # cell values times the cell measure: both must be normal floats.
+        try:
+            root = self.root_side ** self.n
+        except OverflowError:
+            root = math.inf
+        if not (sys.float_info.min <= root * 2.0 ** (-self.depth * self.n) and root < math.inf):
+            raise ValueError(f"root_side {self.root_side} puts the root measure or the cell "
+                             f"measure (n = {self.n}, depth {self.depth}) outside the "
+                             f"normal float range")
 
     # ------------------------------------------------------------------ sizes
     @property

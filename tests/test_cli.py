@@ -448,6 +448,29 @@ class TestMalformedWeightFiles:
         assert "finite" in err
 
 
+class TestFloatRangeGeometry:
+    """A lattice whose root measure or cell measure is not a normal float
+    is refused where the lattice is built, naming root_side: a 2-D root of
+    side 1e300 used to end in an OverflowError traceback, and one of side
+    1e-300 in 'cell values must be finite' about finite cells or a
+    ZeroDivisionError traceback."""
+
+    @pytest.mark.parametrize("side,argv", [
+        (1e300, ["constants"]),
+        (1e-300, ["verify", "--n-random", "2"]),
+        (1e-300, ["cz"]),
+        (1e-300, ["constants", "--r", "600"]),
+    ], ids=["huge_constants", "tiny_verify", "tiny_cz", "tiny_constants_r600"])
+    def test_exits_one_naming_root_side(self, tmp_path, capsys, side, argv):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(_step_spec(n=2, root_corner=[0.0, 0.0], root_side=side,
+                                              values=[1.0, 2.0, 3.0, 4.0])))
+        assert main([argv[0], "--weight", str(path), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "root_side" in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, trivial_weight):
         proc = subprocess.run(

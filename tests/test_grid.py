@@ -57,6 +57,14 @@ class TestCells:
         with pytest.raises(ValueError):
             GridSpec(1, (0.0,), 0.0, 1)
 
+    @pytest.mark.parametrize("n,side,depth,ok_side,ok_depth", [
+        (3, 1e103, 0, 1e102, 0), (2, 1e-160, 0, 1e-150, 0), (1, 1e-305, 10, 1e-305, 8),
+    ], ids=["root_overflows", "root_underflows", "cell_subnormal"])
+    def test_measures_normal_floats(self, n, side, depth, ok_side, ok_depth):
+        with pytest.raises(ValueError, match="root_side"):
+            GridSpec(n, (0.0,) * n, side, depth)
+        assert GridSpec(n, (0.0,) * n, ok_side, ok_depth).cell_measure > 0.0
+
 
 class TestIntegrate:
     def test_quarters_mean(self):
