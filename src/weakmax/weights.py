@@ -57,12 +57,12 @@ def _power(base: float, exponent: float) -> float:
 def _pow(base: np.ndarray, e: float) -> np.ndarray:
     """_power on each element of ``base``, taken as a Python float.
 
-    Every power of the power engine goes through here, and every log and
-    expm1 through _each.  numpy's vectorized ``**`` and ``log`` round some
-    results differently from the C library's pow and log behind Python's
-    float ``**`` and ``math.log``, and the engine's values are pinned bit for bit
-    to those Python-float closed forms.  Callers pass only the entries that
-    need the power, since 0.0 ** e raises for e < 0."""
+    Every power of the power engine goes through here, and every log, log1p
+    and expm1 through _each.  numpy's vectorized ``**`` and ``log`` round
+    some results differently from the C library's functions behind Python's
+    float ``**`` and ``math``, and the engine's values are pinned bit for
+    bit to those Python-float closed forms.  Callers pass only the entries
+    that need the power, since 0.0 ** e raises for e < 0."""
     vals = base.tolist()
     try:
         return np.fromiter(map(pow, vals, repeat(e)), dtype=float, count=len(vals))
@@ -80,19 +80,18 @@ def _distance_integral(a: float, d1: np.ndarray, d2: np.ndarray,
     """int_{d1}^{d2} u^a du per entry, for 0 <= d1 < d2 = d1 + length; +inf
     when divergent at 0 or past the float range.
 
-    Far from the center, where length < 2^-8 d1 / max(1, |b|) with b = a + 1,
-    d2^b - d1^b cancels: d1 and d2 round together, and the difference loses
-    about log2(d1 / length) bits.  There the entry is d1^a (d1 expm1(b
-    log1p(length / d1)) / b), or log1p(length / d1) at b = 0, which reads
-    the cube length itself.  d1^a is split from d1^b, which can overflow
-    where the integral does not.  The switch was measured on lattice cubes
-    against 40-digit decimals: below L/d1 = 2^-8 the difference form's error
-    doubles with each halving of L/d1 (5e-14 at 2^-8, 2.5e-11 at 2^-17, for
-    a = -1.5), while the expm1 form stays within 3 ulp; at or above 2^-8
-    both are within 1e-13, and keeping the difference form there keeps the
-    bits of every cube with L/d1 >= 2^-8, among them all cubes of a depth-8
-    lattice on a root that holds c.  Dividing the switch by |b| > 1 keeps
-    |b log1p(length / d1)| < 2^-8, so expm1 stays near its argument."""
+    Far from the center, d1 and d2 round together and (d2^b - d1^b) / b,
+    b = a + 1, loses about log2(d1 / length) bits.  So where length / d1 <
+    2^-8 / max(1, |b|), the entry reads the cube length instead: d1^a (d1
+    expm1(b log1p(length / d1)) / b), or log1p(length / d1) at b = 0, with
+    d1^a split from d1^b, which can overflow where the integral does not.
+    The switch was measured on lattice cubes against 40-digit decimals:
+    below length / d1 = 2^-8 the difference form's error doubles with each
+    halving (5e-14 at 2^-8, 2.5e-11 at 2^-17, for a = -1.5), while the
+    expm1 form stays within 3 ulp.  Above it both are within 1e-13, so the
+    difference form keeps its bits there, among them every cube of a
+    depth-8 lattice whose root holds c.  The division by |b| > 1 keeps
+    |b log1p(length / d1)| below 2^-8, where expm1 cannot overflow."""
     b = a + 1.0
     out = np.empty(d2.shape)
     at0 = d1 == 0.0
@@ -162,7 +161,7 @@ class PowerWeight:
         the cube's entry of ``unit``: each side [d1, d2] of the center that
         the cube meets adds d* int_{d1/d*}^{d2/d*} v^(exponent e) dv.  At
         d* = 1 this is ``moment``; at d* = the distance where w peaks on Q
-        it is |Q| <(w/m)^e>_Q with m = ess sup_Q w, an integrand in [0, 1]."""
+        it is |Q| <(w/m)^e>_Q with m = ess sup_Q w."""
         a = self.exponent * e
         c = self.center
         below, above = his <= c, los >= c
@@ -425,25 +424,26 @@ def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = _evaluate(row, factor, power=_pow, divide=_divide_divergent)
-    closure = (lo <= c) & (c <= hi)
-    fix = ~((e < 0.0) & closure)
-    fix &= np.logical_or.reduce([~((avg >= np.finfo(float).tiny) & (avg < INF))
-                                 for avg in averages])
-    if any(kind == "weak" for kind, _, _ in row) or not fix.any():
-        return values
-    lo, hi, meas = lo[fix], hi[fix], meas[fix]
-    dlo, dhi = np.abs(lo - c), np.abs(hi - c)
-    near = np.where(closure[fix], 0.0, np.minimum(dlo, dhi))
-    peak, least = (np.maximum(dlo, dhi), near) if e > 0.0 else (near, np.maximum(dlo, dhi))
+        if any(kind == "weak" for kind, _, _ in row):
+            return values
+        closure = (lo <= c) & (c <= hi)
+        fix = ~((e < 0.0) & closure) & np.logical_or.reduce(
+            [~((avg >= np.finfo(float).tiny) & (avg < INF)) for avg in averages])
+        if not fix.any():
+            return values
+        lo, hi, meas = lo[fix], hi[fix], meas[fix]
+        dlo, dhi = np.abs(lo - c), np.abs(hi - c)
+        near, far = np.where(closure[fix], 0.0, np.minimum(dlo, dhi)), np.maximum(dlo, dhi)
+        peak, least = (far, near) if e > 0.0 else (near, far)
+        live = least > 0.0
 
-    def relative(kind, s, t):
-        if kind == "avg":
-            return pw._split_moment(s, lo, hi, peak) / meas, t
-        out = np.full(lo.shape, INF)
-        out[least > 0.0] = _pow(least[least > 0.0] / peak[least > 0.0], -e)
-        return out, t
+        def relative(kind, s, t):
+            if kind == "avg":
+                return pw._split_moment(s, lo, hi, peak) / meas, t
+            out = np.full(lo.shape, INF)
+            out[live] = _pow(least[live] / peak[live], -e)
+            return out, t
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values[fix] = _evaluate(row, relative, power=_pow, divide=_divide_divergent)
     return values
 
