@@ -313,11 +313,12 @@ class TestPowerOverflow:
 
 
 class TestFarCentre:
-    """A power weight centred far from its root: at c >= 1e16 the ends of a
-    cube's distance range round together, and the constants used to read 0
+    """|x - c|^(-1/2) on [0, 1) with c far from the root, where the constants
+    are 1 + O(1/c): the ends of a cube's distance range round together, and
+    A_2 used to read 1.018 at c = 1e12, and ap, a1, apq and rh 0 at c = 1e16
     with an 'invalid value' warning on stderr."""
 
-    @pytest.mark.parametrize("center", [1e16, -1e300])
+    @pytest.mark.parametrize("center", [1e12, 1e16, -1e300])
     def test_constants_near_one_and_silent(self, tmp_path, capsys, center):
         path = write_power(tmp_path, "far.json", center, -0.5, [0.0, 1.0])
         with warnings.catch_warnings():
