@@ -443,7 +443,8 @@ def power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float
     if (all(sys.float_info.min <= plain(kind, s) < INF for kind, s, _ in row if kind == "avg")
             or (e < 0.0 and closure) or any(kind == "weak" for kind, _, _ in row)):
         return _row_value(row, plain)
-    near, far = (0.0 if closure else min(abs(lo - c), abs(hi - c))), max(abs(lo - c), abs(hi - c))
+    dlo, dhi = abs(lo - c), abs(hi - c)
+    near, far = (0.0 if closure else min(dlo, dhi)), max(dlo, dhi)
     peak, least = (far, near) if e > 0.0 else (near, far)
 
     def relative(kind, s):
@@ -463,8 +464,9 @@ def power_level_values(kind: str, pw: PowerWeight, grid: GridSpec, level: int, *
                      for i in range(2 ** level)])
 
 
-# wide enough to hold the exact difference of any two floats
-_EXACT = decimal.Context(prec=1200)
+# wide enough to hold the exact difference of any two floats (digits from
+# 10^308 down to 10^-1074)
+_EXACT = decimal.Context(prec=1400)
 
 
 def decimal_moment(c: decimal.Decimal, a: decimal.Decimal, lo: decimal.Decimal,
