@@ -97,13 +97,13 @@ def _distance_integral(a: float, d1: np.ndarray, d2: np.ndarray,
     at0 = d1 == 0.0
     out[at0] = INF if a <= -1.0 else _pow(d2[at0], b) / b
     far = ~at0 & (length * max(1.0, abs(b)) < d1 * 2.0 ** -8)
-    off = ~at0 & ~far
-    lp = _each(math.log1p, length[far] / d1[far])
+    if far.any():
+        lp = _each(math.log1p, length[far] / d1[far])
+        out[far] = lp if a == -1.0 else _pow(d1[far], a) * (d1[far] * _each(math.expm1, b * lp) / b)
+    off = ~(at0 | far)
     if a == -1.0:
-        out[far] = lp
         out[off] = _each(math.log, d2[off] / d1[off])
     else:
-        out[far] = _pow(d1[far], a) * (d1[far] * _each(math.expm1, b * lp) / b)
         top, bottom = _pow(d2[off], b), _pow(d1[off], b)
         with np.errstate(invalid="ignore"):
             # inf - inf: both ends overflow, and the integral with them
