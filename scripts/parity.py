@@ -5,7 +5,10 @@ keeps every output bit for bit.
 The corpus covers the seven weight constants and both sigma-RH pairs on
 tabulated 1-D, 2-D and 3-D weights and on power weights whose centre lies
 inside the root, on a lattice edge, outside it and far away; the power
-weights' cell averages (``tabulate``); ``verify_weight``; ``lemma_suite``;
+weights' cell averages (``tabulate``); ``verify_weight``,
+``sufficiency_check`` and ``necessity_check``, each called alone, on
+tabulated weights (1-D to 3-D, a constant one, one with zero cells, one
+near 2^900) and power weights; ``lemma_suite``;
 the CZ chain (``cz_decompose``, ``build_sparse``, ``sparse_sum``); and the
 CLI on ``tests/data/constants/*.weight.json``.
 
@@ -128,8 +131,8 @@ def _chain(f, w, fractional):
 
 def corpus(toy: bool):
     """(id, call) pairs in a fixed order; every input is seeded."""
-    from weakmax import (GridSpec, PowerWeight, StepFunction, lemma_suite, random_step,
-                         random_weight, verify_weight)
+    from weakmax import (GridSpec, PowerWeight, StepFunction, lemma_suite, necessity_check,
+                         random_step, random_weight, sufficiency_check, verify_weight)
 
     def grid(n, depth):
         return GridSpec(n, (0.0,) * n, 1.0, depth)
@@ -156,7 +159,13 @@ def corpus(toy: bool):
                 yield from _constants(f"pow_c{c!r}_a{a!r}_d{d}", pw, ps, rs, d)
             yield f"pow_c{c!r}_a{a!r}/tabulate", lambda pw=pw: pw.tabulate(3 if toy else 6)
 
-    drivers = [(name, w, None) for name, w in tabulated[:2 if toy else 6]]
+    # the drivers: the first tabulated weights, the ties of a constant weight,
+    # zero cells, values near 2^900, a 3-D weight and two power weights
+    named = dict(tabulated)
+    picks = tabulated[:2 if toy else 6] + [
+        (name, named[name]) for name in ("constant", "zero_cells", "huge",
+                                         "tab3d_d1" if toy else "tab3d_d2")]
+    drivers = [(name, w, None) for name, w in picks]
     drivers += [("inverse_x", PowerWeight(0.0, -1.0, 0.0, 1.0), 4 if toy else 6),
                 ("sqrt_03", PowerWeight(0.3, -0.5, 0.0, 1.0), 4 if toy else 6)]
     for name, w, d in drivers:
@@ -165,6 +174,11 @@ def corpus(toy: bool):
             yield (f"{name}/verify/p{p}_q{q}",
                    lambda w=w, p=p, alpha=alpha, q=q, d=d:
                    verify_weight(w, p, alpha, q, seed=1, n_random=8, depth=d))
+            yield (f"{name}/sufficiency/p{p}_q{q}",
+                   lambda w=w, p=p, alpha=alpha, q=q, d=d:
+                   sufficiency_check(w, p, alpha, q, seed=1, n_random=8, depth=d))
+            yield (f"{name}/necessity/p{p}_q{q}",
+                   lambda w=w, p=p, alpha=alpha, q=q, d=d: necessity_check(w, p, alpha, q, depth=d))
         for q in (None, 4.0):
             yield (f"{name}/lemmas/q{q}",
                    lambda w=w, q=q, d=d: lemma_suite(w, 2.0, q, seed=2, n_random=8, depth=d))
