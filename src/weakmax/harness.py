@@ -156,7 +156,7 @@ class _RatioKernel:
             self.direct_w, self.norm_w = w ** (1.0 / p), w
         else:
             self.direct_w, self.norm_w = w, w ** p
-        self.grid, self.p = w_tab.grid, p
+        self.grid, self.p, self.r = w_tab.grid, p, r
         self.counts = _descending_counts(w.size, self.grid.cell_measure, r)
 
     def scale(self, values: np.ndarray) -> np.ndarray:
@@ -268,7 +268,56 @@ def _lattice_cube(grid: GridSpec, pos: int) -> DyadicCube:
     return grid.cube_from_flat(level, pos)
 
 
-def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha) -> np.ndarray:
+# A later-suite row is skipped only where its Chebyshev bound is below the
+# running maximum by this relative margin.  The bound and the row's ratio
+# are each a few dozen roundings of sums of the same positive terms, about
+# 1e-14 apart at most, so a skipped row is strictly below the maximum: it can
+# neither win nor tie under first-max-wins.
+_PRUNE_MARGIN = 1e-9
+
+
+def _chebyshev_bounds(kernel: _RatioKernel, C: np.ndarray, run_l: np.ndarray,
+                      w_sums: list, den_sums: np.ndarray, level: int) -> np.ndarray:
+    """Upper bounds of the ratios of the g chi_Q rows of the cubes Q of one
+    level, for each suite g of a batch: an (S, C) array, nan where a bound is
+    not certified.  C holds the suites' C_Q tables (S, C, level + 1), run_l
+    their running maxima at this level (S, N), w_sums the level sums of W,
+    and den_sums the cube sums of their norm integrands (S, C).
+
+    With h = w^(1/p) M(g chi_Q) (fractional: w M_alpha(g chi_Q)) and r = p
+    (fractional: q), Chebyshev gives ||h||_{r,inf} <= ||h||_{L^r}, and with
+    W = h / M(g chi_Q) to the power r, ||h||_r^r / |cell| is
+
+        sum_{k < l} C_Q(k)^r W(A_k minus A_{k+1})
+            + sum_{x in Q} W(x) max(C_Q(l), run_l(x))^r,
+
+    the closed form of ``_cube_ratios`` with the weight moved inside.  A
+    ring's W is a difference of two level sums: its rounding error is a few
+    ulps of W(A_k), and C_Q(k)^r W(A_k) is at most the whole sum, since
+    M(g chi_Q) >= C_Q(k) on A_k.  W and C_Q(k)^r are floored at the least
+    normal float, which only raises the bound, so what underflows is a final
+    product, less than 2^-1022 per term.  A bound is certified where it, the
+    sum, its product with |cell| and the row's norm lie in 2^+-960: there the
+    row's own sums, rounded differently, can neither overflow nor vanish, and
+    the terms lost to underflow are below 2^-37 of the sum.
+    """
+    grid, r, tiny = kernel.grid, kernel.r, np.finfo(float).tiny
+    n, cm = grid.n, grid.cell_measure
+    cube_coords = np.indices((2 ** level,) * n).reshape(n, -1)
+    w_anc = np.stack([w_sums[k][np.ravel_multi_index(cube_coords >> (level - k), (2 ** k,) * n)]
+                      for k in range(level + 1)])
+    rings = np.maximum(w_anc[:-1] - w_anc[1:], 0.0).T  # (C, level)
+    off_q = (np.maximum(C[..., :level] ** r, tiny) * rings).sum(axis=-1)
+    h = kernel.direct_w * np.maximum(C[..., level][:, grid.ancestor_index(level)], run_l)
+    total = off_q + level_value_sums(h ** r, grid)[level]
+    num, den = total * cm, den_sums * cm
+    bound = num ** (1.0 / r) / den ** (1.0 / kernel.p)
+    lo, hi = 2.0 ** -960, 2.0 ** 960
+    certified = np.logical_and.reduce([(lo < x) & (x < hi) for x in (total, num, den, bound)])
+    return np.where(certified, bound, np.nan)
+
+
+def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = False) -> np.ndarray:
     """For each suite g, a row of the (S, N) array ``suites``, the ratio of
     g chi_Q for every lattice cube Q in lattice order (``_lattice_cube``), nan
     where g vanishes on Q: an (S, C) array, written in place per chunk of at
@@ -296,6 +345,14 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha) -> np.ndarray:
     own C_Q table.  Each suite is scaled by the kernel before any sum or
     power; a suite's rows fail with the errors of their own sweeps, in suite
     order within a chunk.
+
+    With ``prune``, every row of the first suite is still evaluated, but a
+    row of a later suite reads -inf, unevaluated, where its certified
+    Chebyshev bound (``_chebyshev_bounds``) is below (1 - _PRUNE_MARGIN)
+    times the largest ratio evaluated before it, in the order above: such a
+    row can neither win nor tie a first maximum over the rows, and the rows
+    skipped are certified finite with a norm that does not vanish, so no
+    error is skipped with them.
     """
     grid = kernel.grid
     n, depth = grid.n, grid.depth
@@ -312,6 +369,12 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha) -> np.ndarray:
     for level in range(depth - 1, -1, -1):
         run.append(np.maximum(scores[level][:, grid.ancestor_index(level)], run[-1]))
     run.reverse()
+    prune = prune and len(suites) > 1
+    if prune:
+        with np.errstate(all="ignore"):
+            w_sums = level_value_sums(np.maximum(kernel.direct_w ** kernel.r,
+                                                 np.finfo(float).tiny), grid)
+        den_sums = level_value_sums(norm_cells[1:], grid)
     cell_coords = np.indices((2 ** depth,) * n).reshape(n, -1)
     # two cubes of one level first share an ancestor b levels up, where b is
     # the bit length of their coordinates' xor, OR-ed over the axes
@@ -320,11 +383,16 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha) -> np.ndarray:
         bit_length[2 ** b:2 ** (b + 1)] = b + 1
     rows = _chunk_rows(grid)
     out = np.full((len(suites), sum(2 ** (level * n) for level in range(depth + 1))), np.nan)
+    best = -math.inf  # the largest ratio evaluated so far
     first = 0  # the lattice position of the level's first cube
     for level in range(depth + 1):
         meas = [grid.cube_measure(j) for j in range(level + 1)]
         avg = sums[level][..., None] * cm / np.array(meas)
         C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=-1)
+        if prune:
+            with np.errstate(all="ignore"):  # an out-of-range bound is not certified
+                bounds = _chebyshev_bounds(kernel, C[1:], run[level][1:], w_sums,
+                                           den_sums[level], level)
         # C_Q(level - b) at flat index (level + 1) * i + b, for the i-th cube Q
         tables = np.ascontiguousarray(C[..., ::-1]).reshape(len(suites), -1)
         coords = cell_coords >> (depth - level)
@@ -338,13 +406,21 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha) -> np.ndarray:
             up = bit_length.take(diff)  # levels from Q up to the cube holding x and Q
             on_q = up == 0
             up += (level + 1) * chunk[:, None]
-            for ratios, level_sums, table, run_g, norm_g in zip(
-                    out, sums[level], tables, run[level], norm_cells):
-                positive = level_sums[chunk] > 0
-                at, on = (up, on_q) if positive.all() else (up[positive], on_q[positive])
+            for g, (ratios, level_sums, table, run_g, norm_g) in enumerate(zip(
+                    out, sums[level], tables, run[level], norm_cells)):
+                live = level_sums[chunk] > 0
+                if prune and g:
+                    below = bounds[g - 1, chunk] < (1.0 - _PRUNE_MARGIN) * best
+                    ratios[first + chunk[below]] = -math.inf
+                    live &= ~below
+                if not live.any():
+                    continue
+                at, on = (up, on_q) if live.all() else (up[live], on_q[live])
                 mf = table.take(at)
                 np.maximum(mf, run_g, out=mf, where=on)
-                ratios[first + chunk[positive]] = kernel(mf, np.where(on, norm_g, 0.0).sum(axis=-1))
+                values = kernel(mf, np.where(on, norm_g, 0.0).sum(axis=-1))
+                ratios[first + chunk[live]] = values
+                best = max(best, *values)
         first += count
     return out
 
@@ -383,7 +459,9 @@ def _cube_suites(res: _Resolved, p, alpha, q, chi: bool):
     sigma = res.sigma_tab.values
     if not (chi and math.isfinite(_bound(res, p, q)) and res.star.value > 0.0):
         return _cube_ratios(res.kernel, sigma[None], alpha)[0], None
-    return tuple(_cube_ratios(res.kernel, np.stack([sigma, np.ones_like(sigma)]), alpha))
+    # sufficiency reads only the maximum of the rows and its witness
+    return tuple(_cube_ratios(res.kernel, np.stack([sigma, np.ones_like(sigma)]), alpha,
+                              prune=True))
 
 
 def sufficiency_check(w: Weight, p: float, alpha: float = 0.0, q: float | None = None,

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from weakmax import StepFunction, weight_to_dict
+from weakmax import GridSpec, StepFunction, cli, harness, random_weight, weight_to_dict
 from weakmax.cli import main
 
 from conftest import constant, unit_grid
@@ -470,6 +470,73 @@ class TestFloatRangeGeometry:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "root_side" in err
+
+
+class TestJsonDump:
+    """_to_json writes per_cube rows from one template per row and splices
+    them into the stdlib dump of the rest: its text is json.dumps(obj,
+    sort_keys=True, indent=2) and a newline, byte for byte."""
+
+    @staticmethod
+    def _assert_same(obj):
+        assert cli._to_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n,depth", [(1, 4), (2, 2), (3, 1)])
+    def test_reports(self, n, depth):
+        w = random_weight(GridSpec(n, (0.0,) * n, 1.0, depth), np.random.default_rng(n))
+        self._assert_same(harness.verify_weight(w, 2.0, n_random=4))
+        self._assert_same(harness.verify_weight(w, 2.0, n / 4.0, 4.0, n_random=4))
+        self._assert_same(harness.necessity_check(w, 1.5).to_dict())
+
+    def test_non_finite_ratios(self):
+        report = harness.necessity_check(constant(unit_grid(2), 1.0), 2.0).to_dict()
+        for row, ratio in zip(report["per_cube"], [math.inf, -math.inf, math.nan, 0.0, 1e-300]):
+            row["ratio"] = ratio
+        self._assert_same(report)
+        self._assert_same({"outer": report, "per_cube": report["per_cube"][:1]})
+
+    def test_vacuous_sufficiency(self):
+        # sigma = w^-2 underflows to 0 on the spike, and the bound overflows
+        spike = StepFunction(unit_grid(3), [1.0] * 7 + [1e170])
+        report = harness.sufficiency_check(spike, 1.5, n_random=2).to_dict()
+        assert "vacuous" in report["context"]["diagnostic"]
+        self._assert_same(report)
+
+    @pytest.mark.parametrize("rows", [
+        [{"index": [0], "level": np.int64(0), "ratio": 1.0}],
+        [{"index": [0], "level": 0, "ratio": 1.0, "extra": 2}],
+        [{"index": [], "level": 0, "ratio": 1.0}],
+        [{"index": [True], "level": 0, "ratio": 1.0}],
+        [{"index": [0], "level": 0, "ratio": 1}],
+        [{"index": [0], "level": 0, "ratio": 1.0}, "@weakmax-per-cube-0@"],
+    ], ids=["numpy_int", "extra_key", "empty_index", "bool_index", "int_ratio", "placeholder"])
+    def test_other_shapes_fall_back(self, rows):
+        obj = {"per_cube": rows, "name": "@weakmax-per-cube-0@"}
+        try:
+            expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        except TypeError:  # numpy ints are not JSON
+            with pytest.raises(TypeError):
+                cli._to_json(obj)
+            return
+        assert cli._to_json(obj) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--p", "1.5"], ["cz"], ["lemmas"], ["maximal"],
+        ["verify", "--n-random", "4"], ["necessity"], ["necessity", "--alpha", "0.25", "--q", "4"],
+    ], ids=lambda argv: "_".join(argv[:1] + argv[2:3]))
+    def test_cli_payloads(self, monkeypatch, tmp_path, capsys, argv):
+        dumped = []
+        real = cli._to_json
+
+        def checked(obj):
+            dumped.append(real(obj))
+            assert dumped[-1] == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+            return dumped[-1]
+
+        monkeypatch.setattr(cli, "_to_json", checked)
+        w = random_weight(unit_grid(3), np.random.default_rng(7))
+        main([argv[0], "--weight", write_weight(tmp_path, "w.json", w), *argv[1:]])
+        assert capsys.readouterr().out == dumped[0]
 
 
 class TestEntryPoint:

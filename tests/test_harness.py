@@ -33,6 +33,7 @@ from weakmax.grid import cube_blocks
 from weakmax.lorentz import weak_scan
 
 from conftest import constant, unit_grid
+from test_weights import power_weights
 from oracles import (all_cubes, chebyshev_check, lemma_subcube_scan, lemma_union_scan,
                      random_cell_union)
 
@@ -378,6 +379,91 @@ class TestClosedFormRows:
         self._assert_scale_free(driver, 1e200)
 
 
+@st.composite
+def pruning_cases(draw):
+    """(w, p, alpha, q): a tabulated weight, 1-D to depth 8, 2-D to depth 4
+    or 3-D to depth 2, with cells 2^U, U in [-300, 300] (and at p = 1.01 a
+    sigma = w^(1 - p') that vanishes on the cubes of the large cells), or a
+    power weight's tabulation; plain, or fractional at alpha = n/4."""
+    p = draw(st.sampled_from([1.01, 1.5, 2.0, 3.0]))
+    if draw(st.booleans()):
+        pw, depth = draw(power_weights())
+        w = pw.tabulate(depth)
+    else:
+        n = draw(st.sampled_from([1, 2, 3]))
+        depth = draw(st.integers(0, {1: 8, 2: 4, 3: 2}[n]))
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        spread = draw(st.sampled_from([1.0, 30.0, 300.0]))
+        logs = np.random.default_rng(draw(st.integers(0, 2 ** 16))).uniform(
+            -spread, spread, grid.finest_count)
+        w = StepFunction(grid, np.exp2(logs))
+    n = w.grid.n
+    if draw(st.booleans()):
+        return w, p, 0.0, None
+    return w, p, n / 4.0, 1.0 / (1.0 / p - 0.25)
+
+
+def _pruned_and_full(w, p, alpha, q):
+    """The (sigma chi_Q, chi_Q) rows of a pruned sweep, the chi_Q bounds it
+    computed, in lattice order, and the rows of a full sweep; a sweep's
+    error message in place of its rows."""
+    kernel = harness._RatioKernel(w, p, q)
+    sigma = dual_weight(w, p, "ap" if q is None else "apq").values
+    suites = np.stack([sigma, np.ones_like(sigma)])
+    bounds = []
+    real = harness._chebyshev_bounds
+
+    def recording(*args):
+        bounds.append(real(*args)[0])
+        return bounds[-1][None]
+
+    def sweep(prune):
+        try:
+            return harness._cube_ratios(kernel, suites, alpha, prune=prune)
+        except ValueError as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_chebyshev_bounds", recording)
+        pruned = sweep(True)
+    return pruned, np.concatenate(bounds) if bounds else None, sweep(False)
+
+
+class TestChebyshevPruning:
+    """Each chi_Q row's Chebyshev bound is at least its ratio, and a pruned
+    sweep differs from the full one only in chi_Q rows, each -inf and
+    below the maximum, so no maximum, witness or error moves."""
+
+    @settings(max_examples=300)
+    @given(pruning_cases())
+    def test_bound_holds_and_pruning_keeps_the_maximum(self, case):
+        w, p, alpha, q = case
+        try:
+            pruned, bounds, full = _pruned_and_full(w, p, alpha, q)
+        except ValueError as exc:  # sigma = w^(1 - p') leaves the float range
+            assert "overflows" in str(exc)
+            return
+        if isinstance(full, str):
+            assert pruned == full
+            return
+        certified = ~np.isnan(bounds)
+        assert np.all(bounds[certified] >= full[1][certified] * (1.0 - 1e-9))
+        assert np.array_equal(pruned[0], full[0], equal_nan=True)
+        skipped = pruned[1] == -math.inf
+        assert np.array_equal(pruned[1][~skipped], full[1][~skipped], equal_nan=True)
+        assert np.all(certified[skipped])
+        assert np.all(full[1][skipped] < np.nanmax(full))
+
+    def test_halved_bound_is_caught(self, monkeypatch):
+        # a mutation check: bounds at half their value prune chi_Q rows that
+        # tie the maximum, where the first maximum is a chi_Q row, and the
+        # oracle comparison fails
+        real = harness._chebyshev_bounds
+        monkeypatch.setattr(harness, "_chebyshev_bounds", lambda *args: 0.5 * real(*args))
+        with pytest.raises(AssertionError):
+            TestChunkedEngineOracle().test_ties_keep_first_maximum(1, 6)
+
+
 class TestLatticeOrder:
     """The suites' ratio arrays are in lattice order, and each verify side
     takes the first maximum of them, never a nan row."""
@@ -621,13 +707,37 @@ class TestCheckedResolution:
         monkeypatch.setattr(owner, name, counting)
         return evaluated
 
+    @staticmethod
+    def _suite_rows(monkeypatch):
+        # the (sigma chi_Q, chi_Q) ratio arrays of every _cube_suites call
+        suites = []
+        wrapped = harness._cube_suites
+
+        def recording(*args, **kwargs):
+            suites.append(wrapped(*args, **kwargs))
+            return suites[-1]
+
+        monkeypatch.setattr(harness, "_cube_suites", recording)
+        return suites
+
+    @classmethod
+    def _assert_rows_once(cls, rows, suites, n_random):
+        # every sigma chi_Q and random row reaches the shared ratio tail
+        # once, and each chi_Q row at most once: the chi_Q rows left out
+        # read -inf; returns the chi_Q rows evaluated
+        (sigma_rows, chi_rows), = suites
+        assert np.isfinite(sigma_rows).all()
+        evaluated = int(np.sum(chi_rows != -math.inf))
+        assert np.all(np.isfinite(chi_rows) | (chi_rows == -math.inf))
+        assert sum(rows) == len(sigma_rows) + n_random + evaluated
+        return evaluated
+
     def test_verify_row_count(self, monkeypatch):
-        # chi_Q and sigma_chi_Q rows once each, plus the random rows: every
-        # row, closed-form or swept, reaches the shared ratio tail once
         evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "__call__")
+        suites = self._suite_rows(monkeypatch)
         w = random_weight(unit_grid(6), np.random.default_rng(3))
         verify_weight(w, 2.0, n_random=10)
-        assert sum(evaluated) == 2 * (2 ** 7 - 1) + 10
+        assert self._assert_rows_once(evaluated, suites, 10) <= 2 ** 7 - 1
 
     @pytest.mark.parametrize("driver", DRIVERS, ids=_name)
     def test_one_kernel_per_resolution(self, monkeypatch, driver):
@@ -643,12 +753,14 @@ class TestCheckedResolution:
         assert len(built) == 1
 
     def test_one_sort_per_row(self, monkeypatch):
-        # 1-D depth 10: 2C + 200 = 4,294 rows (C = 2,047 cubes), each sorted
-        # and scanned once
+        # 1-D depth 10 (C = 2,047 cubes): each row evaluated is sorted and
+        # scanned once, and fewer than 10% of the chi_Q rows are evaluated,
+        # the others being certified below the maximum
         scanned = self._count_rows(monkeypatch, harness, "_sorted_scan", arg=0)
+        suites = self._suite_rows(monkeypatch)
         w = random_weight(unit_grid(10), np.random.default_rng(3))
         verify_weight(w, 2.0)
-        assert sum(scanned) == 4294
+        assert self._assert_rows_once(scanned, suites, 200) < 0.1 * 2047
 
     def test_no_chi_rows_without_a_bound(self, monkeypatch):
         evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "__call__")
