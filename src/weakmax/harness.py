@@ -129,6 +129,8 @@ def _require_alpha(alpha: float, p: float, q: float | None, n: int):
 
 
 _DEGENERATE = "degenerate input: ||f|| vanishes in the weighted norm"
+_OVERFLOW = ("overflow: the weighted maximal function, its weak norm or ||f|| passes the "
+             "float range (cell values must be finite)")
 _TOO_WIDE = ("the weight's range is too wide for the float range of its powers: "
              "||f|| > 0, but its weighted integrand underflows to 0")
 
@@ -172,11 +174,14 @@ class _RatioKernel:
         and the cell sum of its norm integrand; mf is left unchanged.
 
         A chunk raises the error of its first failing row: the numerator
-        and the weighted norm must be finite, and the norm must not vanish.
-        The final 1/p power is a Python-float power, which numpy's array
-        power does not always match to the last bit.
+        function, its weak norm and the weighted norm must be finite, and
+        the norm must not vanish.  The rows' cells are checked finite before
+        any sweep, so a value past the float range here is an overflow, and
+        the error names it.  The final 1/p power is a Python-float power,
+        which numpy's array power does not always match to the last bit.
         """
-        direct = self.direct_w * mf
+        with np.errstate(over="ignore"):
+            direct = self.direct_w * mf
         # Everything upstream is nonnegative, so an overflow in M f or in the
         # product leaves inf or nan in the row, and the ascending sort puts it
         # last (nan sorts last).
@@ -187,8 +192,8 @@ class _RatioKernel:
         out = []
         for ok, num, den_sum in zip(finite.tolist(), nums.tolist(), den_sums.tolist()):
             den = (den_sum * cm) ** (1.0 / self.p)
-            if not (ok and math.isfinite(den)):
-                raise ValueError("cell values must be finite")
+            if not (ok and math.isfinite(den) and math.isfinite(num)):
+                raise ValueError(_OVERFLOW)
             if den == 0.0:
                 raise ValueError(_TOO_WIDE if mf[len(out)].max() > 0.0 else _DEGENERATE)
             out.append(num / den)
@@ -387,8 +392,9 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = 
     first = 0  # the lattice position of the level's first cube
     for level in range(depth + 1):
         meas = [grid.cube_measure(j) for j in range(level + 1)]
-        avg = sums[level][..., None] * cm / np.array(meas)
-        C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=-1)
+        with np.errstate(over="ignore"):  # a mean past the float range fails in the kernel
+            avg = sums[level][..., None] * cm / np.array(meas)
+            C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=-1)
         if prune:
             with np.errstate(all="ignore"):  # an out-of-range bound is not certified
                 bounds = _chebyshev_bounds(kernel, C[1:], run[level][1:], w_sums,

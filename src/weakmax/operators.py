@@ -83,8 +83,9 @@ def _average_scores(f_sums: list[np.ndarray], grid: GridSpec, alpha: float) -> l
     scores = []
     for lev in range(grid.depth + 1):
         meas = grid.cube_measure(lev)
-        avg = f_sums[lev] * cm / meas
-        scores.append(meas ** s * avg if s else avg)
+        with np.errstate(over="ignore"):  # +inf where an integral passes the float range
+            avg = f_sums[lev] * cm / meas
+            scores.append(meas ** s * avg if s else avg)
     return scores
 
 

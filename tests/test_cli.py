@@ -472,6 +472,25 @@ class TestFloatRangeGeometry:
         assert "root_side" in err
 
 
+class TestRatioOverflow:
+    """A 1-D depth-1 weight on a root of side 1e300 with cells [1e160, 2e300]:
+    the ratio's integrals pass the float range though every cell is finite.
+    verify and necessity used to print three RuntimeWarnings and then 'cell
+    values must be finite' about finite cells; stderr is now one error line
+    that names the overflow."""
+
+    @pytest.mark.parametrize("command", ["verify", "necessity"])
+    def test_one_error_line_naming_the_overflow(self, tmp_path, capsys, command):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(_step_spec(root_side=1e300, values=[1e160, 2e300])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning would reach stderr
+            assert main([command, "--weight", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: overflow: ")
+
+
 class TestJsonDump:
     """_to_json writes per_cube rows from one template per row and splices
     them into the stdlib dump of the rest: its text is json.dumps(obj,
