@@ -111,6 +111,42 @@ def _distance_integral(a: float, d1: np.ndarray, d2: np.ndarray,
     return out
 
 
+def _rounded_away(c: float, los: np.ndarray, his: np.ndarray, dlo: np.ndarray,
+                  dhi: np.ndarray) -> np.ndarray:
+    """Where c -+ |lo - c| and c -+ |hi - c|, for a cube off c, miss the
+    cube's ends by more than 2^-26 of its length.  The overlaps of
+    ``PowerWeight._split_weak`` are read from c -+ t and lose that share of
+    the cube to the miss.  A miss is a few ulps of the largest of |c|, |lo|
+    and |hi| (0 where c and the ends are dyadic, as for |x|^-1), at most
+    2^-49 where they lie within 4 of 0, so on a root of side 1 no cube of a
+    lattice of depth <= 22 takes the switch, and a centre near the root
+    keeps its values."""
+    below = his <= c
+    miss = (np.abs(np.where(below, c - dlo, c + dlo) - los)
+            + np.abs(np.where(below, c - dhi, c + dhi) - his))
+    return miss > (his - los) * 2.0 ** -26
+
+
+def _one_side_weak(a: float, near: np.ndarray, length: np.ndarray,
+                   unit: np.ndarray) -> np.ndarray:
+    """sup_t (t / unit)^a h(t) on the distances [near, near + length] from
+    c, near > 0, a != 0: h(t) = min(length, t - near)+ for a < 0, where
+    w > t^a on the distances below t, and min(length, near + length - t)+
+    for a > 0.  Each piece's only interior critical point, a near / (a + 1)
+    for a < -1 and a far / (a + 1) for a > 0 (far = near + length), wins
+    where it lies inside [near, far]; otherwise the end where h reaches
+    length does: far for a < 0, near for a > 0.  h there is length itself
+    or a multiple of near or far, never a difference of two distances."""
+    far = near + length
+    t, h = (far if a < 0.0 else near), length
+    if a < -1.0 or a > 0.0:
+        t_star = a * (near if a < 0.0 else far) / (a + 1.0)
+        inner = (t_star < far) if a < 0.0 else (t_star > near)
+        t = np.where(inner, t_star, t)
+        h = np.where(inner, (-near if a < 0.0 else far) / (a + 1.0), length)
+    return _pow(t / unit, a) * h
+
+
 def _cube_ends(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Cube ends as 1-D float arrays: one cube's floats, or a level's arrays."""
     return (np.atleast_1d(np.asarray(lo, dtype=float)),
@@ -192,30 +228,38 @@ class PowerWeight:
         return _as_given(out, lo)
 
     def weak_l1(self, lo, hi, power: float = 1.0):
-        """|| w^power chi_[lo,hi) ||_{L^{1,inf}} in closed form.
-
-        With t the distance threshold (lam = t^a), the superlevel measure
-        h(t) is piecewise affine with breakpoints at the endpoint distances,
-        so sup_t t^a h(t) is attained at a breakpoint, at an interior critical
-        point t* = -a u / ((a+1) v) of an affine piece h = u + v t, or in the
-        t -> 0 limit at the singularity.  Each cube has at most two
-        breakpoints and three pieces; a candidate that a cube lacks is masked
-        off.
-        """
+        """|| w^power chi_[lo,hi) ||_{L^{1,inf}} in closed form."""
         los, his = _cube_ends(lo, hi)
+        return _as_given(self._split_weak(power, los, his, np.ones(los.shape)), lo)
+
+    def _split_weak(self, power: float, los: np.ndarray, his: np.ndarray,
+                    unit: np.ndarray) -> np.ndarray:
+        """|| (|x - c| / d*)^(exponent * power) chi_Q ||_{L^{1,inf}} on each
+        cube, with d* the cube's entry of ``unit`` (1 for ``weak_l1``).
+
+        With t the distance threshold (lam = (t / d*)^a), the superlevel
+        measure h(t) is piecewise affine with breakpoints at the endpoint
+        distances, so sup_t (t / d*)^a h(t) is attained at a breakpoint, at an
+        interior critical point t* = -a u / ((a+1) v) of an affine piece h =
+        u + v t, or in the t -> 0 limit at the singularity.  Each cube has at
+        most two breakpoints and three pieces; a candidate that a cube lacks
+        is masked off.  The overlap of the cube with (c - t, c + t) is read
+        from c -+ t; where that rounds the cube away, far from c, the cube
+        is a distance range instead (``_one_side_weak``).
+        """
         a = self.exponent * power
         c = self.center
         length = his - los
         if a == 0.0:
-            return _as_given(length, lo)
+            return length
 
         def g(t, mask):
-            """t^a h(t) where mask holds and h(t) > 0, else 0."""
+            """(t / d*)^a h(t) where mask holds and h(t) > 0, else 0."""
             overlap = np.maximum(0.0, np.minimum(his, c + t) - np.maximum(los, c - t))
             ht = overlap if a < 0.0 else length - overlap
             live = mask & (ht > 0.0)
             out = np.zeros(los.shape)
-            out[live] = _pow(t[live], a) * ht[live]
+            out[live] = _pow(t[live] / unit[live], a) * ht[live]
             return out
 
         def piece(t_lo, t_hi, mask):
@@ -235,8 +279,8 @@ class PowerWeight:
         inside_closure = (los <= c) & (c <= his)
         best = np.zeros(los.shape)
         if a == -1.0:
-            # h(t) = v0 * t near 0, so g -> v0 * t^(a+1) = v0.
-            best[inside_closure] = np.where((los < c) & (c < his), 2.0, 1.0)[inside_closure]
+            # h(t) = v0 * t near 0, so g -> v0 * t^(a+1) d* = v0 d*.
+            best[inside_closure] = (np.where((los < c) & (c < his), 2.0, 1.0) * unit)[inside_closure]
 
         # The sorted positive breakpoints: [near, far] where both differ and
         # are positive, else [far].
@@ -256,7 +300,10 @@ class PowerWeight:
             best = np.where(cand > best, cand, best)
         if a < -1.0:
             best[inside_closure] = INF
-        return _as_given(best, lo)
+        away = ~inside_closure & _rounded_away(c, los, his, dlo, dhi)
+        if away.any():
+            best[away] = _one_side_weak(a, near[away], length[away], unit[away])
+        return best
 
     def tabulate(self, depth: int) -> StepFunction:
         """Exact cell averages; a cell with divergent integral falls back to
@@ -402,14 +449,15 @@ def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -
     """A row's values on the cubes [lo, hi) of a power weight, all at once.
 
     Every class has degree 0 in w.  So a cube where the closed form of an
-    average <w^e>_Q of the row leaves the normal float range, though w^e may
-    be integrable on Q, is evaluated again on w/m, with m = ess sup_Q w =
-    d*^exponent at the distance d* from the center where w peaks on Q:
-    ``_split_moment`` in units of d* gives <(w/m)^e>_Q, and ess sup_Q
-    (w/m)^{-1} = (d/d*)^(-exponent) at the distance d where w is least.
-    This skips the rows with a weak factor, and a cube whose closure holds
-    the center when the exponent is negative: there m is infinite, and an
-    average that overflows diverges."""
+    average <w^e>_Q or a weak average |Q|^-1 ||w^e chi_Q||_{1,inf} of the
+    row leaves the normal float range, though w^e may be integrable on Q, is
+    evaluated again on w/m, with m = ess sup_Q w = d*^exponent at the
+    distance d* from the center where w peaks on Q: ``_split_moment`` and
+    ``_split_weak`` in units of d* give <(w/m)^e>_Q and the weak average of
+    (w/m)^e, and ess sup_Q (w/m)^{-1} = (d/d*)^(-exponent) at the distance d
+    where w is least.  This skips a cube whose closure holds the center when
+    the exponent is negative: there m is infinite, and an average that
+    overflows diverges."""
     e, c = pw.exponent, pw.center
     meas = hi - lo
     averages = []
@@ -419,13 +467,12 @@ def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -
             averages.append(pw.moment(s, lo, hi) / meas)
             return averages[-1], t
         if kind == "weak":
-            return pw.weak_l1(lo, hi, power=s) / meas, t
+            averages.append(pw.weak_l1(lo, hi, power=s) / meas)
+            return averages[-1], t
         return pw.ess_sup_inv(lo, hi), t
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = _evaluate(row, factor, power=_pow, divide=_divide_divergent)
-        if any(kind == "weak" for kind, _, _ in row):
-            return values
         closure = (lo <= c) & (c <= hi)
         fix = ~((e < 0.0) & closure) & np.logical_or.reduce(
             [~((avg >= np.finfo(float).tiny) & (avg < INF)) for avg in averages])
@@ -440,6 +487,8 @@ def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -
         def relative(kind, s, t):
             if kind == "avg":
                 return pw._split_moment(s, lo, hi, peak) / meas, t
+            if kind == "weak":
+                return pw._split_weak(s, lo, hi, peak) / meas, t
             out = np.full(lo.shape, INF)
             out[live] = _pow(least[live] / peak[live], -e)
             return out, t

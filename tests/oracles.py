@@ -356,10 +356,14 @@ def power_ess_sup_inv(pw: PowerWeight, lo: float, hi: float) -> float:
     return min(dlo, dhi) ** (-a)
 
 
-def power_weak_l1(pw: PowerWeight, lo: float, hi: float, power: float = 1.0) -> float:
-    """|| w^power chi_[lo,hi) ||_{L^{1,inf}}: the largest t^a h(t) over the
-    breakpoints, the interior critical points of each affine piece of h, and
-    the t -> 0 limit at the singularity."""
+def power_weak_l1(pw: PowerWeight, lo: float, hi: float, power: float = 1.0,
+                  unit: float = 1.0) -> float:
+    """|| (|x - c| / unit)^(exponent * power) chi_[lo,hi) ||_{L^{1,inf}}: the
+    largest (t / unit)^a h(t) over the breakpoints, the interior critical
+    points of each affine piece of h, and the t -> 0 limit at the
+    singularity.  Where c -+ |lo - c| or c -+ |hi - c| misses the cube's end
+    by more than 2^-26 of its length, on a cube off c, the cube is read as
+    the distances [near, near + length] instead, as the engine reads it."""
     a = pw.exponent * power
     c = pw.center
     length = hi - lo
@@ -368,6 +372,11 @@ def power_weak_l1(pw: PowerWeight, lo: float, hi: float, power: float = 1.0) -> 
 
     dlo, dhi = abs(lo - c), abs(hi - c)
     inside_closure = lo <= c <= hi
+    if not inside_closure:
+        sign = -1.0 if hi <= c else 1.0
+        miss = abs((c + sign * dlo) - lo) + abs((c + sign * dhi) - hi)
+        if miss > length * 2.0 ** -26:
+            return _one_side_weak_l1(a, min(dlo, dhi), length, unit)
 
     if a < 0.0:
         def h(t):
@@ -378,7 +387,7 @@ def power_weak_l1(pw: PowerWeight, lo: float, hi: float, power: float = 1.0) -> 
 
     def g(t):
         ht = h(t)
-        return t ** a * ht if ht > 0.0 else 0.0
+        return _power(t / unit, a) * ht if ht > 0.0 else 0.0
 
     best = 0.0
     if a < 0.0 and inside_closure:
@@ -386,7 +395,7 @@ def power_weak_l1(pw: PowerWeight, lo: float, hi: float, power: float = 1.0) -> 
         if a < -1.0:
             return INF
         if a == -1.0:
-            best = v0
+            best = v0 * unit
 
     breaks = sorted({d for d in (dlo, dhi) if d > 0.0})
     for t in breaks:
@@ -404,6 +413,21 @@ def power_weak_l1(pw: PowerWeight, lo: float, hi: float, power: float = 1.0) -> 
             if t_lo < t_star < t_hi:
                 best = max(best, g(t_star))
     return best
+
+
+def _one_side_weak_l1(a: float, near: float, length: float, unit: float) -> float:
+    """sup_t (t / unit)^a h(t) on the distances [near, far], far = near +
+    length: for a < 0, h = min(length, t - near)+, largest at far or at the
+    critical point a near / (a + 1) (a < -1); for a > 0, h = min(length,
+    far - t)+, largest at near or at the critical point a far / (a + 1)."""
+    far = near + length
+    if a < 0.0:
+        t_star = a * near / (a + 1.0) if a < -1.0 else INF
+        t, h = (t_star, -near / (a + 1.0)) if t_star < far else (far, length)
+    else:
+        t_star = a * far / (a + 1.0)
+        t, h = (t_star, far / (a + 1.0)) if t_star > near else (near, length)
+    return _power(t / unit, a) * h
 
 
 def _row_value(row: tuple, base) -> float:
@@ -424,11 +448,11 @@ def _row_value(row: tuple, base) -> float:
 
 def power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float:
     """One cube's row value (a ``weights._ROWS`` entry) for a power weight.
-    Where the closed form of an average <w^e>_Q leaves the normal float
-    range, in a row with no weak factor, the row is taken on w/m with
-    m = ess sup_Q w, in distances measured from the center in units of the
-    distance where w peaks on Q; unless the exponent is negative and the
-    cube's closure holds the center."""
+    Where the closed form of an average <w^e>_Q or of a weak average leaves
+    the normal float range, the row is taken on w/m with m = ess sup_Q w,
+    in distances measured from the center in units of the distance where w
+    peaks on Q; unless the exponent is negative and the cube's closure
+    holds the center."""
     e, c = pw.exponent, pw.center
     meas = hi - lo
 
@@ -440,8 +464,8 @@ def power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float
         return power_ess_sup_inv(pw, lo, hi)
 
     closure = lo <= c <= hi
-    if (all(sys.float_info.min <= plain(kind, s) < INF for kind, s, _ in row if kind == "avg")
-            or (e < 0.0 and closure) or any(kind == "weak" for kind, _, _ in row)):
+    if (all(sys.float_info.min <= plain(kind, s) < INF for kind, s, _ in row
+            if kind in ("avg", "weak")) or (e < 0.0 and closure)):
         return _row_value(row, plain)
     dlo, dhi = abs(lo - c), abs(hi - c)
     near, far = (0.0 if closure else min(dlo, dhi)), max(dlo, dhi)
@@ -450,6 +474,8 @@ def power_cube_value(row: tuple, pw: PowerWeight, lo: float, hi: float) -> float
     def relative(kind, s):
         if kind == "avg":
             return power_moment(pw, s, lo, hi, peak) / meas
+        if kind == "weak":
+            return power_weak_l1(pw, lo, hi, power=s, unit=peak) / meas
         return INF if least == 0.0 else _power(least / peak, -e)
 
     return _row_value(row, relative)

@@ -684,6 +684,37 @@ class TestFarCentre:
                 assert const.value >= 1.0 - 1e-12, const
 
 
+class TestFarCentreWeak:
+    """The weak-L^1 norm far from the center: c -+ t rounds the cube away,
+    and weak_l1 used to read 0 there (ap_star of |x - 1e16|^(1/2) read 0,
+    as did |x - 1e300|^(-3/2)).  The cube is read as a distance range
+    instead, and a weak average past the float range is taken on w/m."""
+
+    @pytest.mark.parametrize("c", [1e8, 1e16, 1e300, -1e8, -1e16, -1e300])
+    @pytest.mark.parametrize("a", [-1.5, -1.0, -0.5, 0.5, 2.0])
+    def test_star_constants_read_one(self, c, a):
+        # a cube of length L at distance d from c: the star expressions are
+        # 1 + O(L / d), so every star constant reads 1 to 1e-6 at depth 6
+        pw = PowerWeight(c, a, 0.0, 1.0)
+        for const in (ap_star_constant(pw, 2.0, depth=6), apq_star_constant(pw, 2.0, 4.0, depth=6)):
+            assert abs(const.value - 1.0) <= 1e-6, (const, c, a)
+
+    @pytest.mark.parametrize("c", [1e16, -1e16, 1e20])
+    @pytest.mark.parametrize("a", [-1.5, -0.5, 0.5, 2.0])
+    def test_weak_l1_against_decimal(self, c, a):
+        # far from c, sup_t t^a h(t) is near^a L (a > 0) or far^a L (a < 0)
+        pw = PowerWeight(c, a, 0.0, 1.0)
+        lo, hi = np.arange(64) / 64.0, (np.arange(64) + 1) / 64.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            D = decimal.Decimal
+            for got, x0, x1 in zip(pw.weak_l1(lo, hi).tolist(), lo.tolist(), hi.tolist()):
+                d0, d1 = abs(D(c) - D(x0)), abs(D(c) - D(x1))
+                peak = min(d0, d1) if a > 0 else max(d0, d1)
+                want = float(peak ** D(a) * (D(x1) - D(x0)))
+                assert math.isclose(got, want, rel_tol=1e-13), (x0, got, want)
+
+
 class TestPowerOverflow:
     """A closed form past the float range reads +inf, never an exception."""
 
