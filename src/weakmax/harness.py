@@ -291,7 +291,8 @@ def _chebyshev_bounds(kernel: _RatioKernel, C: np.ndarray, run_l: np.ndarray,
 
     With h = w^(1/p) M(g chi_Q) (fractional: w M_alpha(g chi_Q)) and r = p
     (fractional: q), Chebyshev gives ||h||_{r,inf} <= ||h||_{L^r}, and with
-    W = h / M(g chi_Q) to the power r, ||h||_r^r / |cell| is
+    W = (h / M(g chi_Q))^r, the kernel's ``direct_w ** r``, ||h||_r^r / |cell|
+    is
 
         sum_{k < l} C_Q(k)^r W(A_k minus A_{k+1})
             + sum_{x in Q} W(x) max(C_Q(l), run_l(x))^r,
@@ -412,11 +413,11 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = 
             up = bit_length.take(diff)  # levels from Q up to the cube holding x and Q
             on_q = up == 0
             up += (level + 1) * chunk[:, None]
-            for g, (ratios, level_sums, table, run_g, norm_g) in enumerate(zip(
+            for suite, (ratios, level_sums, table, run_g, norm_g) in enumerate(zip(
                     out, sums[level], tables, run[level], norm_cells)):
                 live = level_sums[chunk] > 0
-                if prune and g:
-                    below = bounds[g - 1, chunk] < (1.0 - _PRUNE_MARGIN) * best
+                if prune and suite:
+                    below = bounds[suite - 1, chunk] < (1.0 - _PRUNE_MARGIN) * best
                     ratios[first + chunk[below]] = -math.inf
                     live &= ~below
                 if not live.any():

@@ -120,15 +120,21 @@ def _rounded_away(c: float, los: np.ndarray, his: np.ndarray, dlo: np.ndarray,
     and |hi| (0 where c and the ends are dyadic, as for |x|^-1), at most
     2^-49 where they lie within 4 of 0, so on a root of side 1 no cube of a
     lattice of depth <= 22 takes the switch, and a centre near the root
-    keeps its values."""
+    keeps its values.  Where 8 ulps of the largest of |c|, |lo| and |hi|
+    are below the switch for the shortest cube, no cube takes it, and no
+    miss is computed."""
+    length = his - los
+    top = max(abs(c), float(np.abs(los).max()), float(np.abs(his).max()))
+    if 8.0 * np.spacing(top) <= float(length.min()) * 2.0 ** -26:
+        return np.zeros(los.shape, dtype=bool)
     below = his <= c
     miss = (np.abs(np.where(below, c - dlo, c + dlo) - los)
             + np.abs(np.where(below, c - dhi, c + dhi) - his))
-    return miss > (his - los) * 2.0 ** -26
+    return miss > length * 2.0 ** -26
 
 
 def _one_side_weak(a: float, near: np.ndarray, length: np.ndarray,
-                   unit: np.ndarray) -> np.ndarray:
+                   unit: np.ndarray | None) -> np.ndarray:
     """sup_t (t / unit)^a h(t) on the distances [near, near + length] from
     c, near > 0, a != 0: h(t) = min(length, t - near)+ for a < 0, where
     w > t^a on the distances below t, and min(length, near + length - t)+
@@ -144,7 +150,7 @@ def _one_side_weak(a: float, near: np.ndarray, length: np.ndarray,
         inner = (t_star < far) if a < 0.0 else (t_star > near)
         t = np.where(inner, t_star, t)
         h = np.where(inner, (-near if a < 0.0 else far) / (a + 1.0), length)
-    return _pow(t / unit, a) * h
+    return _pow(t if unit is None else t / unit, a) * h
 
 
 def _cube_ends(lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +236,13 @@ class PowerWeight:
     def weak_l1(self, lo, hi, power: float = 1.0):
         """|| w^power chi_[lo,hi) ||_{L^{1,inf}} in closed form."""
         los, his = _cube_ends(lo, hi)
-        return _as_given(self._split_weak(power, los, his, np.ones(los.shape)), lo)
+        return _as_given(self._split_weak(power, los, his), lo)
 
     def _split_weak(self, power: float, los: np.ndarray, his: np.ndarray,
-                    unit: np.ndarray) -> np.ndarray:
+                    unit: np.ndarray | None = None) -> np.ndarray:
         """|| (|x - c| / d*)^(exponent * power) chi_Q ||_{L^{1,inf}} on each
-        cube, with d* the cube's entry of ``unit`` (1 for ``weak_l1``).
+        cube, with d* the cube's entry of ``unit`` (d* = 1 without one, as
+        for ``weak_l1``).
 
         With t the distance threshold (lam = (t / d*)^a), the superlevel
         measure h(t) is piecewise affine with breakpoints at the endpoint
@@ -259,7 +266,7 @@ class PowerWeight:
             ht = overlap if a < 0.0 else length - overlap
             live = mask & (ht > 0.0)
             out = np.zeros(los.shape)
-            out[live] = _pow(t[live] / unit[live], a) * ht[live]
+            out[live] = _pow(t[live] if unit is None else t[live] / unit[live], a) * ht[live]
             return out
 
         def piece(t_lo, t_hi, mask):
@@ -280,7 +287,8 @@ class PowerWeight:
         best = np.zeros(los.shape)
         if a == -1.0:
             # h(t) = v0 * t near 0, so g -> v0 * t^(a+1) d* = v0 d*.
-            best[inside_closure] = (np.where((los < c) & (c < his), 2.0, 1.0) * unit)[inside_closure]
+            v0 = np.where((los < c) & (c < his), 2.0, 1.0)
+            best[inside_closure] = (v0 if unit is None else v0 * unit)[inside_closure]
 
         # The sorted positive breakpoints: [near, far] where both differ and
         # are positive, else [far].
@@ -300,9 +308,10 @@ class PowerWeight:
             best = np.where(cand > best, cand, best)
         if a < -1.0:
             best[inside_closure] = INF
-        away = ~inside_closure & _rounded_away(c, los, his, dlo, dhi)
+        away = _rounded_away(c, los, his, dlo, dhi) & ~inside_closure
         if away.any():
-            best[away] = _one_side_weak(a, near[away], length[away], unit[away])
+            best[away] = _one_side_weak(a, near[away], length[away],
+                                        None if unit is None else unit[away])
         return best
 
     def tabulate(self, depth: int) -> StepFunction:
