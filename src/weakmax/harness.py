@@ -180,14 +180,14 @@ class _RatioKernel:
         the error names it.  The final 1/p power is a Python-float power,
         which numpy's array power does not always match to the last bit.
         """
-        with np.errstate(over="ignore"):
-            direct = self.direct_w * mf
         # Everything upstream is nonnegative, so an overflow in M f or in the
         # product leaves inf or nan in the row, and the ascending sort puts it
         # last (nan sorts last).
-        direct.sort(axis=-1)
-        finite = np.isfinite(direct[..., -1])
-        nums = _sorted_scan(direct, self.counts)
+        with np.errstate(over="ignore"):
+            direct = self.direct_w * mf
+            direct.sort(axis=-1)
+            finite = np.isfinite(direct[..., -1])
+            nums = _sorted_scan(direct, self.counts)
         cm = self.grid.cell_measure
         out = []
         for ok, num, den_sum in zip(finite.tolist(), nums.tolist(), den_sums.tolist()):

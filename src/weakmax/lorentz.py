@@ -64,10 +64,8 @@ def _descending_counts(size: int, cell_measure: float, p: float) -> np.ndarray:
 def _sorted_scan(vals: np.ndarray, descending: np.ndarray) -> np.ndarray:
     """The scan of float rows already sorted ascending: multiply them in
     place by ``_descending_counts`` and return each row's max.  Each product
-    is the one of the decreasing-order scan, so the max is the same float.
-    A product past the float range is +inf, as is the norm it bounds."""
-    with np.errstate(over="ignore"):
-        vals *= descending
+    is the one of the decreasing-order scan, so the max is the same float."""
+    vals *= descending
     return vals.max(axis=-1)
 
 

@@ -425,7 +425,8 @@ def _tabulated_levels(row: tuple, w: StepFunction, grid: GridSpec):
                 return data[kind, e][lev] * grid.cell_measure / meas, t
             if kind == "weak":
                 blocks = cube_blocks(data[kind, e], grid, lev)
-                return weak_scan(blocks, grid.cell_measure) / meas, t
+                with np.errstate(over="ignore"):  # a weak norm past the float range is +inf
+                    return weak_scan(blocks, grid.cell_measure) / meas, t
             return cube_blocks(vals, grid, lev).min(axis=1), -1.0
 
         with np.errstate(divide="ignore", invalid="ignore"):
