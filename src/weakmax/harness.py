@@ -375,7 +375,6 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = 
     for level in range(depth - 1, -1, -1):
         run.append(np.maximum(scores[level][:, grid.ancestor_index(level)], run[-1]))
     run.reverse()
-    prune = prune and len(suites) > 1
     if prune:
         with np.errstate(all="ignore"):
             w_sums = level_value_sums(np.maximum(kernel.direct_w ** kernel.r,
