@@ -81,9 +81,9 @@ def _average_scores(f_sums: list[np.ndarray], grid: GridSpec, alpha: float) -> l
     # score and spares the plain sweep, the harness hot path, an array product.
     s = alpha / grid.n
     scores = []
-    for lev in range(grid.depth + 1):
-        meas = grid.cube_measure(lev)
-        with np.errstate(over="ignore"):  # +inf where an integral passes the float range
+    with np.errstate(over="ignore"):  # +inf where an integral passes the float range
+        for lev in range(grid.depth + 1):
+            meas = grid.cube_measure(lev)
             avg = f_sums[lev] * cm / meas
             scores.append(meas ** s * avg if s else avg)
     return scores
