@@ -124,8 +124,8 @@ def _rounded_away(c: float, los: np.ndarray, his: np.ndarray, dlo: np.ndarray,
     are below the switch for the shortest cube, no cube takes it, and no
     miss is computed."""
     length = his - los
-    top = max(abs(c), float(np.abs(los).max()), float(np.abs(his).max()))
-    if 8.0 * np.spacing(top) <= float(length.min()) * 2.0 ** -26:
+    top = max(abs(c), -float(los.min()), float(his.max()))  # his > los
+    if 8.0 * math.ulp(top) <= float(length.min()) * 2.0 ** -26:
         return np.zeros(los.shape, dtype=bool)
     below = his <= c
     miss = (np.abs(np.where(below, c - dlo, c + dlo) - los)
@@ -483,9 +483,12 @@ def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = _evaluate(row, factor, power=_pow, divide=_divide_divergent)
+        tiny = np.finfo(float).tiny
+        if all(tiny <= avg.min() and avg.max() < INF for avg in averages):
+            return values  # no average leaves the range (a nan fails this test)
         closure = (lo <= c) & (c <= hi)
         fix = ~((e < 0.0) & closure) & np.logical_or.reduce(
-            [~((avg >= np.finfo(float).tiny) & (avg < INF)) for avg in averages])
+            [~((avg >= tiny) & (avg < INF)) for avg in averages])
         if not fix.any():
             return values
         lo, hi, meas = lo[fix], hi[fix], meas[fix]
