@@ -8,7 +8,9 @@ inside the root, on a lattice edge, outside it and far away; the power
 weights' cell averages (``tabulate``); ``verify_weight``,
 ``sufficiency_check`` and ``necessity_check``, each called alone, on
 tabulated weights (1-D to 3-D, a constant one, one with zero cells, one
-near 2^900) and power weights; ``lemma_suite``;
+near 2^900) and power weights, and ``verify_weight`` at the benchmark's
+sizes (1-D depth 10, plain and fractional, |x|^-1 at depth 10, 2-D depth
+5); ``lemma_suite``;
 the CZ chain (``cz_decompose``, ``build_sparse``, ``sparse_sum``); and the
 CLI on ``tests/data/constants/*.weight.json``.
 
@@ -182,6 +184,20 @@ def corpus(toy: bool):
         for q in (None, 4.0):
             yield (f"{name}/lemmas/q{q}",
                    lambda w=w, q=q, d=d: lemma_suite(w, 2.0, q, seed=2, n_random=8, depth=d))
+
+    # verify at the benchmark's sizes (N = 1,024 cells), where a cube's norm
+    # node can lie several halvings above numpy's 128-cell leaf
+    if not toy:
+        w1 = random_weight(grid(1, 10), np.random.default_rng([1, 10]))
+        w2 = random_weight(grid(2, 5), np.random.default_rng([2, 5]))
+        inverse_x = PowerWeight(0.0, -1.0, 0.0, 1.0)
+        for name, w, alpha, q, d in (("bench1d_d10", w1, 0.0, None, None),
+                                     ("bench1d_d10", w1, 0.25, 4.0, None),
+                                     ("inverse_x_d10", inverse_x, 0.0, None, 10),
+                                     ("bench2d_d5", w2, 0.0, None, None)):
+            yield (f"{name}/verify/p2.0_q{q}",
+                   lambda w=w, alpha=alpha, q=q, d=d:
+                   verify_weight(w, 2.0, alpha, q, seed=7, n_random=8, depth=d))
 
     for n, d in ((1, 3), (2, 2)) if toy else ((1, 6), (1, 8), (2, 3), (3, 2)):
         for kind in ("uniform", "lognormal", "spiky"):

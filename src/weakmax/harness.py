@@ -20,9 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DyadicCube, GridSpec, StepFunction, check_cells, cube_blocks, level_value_sums
+from .cuberows import CubeRows
+from .grid import (DyadicCube, GridSpec, StepFunction, check_cells, cube_blocks, cube_sums,
+                   level_value_sums)
 from .lorentz import _descending_counts, _sorted_scan
-from .operators import MaximalQuery, _average_scores, _batch_maximal, _validate
+from .operators import MaximalQuery, _batch_maximal, _validate
 from .weights import (
     PowerWeight,
     SigmaRH,
@@ -75,10 +77,12 @@ class VerificationReport:
 # seeded suites
 # --------------------------------------------------------------------------
 
-# Cap on one (B, N) float array of a suite chunk.  Chunks of 64-128 KiB were
-# the fastest, and peak memory grows only above 128 KiB: large enough that
-# numpy's per-call overhead is spread over many rows, small enough that the
-# chunk and its intermediates stay in cache.
+# Cap on one float array of a suite chunk: a (B, N) array of random rows, or
+# a temporary of the cube rows (their on-Q runs, the cells they select, the
+# nodes their norms sum).  Chunks of 64-128 KiB were the fastest, and peak
+# memory grows only above 128 KiB: large enough that numpy's per-call
+# overhead is spread over many rows, small enough that the chunk and its
+# intermediates stay in cache.
 CHUNK_BYTES = 128 * 1024
 
 
@@ -144,9 +148,10 @@ class _RatioKernel:
     (fractional); and the scan counts, the descending rank counts of
     ``lorentz.weak_scan``.  Each suite's values go through ``scale`` before
     any power, so no change of scale alone takes a power of w or of f out of
-    the float range, and one weak-norm route suffices.  Per chunk, each row
-    is formed, sorted and scanned in place once, and gets the checks of a
-    single function.
+    the float range, and one weak-norm route suffices.  Per chunk of swept
+    rows (``__call__``), each row is formed, sorted and scanned in place
+    once; the cube rows (``cuberows.CubeRows``) bring their own scans.  Both end in
+    ``finish``, the checks of a single function.
     """
 
     def __init__(self, w_tab: StepFunction, p: float, q: float | None):
@@ -171,15 +176,8 @@ class _RatioKernel:
 
     def __call__(self, mf: np.ndarray, den_sums: np.ndarray) -> list[float]:
         """Weak-type ratio of every row, from its (B, N) maximal function mf
-        and the cell sum of its norm integrand; mf is left unchanged.
-
-        A chunk raises the error of its first failing row: the numerator
-        function, its weak norm and the weighted norm must be finite, and
-        the norm must not vanish.  The rows' cells are checked finite before
-        any sweep, so a value past the float range here is an overflow, and
-        the error names it.  The final 1/p power is a Python-float power,
-        which numpy's array power does not always match to the last bit.
-        """
+        and the cell sum of its norm integrand; mf is left unchanged.  The
+        rows are checked by ``finish``, which raises here."""
         # Everything upstream is nonnegative, so an overflow in M f or in the
         # product leaves inf or nan in the row, and the ascending sort puts it
         # last (nan sorts last).
@@ -188,16 +186,36 @@ class _RatioKernel:
             direct.sort(axis=-1)
             finite = np.isfinite(direct[..., -1])
             nums = _sorted_scan(direct, self.counts)
+        out, error = self.finish(finite, nums, den_sums, lambda i: mf[i].max() > 0.0)
+        if error:
+            raise ValueError(error)
+        return out
+
+    def finish(self, finite: np.ndarray, nums: np.ndarray, den_sums: np.ndarray,
+               positive) -> tuple[list[float], str | None]:
+        """The ratios of rows in order, from each row's finiteness (every
+        cell of its numerator function finite), weak norm and norm sum, up
+        to the first failing row, and that row's error message (None if no
+        row fails); ``positive(i)`` tells whether row i's maximal function
+        has a positive cell, and is asked only of a row whose norm vanishes.
+
+        The numerator function, its weak norm and the weighted norm must be
+        finite, and the norm must not vanish.  The rows' cells are checked
+        finite before any sweep, so a value past the float range here is an
+        overflow, and the error names it.  The final 1/p power is a
+        Python-float power, which numpy's array power does not always match
+        to the last bit.
+        """
         cm = self.grid.cell_measure
         out = []
         for ok, num, den_sum in zip(finite.tolist(), nums.tolist(), den_sums.tolist()):
             den = (den_sum * cm) ** (1.0 / self.p)
             if not (ok and math.isfinite(den) and math.isfinite(num)):
-                raise ValueError(_OVERFLOW)
+                return out, _OVERFLOW
             if den == 0.0:
-                raise ValueError(_TOO_WIDE if mf[len(out)].max() > 0.0 else _DEGENERATE)
+                return out, _TOO_WIDE if positive(len(out)) else _DEGENERATE
             out.append(num / den)
-        return out
+        return out, None
 
 
 def _ratios(F: np.ndarray, kernel: _RatioKernel, alpha: float) -> list[float]:
@@ -274,10 +292,10 @@ def _lattice_cube(grid: GridSpec, pos: int) -> DyadicCube:
 
 
 # A later-suite row is skipped only where its Chebyshev bound is below the
-# running maximum by this relative margin.  The bound and the row's ratio
-# are each a few dozen roundings of sums of the same positive terms, about
-# 1e-14 apart at most, so a skipped row is strictly below the maximum: it can
-# neither win nor tie under first-max-wins.
+# largest ratio evaluated by this relative margin.  The bound and the row's
+# ratio are each a few dozen roundings of sums of the same positive terms,
+# about 1e-14 apart at most, so a skipped row is strictly below the maximum:
+# it can neither win nor tie under first-max-wins.
 _PRUNE_MARGIN = 1e-9
 
 
@@ -315,7 +333,7 @@ def _chebyshev_bounds(kernel: _RatioKernel, C: np.ndarray, run_l: np.ndarray,
     rings = np.maximum(w_anc[:-1] - w_anc[1:], 0.0).T  # (C, level)
     off_q = (np.maximum(C[..., :level] ** r, tiny) * rings).sum(axis=-1)
     h = kernel.direct_w * np.maximum(C[..., level][:, grid.ancestor_index(level)], run_l)
-    total = off_q + level_value_sums(h ** r, grid)[level]
+    total = off_q + cube_sums(h ** r, grid, level)
     num, den = total * cm, den_sums * cm
     bound = num ** (1.0 / r) / den ** (1.0 / kernel.p)
     lo, hi = 2.0 ** -960, 2.0 ** 960
@@ -326,8 +344,7 @@ def _chebyshev_bounds(kernel: _RatioKernel, C: np.ndarray, run_l: np.ndarray,
 def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = False) -> np.ndarray:
     """For each suite g, a row of the (S, N) array ``suites``, the ratio of
     g chi_Q for every lattice cube Q in lattice order (``_lattice_cube``), nan
-    where g vanishes on Q: an (S, C) array, written in place per chunk of at
-    most CHUNK_BYTES within a level.
+    where g vanishes on Q: an (S, C) array.
 
     M_alpha^D(g chi_Q) has a closed form, so one sweep of g serves every row.
     For Q at level l with ancestors A_j (j <= l, A_l = Q), g chi_Q scores
@@ -341,93 +358,64 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = 
         off Q   M f(x) = C_Q(k),  k the level of the smallest cube holding x and Q.
 
     The scores are the floats of ``_average_scores`` and the maxima are taken
-    explicitly, never assuming c_Q monotone, so every row is bit-identical to
-    its own sweep.  The norm sum stays a sum over the whole row, whose
-    pairwise rounding depends on where Q's cells sit in it.
+    explicitly, never assuming c_Q monotone.  A row is never built on N
+    cells: ``cuberows.CubeRows`` scans the few cells that can attain its
+    weak norm and sums its norm over one node, and both give the floats of
+    the row's own sweep, bit for bit.  Each suite is scaled by the kernel
+    before any sum or power.
 
-    The suites share one lattice sweep: per chunk of cubes, the geometry of
-    every row (the level of the cube holding x and Q, and whether x lies in
-    Q) is computed once, and each suite reads its maximal functions from its
-    own C_Q table.  Each suite is scaled by the kernel before any sum or
-    power; a suite's rows fail with the errors of their own sweeps, in suite
-    order within a chunk.
+    The rows fail with the errors of their own sweeps.  A call raises the
+    first in the order of a sweep of the whole lattice in chunks of
+    ``_chunk_rows`` cubes: level, then chunk, then suite, then cube.  The
+    suites are evaluated one after another, each up to its first failing
+    level, and no later than the first failure found.
 
-    With ``prune``, every row of the first suite is still evaluated, but a
-    row of a later suite reads -inf, unevaluated, where its certified
-    Chebyshev bound (``_chebyshev_bounds``) is below (1 - _PRUNE_MARGIN)
-    times the largest ratio evaluated before it, in the order above: such a
-    row can neither win nor tie a first maximum over the rows, and the rows
-    skipped are certified finite with a norm that does not vanish, so no
-    error is skipped with them.
+    With ``prune``, every row of the first suite is evaluated, and a row of
+    a later suite reads -inf, unevaluated, where its certified Chebyshev
+    bound (``_chebyshev_bounds``) is below (1 - _PRUNE_MARGIN) times the
+    largest ratio evaluated before it, every row of the first suite
+    included: such a row can neither win nor tie a first maximum over the
+    rows, and the rows skipped are certified finite with a norm that does
+    not vanish, so no error is skipped with them.
     """
     grid = kernel.grid
-    n, depth = grid.n, grid.depth
+    depth = grid.depth
     check_cells(suites)
     _validate(grid, MaximalQuery(alpha))
-    s = alpha / n
-    cm = grid.cell_measure
-    suites = kernel.scale(suites)
-    sums = level_value_sums(suites, grid)
-    scores = _average_scores(sums, grid, alpha)
-    norm_cells = kernel.norm_cells(suites)
-    # run[l]: the max of g's scores over levels l..depth along each cell's path
-    run = [scores[depth]]
-    for level in range(depth - 1, -1, -1):
-        run.append(np.maximum(scores[level][:, grid.ancestor_index(level)], run[-1]))
-    run.reverse()
+    rows = CubeRows(kernel, suites, alpha, CHUNK_BYTES)
+    firsts = np.cumsum([0] + [2 ** (level * grid.n) for level in range(depth + 1)])
     if prune:
         with np.errstate(all="ignore"):
             w_sums = level_value_sums(np.maximum(kernel.direct_w ** kernel.r,
                                                  np.finfo(float).tiny), grid)
-        den_sums = level_value_sums(norm_cells[1:], grid)
-    cell_coords = np.indices((2 ** depth,) * n).reshape(n, -1)
-    # two cubes of one level first share an ancestor b levels up, where b is
-    # the bit length of their coordinates' xor, OR-ed over the axes
-    bit_length = np.zeros(2 ** depth, dtype=np.intp)
-    for b in range(depth):
-        bit_length[2 ** b:2 ** (b + 1)] = b + 1
-    rows = _chunk_rows(grid)
-    out = np.full((len(suites), sum(2 ** (level * n) for level in range(depth + 1))), np.nan)
+        den_sums = level_value_sums(rows.norm_cells, grid)
+    chunk = _chunk_rows(grid)
+    out = np.full((len(suites), firsts[-1]), np.nan)
     best = -math.inf  # the largest ratio evaluated so far
-    first = 0  # the lattice position of the level's first cube
-    for level in range(depth + 1):
-        meas = [grid.cube_measure(j) for j in range(level + 1)]
-        with np.errstate(over="ignore"):  # a mean past the float range fails in the kernel
-            avg = sums[level][..., None] * cm / np.array(meas)
-            C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=-1)
-        if prune:
-            with np.errstate(all="ignore"):  # an out-of-range bound is not certified
-                bounds = _chebyshev_bounds(kernel, C[1:], run[level][1:], w_sums,
-                                           den_sums[level], level)
-        # C_Q(level - b) at flat index (level + 1) * i + b, for the i-th cube Q
-        tables = np.ascontiguousarray(C[..., ::-1]).reshape(len(suites), -1)
-        coords = cell_coords >> (depth - level)
-        cube_coords = np.indices((2 ** level,) * n).reshape(n, -1)
-        count = cube_coords.shape[1]
-        for start in range(0, count, rows):
-            chunk = np.arange(start, min(start + rows, count))
-            diff = coords[0] ^ cube_coords[0, chunk, None]
-            for axis in range(1, n):
-                diff |= coords[axis] ^ cube_coords[axis, chunk, None]
-            up = bit_length.take(diff)  # levels from Q up to the cube holding x and Q
-            on_q = up == 0
-            up += (level + 1) * chunk[:, None]
-            for suite, (ratios, level_sums, table, run_g, norm_g) in enumerate(zip(
-                    out, sums[level], tables, run[level], norm_cells)):
-                live = level_sums[chunk] > 0
-                if prune and suite:
-                    below = bounds[suite - 1, chunk] < (1.0 - _PRUNE_MARGIN) * best
-                    ratios[first + chunk[below]] = -math.inf
-                    live &= ~below
-                if not live.any():
-                    continue
-                at, on = (up, on_q) if live.all() else (up[live], on_q[live])
-                mf = table.take(at)
-                np.maximum(mf, run_g, out=mf, where=on)
-                values = kernel(mf, np.where(on, norm_g, 0.0).sum(axis=-1))
-                ratios[first + chunk[live]] = values
-                best = max(best, *values)
-        first += count
+    failure = (math.inf,)  # (level, chunk, suite, message) of the first failure found
+    for suite in range(len(suites)):
+        for level in range(min(depth, failure[0]) + 1):
+            live = rows.sums[level][suite] > 0
+            if prune and suite:
+                with np.errstate(all="ignore"):  # an out-of-range bound is not certified
+                    bounds = _chebyshev_bounds(
+                        kernel, rows.tables(slice(suite, suite + 1), level),
+                        rows.run[level][suite:suite + 1], w_sums,
+                        den_sums[level][suite:suite + 1], level)[0]
+                below = bounds < (1.0 - _PRUNE_MARGIN) * best
+                out[suite, firsts[level] + np.flatnonzero(below)] = -math.inf
+                live &= ~below
+            cubes = np.flatnonzero(live)
+            values, error = rows.rows(suite, level, cubes)
+            out[suite, firsts[level] + cubes[:len(values)]] = values
+            if values:
+                best = max(best, max(values))
+            if error:
+                cube = cubes[len(values)]
+                failure = min(failure, (level, cube // chunk, suite, error))
+                break
+    if len(failure) > 1:
+        raise ValueError(failure[-1])
     return out
 
 

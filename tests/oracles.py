@@ -17,7 +17,9 @@ Each one is the reference for a fast library path, and only tests call them:
   averages and its cell masses (for the per-level arrays of ``PowerWeight``),
   and its moments and RH_r constant in decimal arithmetic (for far centres
   and for r past the float range);
-- the Chebyshev ordering of the weak and strong multiplier norms;
+- the Chebyshev ordering of the weak and strong multiplier norms, and the
+  g chi_Q rows built densely, every row on all N cells with one full sort
+  (for the sorted-run engine of ``harness._cube_ratios``);
 - the containment scan over every pair of cubes, and the per-union loop
   over seeded cell unions (for the subset inequality of ``lemma_suite``);
 - the CZ stopping cubes painted one cube at a time, the sparse family by
@@ -46,10 +48,12 @@ from weakmax.czsparse import (
     TraceLink,
     _bracket_power,
 )
-from weakmax.grid import DyadicCube, GridSpec, StepFunction
+from weakmax import harness
+from weakmax.grid import DyadicCube, GridSpec, StepFunction, check_cells, level_value_sums
 from weakmax.lorentz import lorentz_norm, weak_norm, weak_scan
 from weakmax.operators import (
     MaximalQuery,
+    _average_scores,
     _validate,
     dyadic_maximal,
     level_scores,
@@ -589,6 +593,68 @@ def chebyshev_check(f: StepFunction, w: StepFunction, p: float) -> bool:
     weak = weak_norm((w ** (1.0 / p)) * mf, p)
     strong = (float((mf.values ** p * w.values).sum()) * f.grid.cell_measure) ** (1.0 / p)
     return weak <= strong * (1.0 + 1e-12)
+
+
+def dense_cube_ratios(kernel, suites: np.ndarray, alpha: float) -> np.ndarray:
+    """The (S, C) ratios of ``harness._cube_ratios``, unpruned, by building
+    every g chi_Q row on all N cells: its maximal function from the closed
+    form, one full sort and scan per row in ``kernel``, and its norm summed
+    over the whole row.  The rows go to the kernel per chunk of at most
+    ``harness.CHUNK_BYTES``, level by level, each chunk's suites in order, so
+    the first failing row raises in the order the engine keeps.
+    """
+    grid = kernel.grid
+    n, depth = grid.n, grid.depth
+    check_cells(suites)
+    _validate(grid, MaximalQuery(alpha))
+    s = alpha / n
+    cm = grid.cell_measure
+    suites = kernel.scale(suites)
+    sums = level_value_sums(suites, grid)
+    scores = _average_scores(sums, grid, alpha)
+    norm_cells = kernel.norm_cells(suites)
+    run = [scores[depth]]
+    for level in range(depth - 1, -1, -1):
+        run.append(np.maximum(scores[level][:, grid.ancestor_index(level)], run[-1]))
+    run.reverse()
+    cell_coords = np.indices((2 ** depth,) * n).reshape(n, -1)
+    # two cubes of one level first share an ancestor b levels up, where b is
+    # the bit length of their coordinates' xor, OR-ed over the axes
+    bit_length = np.zeros(2 ** depth, dtype=np.intp)
+    for b in range(depth):
+        bit_length[2 ** b:2 ** (b + 1)] = b + 1
+    rows = harness._chunk_rows(grid)
+    out = np.full((len(suites), sum(2 ** (level * n) for level in range(depth + 1))), np.nan)
+    first = 0
+    for level in range(depth + 1):
+        meas = [grid.cube_measure(j) for j in range(level + 1)]
+        with np.errstate(over="ignore"):
+            avg = sums[level][..., None] * cm / np.array(meas)
+            C = np.maximum.accumulate(np.array([m ** s for m in meas]) * avg if s else avg, axis=-1)
+        # C_Q(level - b) at flat index (level + 1) * i + b, for the i-th cube Q
+        tables = np.ascontiguousarray(C[..., ::-1]).reshape(len(suites), -1)
+        coords = cell_coords >> (depth - level)
+        cube_coords = np.indices((2 ** level,) * n).reshape(n, -1)
+        count = cube_coords.shape[1]
+        for start in range(0, count, rows):
+            chunk = np.arange(start, min(start + rows, count))
+            diff = coords[0] ^ cube_coords[0, chunk, None]
+            for axis in range(1, n):
+                diff |= coords[axis] ^ cube_coords[axis, chunk, None]
+            up = bit_length.take(diff)  # levels from Q up to the cube holding x and Q
+            on_q = up == 0
+            up += (level + 1) * chunk[:, None]
+            for ratios, level_sums, table, run_g, norm_g in zip(
+                    out, sums[level], tables, run[level], norm_cells):
+                live = level_sums[chunk] > 0
+                if not live.any():
+                    continue
+                at, on = (up, on_q) if live.all() else (up[live], on_q[live])
+                mf = table.take(at)
+                np.maximum(mf, run_g, out=mf, where=on)
+                ratios[first + chunk[live]] = kernel(mf, np.where(on, norm_g, 0.0).sum(axis=-1))
+        first += count
+    return out
 
 
 def random_cell_union(rng: np.random.Generator, cells: np.ndarray) -> np.ndarray:

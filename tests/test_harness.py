@@ -28,14 +28,14 @@ from weakmax import (
     verify_weight,
     weak_norm,
 )
-from weakmax import grid as grid_module, harness, weights
+from weakmax import cuberows, grid as grid_module, harness, weights
 from weakmax.grid import cube_blocks
 from weakmax.lorentz import weak_scan
 
 from conftest import constant, unit_grid
 from test_weights import power_weights
-from oracles import (all_cubes, chebyshev_check, lemma_subcube_scan, lemma_union_scan,
-                     random_cell_union)
+from oracles import (all_cubes, chebyshev_check, dense_cube_ratios, lemma_subcube_scan,
+                     lemma_union_scan, random_cell_union)
 
 
 class TestMultiplierRatio:
@@ -464,6 +464,130 @@ class TestChebyshevPruning:
             TestChunkedEngineOracle().test_ties_keep_first_maximum(1, 6)
 
 
+@st.composite
+def engine_cases(draw):
+    """(w, p, alpha, q, g): a weight, 1-D to depth 10, 2-D to depth 5 or 3-D
+    to depth 3, on roots of side 1, 3 or 0.7, constant (every row full of
+    ties) or with cells 2^U, U uniform in [-s, s], s in {1, 30, 300}, or a
+    power weight's tabulation; plain, or fractional at alpha = n/4; and a
+    suite g, lognormal times 2^V, V uniform in [-t, t], t in {0, 500, 1000}
+    (past what one scale can hold), that vanishes on a random set of
+    cubes."""
+    p = draw(st.sampled_from([1.01, 1.5, 2.0, 3.0]))
+    kind = draw(st.sampled_from(["spread", "constant", "power"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind == "power":
+        pw, depth = draw(power_weights())
+        w = pw.tabulate(depth)
+    else:
+        n = draw(st.sampled_from([1, 2, 3]))
+        depth = draw(st.sampled_from(range({1: 10, 2: 5, 3: 3}[n], -1, -1)))
+        grid = GridSpec(n, (0.0,) * n, draw(st.sampled_from([1.0, 3.0, 0.7])), depth)
+        if kind == "constant":
+            w = constant(grid, 2.0 ** draw(st.integers(-300, 300)))
+        else:
+            spread = draw(st.sampled_from([1.0, 30.0, 300.0]))
+            w = StepFunction(grid, np.exp2(rng.uniform(-spread, spread, grid.finest_count)))
+    grid = w.grid
+    level = draw(st.integers(0, grid.depth))
+    kept = rng.random(2 ** (level * grid.n)) < 0.7
+    spread = draw(st.sampled_from([0.0, 500.0, 1000.0]))
+    g = (harness._lognormal(rng, grid.finest_count) * kept[grid.ancestor_index(level)]
+         * np.exp2(rng.uniform(-spread, spread, grid.finest_count)))
+    if draw(st.booleans()):
+        return w, p, 0.0, None, g
+    return w, p, grid.n / 4.0, 1.0 / (1.0 / p - 0.25), g
+
+
+def _engine_and_dense(w, p, alpha, q, g):
+    """The sigma chi_Q, chi_Q and g chi_Q rows of the engine and of the
+    dense oracle, unpruned; a sweep's error message in place of its rows."""
+    sigma = dual_weight(w, p, "ap" if q is None else "apq").values
+    kernel = harness._RatioKernel(w, p, q)
+    suites = np.stack([sigma, np.ones_like(sigma), g])
+    out = []
+    for sweep in (harness._cube_ratios, dense_cube_ratios):
+        try:
+            out.append(sweep(kernel, suites, alpha))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _assert_engine_matches(case):
+    try:
+        engine, dense = _engine_and_dense(*case)
+    except ValueError as exc:  # sigma = w^(1 - p') leaves the float range
+        assert "overflows" in str(exc)
+        return
+    if isinstance(dense, str):
+        assert engine == dense
+    else:
+        assert isinstance(engine, np.ndarray) and engine.tobytes() == dense.tobytes()
+
+
+# fixed cases for the mutation checks: a constant weight, whose rows are all
+# ties, and spread weights in 1-D and 2-D
+MUTATION_CASES = [
+    (constant(unit_grid(8), 2.0), 2.0, 0.0, None, np.ones(256)),
+    (random_weight(unit_grid(8), np.random.default_rng(1)), 1.5, 0.25, 1.0 / (1.0 / 1.5 - 0.25),
+     harness._lognormal(np.random.default_rng(2), 256)),
+    (random_weight(unit_grid(4, n=2), np.random.default_rng(3)), 3.0, 0.0, None,
+     harness._lognormal(np.random.default_rng(4), 256)),
+]
+
+
+class TestSortedRunEngine:
+    """The cube rows from sorted runs equal the dense rows to the last bit:
+    every ratio, every nan row where g vanishes on Q, and the message of the
+    first failing row in the dense order."""
+
+    @settings(max_examples=250)
+    @given(engine_cases())
+    def test_matches_dense_rows(self, case):
+        _assert_engine_matches(case)
+
+    def test_fixed_cases(self):
+        for case in MUTATION_CASES:
+            _assert_engine_matches(case)
+
+    @staticmethod
+    def _assert_caught():
+        with pytest.raises(AssertionError):
+            for case in MUTATION_CASES:
+                _assert_engine_matches(case)
+
+    def test_doubled_lower_bound_is_caught(self, monkeypatch):
+        # a mutation check: with L_Q doubled, cells that attain a row's norm
+        # fall below the selection threshold
+        real = cuberows.CubeRows._lower_bounds
+
+        def doubled(self, *args):
+            h, finite, low = real(self, *args)
+            return h, finite, 2.0 * low
+        monkeypatch.setattr(cuberows.CubeRows, "_lower_bounds", doubled)
+        self._assert_caught()
+
+    def test_halved_norm_node_is_caught(self, monkeypatch):
+        # a mutation check: every norm node at half its size.  A 64-cell
+        # slice of numpy's 128-cell leaf sums to the same bits (the leaf adds
+        # eight partial sums, strided by 8), but a node above the leaf loses
+        # half of its cube's cells
+        init = cuberows.CubeRows.__init__
+
+        def halved(self, *args):
+            init(self, *args)
+            self.nodes = [node // 2 for node in self.nodes]
+        monkeypatch.setattr(cuberows.CubeRows, "__init__", halved)
+        self._assert_caught()
+
+    def test_short_norm_node_is_caught(self, monkeypatch):
+        # a mutation check: 4-cell nodes, which numpy sums in sequence
+        # rather than in the leaf's eight interleaved partial sums
+        monkeypatch.setattr(cuberows, "_PAIRWISE_LEAF", 4)
+        self._assert_caught()
+
+
 class TestLatticeOrder:
     """The suites' ratio arrays are in lattice order, and each verify side
     takes the first maximum of them, never a nan row."""
@@ -694,14 +818,14 @@ class TestCheckedResolution:
             driver(w, 1.5)
 
     @staticmethod
-    def _count_rows(monkeypatch, owner, name, arg=1):
-        # the rows of every call of owner.name, whose argument arg is a
-        # (B, N) array (argument 0 of a method is the kernel)
+    def _count_rows(monkeypatch, owner, name):
+        # the rows of every call of owner.name, whose first argument after
+        # the kernel has one entry per row
         evaluated = []
         wrapped = getattr(owner, name)
 
         def counting(*args):
-            evaluated.append(args[arg].shape[0])
+            evaluated.append(args[1].shape[0])
             return wrapped(*args)
 
         monkeypatch.setattr(owner, name, counting)
@@ -722,9 +846,9 @@ class TestCheckedResolution:
 
     @classmethod
     def _assert_rows_once(cls, rows, suites, n_random):
-        # every sigma chi_Q and random row reaches the shared ratio tail
-        # once, and each chi_Q row at most once: the chi_Q rows left out
-        # read -inf; returns the chi_Q rows evaluated
+        # every sigma chi_Q and random row reaches the shared ratio tail,
+        # _RatioKernel.finish, once, and each chi_Q row at most once: the
+        # chi_Q rows left out read -inf; returns the chi_Q rows evaluated
         (sigma_rows, chi_rows), = suites
         assert np.isfinite(sigma_rows).all()
         evaluated = int(np.sum(chi_rows != -math.inf))
@@ -733,7 +857,7 @@ class TestCheckedResolution:
         return evaluated
 
     def test_verify_row_count(self, monkeypatch):
-        evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "__call__")
+        evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "finish")
         suites = self._suite_rows(monkeypatch)
         w = random_weight(unit_grid(6), np.random.default_rng(3))
         verify_weight(w, 2.0, n_random=10)
@@ -753,17 +877,34 @@ class TestCheckedResolution:
         assert len(built) == 1
 
     def test_one_sort_per_row(self, monkeypatch):
-        # 1-D depth 10 (C = 2,047 cubes): each row evaluated is sorted and
-        # scanned once, and fewer than 10% of the chi_Q rows are evaluated,
-        # the others being certified below the maximum
-        scanned = self._count_rows(monkeypatch, harness, "_sorted_scan", arg=0)
+        # 1-D depth 10 (C = 2,047 cubes): each row is evaluated once, fewer
+        # than 10% of the chi_Q rows are evaluated, the others being
+        # certified below the maximum, and the cube rows sort fewer than
+        # 10% of the C N cells their dense rows hold: each level's on-Q runs
+        # once per suite, and then only the cells that can attain a norm
+        evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "finish")
         suites = self._suite_rows(monkeypatch)
-        w = random_weight(unit_grid(10), np.random.default_rng(3))
+        sorted_cells = []
+        scan, sorted_scan = cuberows.CubeRows._scan, cuberows._sorted_scan
+
+        def cube_scan(self, level, chunk, C, run):
+            sorted_cells.append(run.size)  # the on-Q runs, sorted whole
+            return scan(self, level, chunk, C, run)
+
+        def selected_scan(vals, counts):
+            sorted_cells.append(vals.size)  # the cells selected, padded per row
+            return sorted_scan(vals, counts)
+
+        monkeypatch.setattr(cuberows.CubeRows, "_scan", cube_scan)
+        monkeypatch.setattr(cuberows, "_sorted_scan", selected_scan)
+        grid = unit_grid(10)
+        w = random_weight(grid, np.random.default_rng(3))
         verify_weight(w, 2.0)
-        assert self._assert_rows_once(scanned, suites, 200) < 0.1 * 2047
+        assert self._assert_rows_once(evaluated, suites, 200) < 0.1 * 2047
+        assert 0 < sum(sorted_cells) < 0.1 * 2047 * grid.finest_count
 
     def test_no_chi_rows_without_a_bound(self, monkeypatch):
-        evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "__call__")
+        evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "finish")
         # a vacuous bound: only the sigma chi_Q rows are evaluated, those of
         # the 14 cubes off the spike cell, where sigma = w^-2 underflows to 0
         spike = StepFunction(unit_grid(3), [1.0] * 7 + [1e170])
