@@ -23,7 +23,8 @@ import numpy as np
 
 from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks
 from .lorentz import weak_norm, weak_scan
-from .operators import MaximalQuery, _validate, dyadic_maximal, level_scores, running_ancestor_max
+from .operators import (_MAXIMAL_OVERFLOW, MaximalQuery, _validate, dyadic_maximal,
+                        level_scores, running_ancestor_max)
 from .weights import check_exponent_relation, conjugate, sigma_rh, star_constant
 
 
@@ -103,8 +104,10 @@ def cz_decompose(f: StepFunction, a: float | None = None, alpha: float = 0.0) ->
 
     scores = level_scores(f, query)
     max_vals = running_ancestor_max(scores, grid)
-    maximal = f.with_values(max_vals)
     m_lo, m_hi = float(max_vals.min()), float(max_vals.max())
+    if not math.isfinite(m_hi):  # f's cells are finite, so a score overflowed
+        raise ValueError(_MAXIMAL_OVERFLOW)
+    maximal = f.with_values(max_vals)
     k_min = _bracket_power(a, m_lo, strictly_below=True)
     k_max = _bracket_power(a, m_hi, strictly_below=False)
 

@@ -106,10 +106,19 @@ def running_ancestor_max(scores: list[np.ndarray], grid: GridSpec) -> np.ndarray
     return run.reshape(lead + (-1,))
 
 
+_MAXIMAL_OVERFLOW = ("overflow: a cube score of f passes the float range, and the maximal "
+                     "function with it (every cell of f is finite)")
+
+
 def dyadic_maximal(f: StepFunction, query: MaximalQuery = MaximalQuery()) -> StepFunction:
-    """M_alpha^D f, weighted when the query carries a weight, as a step function."""
+    """M_alpha^D f, weighted when the query carries a weight, as a step
+    function.  f's cells are finite, so a maximal function that is not is an
+    overflow, and the error names it."""
     scores = level_scores(f, query)
-    return f.with_values(running_ancestor_max(scores, f.grid))
+    try:
+        return f.with_values(running_ancestor_max(scores, f.grid))
+    except ValueError:  # the cells' own check: a score past the float range
+        raise ValueError(_MAXIMAL_OVERFLOW) from None
 
 
 def _batch_maximal(values: np.ndarray, grid: GridSpec, alpha: float = 0.0) -> np.ndarray:

@@ -408,25 +408,40 @@ def _evaluate(row: tuple, factor, power=operator.pow, divide=operator.truediv):
 
 def _tabulated_levels(row: tuple, w: StepFunction, grid: GridSpec):
     """Per-level arrays of a row for a tabulated weight.  Each w^e is taken
-    once; levels are evaluated lazily, so a scan can stop at +inf."""
+    once; levels are evaluated lazily, so a scan can stop at +inf.
+
+    A factor's average is its integral over Q divided by |Q|, unless the
+    integral of the root (avg: root sum times |cell|; weak: max cell times
+    N |cell|, which bounds every weak product) passes the float range.  Then
+    for the whole scan the factor takes the cell sum, or the weak scan's
+    rank counts, times |cell| / |Q|, an exact power of two, so an average in
+    range stays finite; every other input keeps the bits of the integral
+    route."""
     vals = w.values
-    data = {}
+    cm = grid.cell_measure
+    data, relative = {}, {}
     for kind, e, _ in row:
         if kind == "avg":
             data[kind, e] = level_value_sums(_cell_power(vals, e), grid)
+            relative[kind, e] = not math.isfinite(float(data[kind, e][0][0]) * cm)
         elif kind == "weak":
             data[kind, e] = _cell_power(vals, e)
+            relative[kind, e] = not math.isfinite(
+                float(data[kind, e].max()) * (grid.finest_count * cm))
 
     def level_values(lev):
         meas = grid.cube_measure(lev)
 
         def factor(kind, e, t):
             if kind == "avg":
-                return data[kind, e][lev] * grid.cell_measure / meas, t
+                sums = data[kind, e][lev]
+                return (sums * (cm / meas) if relative[kind, e] else sums * cm / meas), t
             if kind == "weak":
                 blocks = cube_blocks(data[kind, e], grid, lev)
                 with np.errstate(over="ignore"):  # a weak norm past the float range is +inf
-                    return weak_scan(blocks, grid.cell_measure) / meas, t
+                    if relative[kind, e]:
+                        return weak_scan(blocks, cm / meas), t
+                    return weak_scan(blocks, cm) / meas, t
             return cube_blocks(vals, grid, lev).min(axis=1), -1.0
 
         with np.errstate(divide="ignore", invalid="ignore"):

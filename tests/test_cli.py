@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -489,6 +491,35 @@ class TestRatioOverflow:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: overflow: ")
+
+    @pytest.mark.parametrize("command", ["cz", "maximal"])
+    def test_maximal_function_overflow_is_named(self, tmp_path, capsys, command):
+        # the root's average passes the float range, and M f with it: one
+        # error line naming the overflow, not "cell values must be finite"
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(_step_spec(root_side=1e300, values=[1e160, 2e300])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main([command, "--weight", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: overflow: ")
+        assert "maximal function" in err
+
+    def test_constants_past_the_integral_range(self, tmp_path, capsys):
+        # the root integral of w passes the float range, but A_p, A_1 and
+        # A_p^* are finite; A_{p,q}, A_{1,q} and A_{p,q}^* stay +inf, since
+        # w^4 itself leaves the float range
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(_step_spec(root_side=1e300, values=[1e160, 2e300])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["constants", "--weight", str(path), "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        values = {row["class"]: float(row["value"]) for row in csv.DictReader(io.StringIO(out))}
+        assert (values["ap"], values["a1"], values["ap_star"]) == (5e139, 1e140, 5e139)
+        assert values["apq"] == values["a1q"] == values["apq_star"] == math.inf
 
 
 class TestJsonDump:
