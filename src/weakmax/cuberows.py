@@ -225,8 +225,8 @@ class CubeRows:
                 at = base[:, None] + top[:, None] + np.cumsum(parts, axis=1) - parts
                 scale = np.repeat(rings[group], self.masks.shape[1], axis=1).ravel()
                 parts = parts.ravel()
-                vals.flat[_ragged(at.ravel(), parts)] = (
-                    self.block_vals[_ragged(starts[group].ravel(), parts)] * np.repeat(scale, parts))
+                w_taken = self.block_vals[_ragged(starts[group].ravel(), parts)]
+                vals.flat[_ragged(at.ravel(), parts)] = w_taken * np.repeat(scale, parts)
             vals.sort(axis=-1)
             with np.errstate(over="ignore"):  # an overflowed norm fails in finish
                 nums[group] = _sorted_scan(vals, counts[size - cells:])

@@ -150,8 +150,8 @@ class _RatioKernel:
     any power, so no change of scale alone takes a power of w or of f out of
     the float range, and one weak-norm route suffices.  Per chunk of swept
     rows (``__call__``), each row is formed, sorted and scanned in place
-    once; the cube rows (``cuberows.CubeRows``) bring their own scans.  Both end in
-    ``finish``, the checks of a single function.
+    once; the cube rows (``cuberows.CubeRows``) bring their own scans.
+    Both end in ``finish``, the checks of a single function.
     """
 
     def __init__(self, w_tab: StepFunction, p: float, q: float | None):
