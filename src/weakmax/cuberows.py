@@ -133,6 +133,8 @@ class CubeRows:
         """The ratios of the suite's rows of these cubes of the level, in
         order, and the error of the first failing row, as ``finish`` gives
         them; in chunks of at most chunk_bytes per array."""
+        if not len(cubes):
+            return [], None
         C = self.tables(suite, level)
         run = cube_blocks(self.run[level][suite], self.grid, level)
         # a row's on-Q run takes its cells of Q in each of a few arrays, and
@@ -157,8 +159,8 @@ class CubeRows:
         the larger of the on-Q run's scan against ranks within Q and, for
         each k < level, the largest block scan of a sibling of A_{k+1}
         (``ancestors`` holds A_{k+1}'s block) times C_Q(k), less the
-        margin.  A cell's rank in Q or in its block
-        is at most its rank in the row, so each is at most the row's scan.
+        margin.  A cell's rank in Q or in its block is at most its rank in
+        the row, so each is at most the row's scan.
         """
         counts, size = self.kernel.counts, self.grid.finest_count
         rings = C[:, :level]
