@@ -195,6 +195,8 @@ class CubeRows:
         h, finite, low = self._lower_bounds(level, chunk, C, run, ancestors)
         with np.errstate(all="ignore"):
             tau = low * (1.0 - _SELECT_MARGIN) / counts[0]
+            # both normal, with room, so every product compared with tau is
+            # rounded to 2^-53 relative and never subnormal
             tau = np.where((_TINY <= low) & (low < math.inf) & (tau >= 2.0 * _TINY), tau, 0.0)
             on = width - (h < tau[:, None]).sum(axis=-1)
             taken = on
