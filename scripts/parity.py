@@ -8,9 +8,10 @@ inside the root, on a lattice edge, outside it and far away; the power
 weights' cell averages (``tabulate``); ``verify_weight``,
 ``sufficiency_check`` and ``necessity_check``, each called alone, on
 tabulated weights (1-D to 3-D, a constant one, one with zero cells, one
-near 2^900) and power weights, and ``verify_weight`` at the benchmark's
-sizes (1-D depth 10, plain and fractional, |x|^-1 at depth 10, 2-D depth
-5); ``lemma_suite``;
+near 2^900) and power weights, ``verify_weight`` on |x - 1e300|^2.5, whose
+cell averages leave the float range, and with a q but alpha = 0, and
+``verify_weight`` at the benchmark's sizes (1-D depth 10, plain and
+fractional, |x|^-1 at depth 10, 2-D depth 5); ``lemma_suite``;
 the CZ chain (``cz_decompose``, ``build_sparse``, ``sparse_sum``); and the
 CLI on ``tests/data/constants/*.weight.json``.
 
@@ -184,6 +185,14 @@ def corpus(toy: bool):
         for q in (None, 4.0):
             yield (f"{name}/lemmas/q{q}",
                    lambda w=w, q=q, d=d: lemma_suite(w, 2.0, q, seed=2, n_random=8, depth=d))
+
+    # a far centre, where w's cell averages pass the float range and
+    # sigma's underflow, and a q with alpha = 0, which breaks the relation
+    far = PowerWeight(1e300, 2.5, 0.0, 1.0)
+    yield ("far_c1e300_a2.5/verify/p2.0_qNone",
+           lambda: verify_weight(far, 2.0, seed=1, n_random=8, depth=4))
+    yield (f"{tabulated[0][0]}/verify/p2.0_q4.0_alpha0",
+           lambda w=tabulated[0][1]: verify_weight(w, 2.0, 0.0, 4.0, seed=1, n_random=8))
 
     # verify at the benchmark's sizes (N = 1,024 cells), where a cube's norm
     # node can lie several halvings above numpy's 128-cell leaf

@@ -7,7 +7,9 @@ maxima on Q.  ``CubeRows`` never builds a row on its N cells: it splits it
 into sorted runs, bounds the row's weak norm from below, sorts only the
 cells that can attain it, and sums the row's norm over one node of numpy's
 pairwise sum.  Every ratio, nan row and error is the one of the dense row,
-bit for bit; ``tests/oracles.py`` keeps that dense path as the oracle.
+bit for bit; ``tests/oracles.py`` keeps that dense path as the oracle.  The
+same runs bound each row's ratio from above (``bounds``), so a row that
+cannot reach a given floor is skipped.
 """
 
 from __future__ import annotations
@@ -20,17 +22,22 @@ from .grid import cube_blocks, level_value_sums
 from .lorentz import _sorted_scan
 from .operators import _average_scores
 
-# A cube row scans only the cells that can attain its weak norm, and this
-# relative margin absorbs the rounding of the bounds that pick them: each
-# bound or threshold is a few roundings (2^-53 each) off the quantity it
-# stands for, so with 1e-12 every cell left out is strictly below the norm,
-# and the margin adds almost no cell to the scan.
+# A cube row scans only the cells that can attain its weak norm, a row is
+# skipped only where its upper bound is below a floor, and this relative
+# margin absorbs the rounding of the bounds: each is at most a few dozen
+# roundings (2^-53 each) off what it stands for, so with 1e-12 every cell or
+# row left out is strictly below the norm or the floor's maximum.
 _SELECT_MARGIN = 1e-12
 _TINY = np.finfo(float).tiny
 
 # Numpy's pairwise sum adds a row of at most this many cells in one loop and
 # halves a longer row of 2^m cells until its parts are that short.
 _PAIRWISE_LEAF = 128
+
+
+def _up(x: np.ndarray) -> np.ndarray:
+    """x floored at the least normal float: an underflow raises a bound."""
+    return np.maximum(x, _TINY)
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -46,9 +53,10 @@ class CubeRows:
 
     Built once per call: the suites' scaled level sums, running maxima and
     norm integrands; W = ``kernel.direct_w`` in blocks, one per cube of
-    levels 1..depth, each sorted ascending; and each block's own weak scan
-    (its cells' W against ranks within the block) and largest W, each as
-    the max over the block's siblings.
+    levels 1..depth, each sorted ascending; each block's own weak scan (its
+    cells' W against ranks within the block) and largest W, each as the max
+    over the block's siblings; and, for the upper bounds, each block's scan
+    to the power r (``scan_power``) and the sum of its siblings' (``sib_sum``).
 
     A block is addressed by its position b in the blocks of every level, in
     order; ``block_vals`` holds each block's sorted W, and ``block_keys``
@@ -92,6 +100,7 @@ class CubeRows:
         self.block_vals, self.block_keys = np.empty(depth * size), np.empty(depth * size, np.intp)
         self.block_ends = np.empty(blocks, dtype=np.intp)
         self.sib_scan, self.sib_top = np.empty(blocks), np.empty(blocks)
+        self.scan_power, self.sib_sum = np.empty(blocks), np.empty(blocks)
         for level in range(1, depth + 1):
             ranks = np.sort(cube_blocks(rank, grid, level), axis=-1)
             count, width = ranks.shape
@@ -102,55 +111,98 @@ class CubeRows:
             self.block_keys[cells] = ((first + cube)[:, None] * size + ranks).ravel()
             self.block_ends[first:first + count] = (level - 1) * size + width * (cube + 1)
             scan = (block * counts[size - width:]).max(axis=-1)
-            scan[~(scan >= _TINY)] = 0.0  # a subnormal scan bounds nothing
-            top = block[:, -1]
-            self.sib_scan[first:first + count] = np.max(
-                [scan[cube ^ m] for m in self.masks[level]], axis=0)
-            self.sib_top[first:first + count] = np.max(
-                [top[cube ^ m] for m in self.masks[level]], axis=0)
+            siblings = cube ^ self.masks[level][:, None]  # (2^n - 1, count)
+            with np.errstate(over="ignore"):  # an overflowed bound is not certified
+                power = _up(_up(scan) ** kernel.r)
+                self.sib_sum[first:first + count] = power[siblings].sum(axis=0)
+            self.scan_power[first:first + count] = power
+            scan[~(scan >= _TINY)] = 0.0  # a subnormal scan bounds nothing from below
+            self.sib_scan[first:first + count] = scan[siblings].max(axis=0)
+            self.sib_top[first:first + count] = block[siblings, -1].max(axis=0)
 
-    def _blocks(self, level: int, chunk: np.ndarray):
+    def _ancestors(self, level: int, chunk: np.ndarray) -> np.ndarray:
         """For each cube of the chunk, the blocks of its ancestors at levels
-        1..level (R, level), and of each one's siblings (R, level, 2^n - 1)."""
+        1..level (R, level); the last is the cube's own."""
         n = self.grid.n
         up = np.arange(1, level + 1)
         coords = np.unravel_index(chunk, (2 ** level,) * n)
-        local = sum((c[:, None] >> (level - up)) << (up * (n - 1 - a))
-                    for a, c in enumerate(coords))
-        first = self.first[1:level + 1]
-        return local + first, (local[..., None] ^ self.masks[1:level + 1]) + first[:, None]
+        return self.first[1:level + 1] + sum((c[:, None] >> (level - up)) << (up * (n - 1 - a))
+                                             for a, c in enumerate(coords))
 
     def tables(self, suite, level: int) -> np.ndarray:
-        """C_Q(k), k = 0..level, for every cube Q of the level and the
-        suite (an index or a slice): (..., C, level + 1)."""
+        """C_Q(k), k = 0..level, for every cube Q of the level: (C, level + 1)."""
         meas = [self.grid.cube_measure(j) for j in range(level + 1)]
         with np.errstate(over="ignore"):  # a mean past the float range fails in the checks
             avg = self.sums[level][suite][..., None] * self.grid.cell_measure / np.array(meas)
             return np.maximum.accumulate(
                 np.array([m ** self.s for m in meas]) * avg if self.s else avg, axis=-1)
 
-    def rows(self, suite: int, level: int, cubes: np.ndarray) -> tuple[list[float], str | None]:
+    def rows(self, suite: int, level: int, cubes: np.ndarray,
+             floor: float) -> tuple[np.ndarray, str | None]:
         """The ratios of the suite's rows of these cubes of the level, in
-        order, and the error of the first failing row, as ``finish`` gives
-        them; in chunks of at most chunk_bytes per array."""
+        order, -inf where a row's certified upper bound (``bounds``) is
+        below floor, and the error of the first failing row, as ``finish``
+        gives them; in chunks of at most chunk_bytes per array.  A row
+        skipped is never evaluated; the root's row always is."""
         if not len(cubes):
-            return [], None
+            return np.empty(0), None
         C = self.tables(suite, level)
         run = cube_blocks(self.run[level][suite], self.grid, level)
+        out = np.full(len(cubes), -math.inf)
+        live = np.arange(len(cubes))
+        if level and floor > 0.0:
+            live = np.flatnonzero(~(self.bounds(suite, level, cubes, C, run) < floor))
         # a row's on-Q run takes its cells of Q in each of a few arrays, and
         # its rings level (2^n - 1) entries in each of several
         step = max(1, self.chunk // max(run.shape[1], 4 * level * self.masks.shape[1]))
-        out = []
-        for start in range(0, len(cubes), step):
-            chunk = cubes[start:start + step]
+        for start in range(0, len(live), step):
+            at = live[start:start + step]
+            chunk = cubes[at]
             finite, nums = self._scan(level, chunk, C[chunk], run[chunk])
             values, error = self.kernel.finish(
                 finite, nums, self._node_sums(suite, level, chunk),
                 lambda i: C[chunk[i], level] > 0.0 or run[chunk[i]].max() > 0.0)
-            out += values
+            out[at[:len(values)]] = values
             if error:
-                return out, error
+                return out[:at[len(values)]], error
         return out, None
+
+    def bounds(self, suite: int, level: int, cubes: np.ndarray, C: np.ndarray,
+               run: np.ndarray) -> np.ndarray:
+        """Upper bounds of the ratios of the suite's rows of these cubes of
+        the level >= 1 (C, run: the level's C_Q tables and running maxima in
+        blocks), nan where a bound is not certified.
+
+        Row Q is disjoint pieces: W max(C_Q(level), run_level) on Q and, for
+        k < level, W C_Q(k) on each sibling D of A_{k+1}; and ||sum h_i||^r
+        <= sum ||h_i||^r in L^{r,inf}.  So U, with U^r = (max(C_Q(level),
+        max_Q run_level) scan(Q))^r + sum_k C_Q(k)^r sum_D scan(D)^r (each
+        block's own scan: ``scan_power``, ``sib_sum``), every factor floored
+        up, bounds the weak norm, and U over the row's norm on Q its ratio.
+        A bound is certified where U (also over the counts of 1 and of N
+        cells), the norm sum, its product with |cell| and the bound lie in
+        2^+-960: there the row's cells are finite and its own norm sum,
+        rounded differently, neither overflows nor vanishes, so a row
+        skipped could neither fail nor vanish.
+        """
+        r, counts, cm = self.kernel.r, self.kernel.counts, self.grid.cell_measure
+        out = np.empty(len(cubes))
+        step = max(1, self.chunk // max(run.shape[1], level))
+        for start in range(0, len(cubes), step):
+            chunk = cubes[start:start + step]
+            ancestors = self._ancestors(level, chunk)
+            with np.errstate(all="ignore"):  # a bound past the float range is not certified
+                top = _up(np.maximum(C[chunk, level], run[chunk].max(axis=-1)))
+                on = _up(_up(top ** r) * self.scan_power[ancestors[:, -1]])
+                rings = _up(_up(_up(C[chunk, :level]) ** r) * self.sib_sum[ancestors])
+                num = (on + rings.sum(axis=-1)) ** (1.0 / r)
+                sums = self.norm_cells[suite][self.cells[level][chunk]].sum(axis=-1)
+                bound = num / (sums * cm) ** (1.0 / self.kernel.p)
+                certified = np.logical_and.reduce(
+                    [(2.0 ** -960 < x) & (x < 2.0 ** 960) for x in (
+                        num, num / counts[0], num / counts[-1], sums, sums * cm, bound)])
+            out[start:start + step] = np.where(certified, bound, np.nan)
+        return out
 
     def _lower_bounds(self, level: int, chunk: np.ndarray, C: np.ndarray, run: np.ndarray,
                       ancestors: np.ndarray | None):
@@ -191,7 +243,7 @@ class CubeRows:
         """
         counts, size = self.kernel.counts, self.grid.finest_count
         width, rings = run.shape[1], C[:, :level]
-        ancestors, blocks = self._blocks(level, chunk) if level else (None, None)
+        ancestors = self._ancestors(level, chunk) if level else None
         h, finite, low = self._lower_bounds(level, chunk, C, run, ancestors)
         with np.errstate(all="ignore"):
             tau = low * (1.0 - _SELECT_MARGIN) / counts[0]
@@ -201,6 +253,9 @@ class CubeRows:
             on = width - (h < tau[:, None]).sum(axis=-1)
             taken = on
             if level:
+                # the blocks of each ancestor's siblings (R, level, 2^n - 1)
+                first = self.first[1:level + 1]
+                blocks = ((ancestors - first)[..., None] ^ self.masks[1:level + 1]) + first[:, None]
                 # a W below limit keeps W C_Q(k) below tau
                 limit = tau[:, None] / rings * (1.0 - _SELECT_MARGIN)
                 limit = np.where(limit >= _TINY, limit, 0.0)

@@ -232,16 +232,6 @@ def level_value_sums(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     return [a.reshape(lead + (-1,)) for a in out]
 
 
-def cube_sums(values: np.ndarray, grid: GridSpec, level: int) -> np.ndarray:
-    """The sum of cell values over each cube of one level, flat and
-    row-major, for a (..., N) batch: ``level_value_sums(values, grid)[level]``
-    up to the order of the additions, without the other levels."""
-    lead = values.shape[:-1]
-    k, n = len(lead), grid.n
-    arr = values.reshape(lead + (2 ** level, 2 ** (grid.depth - level)) * n)
-    return arr.sum(axis=tuple(range(k + 1, k + 2 * n, 2))).reshape(lead + (-1,))
-
-
 def cube_blocks(values: np.ndarray, grid: GridSpec, level: int) -> np.ndarray:
     """Reshape flat cell values to (cubes at level, cells per cube).
 

@@ -15,14 +15,14 @@ serialize to JSON and flatten to CSV rows.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .cuberows import CubeRows
-from .grid import (DyadicCube, GridSpec, StepFunction, check_cells, cube_blocks, cube_sums,
-                   level_value_sums)
+from .cuberows import _SELECT_MARGIN, CubeRows
+from .grid import DyadicCube, GridSpec, StepFunction, check_cells, cube_blocks
 from .lorentz import _descending_counts, _sorted_scan
 from .operators import MaximalQuery, _batch_maximal, _validate
 from .weights import (
@@ -123,12 +123,12 @@ def random_weight(grid: GridSpec, rng: np.random.Generator, log_spread: float = 
 # --------------------------------------------------------------------------
 
 def _require_alpha(alpha: float, p: float, q: float | None, n: int):
-    """alpha's domain, then q and 1/p - 1/q = alpha/n; before any scan."""
+    """alpha's domain, then q and, for any q given, 1/p - 1/q = alpha/n."""
     MaximalQuery(alpha)
     if q is None and alpha != 0.0:
         raise ValueError(f"alpha = {alpha} needs q, the fractional exponent with "
                          "1/p - 1/q = alpha/n; the plain ratio (q None) takes alpha = 0")
-    if alpha > 0:
+    if q is not None:
         check_exponent_relation(p, q, alpha, n)
 
 
@@ -258,6 +258,17 @@ class _Resolved(NamedTuple):
     mode: str
 
 
+def _tabulated(pw: PowerWeight, depth: int | None) -> StepFunction:
+    """pw's cell averages or, where one is 0 or +inf, those of w / u^exponent, u = 2^k
+    near the root's farthest distance from c: the ratio has degree 0 in w and in f."""
+    with suppress(ValueError):  # "cell values must be finite"
+        if (tab := pw.tabulate(depth)).values.all():
+            return tab
+    far = max(abs(pw.left - pw.center), abs(pw.right - pw.center))
+    return StepFunction(pw.lattice(depth),
+                        pw._cell_averages(depth, math.ldexp(0.5, math.frexp(far)[1])))
+
+
 def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
                     depth: int | None) -> _Resolved:
     """Check a harness call before any scan, then resolve its weight.  Power
@@ -268,8 +279,8 @@ def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
     star = star_constant(w, p, q, depth)
     rh = sigma_rh(star)
     if isinstance(w, PowerWeight):
-        return _Resolved(star, rh, _RatioKernel(w.tabulate(depth), p, q),
-                         sigma.tabulate(depth), "power")
+        return _Resolved(star, rh, _RatioKernel(_tabulated(w, depth), p, q),
+                         _tabulated(sigma, depth), "power")
     return _Resolved(star, rh, _RatioKernel(w, p, q), sigma, "tabulated")
 
 
@@ -289,56 +300,6 @@ def _lattice_cube(grid: GridSpec, pos: int) -> DyadicCube:
     while pos >= 2 ** (level * grid.n):
         pos, level = pos - 2 ** (level * grid.n), level + 1
     return grid.cube_from_flat(level, pos)
-
-
-# A later-suite row is skipped only where its Chebyshev bound is below the
-# largest ratio evaluated by this relative margin.  The bound and the row's
-# ratio are each a few dozen roundings of sums of the same positive terms,
-# about 1e-14 apart at most, so a skipped row is strictly below the maximum:
-# it can neither win nor tie under first-max-wins.
-_PRUNE_MARGIN = 1e-9
-
-
-def _chebyshev_bounds(kernel: _RatioKernel, C: np.ndarray, run_l: np.ndarray,
-                      w_sums: list, den_sums: np.ndarray, level: int) -> np.ndarray:
-    """Upper bounds of the ratios of the g chi_Q rows of the cubes Q of one
-    level, for each suite g of a batch: an (S, C) array, nan where a bound is
-    not certified.  C holds the suites' C_Q tables (S, C, level + 1), run_l
-    their running maxima at this level (S, N), w_sums the level sums of W,
-    and den_sums the cube sums of their norm integrands (S, C).
-
-    With h = w^(1/p) M(g chi_Q) (fractional: w M_alpha(g chi_Q)) and r = p
-    (fractional: q), Chebyshev gives ||h||_{r,inf} <= ||h||_{L^r}, and with
-    W = (h / M(g chi_Q))^r, the kernel's ``direct_w ** r``, ||h||_r^r / |cell|
-    is
-
-        sum_{k < l} C_Q(k)^r W(A_k minus A_{k+1})
-            + sum_{x in Q} W(x) max(C_Q(l), run_l(x))^r,
-
-    the closed form of ``_cube_ratios`` with the weight moved inside.  A
-    ring's W is a difference of two level sums: its rounding error is a few
-    ulps of W(A_k), and C_Q(k)^r W(A_k) is at most the whole sum, since
-    M(g chi_Q) >= C_Q(k) on A_k.  W and C_Q(k)^r are floored at the least
-    normal float, which only raises the bound, so what underflows is a final
-    product, less than 2^-1022 per term.  A bound is certified where it, the
-    sum, its product with |cell| and the row's norm lie in 2^+-960: there the
-    row's own sums, rounded differently, can neither overflow nor vanish, and
-    the terms lost to underflow are below 2^-37 of the sum.
-    """
-    grid, r, tiny = kernel.grid, kernel.r, np.finfo(float).tiny
-    n, cm = grid.n, grid.cell_measure
-    cube_coords = np.indices((2 ** level,) * n).reshape(n, -1)
-    w_anc = np.stack([w_sums[k][np.ravel_multi_index(cube_coords >> (level - k), (2 ** k,) * n)]
-                      for k in range(level + 1)])
-    rings = np.maximum(w_anc[:-1] - w_anc[1:], 0.0).T  # (C, level)
-    off_q = (np.maximum(C[..., :level] ** r, tiny) * rings).sum(axis=-1)
-    h = kernel.direct_w * np.maximum(C[..., level][:, grid.ancestor_index(level)], run_l)
-    total = off_q + cube_sums(h ** r, grid, level)
-    num, den = total * cm, den_sums * cm
-    bound = num ** (1.0 / r) / den ** (1.0 / kernel.p)
-    lo, hi = 2.0 ** -960, 2.0 ** 960
-    certified = np.logical_and.reduce([(lo < x) & (x < hi) for x in (total, num, den, bound)])
-    return np.where(certified, bound, np.nan)
 
 
 def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = False) -> np.ndarray:
@@ -371,12 +332,12 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = 
     level, and no later than the first failure found.
 
     With ``prune``, every row of the first suite is evaluated, and a row of
-    a later suite reads -inf, unevaluated, where its certified Chebyshev
-    bound (``_chebyshev_bounds``) is below (1 - _PRUNE_MARGIN) times the
-    largest ratio evaluated before it, every row of the first suite
-    included: such a row can neither win nor tie a first maximum over the
-    rows, and the rows skipped are certified finite with a norm that does
-    not vanish, so no error is skipped with them.
+    a later suite reads -inf, unevaluated, where its certified upper bound
+    (``CubeRows.bounds``) is below (1 - _SELECT_MARGIN) times the largest
+    ratio evaluated before it, every row of the first suite included: such
+    a row can neither win nor tie a first maximum over the rows, and the
+    rows skipped are certified finite with a norm that does not vanish, so
+    no error is skipped with them.
     """
     grid = kernel.grid
     depth = grid.depth
@@ -384,32 +345,17 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = 
     _validate(grid, MaximalQuery(alpha))
     rows = CubeRows(kernel, suites, alpha, CHUNK_BYTES)
     firsts = np.cumsum([0] + [2 ** (level * grid.n) for level in range(depth + 1)])
-    if prune:
-        with np.errstate(all="ignore"):
-            w_sums = level_value_sums(np.maximum(kernel.direct_w ** kernel.r,
-                                                 np.finfo(float).tiny), grid)
-        den_sums = level_value_sums(rows.norm_cells, grid)
     chunk = _chunk_rows(grid)
     out = np.full((len(suites), firsts[-1]), np.nan)
     best = -math.inf  # the largest ratio evaluated so far
     failure = (math.inf,)  # (level, chunk, suite, message) of the first failure found
     for suite in range(len(suites)):
         for level in range(min(depth, failure[0]) + 1):
-            live = rows.sums[level][suite] > 0
-            if prune and suite:
-                with np.errstate(all="ignore"):  # an out-of-range bound is not certified
-                    bounds = _chebyshev_bounds(
-                        kernel, rows.tables(slice(suite, suite + 1), level),
-                        rows.run[level][suite:suite + 1], w_sums,
-                        den_sums[level][suite:suite + 1], level)[0]
-                below = bounds < (1.0 - _PRUNE_MARGIN) * best
-                out[suite, firsts[level] + np.flatnonzero(below)] = -math.inf
-                live &= ~below
-            cubes = np.flatnonzero(live)
-            values, error = rows.rows(suite, level, cubes)
+            floor = (1.0 - _SELECT_MARGIN) * best if prune and suite else -math.inf
+            cubes = np.flatnonzero(rows.sums[level][suite] > 0)
+            values, error = rows.rows(suite, level, cubes, floor)
             out[suite, firsts[level] + cubes[:len(values)]] = values
-            if values:
-                best = max(best, max(values))
+            best = float(values.max(initial=best))
             if error:
                 cube = cubes[len(values)]
                 failure = min(failure, (level, cube // chunk, suite, error))

@@ -318,17 +318,24 @@ class PowerWeight:
         """Exact cell averages; a cell with divergent integral falls back to
         the harmonic regularization 1 / <w^{-1}>_cell (always finite here,
         since |x-c|^a and |x-c|^(-a) cannot both be non-integrable)."""
+        return StepFunction(self.lattice(depth), self._cell_averages(depth, 1.0))
+
+    def _cell_averages(self, depth: int, unit: float) -> np.ndarray:
+        """The cell values of ``tabulate``, unchecked, for w / unit^exponent,
+        distances measured in ``unit`` (see ``_split_moment``)."""
         grid = self.lattice(depth)
         h = grid.side(depth)
         lo = self.left + np.arange(grid.finest_count) * h
         hi = lo + h
-        mass = self.integral(lo, hi)
+        units = np.full(lo.shape, unit)
+        mass = self._split_moment(1.0, lo, hi, units)
         vals = mass / h
         divergent = ~np.isfinite(mass)
         if divergent.any():
             with np.errstate(divide="ignore"):
-                vals[divergent] = h / self.moment(-1.0, lo[divergent], hi[divergent])
-        return StepFunction(grid, vals)
+                vals[divergent] = h / self._split_moment(-1.0, lo[divergent], hi[divergent],
+                                                         units[divergent])
+        return vals
 
 
 Weight = Union[StepFunction, PowerWeight]

@@ -183,6 +183,15 @@ class TestVerify:
         assert main(["verify", "--weight", quarters_weight, "--p", "2",
                      "--q", "4", "--alpha", "0.25", "--n-random", "5"]) == 0
 
+    @pytest.mark.parametrize("command", ["verify", "necessity"])
+    def test_q_without_alpha(self, quarters_weight, capsys, command):
+        # a q with the default alpha = 0 enters the relation too, and a
+        # negative q is named as q
+        assert main([command, "--weight", quarters_weight, "--p", "2", "--q", "4"]) == 1
+        assert "exponent relation violated" in capsys.readouterr().err
+        assert main([command, "--weight", quarters_weight, "--p", "2", "--q", "-1"]) == 1
+        assert "exponents must be positive, got p=2.0, q=-1.0" in capsys.readouterr().err
+
 
 class TestOutOfRangeSettings:
     """Non-finite exponents and out-of-range suite settings exit 1 with a
@@ -331,6 +340,22 @@ class TestFarCentre:
         values = {d["class"]: d["value"] for d in json.loads(out)}
         for name in ("ap", "a1", "apq", "a1q", "rh"):
             assert values[name] == pytest.approx(1.0, rel=1e-12), name
+
+
+    @pytest.mark.parametrize("command", ["verify", "necessity"])
+    def test_cell_averages_past_the_float_range(self, tmp_path, capsys, command):
+        # |x - 1e300|^2.5: every cell average is about 1e750, and sigma's
+        # about 1e-750; the ratio has degree 0 in w and in sigma, so the
+        # harness tabulates both in a power-of-two distance unit
+        path = write_power(tmp_path, "far.json", 1e300, 2.5, [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--weight", path, "--depth", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        ratio = (report["necessity"] if command == "verify" else report)["measured_ratio"]
+        assert ratio == pytest.approx(1.0, rel=1e-9)
 
 
 class TestFlagsPerCommand:

@@ -122,8 +122,9 @@ class TestMultiplierRatio:
                 verify_weight(w, 2.0, alpha=-0.5, q=q, n_random=2)
 
     def test_exponent_relation(self, monkeypatch):
-        # 1/p - 1/q = alpha/n fails at p = 2, alpha = 0.5, q = 8 in one
-        # dimension: every driver refuses it, before the star scan
+        # 1/p - 1/q = alpha/n fails at p = 2, q = 8 in one dimension, with
+        # alpha = 0.5 and with alpha = 0 (a q given names the fractional
+        # chain at any alpha): every driver refuses it, before the star scan
         grid = unit_grid(3)
         w = random_weight(grid, np.random.default_rng(8))
         f = random_step(grid, np.random.default_rng(9))
@@ -131,14 +132,15 @@ class TestMultiplierRatio:
         def no_scan(*args, **kwargs):
             raise AssertionError("the star scan ran before the relation was checked")
         monkeypatch.setattr(harness, "star_constant", no_scan)
-        with pytest.raises(ValueError, match="exponent relation violated"):
-            multiplier_ratio(f, w, 2.0, alpha=0.5, q=8.0)
-        with pytest.raises(ValueError, match="exponent relation violated"):
-            necessity_check(w, 2.0, alpha=0.5, q=8.0)
-        with pytest.raises(ValueError, match="exponent relation violated"):
-            sufficiency_check(w, 2.0, alpha=0.5, q=8.0, n_random=2)
-        with pytest.raises(ValueError, match="exponent relation violated"):
-            verify_weight(w, 2.0, alpha=0.5, q=8.0, n_random=2)
+        for alpha in (0.5, 0.0):
+            with pytest.raises(ValueError, match="exponent relation violated"):
+                multiplier_ratio(f, w, 2.0, alpha=alpha, q=8.0)
+            with pytest.raises(ValueError, match="exponent relation violated"):
+                necessity_check(w, 2.0, alpha=alpha, q=8.0)
+            with pytest.raises(ValueError, match="exponent relation violated"):
+                sufficiency_check(w, 2.0, alpha=alpha, q=8.0, n_random=2)
+            with pytest.raises(ValueError, match="exponent relation violated"):
+                verify_weight(w, 2.0, alpha=alpha, q=8.0, n_random=2)
 
     def test_dual_weight_overflow(self):
         # at p = 1.5, sigma = w^-2 = 1e400 on the first cell: the drivers
@@ -381,11 +383,13 @@ class TestClosedFormRows:
 
 @st.composite
 def pruning_cases(draw):
-    """(w, p, alpha, q): a tabulated weight, 1-D to depth 8, 2-D to depth 4
-    or 3-D to depth 2, with cells 2^U, U in [-300, 300] (and at p = 1.01 a
+    """(w, p, alpha, q, g): a tabulated weight, 1-D to depth 8, 2-D to depth
+    4 or 3-D to depth 2, with cells 2^U, U in [-300, 300] (and at p = 1.01 a
     sigma = w^(1 - p') that vanishes on the cubes of the large cells), or a
-    power weight's tabulation; plain, or fractional at alpha = n/4."""
+    power weight's tabulation; plain, or fractional at alpha = n/4; and a
+    lognormal suite g."""
     p = draw(st.sampled_from([1.01, 1.5, 2.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     if draw(st.booleans()):
         pw, depth = draw(power_weights())
         w = pw.tabulate(depth)
@@ -394,28 +398,31 @@ def pruning_cases(draw):
         depth = draw(st.integers(0, {1: 8, 2: 4, 3: 2}[n]))
         grid = GridSpec(n, (0.0,) * n, 1.0, depth)
         spread = draw(st.sampled_from([1.0, 30.0, 300.0]))
-        logs = np.random.default_rng(draw(st.integers(0, 2 ** 16))).uniform(
-            -spread, spread, grid.finest_count)
-        w = StepFunction(grid, np.exp2(logs))
+        w = StepFunction(grid, np.exp2(rng.uniform(-spread, spread, grid.finest_count)))
     n = w.grid.n
+    g = harness._lognormal(rng, w.grid.finest_count)
     if draw(st.booleans()):
-        return w, p, 0.0, None
-    return w, p, n / 4.0, 1.0 / (1.0 / p - 0.25)
+        return w, p, 0.0, None, g
+    return w, p, n / 4.0, 1.0 / (1.0 / p - 0.25), g
 
 
-def _pruned_and_full(w, p, alpha, q):
-    """The (sigma chi_Q, chi_Q) rows of a pruned sweep, the chi_Q bounds it
-    computed, in lattice order, and the rows of a full sweep; a sweep's
-    error message in place of its rows."""
+def _pruned_and_full(w, p, alpha, q, g):
+    """The (sigma chi_Q, chi_Q, g chi_Q) rows of a pruned sweep, the upper
+    bounds it computed, in lattice order (nan where it computed none), and
+    the rows of a full sweep; a sweep's error message in place of its
+    rows."""
     kernel = harness._RatioKernel(w, p, q)
     sigma = dual_weight(w, p, "ap" if q is None else "apq").values
-    suites = np.stack([sigma, np.ones_like(sigma)])
-    bounds = []
-    real = harness._chebyshev_bounds
+    suites = np.stack([sigma, np.ones_like(sigma), g])
+    grid = w.grid
+    firsts = np.cumsum([0] + [2 ** (level * grid.n) for level in range(grid.depth + 1)])
+    bounds = np.full((len(suites), firsts[-1]), np.nan)
+    real = cuberows.CubeRows.bounds
 
-    def recording(*args):
-        bounds.append(real(*args)[0])
-        return bounds[-1][None]
+    def recording(self, suite, level, cubes, *args):
+        out = real(self, suite, level, cubes, *args)
+        bounds[suite, firsts[level] + cubes] = out
+        return out
 
     def sweep(prune):
         try:
@@ -424,22 +431,22 @@ def _pruned_and_full(w, p, alpha, q):
             return str(exc)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_chebyshev_bounds", recording)
+        mp.setattr(cuberows.CubeRows, "bounds", recording)
         pruned = sweep(True)
-    return pruned, np.concatenate(bounds) if bounds else None, sweep(False)
+    return pruned, bounds, sweep(False)
 
 
-class TestChebyshevPruning:
-    """Each chi_Q row's Chebyshev bound is at least its ratio, and a pruned
-    sweep differs from the full one only in chi_Q rows, each -inf and
-    below the maximum, so no maximum, witness or error moves."""
+class TestWeakTypePruning:
+    """Each later-suite row's certified upper bound is at least its ratio,
+    and a pruned sweep differs from the full one only in later-suite rows,
+    each -inf and below the maximum, so no maximum, witness or error
+    moves."""
 
     @settings(max_examples=300)
     @given(pruning_cases())
     def test_bound_holds_and_pruning_keeps_the_maximum(self, case):
-        w, p, alpha, q = case
         try:
-            pruned, bounds, full = _pruned_and_full(w, p, alpha, q)
+            pruned, bounds, full = _pruned_and_full(*case)
         except ValueError as exc:  # sigma = w^(1 - p') leaves the float range
             assert "overflows" in str(exc)
             return
@@ -447,19 +454,20 @@ class TestChebyshevPruning:
             assert pruned == full
             return
         certified = ~np.isnan(bounds)
-        assert np.all(bounds[certified] >= full[1][certified] * (1.0 - 1e-9))
+        assert np.all(bounds[certified] >= full[certified] * (1.0 - cuberows._SELECT_MARGIN))
         assert np.array_equal(pruned[0], full[0], equal_nan=True)
-        skipped = pruned[1] == -math.inf
-        assert np.array_equal(pruned[1][~skipped], full[1][~skipped], equal_nan=True)
+        skipped = pruned == -math.inf
+        assert np.array_equal(pruned[~skipped], full[~skipped], equal_nan=True)
         assert np.all(certified[skipped])
-        assert np.all(full[1][skipped] < np.nanmax(full))
+        assert np.all(full[skipped] < np.nanmax(full))
 
     def test_halved_bound_is_caught(self, monkeypatch):
         # a mutation check: bounds at half their value prune chi_Q rows that
         # tie the maximum, where the first maximum is a chi_Q row, and the
         # oracle comparison fails
-        real = harness._chebyshev_bounds
-        monkeypatch.setattr(harness, "_chebyshev_bounds", lambda *args: 0.5 * real(*args))
+        real = cuberows.CubeRows.bounds
+        monkeypatch.setattr(cuberows.CubeRows, "bounds",
+                            lambda self, *args: 0.5 * real(self, *args))
         with pytest.raises(AssertionError):
             TestChunkedEngineOracle().test_ties_keep_first_maximum(1, 6)
 
@@ -902,6 +910,14 @@ class TestCheckedResolution:
         verify_weight(w, 2.0)
         assert self._assert_rows_once(evaluated, suites, 200) < 0.1 * 2047
         assert 0 < sum(sorted_cells) < 0.1 * 2047 * grid.finest_count
+
+    def test_inverse_x_prunes_chi_rows(self, monkeypatch):
+        # |x|^-1 at depth 10, as in the benchmark's verify: the weak-type
+        # bounds leave at most 10 of the 2,047 chi_Q rows to evaluate
+        evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "finish")
+        suites = self._suite_rows(monkeypatch)
+        verify_weight(PowerWeight(0.0, -1.0, 0.0, 1.0), 2.0, n_random=10, depth=10)
+        assert self._assert_rows_once(evaluated, suites, 10) <= 10
 
     def test_no_chi_rows_without_a_bound(self, monkeypatch):
         evaluated = self._count_rows(monkeypatch, harness._RatioKernel, "finish")
