@@ -36,7 +36,7 @@ _PAIRWISE_LEAF = 128
 
 
 def _up(x: np.ndarray) -> np.ndarray:
-    """x floored at the least normal float: an underflow raises a bound."""
+    """x floored at the least normal float, so an underflow only raises a bound."""
     return np.maximum(x, _TINY)
 
 
