@@ -23,10 +23,11 @@ from .lorentz import _sorted_scan
 from .operators import _average_scores
 
 # A cube row scans only the cells that can attain its weak norm, a row is
-# skipped only where its upper bound is below a floor, and this relative
-# margin absorbs the rounding of the bounds: each is at most a few dozen
-# roundings (2^-53 each) off what it stands for, so with 1e-12 every cell or
-# row left out is strictly below the norm or the floor's maximum.
+# skipped only where its upper bound U is below a floor, and this relative
+# margin absorbs the rounding of the bounds: each is a few dozen roundings
+# (2^-53 each) off what it stands for, and U's power 1/r, a rounded float,
+# adds at most 2^-53 |ln U| < 1e-13 where U is certified, so with 1e-12
+# every cell or row left out is strictly below the norm or the maximum.
 _SELECT_MARGIN = 1e-12
 _TINY = np.finfo(float).tiny
 
