@@ -13,7 +13,8 @@ cell averages leave the float range, and with a q but alpha = 0, and
 ``verify_weight`` at the benchmark's sizes (1-D depth 10, plain and
 fractional, |x|^-1 at depth 10, 2-D depth 5); ``lemma_suite``;
 the CZ chain (``cz_decompose``, ``build_sparse``, ``sparse_sum``); and the
-CLI on ``tests/data/constants/*.weight.json``.
+CLI on ``tests/data/constants/*.weight.json`` and, with ``verify`` and
+``necessity --format csv``, on the benchmark-size weights.
 
 Each call prints one line, ``<id> <sha256>``.  The hash covers the call's
 result, with every float written as ``float.hex``, or else its error
@@ -117,6 +118,16 @@ def _cli(argv):
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _cli_on(w, argv):
+    """The CLI on argv, with w written to a weight file for the call."""
+    from weakmax import weight_to_dict
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.json"
+        path.write_text(json.dumps(weight_to_dict(w)))
+        return _cli([argv[0], "--weight", str(path), *argv[1:]])
+
+
 def _chain(f, w, fractional):
     from weakmax import build_sparse, cz_decompose, dual_weight, sparse_sum
 
@@ -207,6 +218,13 @@ def corpus(toy: bool):
             yield (f"{name}/verify/p2.0_q{q}",
                    lambda w=w, alpha=alpha, q=q, d=d:
                    verify_weight(w, 2.0, alpha, q, seed=7, n_random=8, depth=d))
+        # the CLI's row writer on the 2,047 and 1,365 per_cube rows of these
+        verify = ["verify", "--n-random", "8"]
+        for name, w, tag, argv in (("bench1d_d10", w1, "verify", verify),
+                                   ("bench2d_d5", w2, "verify", verify),
+                                   ("bench1d_d10", w1, "necessity_csv",
+                                    ["necessity", "--format", "csv"])):
+            yield f"cli/{name}/{tag}", lambda w=w, argv=argv: _cli_on(w, argv)
 
     for n, d in ((1, 3), (2, 2)) if toy else ((1, 6), (1, 8), (2, 3), (3, 2)):
         for kind in ("uniform", "lognormal", "spiky"):

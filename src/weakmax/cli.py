@@ -76,60 +76,41 @@ def _json_float(x: float) -> str:
     return "-Infinity" if x == -math.inf else float.__repr__(x)
 
 
-def _cube_rows(rows: list, indent: str) -> str | None:
-    """The JSON of a list of per_cube rows ({"index", "level", "ratio"}) as
-    ``json.dumps(rows, sort_keys=True, indent=2)`` writes it below a key
-    indented by ``indent``; None if a row has any other shape."""
+def _cube_rows(rows: list, indent: str) -> str:
+    """The JSON of a list of per_cube rows ({"level", "index", "ratio"},
+    Python ints and floats) as ``json.dumps(rows, sort_keys=True, indent=2)``
+    writes it below a key indented by ``indent``."""
     i2, i4, i6 = indent + "  ", indent + "    ", indent + "      "
     head, comma = f"{i2}{{\n{i4}\"index\": [\n{i6}", f",\n{i6}"
     level, ratio, tail = f"\n{i4}],\n{i4}\"level\": ", f",\n{i4}\"ratio\": ", f"\n{i2}}}"
-    parts = []
-    for row in rows:
-        if not (type(row) is dict and row.keys() == {"index", "level", "ratio"}):
-            return None
-        index, lev, r = row["index"], row["level"], row["ratio"]
-        if not (type(index) is list and index and all(type(i) is int for i in index)
-                and type(lev) is int and isinstance(r, float)):
-            return None
-        parts.append(head + comma.join(map(int.__repr__, index)) + level + int.__repr__(lev)
-                     + ratio + _json_float(r) + tail)
+    parts = [head + comma.join(map(int.__repr__, row["index"])) + level
+             + int.__repr__(row["level"]) + ratio + _json_float(row["ratio"]) + tail
+             for row in rows]
     return "[\n" + ",\n".join(parts) + f"\n{indent}]"
-
-
-_ROWS_AT = "@weakmax-per-cube-{}@"  # a per_cube list's place in the dump of the rest
 
 
 def _to_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for
     byte.  The stdlib's indented dump runs its pure-Python encoder, and a
-    report's per_cube rows are most of its bytes; so each non-empty per_cube
-    list of a dict, or of a dict within it, is written by ``_cube_rows``, one
-    string template per row, and spliced into the dump of the rest.  A row
-    of another shape, or a placeholder that the rest already holds, leaves
-    the whole object to the stdlib."""
-    lists = []
+    report's per_cube rows are most of its bytes; so those are written by
+    ``_cube_rows``, one string template per row (see ``_json_at``)."""
+    return _json_at(obj, "") + "\n"
 
-    def swap(d: dict) -> dict:
-        out = {}
-        for key, value in d.items():
-            if key == "per_cube" and type(value) is list and value:
-                lists.append(value)
-                value = _ROWS_AT.format(len(lists) - 1)
-            elif type(value) is dict:
-                value = swap(value)
-            out[key] = value
-        return out
 
-    text = json.dumps(swap(obj) if type(obj) is dict else obj, sort_keys=True, indent=2) + "\n"
-    for i, rows in enumerate(lists):
-        mark = f'"{_ROWS_AT.format(i)}"'
-        at = text.find(mark)
-        line = text[text.rfind("\n", 0, at) + 1:at]
-        rendered = _cube_rows(rows, line[:len(line) - len(line.lstrip(" "))])
-        if rendered is None or text.count(mark) != 1:
-            return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-        text = text[:at] + rendered + text[at + len(mark):]
-    return text
+def _json_at(obj, indent: str) -> str:
+    """obj's JSON as it sits at ``indent``: a non-empty dict key by key in
+    sorted order, its non-empty per_cube list by ``_cube_rows``, and any
+    other value by the stdlib with the indent after each newline (json
+    escapes a newline inside a string, so every newline is a line break)."""
+    if type(obj) is not dict or not obj:
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    inner, items = indent + "  ", []
+    for key in sorted(obj):
+        value = obj[key]
+        text = (_cube_rows(value, inner) if key == "per_cube" and type(value) is list and value
+                else _json_at(value, inner))
+        items.append(f"{inner}{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
 
 
 def _to_csv(rows: list[dict]) -> str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -102,11 +101,6 @@ class GridSpec:
     def root(self) -> DyadicCube:
         return DyadicCube(0, (0,) * self.n)
 
-    def cells(self, level: int) -> list[DyadicCube]:
-        """All cubes at ``level`` in row-major index order."""
-        self._check_level(level)
-        return [DyadicCube(level, idx) for idx in product(range(2 ** level), repeat=self.n)]
-
     def contains(self, outer: DyadicCube, inner: DyadicCube) -> bool:
         if inner.level < outer.level:
             return False
@@ -124,7 +118,7 @@ class GridSpec:
 
     def ancestor_index(self, level: int) -> np.ndarray:
         """Flat index, among the cubes at ``level``, of each finest cell's
-        ancestor there: ``cell_mask(cells(level)[i])`` is
+        ancestor there: ``cell_mask(cube_from_flat(level, i))`` is
         ``ancestor_index(level) == i``, for all cubes of a level at once."""
         self._check_level(level)
         anc = np.arange(2 ** (level * self.n)).reshape((2 ** level,) * self.n)

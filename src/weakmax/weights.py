@@ -332,7 +332,7 @@ class PowerWeight:
         vals = mass / h
         divergent = ~np.isfinite(mass)
         if divergent.any():
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):  # past the float range: +inf
                 vals[divergent] = h / self._split_moment(-1.0, lo[divergent], hi[divergent],
                                                          units[divergent])
         return vals
@@ -451,7 +451,8 @@ def _tabulated_levels(row: tuple, w: StepFunction, grid: GridSpec):
                     return weak_scan(blocks, cm) / meas, t
             return cube_blocks(vals, grid, lev).min(axis=1), -1.0
 
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a product or quotient of factors past the float range is +inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return _evaluate(row, factor)
     return level_values
 

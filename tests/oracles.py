@@ -26,7 +26,8 @@ Each one is the reference for a fast library path, and only tests call them:
   full-lattice masks and its proof-chain sums by per-cube integrals (for
   ``cz_decompose``, ``build_sparse`` and ``sparse_sum``).
 
-``all_cubes`` enumerates the lattice in the library's cube order.
+``cells`` lists one level's cubes and ``all_cubes`` the whole lattice, in the
+library's cube order.
 
 Tests import them as ``from oracles import ...``, as they import conftest.
 Oracles may read private library names; they are not library API.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -76,10 +78,16 @@ from weakmax.weights import (
 )
 
 
+def cells(grid: GridSpec, level: int) -> list[DyadicCube]:
+    """All cubes at ``level`` in row-major index order."""
+    grid._check_level(level)
+    return [DyadicCube(level, idx) for idx in product(range(2 ** level), repeat=grid.n)]
+
+
 def all_cubes(grid: GridSpec):
     """Iterate every lattice cube, coarse levels first, row-major within."""
     for level in range(grid.depth + 1):
-        yield from grid.cells(level)
+        yield from cells(grid, level)
 
 
 # --------------------------------------------------------------------------

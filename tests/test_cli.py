@@ -238,6 +238,20 @@ class TestNecessityCommand:
         assert lines[0] == "level,index,ratio"
         assert len(lines) == 8  # 7 cubes at depth 2
 
+    # 1-D depth-1 weights at p = 2 measured 2 and 1 ulps under a bound past
+    # 2^23, where an absolute tolerance of 1e-9 is below one ulp
+    @pytest.mark.parametrize("root_side,values", [
+        (3.0, [0.12771091736986817, 3.9194687037353227e-153]),
+        (1.1095150714835783e+101, [3.374648020086949e+190, 1.6216721988050376e+80]),
+    ])
+    def test_tolerance_is_relative(self, tmp_path, capsys, root_side, values):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(_step_spec(root_side=root_side, values=values)))
+        assert main(["necessity", "--weight", str(path), "--p", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 2.0 ** 23 < report["measured_ratio"] < report["theoretical_bound"]
+        assert report["verdict"] is True and report["tolerance_factor"] == 1e-9
+
 
 class TestLemmas:
     def test_pass(self, quarters_weight, capsys):
@@ -321,6 +335,39 @@ class TestPowerOverflow:
         assert "Infinity" in out or err.startswith("error: ")
         if command == "lemmas":
             assert "star constant must be finite" in err
+
+
+class TestOverflowToInfinity:
+    """Where +inf is the answer, it is taken without a RuntimeWarning on
+    stderr."""
+
+    def test_constants_rows_past_the_float_range(self, tmp_path, capsys):
+        # a 2-D depth-1 weight with cells from 1e-245 to 1e181: the class
+        # rows' products and quotients of averages overflow
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(_step_spec(
+            n=2, root_corner=[0.0, 0.0], root_side=3.0, values=[
+                2.3158702187384846e+181, 1.8763411472326719, 2.784261079321427,
+                7.318509770587368e-245])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["constants", "--weight", str(path), "--q", "8"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        values = {d["class"]: d["value"] for d in json.loads(out)}
+        assert values["ap"] == values["apq_star"] == math.inf
+
+    def test_power_cell_averages_past_the_float_range(self, tmp_path, capsys):
+        # |x - 0.3|^2 on a root of side 2.6e202: sigma = |x - 0.3|^-2 is not
+        # integrable at the centre, and the harmonic average of w on a far
+        # cell, |cell| / int |x - 0.3|^-2, overflows
+        path = write_power(tmp_path, "pw.json", 0.3, 2.0, [0.0, 2.6290184562006376e+202])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(["necessity", "--weight", path, "--depth", "4"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["theoretical_bound"] == math.inf
 
 
 class TestFarCentre:
@@ -548,9 +595,9 @@ class TestRatioOverflow:
 
 
 class TestJsonDump:
-    """_to_json writes per_cube rows from one template per row and splices
-    them into the stdlib dump of the rest: its text is json.dumps(obj,
-    sort_keys=True, indent=2) and a newline, byte for byte."""
+    """_to_json writes a dict key by key, its per_cube rows from one
+    template per row and every other value with the stdlib: its text is
+    json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte."""
 
     @staticmethod
     def _assert_same(obj):
@@ -570,30 +617,20 @@ class TestJsonDump:
         self._assert_same(report)
         self._assert_same({"outer": report, "per_cube": report["per_cube"][:1]})
 
+    def test_nested_values(self):
+        # each value below a key is indented as the stdlib indents it: empty
+        # containers, a newline and non-ASCII text inside strings, lists of dicts
+        self._assert_same({"b": {"\u00e9\n": ["x\ny", {}], "a": {}, "z": {"per_cube": []}},
+                           "a": [{"k": 1.5, "j": None}], "per_cube": [], "": True})
+        self._assert_same({})
+        self._assert_same([{"b": 1, "a": [2.5, math.inf]}])
+
     def test_vacuous_sufficiency(self):
         # sigma = w^-2 underflows to 0 on the spike, and the bound overflows
         spike = StepFunction(unit_grid(3), [1.0] * 7 + [1e170])
         report = harness.sufficiency_check(spike, 1.5, n_random=2).to_dict()
         assert "vacuous" in report["context"]["diagnostic"]
         self._assert_same(report)
-
-    @pytest.mark.parametrize("rows", [
-        [{"index": [0], "level": np.int64(0), "ratio": 1.0}],
-        [{"index": [0], "level": 0, "ratio": 1.0, "extra": 2}],
-        [{"index": [], "level": 0, "ratio": 1.0}],
-        [{"index": [True], "level": 0, "ratio": 1.0}],
-        [{"index": [0], "level": 0, "ratio": 1}],
-        [{"index": [0], "level": 0, "ratio": 1.0}, "@weakmax-per-cube-0@"],
-    ], ids=["numpy_int", "extra_key", "empty_index", "bool_index", "int_ratio", "placeholder"])
-    def test_other_shapes_fall_back(self, rows):
-        obj = {"per_cube": rows, "name": "@weakmax-per-cube-0@"}
-        try:
-            expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-        except TypeError:  # numpy ints are not JSON
-            with pytest.raises(TypeError):
-                cli._to_json(obj)
-            return
-        assert cli._to_json(obj) == expected
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--p", "1.5"], ["cz"], ["lemmas"], ["maximal"],

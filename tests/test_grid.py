@@ -9,13 +9,13 @@ from weakmax import DyadicCube, GridSpec, StepFunction
 from weakmax.grid import cube_blocks, level_value_sums
 
 from conftest import constant, step_functions, unit_grid
-from oracles import all_cubes, cube_average, cube_block, cube_integral, cube_mask
+from oracles import all_cubes, cells, cube_average, cube_block, cube_integral, cube_mask
 
 
 def corners(grid, level):
     h = grid.side(level)
     return [tuple(c + i * h for c, i in zip(grid.root_corner, cube.index))
-            for cube in grid.cells(level)]
+            for cube in cells(grid, level)]
 
 
 def children(cube):
@@ -32,20 +32,19 @@ class TestCells:
 
     def test_level_zero_is_root(self):
         grid = unit_grid(2)
-        assert grid.cells(0) == [DyadicCube(0, (0,))]
+        assert cells(grid, 0) == [DyadicCube(0, (0,))]
 
     def test_two_dim_quadrants(self):
         grid = unit_grid(1, n=2)
-        cells = grid.cells(1)
-        assert len(cells) == 4
+        assert len(cells(grid, 1)) == 4
         assert corners(grid, 1) == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
 
     def test_level_out_of_range(self):
         grid = unit_grid(2)
         with pytest.raises(ValueError):
-            grid.cells(3)
+            cells(grid, 3)
         with pytest.raises(ValueError):
-            grid.cells(-1)
+            cells(grid, -1)
 
     def test_cell_cap(self):
         with pytest.raises(ValueError):
@@ -99,7 +98,7 @@ class TestPartition:
     def test_cells_partition_root(self, n, depth):
         grid = GridSpec(n, (0.0,) * n, 1.0, depth)
         for level in range(depth + 1):
-            masks = [grid.cell_mask(c) for c in grid.cells(level)]
+            masks = [grid.cell_mask(c) for c in cells(grid, level)]
             stacked = np.stack(masks)
             assert stacked.sum(axis=0).max() == 1  # pairwise disjoint
             assert stacked.any(axis=0).all()        # cover
@@ -123,7 +122,7 @@ class TestBlocks:
         f = StepFunction(grid, rng.uniform(0, 1, grid.finest_count))
         for level in range(depth + 1):
             rows = cube_blocks(f.values, grid, level)
-            for flat, cube in enumerate(grid.cells(level)):
+            for flat, cube in enumerate(cells(grid, level)):
                 assert np.array_equal(rows[flat], cube_block(f, cube))
 
     @pytest.mark.parametrize("n,depth", [(1, 4), (2, 2)])
@@ -132,7 +131,7 @@ class TestBlocks:
         f = StepFunction(grid, rng.uniform(0, 1, grid.finest_count))
         sums = level_value_sums(f.values, f.grid)
         for level in range(depth + 1):
-            for flat, cube in enumerate(grid.cells(level)):
+            for flat, cube in enumerate(cells(grid, level)):
                 integral = sums[level][flat] * grid.cell_measure
                 assert integral == pytest.approx(cube_integral(f, cube), rel=1e-14)
 
@@ -154,7 +153,7 @@ class TestBlocks:
         grid = GridSpec(n, (0.0,) * n, 1.0, depth)
         for level in range(depth + 1):
             anc = grid.ancestor_index(level)
-            for cube in grid.cells(level):
+            for cube in cells(grid, level):
                 flat = np.ravel_multi_index(cube.index, (2 ** level,) * n)
                 assert np.array_equal(anc == flat, cube_mask(grid, cube))
                 assert np.array_equal(grid.cell_mask(cube), cube_mask(grid, cube))

@@ -34,7 +34,7 @@ from weakmax.lorentz import weak_scan
 
 from conftest import constant, unit_grid
 from test_weights import power_weights
-from oracles import (all_cubes, chebyshev_check, dense_cube_ratios, lemma_subcube_scan,
+from oracles import (all_cubes, cells, chebyshev_check, dense_cube_ratios, lemma_subcube_scan,
                      lemma_union_scan, random_cell_union)
 
 
@@ -341,14 +341,14 @@ class TestClosedFormRows:
         # included, while their ancestors keep their ratios
         grid = GridSpec(n, (0.0,) * n, 1.0, depth)
         w_vals = random_weight(grid, np.random.default_rng(6)).values.copy()
-        w_vals[grid.cell_mask(grid.cells(1)[1])] = 2000.0
+        w_vals[grid.cell_mask(cells(grid, 1)[1])] = 2000.0
         w = StepFunction(grid, w_vals)
         sigma = dual_weight(w, 1.01)
         rows_out, _ = self._assert_rows(monkeypatch, rows, w,
                                         [sigma.values, np.ones(grid.finest_count)], 1.01)
         skipped = [cube for cube, ratio in rows_out if ratio is None]
         assert skipped == [cube for cube in all_cubes(grid)
-                           if grid.contains(grid.cells(1)[1], cube)]
+                           if grid.contains(cells(grid, 1)[1], cube)]
 
     @pytest.mark.parametrize("cell,message", [(math.inf, "finite"), (math.nan, "finite"),
                                               (-1.0, "nonnegative")])
@@ -614,9 +614,29 @@ class TestLatticeOrder:
 
         def no_cube(*args):
             raise AssertionError("the sweep built a DyadicCube")
-        monkeypatch.setattr(grid_module, "DyadicCube", no_cube)
-        ratios = harness._cube_ratios(kernel, np.stack([w.values, np.ones(64)]), 0.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(grid_module, "DyadicCube", no_cube)
+            ratios = harness._cube_ratios(kernel, np.stack([w.values, np.ones(64)]), 0.0)
         assert ratios.shape == (2, 1 + 4 + 16 + 64)
+
+        # the reports build no cube per row: past the star scan's candidates,
+        # only the witnesses (necessity's cube, and sufficiency's function)
+        built = []
+        init = grid_module.DyadicCube.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+        monkeypatch.setattr(grid_module.DyadicCube, "__init__", counted)
+        weights.star_constant(w, 2.0)
+        scan, built[:] = len(built), []
+        report = necessity_check(w, 2.0)
+        assert len(built) <= scan + 1
+        assert [(row["level"], row["index"]) for row in report.per_cube] == [
+            (cube.level, list(cube.index)) for cube in all_cubes(grid)]
+        built.clear()
+        verify_weight(w, 2.0, n_random=8)
+        assert len(built) <= scan + 2
 
     # chi_Q and sigma chi_Q ratios of the three cubes of a 1-D depth-1 grid
     # (the root, then [0, 1/2) and [1/2, 1)), with a nan sigma chi_Q row and
