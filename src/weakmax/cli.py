@@ -76,41 +76,50 @@ def _json_float(x: float) -> str:
     return "-Infinity" if x == -math.inf else float.__repr__(x)
 
 
-def _cube_rows(rows: list, indent: str) -> str:
-    """The JSON of a list of per_cube rows ({"level", "index", "ratio"},
-    Python ints and floats) as ``json.dumps(rows, sort_keys=True, indent=2)``
-    writes it below a key indented by ``indent``."""
+def _cube_rows(rows: list, indent: str, out: list):
+    """Append to ``out`` the JSON of a list of per_cube rows ({"level",
+    "index", "ratio"}, Python ints and floats) as ``json.dumps(rows,
+    sort_keys=True, indent=2)`` writes it below a key indented by ``indent``."""
     i2, i4, i6 = indent + "  ", indent + "    ", indent + "      "
     head, comma = f"{i2}{{\n{i4}\"index\": [\n{i6}", f",\n{i6}"
     level, ratio, tail = f"\n{i4}],\n{i4}\"level\": ", f",\n{i4}\"ratio\": ", f"\n{i2}}}"
     parts = [head + comma.join(map(int.__repr__, row["index"])) + level
              + int.__repr__(row["level"]) + ratio + _json_float(row["ratio"]) + tail
              for row in rows]
-    return "[\n" + ",\n".join(parts) + f"\n{indent}]"
+    out += ("[\n", ",\n".join(parts), f"\n{indent}]")
 
 
 def _to_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for
     byte.  The stdlib's indented dump runs its pure-Python encoder, and a
-    report's per_cube rows are most of its bytes; so those are written by
-    ``_cube_rows``, one string template per row (see ``_json_at``)."""
-    return _json_at(obj, "") + "\n"
+    report's per_cube rows are most of its bytes; so ``_write_json`` writes
+    those from one string template per row, into pieces joined once at the
+    end."""
+    out = []
+    _write_json(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _json_at(obj, indent: str) -> str:
-    """obj's JSON as it sits at ``indent``: a non-empty dict key by key in
-    sorted order, its non-empty per_cube list by ``_cube_rows``, and any
-    other value by the stdlib with the indent after each newline (json
-    escapes a newline inside a string, so every newline is a line break)."""
+def _write_json(obj, indent: str, out: list):
+    """Append to ``out`` obj's JSON as it sits at ``indent``: a non-empty
+    dict key by key in sorted order, its non-empty per_cube list by
+    ``_cube_rows``, and any other value by the stdlib with the indent after
+    each newline (json escapes a newline inside a string, so every newline
+    is a line break)."""
     if type(obj) is not dict or not obj:
-        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
-    inner, items = indent + "  ", []
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent))
+        return
+    inner, sep = indent + "  ", "{\n"
     for key in sorted(obj):
         value = obj[key]
-        text = (_cube_rows(value, inner) if key == "per_cube" and type(value) is list and value
-                else _json_at(value, inner))
-        items.append(f"{inner}{json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+        out.append(f"{sep}{inner}{json.dumps(key)}: ")
+        if key == "per_cube" and type(value) is list and value:
+            _cube_rows(value, inner, out)
+        else:
+            _write_json(value, inner, out)
+        sep = ",\n"
+    out.append(f"\n{indent}}}")
 
 
 def _to_csv(rows: list[dict]) -> str:

@@ -478,6 +478,8 @@ def _necessity(res: _Resolved, p, alpha, q, sigma_rows) -> VerificationReport:
         raise ValueError(_DEGENERATE)
     i = int(np.argmax(sigma_rows))  # the first maximum
     best = float(sigma_rows[i])
+    # zip takes a level's index before its ratio, so it stops at the level's
+    # last cube without drawing the next level's first ratio
     ratios, rows = iter(sigma_rows.tolist()), []
     for level in range(grid.depth + 1):
         side = (2 ** level,) * grid.n
