@@ -358,9 +358,10 @@ class TestOverflowToInfinity:
         assert values["ap"] == values["apq_star"] == math.inf
 
     def test_power_cell_averages_past_the_float_range(self, tmp_path, capsys):
-        # |x - 0.3|^2 on a root of side 2.6e202: sigma = |x - 0.3|^-2 is not
-        # integrable at the centre, and the harmonic average of w on a far
-        # cell, |cell| / int |x - 0.3|^-2, overflows
+        # |x - 0.3|^2 on a root of side 2.6e202: w's integral on a far cell
+        # overflows, and so does the harmonic average |cell| / int |x - 0.3|^-2
+        # that stands in for it; sigma = |x - 0.3|^-2 is not integrable at
+        # the centre, so the bound is +inf
         path = write_power(tmp_path, "pw.json", 0.3, 2.0, [0.0, 2.6290184562006376e+202])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
