@@ -11,7 +11,8 @@ tabulated weights (1-D to 3-D, a constant one, one with zero cells, one
 near 2^900) and power weights, ``verify_weight`` on |x - 1e300|^2.5, whose
 cell averages leave the float range, and with a q but alpha = 0, and
 ``verify_weight`` at the benchmark's sizes (1-D depth 10, plain and
-fractional, |x|^-1 at depth 10, 2-D depth 5); ``lemma_suite``;
+fractional, |x|^-1 at depth 10, 2-D depth 5); ``lemma_suite``, also at
+the benchmark's sizes (1-D depth 8, 2-D depth 4, 64 unions per cube);
 the CZ chain (``cz_decompose``, ``build_sparse``, ``sparse_sum``); and the
 CLI on ``tests/data/constants/*.weight.json`` and, with ``verify`` and
 ``necessity --format csv``, on the benchmark-size weights.
@@ -218,6 +219,12 @@ def corpus(toy: bool):
             yield (f"{name}/verify/p2.0_q{q}",
                    lambda w=w, alpha=alpha, q=q, d=d:
                    verify_weight(w, 2.0, alpha, q, seed=7, n_random=8, depth=d))
+        # lemma_suite at the benchmark's sizes, where about one 4-cell union
+        # in seven falls back to one cell
+        for name in ("tab1d_d8", "tab2d_d4"):
+            for q in (None, 4.0):
+                yield (f"{name}/lemmas_n64/q{q}",
+                       lambda w=named[name], q=q: lemma_suite(w, 2.0, q, n_random=64))
         # the CLI's row writer on the 2,047 and 1,365 per_cube rows of these
         verify = ["verify", "--n-random", "8"]
         for name, w, tag, argv in (("bench1d_d10", w1, "verify", verify),

@@ -55,9 +55,9 @@ class CubeRows:
     Built once per call: the suites' scaled level sums, running maxima and
     norm integrands; W = ``kernel.direct_w`` in blocks, one per cube of
     levels 1..depth, each sorted ascending; each block's own weak scan (its
-    cells' W against ranks within the block) and largest W, each as the max
-    over the block's siblings; and, for the upper bounds, each block's scan
-    to the power r (``scan_power``) and the sum of its siblings' (``sib_sum``).
+    cells' W against ranks within the block), as the max over the block's
+    siblings; and, for the upper bounds, each block's scan to the power r
+    (``scan_power``) and the sum of its siblings' (``sib_sum``).
 
     A block is addressed by its position b in the blocks of every level, in
     order; ``block_vals`` holds each block's sorted W, and ``block_keys``
@@ -100,7 +100,7 @@ class CubeRows:
         blocks = self.first[-1] + 2 ** (depth * n) if depth else 0
         self.block_vals, self.block_keys = np.empty(depth * size), np.empty(depth * size, np.intp)
         self.block_ends = np.empty(blocks, dtype=np.intp)
-        self.sib_scan, self.sib_top = np.empty(blocks), np.empty(blocks)
+        self.sib_scan = np.empty(blocks)
         self.scan_power, self.sib_sum = np.empty(blocks), np.empty(blocks)
         for level in range(1, depth + 1):
             ranks = np.sort(cube_blocks(rank, grid, level), axis=-1)
@@ -119,7 +119,6 @@ class CubeRows:
             self.scan_power[first:first + count] = power
             scan[~(scan >= _TINY)] = 0.0  # a subnormal scan bounds nothing from below
             self.sib_scan[first:first + count] = scan[siblings].max(axis=0)
-            self.sib_top[first:first + count] = block[siblings, -1].max(axis=0)
 
     def _ancestors(self, level: int, chunk: np.ndarray) -> np.ndarray:
         """For each cube of the chunk, the blocks of its ancestors at levels
@@ -159,9 +158,9 @@ class CubeRows:
         for start in range(0, len(live), step):
             at = live[start:start + step]
             chunk = cubes[at]
-            finite, nums = self._scan(level, chunk, C[chunk], run[chunk])
             values, error = self.kernel.finish(
-                finite, nums, self._node_sums(suite, level, chunk),
+                self._scan(level, chunk, C[chunk], run[chunk]),
+                self._node_sums(suite, level, chunk),
                 lambda i: C[chunk[i], level] > 0.0 or run[chunk[i]].max() > 0.0)
             out[at[:len(values)]] = values
             if error:
@@ -207,10 +206,10 @@ class CubeRows:
 
     def _lower_bounds(self, level: int, chunk: np.ndarray, C: np.ndarray, run: np.ndarray,
                       ancestors: np.ndarray | None):
-        """The rows' on-Q runs, sorted (R, cells of Q), whether every cell
-        of each row is finite, and L, a lower bound of each row's weak norm:
-        the larger of the on-Q run's scan against ranks within Q and, for
-        each k < level, the largest block scan of a sibling of A_{k+1}
+        """The rows' on-Q runs, sorted (R, cells of Q), and L, a lower
+        bound of each row's weak norm: the larger of the on-Q run's scan
+        against ranks within Q and, for each k < level, the largest block
+        scan of a sibling of A_{k+1}
         (``ancestors`` holds A_{k+1}'s block) times C_Q(k), less the
         margin.  A cell's rank in Q or in its block is at most its rank in
         the row, so each is at most the row's scan.
@@ -220,16 +219,14 @@ class CubeRows:
         with np.errstate(all="ignore"):  # a row past the float range fails in finish
             h = self.w_blocks[level][chunk] * np.maximum(C[:, level:], run)
             h.sort(axis=-1)
-            finite = np.isfinite(h[:, -1])
             low = (h * counts[size - h.shape[1]:]).max(axis=-1)
             if level:
-                finite &= np.isfinite(self.sib_top[ancestors] * rings).all(axis=-1)
                 low = np.maximum(low, (self.sib_scan[ancestors] * rings).max(axis=-1)
                                  * (1.0 - _SELECT_MARGIN))
-        return h, finite, low
+        return h, low
 
     def _scan(self, level: int, chunk: np.ndarray, C: np.ndarray, run: np.ndarray):
-        """Each row's finiteness and weak norm, nan where it is not finite.
+        """Each row's weak norm.
 
         Row Q is sorted runs: W max(C_Q(level), run_level) sorted within Q,
         and, for each k < level and each sibling D of A_{k+1}, D's sorted W
@@ -240,12 +237,14 @@ class CubeRows:
         at or above tau then keeps its descending rank in the whole row, so
         the cells taken, sorted per row against the same counts, have the
         row's scan as their max.  Where L or tau is not a normal float a row
-        takes every cell.
+        takes every cell.  A cell past the float range is always taken (at
+        or above any finite tau), so the row's scan is not finite either,
+        and ``finish`` names the overflow.
         """
         counts, size = self.kernel.counts, self.grid.finest_count
         width, rings = run.shape[1], C[:, :level]
         ancestors = self._ancestors(level, chunk) if level else None
-        h, finite, low = self._lower_bounds(level, chunk, C, run, ancestors)
+        h, low = self._lower_bounds(level, chunk, C, run, ancestors)
         with np.errstate(all="ignore"):
             tau = low * (1.0 - _SELECT_MARGIN) / counts[0]
             # both normal, with room, so every product compared with tau is
@@ -264,9 +263,8 @@ class CubeRows:
                     self.w_sorted, limit)[..., None])
                 lengths = self.block_ends[blocks] - starts
                 taken = taken + lengths.sum(axis=(1, 2))
-        nums = np.full(len(chunk), np.nan)
-        order = np.flatnonzero(finite)
-        order = order[np.argsort(taken[order], kind="stable")]
+        nums = np.empty(len(chunk))
+        order = np.argsort(taken, kind="stable")
         cap = self.chunk // 2  # a group's few arrays stay within chunk_bytes
         pos = 0
         while pos < len(order):
@@ -286,12 +284,13 @@ class CubeRows:
                 scale = np.repeat(rings[group], self.masks.shape[1], axis=1).ravel()
                 parts = parts.ravel()
                 w_taken = self.block_vals[_ragged(starts[group].ravel(), parts)]
-                vals.flat[_ragged(at.ravel(), parts)] = w_taken * np.repeat(scale, parts)
+                with np.errstate(all="ignore"):  # an overflowed cell fails in finish
+                    vals.flat[_ragged(at.ravel(), parts)] = w_taken * np.repeat(scale, parts)
             vals.sort(axis=-1)
             with np.errstate(over="ignore"):  # an overflowed norm fails in finish
                 nums[group] = _sorted_scan(vals, counts[size - cells:])
             pos = end
-        return finite, nums
+        return nums
 
     def _node_sums(self, suite: int, level: int, chunk: np.ndarray) -> np.ndarray:
         """The norm sums of the rows of these cubes, each as numpy sums the

@@ -178,39 +178,37 @@ class _RatioKernel:
         """Weak-type ratio of every row, from its (B, N) maximal function mf
         and the cell sum of its norm integrand; mf is left unchanged.  The
         rows are checked by ``finish``, which raises here."""
-        # Everything upstream is nonnegative, so an overflow in M f or in the
-        # product leaves inf or nan in the row, and the ascending sort puts it
-        # last (nan sorts last).
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # an overflowed row fails in finish
             direct = self.direct_w * mf
             direct.sort(axis=-1)
-            finite = np.isfinite(direct[..., -1])
             nums = _sorted_scan(direct, self.counts)
-        out, error = self.finish(finite, nums, den_sums, lambda i: mf[i].max() > 0.0)
+        out, error = self.finish(nums, den_sums, lambda i: mf[i].max() > 0.0)
         if error:
             raise ValueError(error)
         return out
 
-    def finish(self, finite: np.ndarray, nums: np.ndarray, den_sums: np.ndarray,
+    def finish(self, nums: np.ndarray, den_sums: np.ndarray,
                positive) -> tuple[list[float], str | None]:
-        """The ratios of rows in order, from each row's finiteness (every
-        cell of its numerator function finite), weak norm and norm sum, up
-        to the first failing row, and that row's error message (None if no
-        row fails); ``positive(i)`` tells whether row i's maximal function
-        has a positive cell, and is asked only of a row whose norm vanishes.
+        """The ratios of rows in order, from each row's weak norm and norm
+        sum, up to the first failing row, and that row's error message (None
+        if no row fails); ``positive(i)`` tells whether row i's maximal
+        function has a positive cell, and is asked only of a row whose norm
+        vanishes.
 
-        The numerator function, its weak norm and the weighted norm must be
-        finite, and the norm must not vanish.  The rows' cells are checked
-        finite before any sweep, so a value past the float range here is an
-        overflow, and the error names it.  The final 1/p power is a
+        The weak norm and the weighted norm must be finite, and the norm
+        must not vanish.  The rows' cells are checked finite before any
+        sweep, so a value past the float range here is an overflow, and the
+        error names it.  A numerator cell past the float range leaves the
+        weak norm past it too: an inf or nan cell times its count is inf or
+        nan, and the row's max keeps it.  The final 1/p power is a
         Python-float power, which numpy's array power does not always match
         to the last bit.
         """
         cm = self.grid.cell_measure
         out = []
-        for ok, num, den_sum in zip(finite.tolist(), nums.tolist(), den_sums.tolist()):
+        for num, den_sum in zip(nums.tolist(), den_sums.tolist()):
             den = (den_sum * cm) ** (1.0 / self.p)
-            if not (ok and math.isfinite(den) and math.isfinite(num)):
+            if not (math.isfinite(den) and math.isfinite(num)):
                 return out, _OVERFLOW
             if den == 0.0:
                 return out, _TOO_WIDE if positive(len(out)) else _DEGENERATE
@@ -544,70 +542,67 @@ def _window_min(d: np.ndarray, k: int) -> np.ndarray:
 
 
 class _UnionStream:
-    """The draws of ``lemma_suite``'s random cell unions, read from the
-    PCG64 output of a fresh ``default_rng(seed)`` in chunks, exactly as the
-    per-union loop
+    """The draws of ``lemma_suite``'s random cell unions, read from a fresh
+    ``default_rng(seed)`` in chunks, exactly as the per-union loop
 
         keep = rng.random(k) < rng.uniform(0.1, 0.9)
         if not keep.any():
             keep[rng.integers(k)] = True
 
-    consumed them, for unions of k = 2^b >= 2 cells.  Each 64-bit word of
-    ``random_raw`` is one double, (word >> 11) * 2^-53: k of them for
-    ``random(k)``, then one for ``uniform``, which is 0.1 + (0.9 - 0.1) * d.
-    ``integers(k)`` is Lemire's method on one 32-bit draw, which for k = 2^b
-    never rejects and returns the draw's top b bits.  A 32-bit draw splits
-    the next word and holds its upper half for the draw after it.  The
-    generator starts with no half held, so every other fallback splits a new
-    word, and the held half carries from one chunk or level to the next.
+    consumed them, for unions of k = 2^b >= 2 cells, but with each
+    fallback's mask left empty.  ``random`` and ``uniform`` read one 64-bit
+    word per double (``uniform`` is 0.1 + (0.9 - 0.1) d), so the stream
+    reads the words as doubles with ``random``: k for a union's cells, then
+    its threshold.  ``integers(k)`` reads one 32-bit half: a fallback splits
+    the next word and holds its upper half for the fallback after it, which
+    reads no word, and ``random`` leaves the held half alone.  The generator
+    starts with no half held, so every other fallback, from the first on,
+    splits a word; which one is next carries from one chunk or level to the
+    next.  A fallback keeps one cell of Q, whose ratio the subcube check
+    takes with the same floats, so the cell it draws is not needed.
     """
 
     def __init__(self, seed: int):
-        self.bitgen = np.random.PCG64(seed)
-        self.upper = None  # the held upper half of the last split word
+        self.random = np.random.default_rng(seed).random
+        self.split = True  # whether the next fallback splits a word
 
     def unions(self, k: int, count: int):
         """Yield the keep masks of the next ``count`` unions of k cells, in
         order, as (B, k) boolean arrays of at most UNION_CHUNK_BYTES (and
-        at least one union)."""
+        at least one union); a fallback's row is empty."""
         rows = _union_rows(k)
-        pending = np.empty(0, dtype=np.uint64)
+        pending = np.empty(0)
         while count:
             keep, pending = self._chunk(k, min(rows, count), pending)
             count -= len(keep)
             yield keep
 
     def _chunk(self, k: int, most: int, pending: np.ndarray):
-        """The keep masks of at most ``most`` unions, and the words read for
-        the next ones.  ``pending`` (the words left over by the last chunk)
-        is shorter than one union, so no word is read past the ``most`` *
-        (k + 1) words that the unions consume at the least."""
-        words = np.concatenate((pending, self.bitgen.random_raw(most * (k + 1) - pending.size)))
-        d = (words >> np.uint64(11)) * 2.0 ** -53
+        """The keep masks of at most ``most`` unions, and the doubles read
+        for the next ones.  ``pending`` (the doubles left over by the last
+        chunk) is shorter than one union, so no word is read past the
+        ``most`` * (k + 1) words that the unions consume at the least."""
+        d = np.concatenate((pending, self.random(most * (k + 1) - pending.size)))
         # a union starting at word s: doubles d[s:s + k], threshold thresholds[s]
         thresholds = _LOW + (_HIGH - _LOW) * d[k:]
-        starts, rows, halves, end = self._walk(words, d, thresholds, k)
+        starts, end = self._walk(d, thresholds, k)
         keep = d[starts[:, None] + np.arange(k)] < thresholds[starts, None]
-        if rows:
-            keep[rows, np.array(halves) >> (33 - k.bit_length())] = True
-        return keep, words[end:].copy()
+        return keep, d[end:].copy()
 
-    def _walk(self, words: np.ndarray, d: np.ndarray, thresholds: np.ndarray, k: int):
-        """The starts of the unions that fit in the chunk, the rows of their
-        fallbacks and each fallback's 32-bit draw, and the end of the words
-        they consume.
+    def _walk(self, d: np.ndarray, thresholds: np.ndarray, k: int):
+        """The starts of the unions that fit in the chunk, and the end of
+        the words they consume.
 
         Without a fallback the unions start every k + 1 words.  A union
         keeps nothing where the least of its k doubles is at least its
         threshold, which a sliding minimum tells for every start at once.
         The walk goes from one empty union to the next, through each start's
         next empty start in its residue class mod k + 1: a fallback that
-        splits a new word moves every later start one word on, and one that
+        splits a word moves every later start one word on, and one that
         reads the held half moves nothing.
         """
         span = k + 1
         last = thresholds.size - 1  # the last start at which a whole union fits
-        rows, halves = [], []
         splits = []  # the row after each fallback that split a word
         empty = np.flatnonzero(_window_min(d, k)[:last + 1] >= thresholds)
         if len(empty):
@@ -618,20 +613,17 @@ class _UnionStream:
             after = np.minimum.accumulate(after.reshape(lines, span)[::-1], axis=0)[::-1].ravel()
             pos = 0
             while pos <= last and (e := int(after[pos])) <= last:
-                rows.append((e - len(splits)) // span)
                 pos = e + span
-                if self.upper is None:  # split the next word, which may follow the chunk
-                    word = int(words[pos] if pos < words.size else self.bitgen.random_raw())
-                    halves.append(word & 0xFFFFFFFF)
-                    self.upper, pos = word >> 32, pos + 1
-                    splits.append(rows[-1] + 1)
-                else:
-                    halves.append(self.upper)
-                    self.upper = None
+                if self.split:  # the split word, which may follow the chunk
+                    if pos == d.size:
+                        self.random()
+                    splits.append((e - len(splits)) // span + 1)
+                    pos += 1
+                self.split = not self.split
         # union r starts r * span words in, plus one per word split before it
         count = max((last - len(splits)) // span + 1, splits[-1] if splits else 0)
         starts = np.arange(count) * span + np.searchsorted(splits, np.arange(count), side="right")
-        return starts, rows, halves, count * span + len(splits)
+        return starts, count * span + len(splits)
 
 
 def _union_worst(stream: _UnionStream, masses: np.ndarray, sigma_q: np.ndarray, c_rh: float,
@@ -654,6 +646,8 @@ def _union_worst(stream: _UnionStream, masses: np.ndarray, sigma_q: np.ndarray, 
         done += len(keep)
         kept = keep.sum(axis=1)
         for m in np.flatnonzero(np.bincount(kept)).tolist():
+            if not m:  # fallbacks, whose one cell the subcube check takes
+                continue
             rows = np.flatnonzero(kept == m)
             cubes = cube[rows]
             sigma_e = masses[cubes][keep[rows]].reshape(-1, m).sum(axis=1)
@@ -681,18 +675,19 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
             keep[rng.integers(k)] = True
 
     with one fresh rng = default_rng(seed) for the whole suite.  They are
-    evaluated per level in chunks, from the same PCG64 stream
+    evaluated per level in chunks, from the same generator
     (``_UnionStream(seed)``): random and uniform each read one 64-bit word
-    per double, and integers(k) the top b bits of one 32-bit half, so the
-    unions' words follow one another in stream order, and only a fallback
-    that splits a new word moves the later ones.  A union's
-    sigma(E) is its kept masses summed in ascending cell order with numpy's
-    pairwise rounding, as the loop's sum of ``cell_mass[e_cells]``, and
-    the ratio is taken in the loop's order of operations, so every check
-    and the worst ratio are bit-identical to the loop's.  A union of at
-    most two cells is Q or one of its cells, whose ratio the subcube check
-    takes with the same floats, so those levels, the last, draw nothing;
-    ``subset_checks`` still counts their unions.
+    per double, and integers(k) one 32-bit half, so the unions' words
+    follow one another in stream order, and only a fallback that splits a
+    new word moves the later ones.  A union's sigma(E) is its kept masses
+    summed in ascending cell order with numpy's pairwise rounding, as the
+    loop's sum of ``cell_mass[e_cells]``, and the ratio is taken in the
+    loop's order of operations.  A fallback, and any union of at most two
+    cells, is Q or one of its cells, whose ratio the subcube check takes
+    with the same floats; so a fallback's cell is not drawn, the levels of
+    at most two cells (the last) draw nothing, and the worst ratio is
+    bit-identical to the loop's.  ``subset_checks`` still counts every
+    union.
     """
     _require_suite(n_random, seed)
     sigma = dual_weight(w, p, "ap" if q is None else "apq")

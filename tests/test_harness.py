@@ -30,7 +30,7 @@ from weakmax import (
 )
 from weakmax import cuberows, grid as grid_module, harness, weights
 from weakmax.grid import cube_blocks
-from weakmax.lorentz import weak_scan
+from weakmax.lorentz import _sorted_scan, weak_scan
 
 from conftest import constant, unit_grid
 from test_weights import power_weights
@@ -507,9 +507,14 @@ def engine_cases(draw):
     return w, p, grid.n / 4.0, 1.0 / (1.0 / p - 0.25), g
 
 
+# the errors a row's checks name (``_RatioKernel.finish``)
+ROW_ERRORS = (harness._OVERFLOW, harness._TOO_WIDE, harness._DEGENERATE)
+
+
 def _engine_and_dense(w, p, alpha, q, g):
     """The sigma chi_Q, chi_Q and g chi_Q rows of the engine and of the
-    dense oracle, unpruned; a sweep's error message in place of its rows."""
+    dense oracle, unpruned; a sweep's row error in place of its rows.  Any
+    other error propagates, so that a crash is never read as a mismatch."""
     sigma = dual_weight(w, p, "ap" if q is None else "apq").values
     kernel = harness._RatioKernel(w, p, q)
     suites = np.stack([sigma, np.ones_like(sigma), g])
@@ -518,6 +523,8 @@ def _engine_and_dense(w, p, alpha, q, g):
         try:
             out.append(sweep(kernel, suites, alpha))
         except ValueError as exc:
+            if str(exc) not in ROW_ERRORS:
+                raise
             out.append(str(exc))
     return out
 
@@ -526,7 +533,8 @@ def _assert_engine_matches(case):
     try:
         engine, dense = _engine_and_dense(*case)
     except ValueError as exc:  # sigma = w^(1 - p') leaves the float range
-        assert "overflows" in str(exc)
+        if "overflows" not in str(exc):
+            raise
         return
     if isinstance(dense, str):
         assert engine == dense
@@ -561,9 +569,18 @@ class TestSortedRunEngine:
 
     @staticmethod
     def _assert_caught():
-        with pytest.raises(AssertionError):
-            for case in MUTATION_CASES:
+        # a mutant is caught where its rows or its row error differ from the
+        # dense oracle's on some case; any other error is a crash, which is
+        # not a catch, so a mutant or a wrapper that only crashes fails here
+        caught = 0
+        for case in MUTATION_CASES:
+            try:
                 _assert_engine_matches(case)
+            except AssertionError:
+                caught += 1
+            except Exception:  # a crash
+                pass
+        assert caught
 
     def test_doubled_lower_bound_is_caught(self, monkeypatch):
         # a mutation check: with L_Q doubled, cells that attain a row's norm
@@ -571,8 +588,8 @@ class TestSortedRunEngine:
         real = cuberows.CubeRows._lower_bounds
 
         def doubled(self, *args):
-            h, finite, low = real(self, *args)
-            return h, finite, 2.0 * low
+            h, low = real(self, *args)
+            return h, 2.0 * low
         monkeypatch.setattr(cuberows.CubeRows, "_lower_bounds", doubled)
         self._assert_caught()
 
@@ -751,6 +768,18 @@ class TestRatioKernel:
         kernel, mf, den_sums = self._failing_chunk(kinds)
         with pytest.raises(error, match=message):
             kernel(mf, den_sums)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_cell_names_the_overflow(self, bad):
+        # a row with an inf or nan numerator cell has a weak norm past the
+        # float range, and finish names the overflow there, after the rows
+        # before it
+        kernel = harness._RatioKernel(constant(unit_grid(3), 1.0), 2.0, None)
+        rows = np.array([[1.0] * 8, [0.0] * 4 + [1.0, 2.0, 3.0, bad]])
+        nums = _sorted_scan(rows, kernel.counts)
+        assert np.isfinite(nums[0]) and not np.isfinite(nums[1])
+        out, error = kernel.finish(nums, np.ones(2), lambda i: True)
+        assert (out, error) == ([nums[0] / 0.125 ** 0.5], harness._OVERFLOW)
 
     def test_underflowing_integrand_is_named(self):
         # w spans e^+-700, so w^p underflows to 0 on the cells where a sigma
@@ -1241,13 +1270,15 @@ LEMMA_IDS = [f"{n}d_depth{depth}" for n, depth in LEMMA_GRIDS] + ["power"]
 
 def old_unions(rng, k, count):
     """The keep masks of ``count`` unions of k cells, drawn one union at a
-    time as ``oracles.random_cell_union`` draws them."""
+    time as ``oracles.random_cell_union`` draws them, and which of them
+    are fallbacks (no cell kept before ``integers``)."""
     masks = np.zeros((count, k), dtype=bool)
-    for row in masks:
+    fallbacks = np.zeros(count, dtype=bool)
+    for row, i in zip(masks, range(count)):
         row[:] = rng.random(k) < rng.uniform(0.1, 0.9)
         if not row.any():
-            row[rng.integers(k)] = True
-    return masks
+            row[rng.integers(k)] = fallbacks[i] = True
+    return masks, fallbacks
 
 
 class TestLemmaSuite:
@@ -1282,7 +1313,9 @@ class TestLemmaSuite:
         # masked sum per union, on cell masses spread over many binary
         # orders, or near the top of the float range, where sums and
         # products overflow (rhs inf or nan); in chunks of one or three
-        # unions, chunk edges fall on fallbacks
+        # unions, chunk edges fall on fallbacks.  The stream leaves out a
+        # fallback's one cell, so both sides take every single cell's ratio,
+        # as lemma_suite's subcube check does
         if rows is not None:
             monkeypatch.setattr(harness, "_union_rows", lambda k: rows)
         lat = unit_grid(depth, n)
@@ -1300,9 +1333,12 @@ class TestLemmaSuite:
                 return (m / k) ** 3.0
             with np.errstate(over="ignore", invalid="ignore"):
                 sigma_q = cell_mass[cells].sum(axis=1)
-                got = harness._union_worst(stream, cell_mass[cells], sigma_q, 1.7, n_random,
-                                           lhs_of)
-                want = 0.0
+                cell_rhs = 1.7 * cell_mass[cells] / sigma_q[:, None]
+                single = float(np.divide(lhs_of(1), cell_rhs, out=np.full(cell_rhs.shape, math.inf),
+                                         where=cell_rhs > 0).max())
+                got = max(single, harness._union_worst(stream, cell_mass[cells], sigma_q, 1.7,
+                                                       n_random, lhs_of))
+                want = single
                 for q_cells, sq in zip(cells, sigma_q.tolist()):
                     for _ in range(n_random):
                         e_cells = random_cell_union(rng, q_cells)
@@ -1314,10 +1350,11 @@ class TestLemmaSuite:
     def test_union_stream(self, monkeypatch, rows):
         # the chunked reader against a fresh Generator's random(k), uniform
         # and integers(k) called in the per-union loop's order, for many
-        # seeds and power-of-two k >= 2; the last k = 2 run follows unions
-        # without fallbacks, so the held half carries across levels, and
-        # chunks of one or three unions put fallbacks and split words on
-        # chunk edges.  NumPy does not promise
+        # seeds and power-of-two k >= 2: the same masks, except that a
+        # fallback's row is empty, and the empty rows are the fallbacks.
+        # The last k = 2 run follows unions without fallbacks, so the held
+        # half carries across levels, and chunks of one or three unions put
+        # fallbacks and split words on chunk edges.  NumPy does not promise
         # stable Generator streams across versions: if this fails,
         # lemma_suite's random unions no longer repeat the loop's.
         if rows is not None:
@@ -1327,7 +1364,9 @@ class TestLemmaSuite:
             old, stream = np.random.default_rng(seed), harness._UnionStream(seed)
             for k, count in plan:
                 keep = np.concatenate(list(stream.unions(k, count)))
-                assert (keep == old_unions(old, k, count)).all(), \
+                want, fallbacks = old_unions(old, k, count)
+                want[fallbacks] = False
+                assert (keep == want).all() and (keep.any(axis=1) != fallbacks).all(), \
                     f"union stream differs from numpy's Generator (seed {seed}, k {k})"
 
     def test_sigma_underflow(self):

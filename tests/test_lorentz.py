@@ -13,7 +13,7 @@ from weakmax import (
     lorentz_norm,
     weak_norm,
 )
-from weakmax.lorentz import weak_scan
+from weakmax.lorentz import _descending_counts, _sorted_scan, weak_scan
 
 from conftest import constant, step_functions, unit_grid
 from oracles import all_cubes, cube_weak_norm, lorentz_holder_check, power_identity_check
@@ -117,6 +117,21 @@ class TestWeakScan:
         before = values.copy()
         weak_scan(values, 0.25, 2.0)
         assert np.array_equal(values, before)
+
+    @given(st.integers(0, 2 ** 16), st.integers(1, 64), st.integers(-1000, 1000),
+           st.sampled_from([1.0, 1.01, 1.5, 2.0, 3.0, 50.0]), st.sampled_from([math.inf, math.nan]))
+    def test_non_finite_cell_leaves_the_scan(self, seed, size, scale, p, bad):
+        # what the ratio rows' overflow check rests on: an ascending row
+        # with a +inf or nan cell (sorted last) scans to inf or nan against
+        # positive counts, whatever its other cells, zeros included
+        rng = np.random.default_rng(seed)
+        row = np.ldexp(rng.integers(0, 3, size) * rng.random(size), rng.integers(-1074, 1000, size))
+        row[rng.integers(size)] = bad
+        row.sort()
+        counts = _descending_counts(size, 2.0 ** scale, p)
+        assert (counts > 0).all()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(_sorted_scan(row[None], counts)[0])
 
 
 class TestLorentzNorm:
