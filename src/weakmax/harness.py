@@ -487,6 +487,8 @@ def _necessity(res: _Resolved, p, alpha, q, sigma_rows) -> VerificationReport:
     context = {"check": "necessity", "p": p, "q": q, "alpha": alpha,
                "n": grid.n, "depth": grid.depth, "star_constant": res.star.value,
                "mode": res.mode}
+    if not math.isfinite(res.star.value):  # nor is the bound, which no ratio reaches
+        context["diagnostic"] = "star constant is infinite; bound is vacuous"
     # Exactly, best >= bound (see necessity_check).  Each float is at most a
     # few thousand roundings of 2^-53 off its exact value: pairwise sums of at
     # most 2^24 cells (24 roundings a term), averages, products and weak

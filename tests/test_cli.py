@@ -252,6 +252,19 @@ class TestNecessityCommand:
         assert 2.0 ** 23 < report["measured_ratio"] < report["theoretical_bound"]
         assert report["verdict"] is True and report["tolerance_factor"] == 1e-9
 
+    # sigma = |x - c|^-2 is not locally integrable at the centre, so the star
+    # constant and the bound are +inf: the verdict fails, as sufficiency's
+    # does, and says why
+    @pytest.mark.parametrize("center,root", [(0.0, [0.0, 1.0]),
+                                             (0.3, [0.0, 2.6290184562006376e+202])])
+    def test_infinite_star_constant_is_named(self, tmp_path, capsys, center, root):
+        path = write_power(tmp_path, "pw.json", center, 2.0, root)
+        assert main(["necessity", "--weight", path, "--p", "2", "--depth", "4"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["theoretical_bound"] == report["context"]["star_constant"] == math.inf
+        assert report["verdict"] is False
+        assert report["context"]["diagnostic"] == "star constant is infinite; bound is vacuous"
+
 
 class TestLemmas:
     def test_pass(self, quarters_weight, capsys):
@@ -369,6 +382,19 @@ class TestOverflowToInfinity:
         out, err = capsys.readouterr()
         assert err == ""
         assert json.loads(out)["theoretical_bound"] == math.inf
+
+    def test_power_integral_past_the_float_range(self, tmp_path, capsys):
+        # |x| on [1e300, 1.00001e300]: far from the centre, a cell's integral
+        # d1^a (d1 expm1(b log1p(length / d1)) / b) is about 1e594 and
+        # overflows to +inf, so the harness tabulates w and sigma in a
+        # power-of-two distance unit, where both sides hold
+        path = write_power(tmp_path, "pw.json", 0.0, 1.0, [1e300, 1.00001e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--weight", path, "--depth", "3", "--n-random", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["verdict"] is True
 
 
 class TestFarCentre:
