@@ -209,10 +209,9 @@ class CubeRows:
         """The rows' on-Q runs, sorted (R, cells of Q), and L, a lower
         bound of each row's weak norm: the larger of the on-Q run's scan
         against ranks within Q and, for each k < level, the largest block
-        scan of a sibling of A_{k+1}
-        (``ancestors`` holds A_{k+1}'s block) times C_Q(k), less the
-        margin.  A cell's rank in Q or in its block is at most its rank in
-        the row, so each is at most the row's scan.
+        scan of a sibling of A_{k+1} (``ancestors`` holds A_{k+1}'s block)
+        times C_Q(k), less the margin.  A cell's rank in Q or in its block
+        is at most its rank in the row, so each is at most the row's scan.
         """
         counts, size = self.kernel.counts, self.grid.finest_count
         rings = C[:, :level]
@@ -237,9 +236,8 @@ class CubeRows:
         at or above tau then keeps its descending rank in the whole row, so
         the cells taken, sorted per row against the same counts, have the
         row's scan as their max.  Where L or tau is not a normal float a row
-        takes every cell.  A cell past the float range is always taken (at
-        or above any finite tau), so the row's scan is not finite either,
-        and ``finish`` names the overflow.
+        takes every cell.  A cell past the float range is at or above any
+        finite tau, so the row's scan shows it to ``finish``.
         """
         counts, size = self.kernel.counts, self.grid.finest_count
         width, rings = run.shape[1], C[:, :level]

@@ -198,11 +198,10 @@ class _RatioKernel:
         The weak norm and the weighted norm must be finite, and the norm
         must not vanish.  The rows' cells are checked finite before any
         sweep, so a value past the float range here is an overflow, and the
-        error names it.  A numerator cell past the float range leaves the
-        weak norm past it too: an inf or nan cell times its count is inf or
-        nan, and the row's max keeps it.  The final 1/p power is a
-        Python-float power, which numpy's array power does not always match
-        to the last bit.
+        error names it; a numerator cell past it leaves the weak norm past
+        it too (inf or nan times a count is inf or nan).  The final 1/p
+        power is a Python-float power, which numpy's array power does not
+        always match to the last bit.
         """
         cm = self.grid.cell_measure
         out = []
@@ -551,17 +550,13 @@ class _UnionStream:
         if not keep.any():
             keep[rng.integers(k)] = True
 
-    consumed them, for unions of k = 2^b >= 2 cells, but with each
-    fallback's mask left empty.  ``random`` and ``uniform`` read one 64-bit
-    word per double (``uniform`` is 0.1 + (0.9 - 0.1) d), so the stream
-    reads the words as doubles with ``random``: k for a union's cells, then
-    its threshold.  ``integers(k)`` reads one 32-bit half: a fallback splits
-    the next word and holds its upper half for the fallback after it, which
-    reads no word, and ``random`` leaves the held half alone.  The generator
-    starts with no half held, so every other fallback, from the first on,
-    splits a word; which one is next carries from one chunk or level to the
-    next.  A fallback keeps one cell of Q, whose ratio the subcube check
-    takes with the same floats, so the cell it draws is not needed.
+    consumed them, for unions of k = 2^b >= 2 cells, except that a
+    fallback's mask stays empty: its one cell's ratio is the subcube
+    check's.  ``random`` and ``uniform`` (0.1 + (0.9 - 0.1) d) read one
+    64-bit word per double.  ``integers(k)`` reads a 32-bit half: the first
+    fallback splits the next word and holds its upper half, which the next
+    fallback reads, and so on across chunks and levels; ``random`` leaves
+    the held half alone.
     """
 
     def __init__(self, seed: int):
@@ -616,7 +611,7 @@ class _UnionStream:
             pos = 0
             while pos <= last and (e := int(after[pos])) <= last:
                 pos = e + span
-                if self.split:  # the split word, which may follow the chunk
+                if self.split:  # skip the split word, read and dropped past the chunk
                     if pos == d.size:
                         self.random()
                     splits.append((e - len(splits)) // span + 1)
@@ -678,18 +673,15 @@ def lemma_suite(w: Weight, p: float, q: float | None = None, seed: int = 0,
 
     with one fresh rng = default_rng(seed) for the whole suite.  They are
     evaluated per level in chunks, from the same generator
-    (``_UnionStream(seed)``): random and uniform each read one 64-bit word
-    per double, and integers(k) one 32-bit half, so the unions' words
-    follow one another in stream order, and only a fallback that splits a
-    new word moves the later ones.  A union's sigma(E) is its kept masses
-    summed in ascending cell order with numpy's pairwise rounding, as the
-    loop's sum of ``cell_mass[e_cells]``, and the ratio is taken in the
-    loop's order of operations.  A fallback, and any union of at most two
-    cells, is Q or one of its cells, whose ratio the subcube check takes
-    with the same floats; so a fallback's cell is not drawn, the levels of
-    at most two cells (the last) draw nothing, and the worst ratio is
-    bit-identical to the loop's.  ``subset_checks`` still counts every
-    union.
+    (``_UnionStream(seed)``), so only a fallback that splits a new word
+    moves the later unions.  A union's sigma(E) is its kept masses summed
+    in ascending cell order with numpy's pairwise rounding, as the loop's
+    sum of ``cell_mass[e_cells]``, and the ratio is taken in the loop's
+    order of operations.  A fallback, and any union of at most two cells,
+    is Q or one of its cells, whose ratio the subcube check takes with the
+    same floats; so a fallback's cell is not drawn, the last levels, of at
+    most two cells, draw nothing, and the worst ratio is bit-identical to
+    the loop's.  ``subset_checks`` still counts every union.
     """
     _require_suite(n_random, seed)
     sigma = dual_weight(w, p, "ap" if q is None else "apq")

@@ -100,7 +100,8 @@ def _distance_integral(a: float, d1: np.ndarray, d2: np.ndarray,
     if far.any():
         lp = _each(math.log1p, length[far] / d1[far])
         with np.errstate(over="ignore"):  # past the float range: +inf
-            out[far] = lp if a == -1.0 else _pow(d1[far], a) * (d1[far] * _each(math.expm1, b * lp) / b)
+            out[far] = lp if a == -1.0 else (
+                _pow(d1[far], a) * (d1[far] * _each(math.expm1, b * lp) / b))
     off = ~(at0 | far)
     if a == -1.0:
         out[off] = _each(math.log, d2[off] / d1[off])

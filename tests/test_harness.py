@@ -1274,7 +1274,7 @@ def old_unions(rng, k, count):
     are fallbacks (no cell kept before ``integers``)."""
     masks = np.zeros((count, k), dtype=bool)
     fallbacks = np.zeros(count, dtype=bool)
-    for row, i in zip(masks, range(count)):
+    for i, row in enumerate(masks):
         row[:] = rng.random(k) < rng.uniform(0.1, 0.9)
         if not row.any():
             row[rng.integers(k)] = fallbacks[i] = True
@@ -1334,8 +1334,8 @@ class TestLemmaSuite:
             with np.errstate(over="ignore", invalid="ignore"):
                 sigma_q = cell_mass[cells].sum(axis=1)
                 cell_rhs = 1.7 * cell_mass[cells] / sigma_q[:, None]
-                single = float(np.divide(lhs_of(1), cell_rhs, out=np.full(cell_rhs.shape, math.inf),
-                                         where=cell_rhs > 0).max())
+                single = float(np.divide(lhs_of(1), cell_rhs, where=cell_rhs > 0,
+                                         out=np.full(cell_rhs.shape, math.inf)).max())
                 got = max(single, harness._union_worst(stream, cell_mass[cells], sigma_q, 1.7,
                                                        n_random, lhs_of))
                 want = single
