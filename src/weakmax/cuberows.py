@@ -282,8 +282,8 @@ class CubeRows:
                 scale = np.repeat(rings[group], self.masks.shape[1], axis=1).ravel()
                 parts = parts.ravel()
                 w_taken = self.block_vals[_ragged(starts[group].ravel(), parts)]
-                with np.errstate(all="ignore"):  # an overflowed cell fails in finish
-                    vals.flat[_ragged(at.ravel(), parts)] = w_taken * np.repeat(scale, parts)
+                # finite: W C_Q(k) is at most a cell of A_k's row, found finite at level k
+                vals.flat[_ragged(at.ravel(), parts)] = w_taken * np.repeat(scale, parts)
             vals.sort(axis=-1)
             with np.errstate(over="ignore"):  # an overflowed norm fails in finish
                 nums[group] = _sorted_scan(vals, counts[size - cells:])
