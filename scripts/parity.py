@@ -3,9 +3,10 @@
 keeps every output bit for bit.
 
 The corpus covers the seven weight constants and both sigma-RH pairs on
-tabulated 1-D, 2-D and 3-D weights and on power weights whose centre lies
-inside the root, on a lattice edge, outside it and far away; the power
-weights' cell averages (``tabulate``); ``verify_weight``,
+tabulated 1-D, 2-D and 3-D weights, among them cells spread over 2^+-1000
+and a maximum that a cube and its children share, and on power weights
+whose centre lies inside the root, on a lattice edge, outside it and far
+away; the power weights' cell averages (``tabulate``); ``verify_weight``,
 ``sufficiency_check`` and ``necessity_check``, each called alone, on
 tabulated weights (1-D to 3-D, a constant one, one with zero cells, one
 near 2^900) and power weights, ``verify_weight`` on |x - 1e300|^2.5, whose
@@ -162,6 +163,9 @@ def corpus(toy: bool):
         ("constant", StepFunction(g4, np.full(16, 3.0))),
         ("zero_cells", StepFunction(g4, np.r_[np.zeros(4), np.linspace(0.5, 4.0, 12)])),
         ("huge", StepFunction(g4, np.ldexp(np.linspace(1.0, 2.0, 16), 900))),
+        ("spread1000", StepFunction(grid(2, 3), np.ldexp(1.0, np.random.default_rng(
+            [2, 3, 1000]).integers(-1000, 1001, 64)))),
+        ("level_tie", StepFunction(grid(1, 3), [1.0, 1.0, 1.0, 1.0, 1.0, 4.0, 1.0, 4.0])),
     ]
     for name, w in tabulated:
         yield from _constants(name, w, ps, rs, None)

@@ -29,14 +29,6 @@ from .weights import (
     weight_from_dict,
     weight_to_dict,
 )
-from .czsparse import (
-    CZDecomposition,
-    SparseFamily,
-    SparsityError,
-    build_sparse,
-    cz_decompose,
-    sparse_sum,
-)
 from .harness import (
     VerificationReport,
     lemma_suite,
@@ -64,3 +56,15 @@ __all__ = [
     "multiplier_ratio", "necessity_check", "random_step", "random_weight",
     "sufficiency_check", "verify_weight",
 ]
+
+# czsparse loads on first use of one of its names: of the CLI's commands only
+# cz calls it, and each CLI run compiles every module it imports.
+_CZSPARSE = ("CZDecomposition", "SparseFamily", "SparsityError", "build_sparse",
+             "cz_decompose", "sparse_sum")
+
+
+def __getattr__(name):
+    if name in _CZSPARSE:
+        from . import czsparse
+        return getattr(czsparse, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import czsparse, harness, weights
+from . import harness, weights
 from .grid import StepFunction
 from .operators import MaximalQuery, dyadic_maximal
 from .weights import weight_from_dict
@@ -180,6 +180,8 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_cz(args) -> int:
+    from . import czsparse  # the one command that needs it
+
     f = _require_step(_load_weight(args.weight))
     dec = czsparse.cz_decompose(f, a=args.a, alpha=args.alpha)
     family = czsparse.build_sparse(dec)
@@ -293,14 +295,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except czsparse.SparsityError as exc:
-        # a failed certificate is a verification failure, not a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except (CliError, RuntimeError, ValueError) as exc:
-        # the RuntimeError left (SparsityError is caught above) is
-        # cz_decompose's bug check that its stopping cubes tile each level set
         print(f"error: {exc}", file=sys.stderr)
+        # A failed certificate, czsparse.SparsityError, is a verification
+        # failure, not a usage error; only a loaded czsparse can raise it.
+        # Any other RuntimeError is cz_decompose's bug check that its
+        # stopping cubes tile each level set.
+        czsparse = sys.modules.get(f"{__package__}.czsparse")
+        if czsparse is not None and isinstance(exc, czsparse.SparsityError):
+            return EXIT_VERIFICATION
         return EXIT_USAGE
 
 

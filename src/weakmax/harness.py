@@ -255,15 +255,19 @@ class _Resolved(NamedTuple):
     mode: str
 
 
-def _tabulated(pw: PowerWeight, depth: int | None) -> StepFunction:
+def _tabulated(pw: PowerWeight, depth: int | None, name: str) -> StepFunction:
     """pw's cell averages or, where one is 0 or +inf, those of w / u^exponent, u = 2^k
-    near the root's farthest distance from c: the ratio has degree 0 in w and in f."""
+    near the root's farthest distance from c: the ratio has degree 0 in w and in f.
+    A +inf left there is a named error (``name`` is "w" or "sigma")."""
     with suppress(ValueError):  # "cell values must be finite"
         if (tab := pw.tabulate(depth)).values.all():
             return tab
     far = max(abs(pw.left - pw.center), abs(pw.right - pw.center))
-    return StepFunction(pw.lattice(depth),
-                        pw._cell_averages(depth, math.ldexp(0.5, math.frexp(far)[1])))
+    values = pw._cell_averages(depth, math.ldexp(0.5, math.frexp(far)[1]))
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} = |x - {pw.center:g}|^{pw.exponent:g} has a cell average "
+                         f"past the float range at depth {depth}")
+    return StepFunction(pw.lattice(depth), values)
 
 
 def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
@@ -276,8 +280,8 @@ def _resolve_weight(w: Weight, p: float, alpha: float, q: float | None,
     star = star_constant(w, p, q, depth)
     rh = sigma_rh(star)
     if isinstance(w, PowerWeight):
-        return _Resolved(star, rh, _RatioKernel(_tabulated(w, depth), p, q),
-                         _tabulated(sigma, depth), "power")
+        return _Resolved(star, rh, _RatioKernel(_tabulated(w, depth, "w"), p, q),
+                         _tabulated(sigma, depth, "sigma"), "power")
     return _Resolved(star, rh, _RatioKernel(w, p, q), sigma, "tabulated")
 
 

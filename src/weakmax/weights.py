@@ -10,13 +10,15 @@ The power engine evaluates w(x) = |x - center|^exponent on an interval with
 closed-form cube integrals, essential suprema and weak-L^1 norms, so weights
 like |x|^(-1) can be probed without discretization: divergent integrals,
 and closed forms past the float range, produce +inf as a first-class value,
-never an exception.  Both backends evaluate a constant on per-level arrays.
-For power weights each power and log is still taken per element as a Python
-float, because numpy's vectorized ``**`` and ``log`` round some results
-differently, and the values must match the one-cube closed forms bit for
-bit.  Throughout, the 0 * inf = 0 convention applies to degenerate products.
-Three input rules live here alone: w > 0 (``dual_weight``), 1/p - 1/q =
-alpha/n (``check_exponent_relation``) and the scale rule (``_unit_scale``).
+never an exception.  Both backends evaluate a constant on per-level arrays;
+a tabulated star class takes the weak scan only on the cubes that a bound
+by the L^1 norm leaves able to attain its maximum.  For power weights each
+power and log is still taken per element as a Python float, because
+numpy's vectorized ``**`` and ``log`` round some results differently, and
+the values must match the one-cube closed forms bit for bit.  Throughout,
+the 0 * inf = 0 convention applies to degenerate products.  Three input
+rules live here alone: w > 0 (``dual_weight``), 1/p - 1/q = alpha/n
+(``check_exponent_relation``) and the scale rule (``_unit_scale``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .cuberows import _SELECT_MARGIN, _TINY
 from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks, level_value_sums
 from .lorentz import weak_scan
 
@@ -387,6 +390,8 @@ def _dual_apq(p):
     return ("avg", -pc, 1.0 / pc)
 
 
+_STARS = ("ap_star", "apq_star")
+
 _ROWS = {
     "ap": lambda p, q, r: (("avg", 1.0, 1.0), _dual_ap(p)),
     "a1": lambda p, q, r: (("avg", 1.0, 1.0), _ESSSUP_INV),
@@ -415,8 +420,20 @@ def _evaluate(row: tuple, factor, power=operator.pow, divide=operator.truediv):
     return value
 
 
-def _tabulated_levels(row: tuple, w: StepFunction, grid: GridSpec):
-    """Per-level arrays of a row for a tabulated weight.  Each w^e is taken
+def _blocks(values: np.ndarray, grid: GridSpec, lev: int, cubes) -> np.ndarray:
+    """The cells of these cubes of the level, one row per cube (every cube
+    of the level, as ``cube_blocks`` gives them, where ``cubes`` is None)."""
+    if cubes is None:
+        return cube_blocks(values, grid, lev)
+    n, side = grid.n, 2 ** (grid.depth - lev)
+    coords = np.unravel_index(cubes, (2 ** lev,) * n)
+    cells = values.reshape((2 ** lev, side) * n)[sum(((c, slice(None)) for c in coords), ())]
+    return cells.reshape(len(cubes), side ** n)
+
+
+class _TabulatedRow:
+    """A row's values for a tabulated weight: ``row(lev)`` on every cube of
+    a level, ``row(lev, cubes)`` on these cubes of it.  Each w^e is taken
     once; levels are evaluated lazily, so a scan can stop at +inf.
 
     A factor's average is its integral over Q divided by |Q|, unless the
@@ -425,38 +442,99 @@ def _tabulated_levels(row: tuple, w: StepFunction, grid: GridSpec):
     for the whole scan the factor takes the cell sum, or the weak scan's
     rank counts, times |cell| / |Q|, an exact power of two, so an average in
     range stays finite; every other input keeps the bits of the integral
-    route."""
-    vals = w.values
-    cm = grid.cell_measure
-    data, relative = {}, {}
-    for kind, e, _ in row:
-        if kind == "avg":
-            data[kind, e] = level_value_sums(_cell_power(vals, e), grid)
-            relative[kind, e] = not math.isfinite(float(data[kind, e][0][0]) * cm)
-        elif kind == "weak":
-            data[kind, e] = _cell_power(vals, e)
-            relative[kind, e] = not math.isfinite(
-                float(data[kind, e].max()) * (grid.finest_count * cm))
+    route.  A star row also bounds its values (``bounds``).  A cube's value
+    does not depend on the other cubes evaluated with it."""
 
-    def level_values(lev):
-        meas = grid.cube_measure(lev)
+    def __init__(self, row: tuple, w: StepFunction, grid: GridSpec):
+        self.row, self.grid, self.vals = row, grid, w.values
+        cm = grid.cell_measure
+        self.data, self.relative = {}, {}
+        for kind, e, _ in row:
+            if kind == "avg":
+                with np.errstate(over="ignore"):  # a sum past the float range is +inf
+                    self.data[kind, e] = level_value_sums(_cell_power(w.values, e), grid)
+                self.relative[kind, e] = not math.isfinite(float(self.data[kind, e][0][0]) * cm)
+            elif kind == "weak":
+                self.data[kind, e] = _cell_power(w.values, e)
+                self.relative[kind, e] = not math.isfinite(
+                    float(self.data[kind, e].max()) * (grid.finest_count * cm))
+
+    def _average(self, sums: np.ndarray, kind: str, e: float, meas, out=None):
+        """sums |cell| / |Q| in the scale of the factor (kind, e), into out."""
+        cm = self.grid.cell_measure
+        if self.relative[kind, e]:
+            return np.multiply(sums, cm / meas, out=out)
+        return np.divide(np.multiply(sums, cm, out=out), meas, out=out)
+
+    def __call__(self, lev: int, cubes: np.ndarray | None = None) -> np.ndarray:
+        grid, cm, meas = self.grid, self.grid.cell_measure, self.grid.cube_measure(lev)
 
         def factor(kind, e, t):
             if kind == "avg":
-                sums = data[kind, e][lev]
-                return (sums * (cm / meas) if relative[kind, e] else sums * cm / meas), t
+                sums = self.data[kind, e][lev]
+                return self._average(sums if cubes is None else sums[cubes], kind, e, meas), t
             if kind == "weak":
-                blocks = cube_blocks(data[kind, e], grid, lev)
+                blocks = _blocks(self.data[kind, e], grid, lev, cubes)
                 with np.errstate(over="ignore"):  # a weak norm past the float range is +inf
-                    if relative[kind, e]:
+                    if self.relative[kind, e]:
                         return weak_scan(blocks, cm / meas), t
                     return weak_scan(blocks, cm) / meas, t
-            return cube_blocks(vals, grid, lev).min(axis=1), -1.0
+            return _blocks(self.vals, grid, lev, cubes).min(axis=1), -1.0
 
         # a product or quotient of factors past the float range is +inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _evaluate(row, factor)
-    return level_values
+            return _evaluate(self.row, factor)
+
+    def bounds(self) -> np.ndarray:
+        """U, a bound of a star row's value, on every cube of the lattice in
+        lattice order: the value is at most U (1 + _SELECT_MARGIN), see
+        ``_star_levels``.
+
+        The weak factor ||w^e chi_Q||_{1,inf} / |Q| is replaced by the L^1
+        average of w^e, which it never exceeds, taken from w^e's cube sums
+        in the weak factor's own scale (relative or not), floored up at the
+        least normal float and raised by (1 + _SELECT_MARGIN), so that it
+        overflows to +inf wherever the weak average can.  The dual factor is
+        the row's own; U is floored up once more, and is nan where its
+        product is 0 * inf."""
+        (_, e, t), (kind, e_dual, t_dual) = self.row  # the weak factor, then the dual
+        grid = self.grid
+        bound = _lattice_sums(self.data["weak", e], grid)
+        dual = np.concatenate(self.data[kind, e_dual])
+        with np.errstate(invalid="ignore", over="ignore"):  # past the float range: +inf
+            start = 0
+            for lev in range(grid.depth + 1):  # each level's averages, in place
+                meas, level = grid.cube_measure(lev), slice(start, start + 2 ** (lev * grid.n))
+                self._average(bound[level], "weak", e, meas, out=bound[level])
+                self._average(dual[level], kind, e_dual, meas, out=dual[level])
+                start = level.stop
+            np.maximum(bound, _TINY, out=bound)
+            bound *= 1.0 + _SELECT_MARGIN
+            if t != 1.0:
+                bound **= t
+            if t_dual != 1.0:
+                dual **= t_dual
+            bound *= dual  # 0 * inf: nan, as in the row's value
+        return np.maximum(bound, _TINY, out=bound)
+
+
+def _lattice_sums(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The sum of the cells of every lattice cube, in lattice order, by
+    adding sibling halves one axis at a time.  Each is a sum of
+    non-negative terms, so its rounding is a few dozen relative 2^-53, but
+    not that of ``level_value_sums``: only ``bounds`` reads these."""
+    n, size = grid.n, values.size
+    out = np.empty((size * 2 ** n - 1) // (2 ** n - 1))  # the lattice's cubes
+    cur = values.reshape((2 ** grid.depth,) * n)
+    end = out.size
+    while True:
+        out[end - cur.size:end] = cur.reshape(-1)
+        end -= cur.size
+        if cur.size == 1:
+            return out
+        for axis in range(n):
+            half = (slice(None),) * axis
+            cur = cur[half + (slice(0, None, 2),)] + cur[half + (slice(1, None, 2),)]
 
 
 def _relative_rh_levels(w: StepFunction, grid: GridSpec, r: float):
@@ -536,14 +614,15 @@ def _power_values(row: tuple, pw: PowerWeight, lo: np.ndarray, hi: np.ndarray) -
 
 
 def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
-    """Build the per-level array closure for one constant's cube expression."""
+    """One constant's cube expression: ``level_values(lev)`` on every cube of
+    the level (a ``_TabulatedRow`` for most tabulated classes)."""
     if kind not in _ROWS:
         raise ValueError(f"unknown constant kind {kind!r}")
     row = _ROWS[kind](p, q, r)
     if isinstance(w, StepFunction):
         if kind == "rh" and r > _SCALE_BUDGET:
             return _relative_rh_levels(w, grid, r)
-        return _tabulated_levels(row, w, grid)
+        return _TabulatedRow(row, w, grid)
 
     def level_values(lev):
         h = grid.side(lev)
@@ -553,16 +632,68 @@ def _levels(kind: str, w: Weight, grid: GridSpec, p=None, q=None, r=None):
     return level_values
 
 
+def _star_levels(row: _TabulatedRow, grid: GridSpec):
+    """A tabulated star scan's levels: ``levels(lev)`` gives the values of
+    the level's candidates and the candidates, in order, or None where the
+    level has none.  A candidate is a cube whose bound U (``row.bounds``)
+    times (1 + _SELECT_MARGIN) reaches the floor, the exact value of the
+    first cube of largest U.  A nan U is never below the floor.
+
+    The value is at most U (1 + _SELECT_MARGIN): ||w^e chi_Q||_{1,inf} <=
+    ||w^e chi_Q||_1, since the weak scan's v |{>= v}| is at most the sum of
+    the cells at or above v; both routes round w^e's cells, sums and
+    products a few dozen times (2^-53 each), and the margin, once inside U
+    and once outside, absorbs that and the rounding of U's power; the
+    floors at the least normal float keep the comparison relative.  So a
+    cube left out is strictly below the floor, hence below the maximum,
+    and is never the first cube, in lattice order, to attain it: the scan
+    over the rest finds the maximum and the first cube to attain it, or
+    stops at the same first +inf, as a scan of every cube would.  The
+    floor's cube is a candidate, and where it is its level's only one, its
+    value is not taken twice."""
+    bounds = row.bounds()
+    starts = np.cumsum([0] + [2 ** (lev * grid.n) for lev in range(grid.depth + 1)])
+    top = int(np.argmax(bounds))  # a nan U wins
+    top_level = int(np.searchsorted(starts, top, side="right")) - 1
+    top_values = row(top_level, np.array([top - starts[top_level]]))
+    floor = float(_zero_inf(top_values)[0])
+    bounds *= 1.0 + _SELECT_MARGIN
+    cubes = np.flatnonzero(~(bounds < floor))
+    cut = np.searchsorted(cubes, starts)
+
+    def levels(lev):
+        at = cubes[cut[lev]:cut[lev + 1]] - starts[lev]
+        if not len(at):
+            return None
+        return (top_values if lev == top_level and len(at) == 1 else row(lev, at)), at
+    return levels
+
+
 def _scan(tag: str, w: Weight, grid: GridSpec, *, p=None, q=None, r=None) -> "WeightConstant":
+    """The maximum of the tag's cube expression over the lattice and the
+    first cube, in lattice order, to attain it, after nan -> 0; a scan
+    stops at the first level holding +inf.  Every scan evaluates each level
+    whole but a tabulated star class's: as ||w^e chi_Q||_{1,inf} <=
+    ||w^e chi_Q||_1, each cube's value is at most U (1 + _SELECT_MARGIN),
+    U its row with the L^1 average in place of the weak one, and only the
+    cubes whose bound reaches the exact value of a few cubes of largest U
+    are evaluated (``_star_levels``)."""
     level_values = _levels(tag, w, grid, p=p, q=q, r=r)
+    if tag in _STARS and isinstance(w, StepFunction):
+        levels = _star_levels(level_values, grid)
+    else:
+        def levels(lev):
+            return level_values(lev), None
     best = -INF
     witness = grid.root
     for lev in range(grid.depth + 1):
-        arr = _zero_inf(np.asarray(level_values(lev), dtype=float))
+        if (got := levels(lev)) is None:
+            continue
+        arr, cubes = _zero_inf(np.asarray(got[0], dtype=float)), got[1]
         j = int(np.argmax(arr))
         if arr[j] > best:
             best = float(arr[j])
-            witness = grid.cube_from_flat(lev, j)
+            witness = grid.cube_from_flat(lev, j if cubes is None else int(cubes[j]))
         if math.isinf(best):
             break
     return WeightConstant(tag, best, witness, p=p, q=q, r=r)

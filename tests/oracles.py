@@ -9,8 +9,9 @@ Each one is the reference for a fast library path, and only tests call them:
   sweep ``dyadic_maximal``);
 - the Lorentz power identity and Hoelder inequality (for ``weak_norm`` and
   ``lorentz_norm``);
-- the single-cube re-evaluation of a weight constant, the kernel form of
-  A_p^*, and RH_r one cube at a time in logs (for the constant scans);
+- the single-cube re-evaluation of a weight constant, the dense scan of
+  every cube of every level (for the pruned star scans), the kernel form
+  of A_p^*, and RH_r one cube at a time in logs (for the constant scans);
 - a power weight's closed forms one cube at a time in Python floats: its
   moments, weak-L^1 norms, ess sup of w^{-1} and constant rows (taken
   relative to ess sup_Q w where an average leaves the float range), its cell
@@ -253,6 +254,26 @@ def weight_cube_value(w: Weight, kind: str, cube: DyadicCube, *, p=None, q=None,
     level_values = _levels(kind, w, grid, p=p, q=q, r=r)
     arr = _zero_inf(np.asarray(level_values(cube.level), dtype=float))
     return float(arr[np.ravel_multi_index(cube.index, (2 ** cube.level,) * grid.n)])
+
+
+def dense_scan(tag: str, w: Weight, *, p=None, q=None, r=None,
+               depth: int | None = None) -> WeightConstant:
+    """A constant scanned level by level over every cube of the lattice: the
+    first maximum in lattice order after nan -> 0, stopping at the first
+    level that holds +inf."""
+    grid = _grid_of(w, depth)
+    level_values = _levels(tag, w, grid, p=p, q=q, r=r)
+    best = -INF
+    witness = grid.root
+    for lev in range(grid.depth + 1):
+        arr = _zero_inf(np.asarray(level_values(lev), dtype=float))
+        j = int(np.argmax(arr))
+        if arr[j] > best:
+            best = float(arr[j])
+            witness = grid.cube_from_flat(lev, j)
+        if math.isinf(best):
+            break
+    return WeightConstant(tag, best, witness, p=p, q=q, r=r)
 
 
 def rh_log_domain_constant(w: StepFunction, r: float) -> float:

@@ -266,6 +266,26 @@ class TestNecessityCommand:
         assert report["context"]["diagnostic"] == "star constant is infinite; bound is vacuous"
 
 
+    # w = |x|^e: the star constant is +inf at every even e >= 2.  At e = 200
+    # and depth 6, sigma = |x|^-200 has cell averages up to 201 * 2^1200,
+    # past the float range in the unit of the root's length
+    @pytest.mark.parametrize("exponent", [2.0, 20.0, 100.0, 200.0])
+    def test_steep_power_weight(self, tmp_path, capsys, exponent):
+        path = write_power(tmp_path, "pw.json", 0.0, exponent, [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--weight", path, "--p", "2", "--depth", "6"])
+        out, err = capsys.readouterr()
+        if exponent < 200.0:
+            assert code == 2 and err == ""
+            report = json.loads(out)["necessity"]
+            assert report["context"]["diagnostic"] == "star constant is infinite; bound is vacuous"
+        else:
+            assert code == 1 and out == ""
+            assert err == ("error: sigma = |x - 0|^-200 has a cell average past the "
+                           "float range at depth 6\n")
+
+
 class TestLemmas:
     def test_pass(self, quarters_weight, capsys):
         assert main(["lemmas", "--weight", quarters_weight, "--p", "2"]) == 0
@@ -686,6 +706,19 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0]["value"] == 1.0
+
+
+def test_czsparse_loads_on_first_use():
+    # importing the CLI leaves czsparse unloaded, and every exported name,
+    # czsparse's among them, still resolves
+    code = ("import sys, weakmax.cli\n"
+            "assert 'weakmax.czsparse' not in sys.modules\n"
+            "import weakmax\n"
+            "assert all(getattr(weakmax, name) is not None for name in weakmax.__all__)\n"
+            "from weakmax import SparsityError, czsparse\n"
+            "assert SparsityError is czsparse.SparsityError\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSparsityExitCode:

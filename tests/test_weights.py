@@ -41,11 +41,14 @@ from weakmax import (
 )
 
 from weakmax import cli, weights
+from weakmax.grid import DyadicCube, GridSpec
+from weakmax.lorentz import weak_scan
 from weakmax.harness import _cell_masses
 
 from conftest import constant, unit_grid
 from oracles import (
     all_cubes,
+    dense_scan,
     ap_star_kernel_constant,
     ap_star_kernel_cube_value,
     cube_average,
@@ -313,6 +316,125 @@ class TestAgainstBruteForce:
             assert ap_star_constant(w, 2).value <= ap_constant(w, 2).value * (1 + 1e-14)
             assert (apq_star_constant(w, 2, 4).value
                     <= apq_constant(w, 2, 4).value * (1 + 1e-14))
+
+
+@st.composite
+def spread_weights(draw):
+    """A tabulated weight, 1-D to 3-D, whose cells take values from a drawn
+    pool: zero, or a mantissa in [1, 2) times 2^k with |k| up to 1, 60 or
+    1000 (a small pool makes ties), on a root of side 2^-40, 1 or 2^40 (the
+    large root puts the weak factor of a wide spread in its relative scale)."""
+    n = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, {1: 6, 2: 3, 3: 2}[n]))
+    spread = draw(st.sampled_from([1, 60, 1000]))
+    value = st.one_of(st.just(0.0), st.builds(
+        math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-spread, spread)))
+    pool = draw(st.lists(value, min_size=1, max_size=draw(st.sampled_from([2, 8, 64]))))
+    size = 2 ** (n * depth)
+    cells = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    side = 2.0 ** draw(st.sampled_from([-40, 0, 40]))
+    return StepFunction(GridSpec(n, (0.0,) * n, side, depth), cells)
+
+
+STAR_P = st.sampled_from([1.01, 1.5, 2.0, 3.0])
+
+
+def _star_bounds(tag, w, p):
+    """Every cube's exact value and certified bound U, in lattice order."""
+    row = weights._levels(tag, w, w.grid, p=p, q=2.0 * p if tag == "apq_star" else None)
+    values = np.concatenate([row(lev) for lev in range(w.grid.depth + 1)])
+    return weights._zero_inf(values), row.bounds()
+
+
+class TestPrunedStarScan:
+    """The tabulated star scans evaluate only the cubes whose certified
+    bound reaches the floor, and still equal the dense scan of every cube
+    (``oracles.dense_scan``) bit for bit, in value and witness."""
+
+    @staticmethod
+    def _check(w, p):
+        q = 2.0 * p
+        plain, fractional = dense_scan("ap_star", w, p=p), dense_scan("apq_star", w, p=p, q=q)
+        for got, want in ((ap_star_constant(w, p), plain), (star_constant(w, p), plain),
+                          (apq_star_constant(w, p, q), fractional),
+                          (star_constant(w, p, q), fractional)):
+            assert (got.value, got.witness) == (want.value, want.witness)
+
+    @settings(max_examples=300)
+    @given(spread_weights(), STAR_P)
+    def test_matches_dense_scan(self, w, p):
+        self._check(w, p)
+
+    @settings(max_examples=150)
+    @given(spread_weights(), STAR_P, st.sampled_from(["ap_star", "apq_star"]))
+    def test_bound_certifies_every_cube(self, w, p, tag):
+        values, bounds = _star_bounds(tag, w, p)
+        assert not np.any(values > bounds * (1.0 + weights._SELECT_MARGIN))
+
+    @pytest.mark.parametrize("side,relative", [(1.0, False), (2.0 ** 40, True)])
+    @pytest.mark.parametrize("n,depth", [(1, 6), (2, 3), (3, 2)])
+    def test_both_scales_of_the_weak_factor(self, side, relative, n, depth):
+        # cells 2^k, k in [-1000, 1000] with both ends taken: max cell times
+        # the root measure overflows on the large root only
+        grid = GridSpec(n, (0.0,) * n, side, depth)
+        k = np.random.default_rng([n, depth]).integers(-1000, 1001, grid.finest_count)
+        k[:2] = 1000, -1000
+        w = StepFunction(grid, np.ldexp(1.0, k))
+        row = weights._levels("ap_star", w, grid, p=2.0)
+        assert row.relative["weak", 1.0] is relative
+        for p in (1.01, 2.0):
+            for tag in ("ap_star", "apq_star"):
+                values, bounds = _star_bounds(tag, w, p)
+                assert not np.any(values > bounds * (1.0 + weights._SELECT_MARGIN))
+            self._check(w, p)
+
+    def test_tie_across_levels_takes_the_coarser_cube(self):
+        # [1, 4, 1, 4] (level 1) and each [1, 4] inside it (level 2) all read 1.25
+        w = StepFunction(unit_grid(3), [1, 1, 1, 1, 1, 4, 1, 4])
+        const = ap_star_constant(w, 2.0)
+        assert const.value == 1.25 and const.witness == DyadicCube(1, (1,))
+        assert weight_cube_value(w, "ap_star", DyadicCube(2, (2,)), p=2.0) == 1.25
+        self._check(w, 2.0)
+
+    @pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])
+    def test_constant_weight(self, n, depth):
+        w = constant(unit_grid(depth, n), 3.0)
+        for p in (1.01, 1.5, 2.0, 3.0):
+            self._check(w, p)
+            assert ap_star_constant(w, p).witness == w.grid.root
+
+    def test_maximum_at_the_root(self):
+        # the root reads 1.3125, every other cube at most 1.25
+        w = StepFunction(unit_grid(2), [1, 1, 2, 8])
+        const = ap_star_constant(w, 2.0)
+        assert const.value == 1.3125 and const.witness == w.grid.root
+        self._check(w, 2.0)
+
+    def test_nan_everywhere_reads_zero(self):
+        # w^6 overflows and w^-1.5 underflows on every cell: every cube's
+        # A_{3,6}^* value and bound are inf * 0, and no nan bound prunes
+        w = constant(unit_grid(3, 2), 2.0 ** 800)
+        values, bounds = _star_bounds("apq_star", w, 3.0)
+        assert np.isnan(bounds).all() and not values.any()
+        const = apq_star_constant(w, 3.0, 6.0)
+        assert const.value == 0.0 and const.witness == w.grid.root
+        self._check(w, 3.0)
+
+    def test_few_cubes_scanned(self, monkeypatch):
+        # a lognormal weight at 1-D depth 10: a handful of its 2,047 cubes
+        # take the exact weak scan
+        rows = []
+
+        def counting(values, cell_measure, p=1.0):
+            rows.append(np.shape(values)[0])
+            return weak_scan(values, cell_measure, p)
+        monkeypatch.setattr(weights, "weak_scan", counting)
+        w = random_weight(unit_grid(10), np.random.default_rng(0))
+        want = dense_scan("ap_star", w, p=2.0)
+        rows.clear()
+        got = ap_star_constant(w, 2.0)
+        assert (got.value, got.witness) == (want.value, want.witness)
+        assert sum(rows) <= 16
 
 
 class TestDualWeight:
