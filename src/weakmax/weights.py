@@ -676,8 +676,8 @@ def _scan(tag: str, w: Weight, grid: GridSpec, *, p=None, q=None, r=None) -> "We
     whole but a tabulated star class's: as ||w^e chi_Q||_{1,inf} <=
     ||w^e chi_Q||_1, each cube's value is at most U (1 + _SELECT_MARGIN),
     U its row with the L^1 average in place of the weak one, and only the
-    cubes whose bound reaches the exact value of a few cubes of largest U
-    are evaluated (``_star_levels``)."""
+    cubes whose bound reaches the exact value of the cube of largest U are
+    evaluated (``_star_levels``)."""
     level_values = _levels(tag, w, grid, p=p, q=q, r=r)
     if tag in _STARS and isinstance(w, StepFunction):
         levels = _star_levels(level_values, grid)
