@@ -391,6 +391,7 @@ def _dual_apq(p):
 
 
 _STARS = ("ap_star", "apq_star")
+_LEAST_SUBNORMAL = math.ulp(0.0)  # 2^-1074
 
 _ROWS = {
     "ap": lambda p, q, r: (("avg", 1.0, 1.0), _dual_ap(p)),
@@ -494,17 +495,25 @@ class _TabulatedRow:
         average of w^e, which it never exceeds, taken from w^e's cube sums
         in the weak factor's own scale (relative or not), floored up at the
         least normal float and raised by (1 + _SELECT_MARGIN), so that it
-        overflows to +inf wherever the weak average can.  The dual factor is
-        the row's own; U is floored up once more, and is nan where its
-        product is 0 * inf."""
+        overflows to +inf wherever the weak average can.  In the integral
+        route a sum times |cell|, and the weak scan's product, may round
+        below the least normal float, where the error is absolute (half of
+        2^-1074 at most) and the division by |Q| scales it up, so the sum
+        takes 2^-1074 more first.  The dual factor is the row's own; U is
+        floored up once more, and is nan where its product is 0 * inf."""
         (_, e, t), (kind, e_dual, t_dual) = self.row  # the weak factor, then the dual
-        grid, levels = self.grid, range(self.grid.depth + 1)
+        grid, cm, levels = self.grid, self.grid.cell_measure, range(self.grid.depth + 1)
         meas = np.repeat([grid.cube_measure(lev) for lev in levels],
                          [2 ** (lev * grid.n) for lev in levels])  # each cube's |Q|
-        bound = _lattice_sums(self.data["weak", e], grid)
         dual = np.concatenate(self.data[kind, e_dual])
         with np.errstate(invalid="ignore", over="ignore"):  # past the float range: +inf
-            self._average(bound, "weak", e, meas, out=bound)
+            bound = _lattice_sums(self.data["weak", e], grid)
+            if self.relative["weak", e]:
+                np.multiply(bound, cm / meas, out=bound)
+            else:
+                np.multiply(bound, cm, out=bound)
+                bound += _LEAST_SUBNORMAL
+                bound /= meas
             self._average(dual, kind, e_dual, meas, out=dual)
             np.maximum(bound, _TINY, out=bound)
             bound *= 1.0 + _SELECT_MARGIN
@@ -644,7 +653,9 @@ def _star_levels(row: _TabulatedRow, grid: GridSpec):
     the cells at or above v; both routes round w^e's cells, sums and
     products a few dozen times (2^-53 each), and the margin, once inside U
     and once outside, absorbs that and the rounding of U's power; the
-    floors at the least normal float keep the comparison relative.  So a
+    floors at the least normal float keep the comparison relative, and the
+    least subnormal added to U's sums covers a product rounded below the
+    normal range before the division by |Q|.  So a
     cube left out is strictly below the floor, hence below the maximum,
     and is never the first cube, in lattice order, to attain it: the scan
     over the rest finds the maximum and the first cube to attain it, or
@@ -657,7 +668,8 @@ def _star_levels(row: _TabulatedRow, grid: GridSpec):
     top_level = int(np.searchsorted(starts, top, side="right")) - 1
     top_values = row(top_level, np.array([top - starts[top_level]]))
     floor = float(_zero_inf(top_values)[0])
-    bounds *= 1.0 + _SELECT_MARGIN
+    with np.errstate(over="ignore"):  # a U past the float range prunes nothing
+        bounds *= 1.0 + _SELECT_MARGIN
     cubes = np.flatnonzero(~(bounds < floor))
     cut = np.searchsorted(cubes, starts)
 

@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -322,8 +323,10 @@ class TestAgainstBruteForce:
 def spread_weights(draw):
     """A tabulated weight, 1-D to 3-D, whose cells take values from a drawn
     pool: zero, or a mantissa in [1, 2) times 2^k with |k| up to 1, 60 or
-    1000 (a small pool makes ties), on a root of side 2^-40, 1 or 2^40 (the
-    large root puts the weak factor of a wide spread in its relative scale)."""
+    1000 (a small pool makes ties), on a root of side 2^-320, 2^-40, 1 or
+    2^40 (the large root puts the weak factor of a wide spread in its
+    relative scale; on the smallest, cells times |cell| fall below the
+    normal range)."""
     n = draw(st.integers(1, 3))
     depth = draw(st.integers(0, {1: 6, 2: 3, 3: 2}[n]))
     spread = draw(st.sampled_from([1, 60, 1000]))
@@ -332,7 +335,7 @@ def spread_weights(draw):
     pool = draw(st.lists(value, min_size=1, max_size=draw(st.sampled_from([2, 8, 64]))))
     size = 2 ** (n * depth)
     cells = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
-    side = 2.0 ** draw(st.sampled_from([-40, 0, 40]))
+    side = 2.0 ** draw(st.sampled_from([-320, -40, 0, 40]))
     return StepFunction(GridSpec(n, (0.0,) * n, side, depth), cells)
 
 
@@ -387,6 +390,34 @@ class TestPrunedStarScan:
                 values, bounds = _star_bounds(tag, w, p)
                 assert not np.any(values > bounds * (1.0 + weights._SELECT_MARGIN))
             self._check(w, p)
+
+    def test_products_below_the_normal_range(self):
+        # |cell| = 2^-1000 and x = m 2^-40 with 3m 2^34 = k + 1/2 + 2^-18
+        # (k even): the root's weak product x 3|cell| rounds up to k + 1
+        # units of 2^-1074, the sum 3x, rounded to k + 1/2 units, times
+        # |cell| down to k; the division by |Q| keeps that gap of 2^-36
+        k = 2 ** 36 + 2
+        x = math.ldexp((k * 2 ** 18 + 2 ** 17 + 1) // 3, -92)
+        w = StepFunction(GridSpec(1, (0.0,), 2.0 ** -998, 2), [x, x, x, math.ldexp(x, -60)])
+        values, bounds = _star_bounds("ap_star", w, 2.0)
+        assert values[0] > bounds[0] * (1.0 - 1e-11)
+        assert not np.any(values > bounds * (1.0 + weights._SELECT_MARGIN))
+        self._check(w, 2.0)
+
+    def test_sum_past_the_float_range(self):
+        # the root's sum of w is 2^1024, +inf without a warning, though its
+        # average and weak average are 2^1023
+        w = StepFunction(unit_grid(1), [2.0 ** 1023] * 2)
+        for p in (1.5, 2.0):
+            self._check(w, p)
+        assert ap_star_constant(w, 2.0).value == 1.0
+
+    def test_bound_at_the_top_of_the_float_range(self):
+        # the root's value is within 2e-12 of the largest float, so its U
+        # times (1 + margin) overflows, without a warning
+        w = StepFunction(unit_grid(1), [sys.float_info.max * (1.0 - 1.5e-12), 0.25])
+        self._check(w, 2.0)
+        assert ap_star_constant(w, 2.0).value > sys.float_info.max * (1.0 - 2e-12)
 
     def test_tie_across_levels_takes_the_coarser_cube(self):
         # [1, 4, 1, 4] (level 1) and each [1, 4] inside it (level 2) all read 1.25
