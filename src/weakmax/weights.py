@@ -701,7 +701,8 @@ def _scan(tag: str, w: Weight, grid: GridSpec, *, p=None, q=None, r=None) -> "We
     for lev in range(grid.depth + 1):
         if (got := levels(lev)) is None:
             continue
-        arr, cubes = _zero_inf(np.asarray(got[0], dtype=float)), got[1]
+        values, cubes = got
+        arr = _zero_inf(np.asarray(values, dtype=float))
         j = int(np.argmax(arr))
         if arr[j] > best:
             best = float(arr[j])
