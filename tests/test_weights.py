@@ -451,16 +451,22 @@ class TestPrunedStarScan:
         assert const.value == 0.0 and const.witness == w.grid.root
         self._check(w, 3.0)
 
-    def test_few_cubes_scanned(self, monkeypatch):
+    @pytest.mark.parametrize("exponent", [0, 1010])
+    def test_few_cubes_scanned(self, monkeypatch, exponent):
         # a lognormal weight at 1-D depth 10: a handful of its 2,047 cubes
-        # take the exact weak scan
+        # take the exact weak scan.  Times 2^1010 on a root of side 2^24,
+        # the weak factor takes the relative scale: w's integral over most
+        # cubes passes the float range, though their averages do not
         rows = []
 
         def counting(values, cell_measure, p=1.0):
             rows.append(np.shape(values)[0])
             return weak_scan(values, cell_measure, p)
         monkeypatch.setattr(weights, "weak_scan", counting)
-        w = random_weight(unit_grid(10), np.random.default_rng(0))
+        values = random_weight(unit_grid(10), np.random.default_rng(0)).values
+        w = StepFunction(GridSpec(1, (0.0,), 2.0 ** 24 if exponent else 1.0, 10),
+                         np.ldexp(values, exponent))
+        assert weights._levels("ap_star", w, w.grid, p=2.0).relative["weak", 1.0] is bool(exponent)
         want = dense_scan("ap_star", w, p=2.0)
         rows.clear()
         got = ap_star_constant(w, 2.0)
