@@ -3,8 +3,9 @@
 keeps every output bit for bit.
 
 The corpus covers the seven weight constants and both sigma-RH pairs on
-tabulated 1-D, 2-D and 3-D weights, among them cells spread over 2^+-1000
-and a maximum that a cube and its children share, and on power weights
+tabulated 1-D, 2-D and 3-D weights, among them cells spread over 2^+-1000,
+a maximum that a cube and its children share and roots of non-dyadic
+side, and on power weights
 whose centre lies inside the root, on a lattice edge, outside it and far
 away; the power weights' cell averages (``tabulate``); ``verify_weight``,
 ``sufficiency_check`` and ``necessity_check``, each called alone, on
@@ -167,6 +168,11 @@ def corpus(toy: bool):
             [2, 3, 1000]).integers(-1000, 1001, 64)))),
         ("level_tie", StepFunction(grid(1, 3), [1.0, 1.0, 1.0, 1.0, 1.0, 4.0, 1.0, 4.0])),
     ]
+    # the cells of tab1d_d6 and tab2d_d3 on roots of non-dyadic side
+    for n, d, side in ((1, 6, 3.0), (2, 3, 3.3166247903554e50)):
+        cells = random_weight(grid(n, d), np.random.default_rng([n, d])).values
+        tabulated.append((f"tab{n}d_d{d}_side{side!r}",
+                          StepFunction(GridSpec(n, (0.0,) * n, side, d), cells)))
     for name, w in tabulated:
         yield from _constants(name, w, ps, rs, None)
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .grid import cube_blocks, level_value_sums
+from .grid import _level_starts, cube_blocks, level_value_sums
 from .lorentz import _sorted_scan
 from .operators import _average_scores
 
@@ -95,9 +95,10 @@ class CubeRows:
         # xor of a cube's flat index with masks[level] gives its siblings
         self.masks = np.array([[sum(1 << (level * (n - 1 - a)) for a in range(n) if m >> a & 1)
                                 for m in range(1, 2 ** n)] for level in range(depth + 1)])
-        # the first block of each level
-        self.first = np.cumsum([0, 0] + [2 ** (level * n) for level in range(1, depth)])
-        blocks = self.first[-1] + 2 ** (depth * n) if depth else 0
+        # the first block of each level: the root has none, so block k is
+        # the cube at lattice position k + 1
+        starts = _level_starts(grid)
+        self.first, blocks = starts[:-1] - 1, int(starts[-1]) - 1
         self.block_vals, self.block_keys = np.empty(depth * size), np.empty(depth * size, np.intp)
         self.block_ends = np.empty(blocks, dtype=np.intp)
         self.sib_scan = np.empty(blocks)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks
+from .grid import DyadicCube, StepFunction, cube_blocks
 from .lorentz import weak_norm, weak_scan
 from .operators import (_MAXIMAL_OVERFLOW, MaximalQuery, _validate, dyadic_maximal,
                         level_scores, running_ancestor_max)
@@ -142,13 +142,6 @@ def _runs(keys: list) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [len(keys)]))
 
 
-def _cube_cells(grid: GridSpec, cubes: list[DyadicCube], level: int) -> np.ndarray:
-    """The flat finest-cell indices of cubes at one level, one ascending row
-    per cube: their rows of ``cube_blocks`` on the flat cell indices."""
-    flat = np.ravel_multi_index(np.array([c.index for c in cubes]).T, (2 ** level,) * grid.n)
-    return cube_blocks(np.arange(grid.finest_count), grid, level)[flat]
-
-
 @dataclass(frozen=True)
 class SparseEntry:
     k: int
@@ -188,9 +181,10 @@ def build_sparse(dec: CZDecomposition) -> SparseFamily:
     for k in range(dec.k_min, dec.k_max + 1):
         cubes = dec.cubes.get(k, [])
         for start, stop in _runs([cube.level for cube in cubes]):
-            run = cubes[start:stop]
-            q_meas = grid.cube_measure(run[0].level)
-            cells = _cube_cells(grid, run, run[0].level)
+            run, level = cubes[start:stop], cubes[start].level
+            q_meas = grid.cube_measure(level)
+            flat = np.ravel_multi_index(np.array([c.index for c in run]).T, (2 ** level,) * grid.n)
+            cells = cube_blocks(np.arange(grid.finest_count), grid, level, flat)
             # a^k_max >= max M f leaves level k_max without cubes, so every
             # level with cubes has Omega_{k+1}
             keep = ~dec.omega_mask[k + 1][cells]
@@ -313,8 +307,10 @@ def sparse_sum(family: SparseFamily, w: StepFunction, sigma: StepFunction,
     # per level of each Omega_k
     wk, f_sums, sig_sums = (np.empty(len(entries)) for _ in range(3))
     for start, stop in _runs([(e.k, e.cube.level) for e in entries]):
-        run = entries[start:stop]
-        cells = _cube_cells(grid, [e.cube for e in run], run[0].cube.level)
+        run, level = entries[start:stop], entries[start].cube.level
+        flat = np.ravel_multi_index(np.array([e.cube.index for e in run]).T,
+                                    (2 ** level,) * grid.n)
+        cells = cube_blocks(np.arange(grid.finest_count), grid, level, flat)
         wk[start:stop] = weak_scan(w_s.values[cells], cm)
         f_sums[start:stop] = f.values[cells].sum(axis=1)
         sig_sums[start:stop] = sigma.values[cells].sum(axis=1)

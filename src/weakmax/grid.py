@@ -226,17 +226,27 @@ def level_value_sums(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     return [a.reshape(lead + (-1,)) for a in out]
 
 
-def cube_blocks(values: np.ndarray, grid: GridSpec, level: int) -> np.ndarray:
-    """Reshape flat cell values to (cubes at level, cells per cube).
+def _level_starts(grid: GridSpec) -> np.ndarray:
+    """Each level's first position in lattice order (level by level,
+    row-major within a level), then the lattice's cube count: depth + 2
+    entries."""
+    return np.cumsum([0] + [2 ** (level * grid.n) for level in range(grid.depth + 1)])
 
-    Rows run over cubes in row-major index order; columns are the cells of
-    each cube in row-major order, which is their ascending flat order.
+
+def cube_blocks(values: np.ndarray, grid: GridSpec, level: int,
+                cubes: np.ndarray | None = None) -> np.ndarray:
+    """Reshape flat cell values to (cubes at level, cells per cube), or, with
+    ``cubes`` (flat indices at level), gather only those cubes' rows.
+
+    Rows run over cubes in row-major index order (in the order of ``cubes``);
+    columns are the cells of each cube in row-major order, which is their
+    ascending flat order.
     """
     n, depth = grid.n, grid.depth
     m, b = 2 ** level, 2 ** (depth - level)
-    shape = []
-    for _ in range(n):
-        shape.extend([m, b])
-    arr = values.reshape(shape)
+    arr = values.reshape((m, b) * n)
+    if cubes is not None:
+        coords = np.unravel_index(cubes, (m,) * n)
+        return arr[sum(((c, slice(None)) for c in coords), ())].reshape(len(cubes), b ** n)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return arr.transpose(order).reshape(m ** n, b ** n)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cuberows import _SELECT_MARGIN, CubeRows
-from .grid import DyadicCube, GridSpec, StepFunction, check_cells, cube_blocks
+from .grid import DyadicCube, GridSpec, StepFunction, _level_starts, check_cells, cube_blocks
 from .lorentz import _descending_counts, _sorted_scan
 from .operators import MaximalQuery, _batch_maximal, _validate
 from .weights import (
@@ -297,10 +297,9 @@ def _require_suite(n_random: int, seed: int, c_desk: float | None = None):
 def _lattice_cube(grid: GridSpec, pos: int) -> DyadicCube:
     """The cube at position pos of the lattice order: level by level,
     row-major in the cube index within a level."""
-    level = 0
-    while pos >= 2 ** (level * grid.n):
-        pos, level = pos - 2 ** (level * grid.n), level + 1
-    return grid.cube_from_flat(level, pos)
+    starts = _level_starts(grid)
+    level = int(np.searchsorted(starts, pos, side="right")) - 1
+    return grid.cube_from_flat(level, pos - int(starts[level]))
 
 
 def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = False) -> np.ndarray:
@@ -345,7 +344,7 @@ def _cube_ratios(kernel: _RatioKernel, suites: np.ndarray, alpha, prune: bool = 
     check_cells(suites)
     _validate(grid, MaximalQuery(alpha))
     rows = CubeRows(kernel, suites, alpha, CHUNK_BYTES)
-    firsts = np.cumsum([0] + [2 ** (level * grid.n) for level in range(depth + 1)])
+    firsts = _level_starts(grid)
     chunk = _chunk_rows(grid)
     out = np.full((len(suites), firsts[-1]), np.nan)
     best = -math.inf  # the largest ratio evaluated so far

@@ -32,7 +32,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .cuberows import _SELECT_MARGIN, _TINY
-from .grid import DyadicCube, GridSpec, StepFunction, cube_blocks, level_value_sums
+from .grid import (DyadicCube, GridSpec, StepFunction, _level_starts, cube_blocks,
+                   level_value_sums)
 from .lorentz import weak_scan
 
 INF = math.inf
@@ -391,7 +392,6 @@ def _dual_apq(p):
 
 
 _STARS = ("ap_star", "apq_star")
-_LEAST_SUBNORMAL = math.ulp(0.0)  # 2^-1074
 
 _ROWS = {
     "ap": lambda p, q, r: (("avg", 1.0, 1.0), _dual_ap(p)),
@@ -421,66 +421,40 @@ def _evaluate(row: tuple, factor, power=operator.pow, divide=operator.truediv):
     return value
 
 
-def _blocks(values: np.ndarray, grid: GridSpec, lev: int, cubes) -> np.ndarray:
-    """The cells of these cubes of the level, one row per cube (every cube
-    of the level, as ``cube_blocks`` gives them, where ``cubes`` is None)."""
-    if cubes is None:
-        return cube_blocks(values, grid, lev)
-    n, side = grid.n, 2 ** (grid.depth - lev)
-    coords = np.unravel_index(cubes, (2 ** lev,) * n)
-    cells = values.reshape((2 ** lev, side) * n)[sum(((c, slice(None)) for c in coords), ())]
-    return cells.reshape(len(cubes), side ** n)
-
-
 class _TabulatedRow:
     """A row's values for a tabulated weight: ``row(lev)`` on every cube of
     a level, ``row(lev, cubes)`` on these cubes of it.  Each w^e is taken
     once; levels are evaluated lazily, so a scan can stop at +inf.
 
-    A factor's average is its integral over Q divided by |Q|, unless the
-    integral of the root (avg: root sum times |cell|; weak: max cell times
-    N |cell|, which bounds every weak product) passes the float range.  Then
-    for the whole scan the factor takes the cell sum, or the weak scan's
-    rank counts, times |cell| / |Q|, an exact power of two, so an average in
-    range stays finite; every other input keeps the bits of the integral
-    route.  A star row also bounds its values (``bounds``).  A cube's value
-    does not depend on the other cubes evaluated with it."""
+    Every average is a cell sum, or the weak scan's rank counts, times
+    |cell| / |Q| = 2^-((depth - lev) n), an exact power of two: no average
+    reads the root measure, so the same cells give the same values on a
+    root of any side.  A star row also bounds its values (``bounds``).  A
+    cube's value does not depend on the other cubes evaluated with it."""
 
     def __init__(self, row: tuple, w: StepFunction, grid: GridSpec):
         self.row, self.grid, self.vals = row, grid, w.values
-        cm = grid.cell_measure
-        self.data, self.relative = {}, {}
+        self.data = {}
         for kind, e, _ in row:
             if kind == "avg":
                 with np.errstate(over="ignore"):  # a sum past the float range is +inf
                     self.data[kind, e] = level_value_sums(_cell_power(w.values, e), grid)
-                self.relative[kind, e] = not math.isfinite(float(self.data[kind, e][0][0]) * cm)
             elif kind == "weak":
                 self.data[kind, e] = _cell_power(w.values, e)
-                self.relative[kind, e] = not math.isfinite(
-                    float(self.data[kind, e].max()) * (grid.finest_count * cm))
-
-    def _average(self, sums: np.ndarray, kind: str, e: float, meas, out=None):
-        """sums |cell| / |Q| in the scale of the factor (kind, e), into out."""
-        cm = self.grid.cell_measure
-        if self.relative[kind, e]:
-            return np.multiply(sums, cm / meas, out=out)
-        return np.divide(np.multiply(sums, cm, out=out), meas, out=out)
 
     def __call__(self, lev: int, cubes: np.ndarray | None = None) -> np.ndarray:
-        grid, cm, meas = self.grid, self.grid.cell_measure, self.grid.cube_measure(lev)
+        grid = self.grid
+        scale = grid.cell_measure / grid.cube_measure(lev)
 
         def factor(kind, e, t):
             if kind == "avg":
                 sums = self.data[kind, e][lev]
-                return self._average(sums if cubes is None else sums[cubes], kind, e, meas), t
+                return (sums if cubes is None else sums[cubes]) * scale, t
             if kind == "weak":
-                blocks = _blocks(self.data[kind, e], grid, lev, cubes)
+                blocks = cube_blocks(self.data[kind, e], grid, lev, cubes)
                 with np.errstate(over="ignore"):  # a weak norm past the float range is +inf
-                    if self.relative[kind, e]:
-                        return weak_scan(blocks, cm / meas), t
-                    return weak_scan(blocks, cm) / meas, t
-            return _blocks(self.vals, grid, lev, cubes).min(axis=1), -1.0
+                    return weak_scan(blocks, scale), t
+            return cube_blocks(self.vals, grid, lev, cubes).min(axis=1), -1.0
 
         # a product or quotient of factors past the float range is +inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -493,28 +467,20 @@ class _TabulatedRow:
 
         The weak factor ||w^e chi_Q||_{1,inf} / |Q| is replaced by the L^1
         average of w^e, which it never exceeds, taken from w^e's cube sums
-        in the weak factor's own scale (relative or not), floored up at the
-        least normal float and raised by (1 + _SELECT_MARGIN), so that it
-        overflows to +inf wherever the weak average can.  In the integral
-        route a sum times |cell|, and the weak scan's product, may round
-        below the least normal float, where the error is absolute (half of
-        2^-1074 at most) and the division by |Q| scales it up, so the sum
-        takes 2^-1074 more first.  The dual factor is the row's own; U is
-        floored up once more, and is nan where its product is 0 * inf."""
+        in the same scale, floored up at the least normal float and raised
+        by (1 + _SELECT_MARGIN), so that it overflows to +inf wherever the
+        weak average can.  The dual factor is the row's own; U is floored
+        up once more, and is nan where its product is 0 * inf."""
         (_, e, t), (kind, e_dual, t_dual) = self.row  # the weak factor, then the dual
-        grid, cm, levels = self.grid, self.grid.cell_measure, range(self.grid.depth + 1)
-        meas = np.repeat([grid.cube_measure(lev) for lev in levels],
-                         [2 ** (lev * grid.n) for lev in levels])  # each cube's |Q|
+        grid = self.grid
+        scale = np.repeat([grid.cell_measure / grid.cube_measure(lev)
+                           for lev in range(grid.depth + 1)],
+                          np.diff(_level_starts(grid)))  # each cube's |cell| / |Q|
         dual = np.concatenate(self.data[kind, e_dual])
         with np.errstate(invalid="ignore", over="ignore"):  # past the float range: +inf
             bound = _lattice_sums(self.data["weak", e], grid)
-            if self.relative["weak", e]:
-                np.multiply(bound, cm / meas, out=bound)
-            else:
-                np.multiply(bound, cm, out=bound)
-                bound += _LEAST_SUBNORMAL
-                bound /= meas
-            self._average(dual, kind, e_dual, meas, out=dual)
+            bound *= scale
+            dual *= scale
             np.maximum(bound, _TINY, out=bound)
             bound *= 1.0 + _SELECT_MARGIN
             if t != 1.0:
@@ -650,12 +616,10 @@ def _star_levels(row: _TabulatedRow, grid: GridSpec):
 
     The value is at most U (1 + _SELECT_MARGIN): ||w^e chi_Q||_{1,inf} <=
     ||w^e chi_Q||_1, since the weak scan's v |{>= v}| is at most the sum of
-    the cells at or above v; both routes round w^e's cells, sums and
+    the cells at or above v; both sides round w^e's cells, sums and
     products a few dozen times (2^-53 each), and the margin, once inside U
     and once outside, absorbs that and the rounding of U's power; the
-    floors at the least normal float keep the comparison relative, and the
-    least subnormal added to U's sums covers a product rounded below the
-    normal range before the division by |Q|.  So a
+    floors at the least normal float keep the comparison relative.  So a
     cube left out is strictly below the floor, hence below the maximum,
     and is never the first cube, in lattice order, to attain it: the scan
     over the rest finds the maximum and the first cube to attain it, or
@@ -663,7 +627,7 @@ def _star_levels(row: _TabulatedRow, grid: GridSpec):
     floor's cube is a candidate, and where it is its level's only one, its
     value is not taken twice."""
     bounds = row.bounds()
-    starts = np.cumsum([0] + [2 ** (lev * grid.n) for lev in range(grid.depth + 1)])
+    starts = _level_starts(grid)
     top = int(np.argmax(bounds))  # a nan U wins
     top_level = int(np.searchsorted(starts, top, side="right")) - 1
     top_values = row(top_level, np.array([top - starts[top_level]]))

@@ -125,6 +125,17 @@ class TestBlocks:
             for flat, cube in enumerate(cells(grid, level)):
                 assert np.array_equal(rows[flat], cube_block(f, cube))
 
+    @pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])
+    def test_gathered_cubes_match_the_whole_level(self, n, depth, rng):
+        # some cubes of a level, repeated and out of order, or none
+        grid = GridSpec(n, (0.0,) * n, 1.0, depth)
+        cells = np.arange(grid.finest_count)
+        for level in range(depth + 1):
+            count = 2 ** (level * n)
+            for flat in (np.arange(count), rng.integers(0, count, 5), np.arange(0)):
+                got = cube_blocks(cells, grid, level, flat)
+                assert np.array_equal(got, cube_blocks(cells, grid, level)[flat])
+
     @pytest.mark.parametrize("n,depth", [(1, 4), (2, 2)])
     def test_level_sums_match_integrals(self, n, depth, rng):
         grid = GridSpec(n, (0.0,) * n, 1.0, depth)

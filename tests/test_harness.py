@@ -543,13 +543,19 @@ def _assert_engine_matches(case):
 
 
 # fixed cases for the mutation checks: a constant weight, whose rows are all
-# ties, and spread weights in 1-D and 2-D
+# ties, and spread weights in 1-D and 2-D; each mutant below fails at least
+# two of them (the doubled L_Q the last three, the halved nodes all five,
+# the 4-cell nodes the two 1-D spread weights)
 MUTATION_CASES = [
     (constant(unit_grid(8), 2.0), 2.0, 0.0, None, np.ones(256)),
     (random_weight(unit_grid(8), np.random.default_rng(1)), 1.5, 0.25, 1.0 / (1.0 / 1.5 - 0.25),
      harness._lognormal(np.random.default_rng(2), 256)),
     (random_weight(unit_grid(4, n=2), np.random.default_rng(3)), 3.0, 0.0, None,
      harness._lognormal(np.random.default_rng(4), 256)),
+    (random_weight(unit_grid(8), np.random.default_rng(5)), 2.0, 0.0, None,
+     harness._lognormal(np.random.default_rng(105), 256)),
+    (random_weight(unit_grid(5, n=2), np.random.default_rng(6)), 3.0, 0.0, None,
+     harness._lognormal(np.random.default_rng(106), 1024)),
 ]
 
 
@@ -570,8 +576,9 @@ class TestSortedRunEngine:
     @staticmethod
     def _assert_caught():
         # a mutant is caught where its rows or its row error differ from the
-        # dense oracle's on some case; any other error is a crash, which is
-        # not a catch, so a mutant or a wrapper that only crashes fails here
+        # dense oracle's on at least two cases; any other error is a crash,
+        # which is not a catch, so a mutant or a wrapper that only crashes
+        # fails here
         caught = 0
         for case in MUTATION_CASES:
             try:
@@ -580,7 +587,7 @@ class TestSortedRunEngine:
                 caught += 1
             except Exception:  # a crash
                 pass
-        assert caught
+        assert caught >= 2
 
     def test_doubled_lower_bound_is_caught(self, monkeypatch):
         # a mutation check: with L_Q doubled, cells that attain a row's norm

@@ -320,13 +320,13 @@ class TestAgainstBruteForce:
 
 
 @st.composite
-def spread_weights(draw):
+def spread_weights(draw, sides=(2.0 ** -320, 2.0 ** -40, 1.0, 3.0, 2.0 ** 40)):
     """A tabulated weight, 1-D to 3-D, whose cells take values from a drawn
     pool: zero, or a mantissa in [1, 2) times 2^k with |k| up to 1, 60 or
-    1000 (a small pool makes ties), on a root of side 2^-320, 2^-40, 1 or
-    2^40 (the large root puts the weak factor of a wide spread in its
-    relative scale; on the smallest, cells times |cell| fall below the
-    normal range)."""
+    1000 (a small pool makes ties), on a root of one of the ``sides`` (by
+    default 2^-320, 2^-40, 1, 3 or 2^40: on the largest, a wide spread's
+    integral over the root passes the float range, and on the smallest,
+    cells times |cell| fall below the normal range)."""
     n = draw(st.integers(1, 3))
     depth = draw(st.integers(0, {1: 6, 2: 3, 3: 2}[n]))
     spread = draw(st.sampled_from([1, 60, 1000]))
@@ -335,7 +335,7 @@ def spread_weights(draw):
     pool = draw(st.lists(value, min_size=1, max_size=draw(st.sampled_from([2, 8, 64]))))
     size = 2 ** (n * depth)
     cells = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
-    side = 2.0 ** draw(st.sampled_from([-320, -40, 0, 40]))
+    side = draw(st.sampled_from(sides))
     return StepFunction(GridSpec(n, (0.0,) * n, side, depth), cells)
 
 
@@ -374,17 +374,17 @@ class TestPrunedStarScan:
         values, bounds = _star_bounds(tag, w, p)
         assert not np.any(values > bounds * (1.0 + weights._SELECT_MARGIN))
 
-    @pytest.mark.parametrize("side,relative", [(1.0, False), (2.0 ** 40, True)])
+    @pytest.mark.parametrize("side,overflows", [(1.0, False), (2.0 ** 40, True)])
     @pytest.mark.parametrize("n,depth", [(1, 6), (2, 3), (3, 2)])
-    def test_both_scales_of_the_weak_factor(self, side, relative, n, depth):
+    def test_both_scales_of_the_weak_factor(self, side, overflows, n, depth):
         # cells 2^k, k in [-1000, 1000] with both ends taken: max cell times
-        # the root measure overflows on the large root only
+        # the root measure overflows on the large root only, and no average
+        # reads it
         grid = GridSpec(n, (0.0,) * n, side, depth)
         k = np.random.default_rng([n, depth]).integers(-1000, 1001, grid.finest_count)
         k[:2] = 1000, -1000
         w = StepFunction(grid, np.ldexp(1.0, k))
-        row = weights._levels("ap_star", w, grid, p=2.0)
-        assert row.relative["weak", 1.0] is relative
+        assert math.isinf(2.0 ** 1000 * grid.root_measure) is overflows
         for p in (1.01, 2.0):
             for tag in ("ap_star", "apq_star"):
                 values, bounds = _star_bounds(tag, w, p)
@@ -393,9 +393,10 @@ class TestPrunedStarScan:
 
     def test_products_below_the_normal_range(self):
         # |cell| = 2^-1000 and x = m 2^-40 with 3m 2^34 = k + 1/2 + 2^-18
-        # (k even): the root's weak product x 3|cell| rounds up to k + 1
-        # units of 2^-1074, the sum 3x, rounded to k + 1/2 units, times
-        # |cell| down to k; the division by |Q| keeps that gap of 2^-36
+        # (k even): the root's weak product x 3|cell| would round up to
+        # k + 1 units of 2^-1074, and the sum 3x, rounded to k + 1/2 units,
+        # times |cell| down to k, a gap of 2^-36 once divided by |Q|; in
+        # units of |Q| neither product leaves the normal range
         k = 2 ** 36 + 2
         x = math.ldexp((k * 2 ** 18 + 2 ** 17 + 1) // 3, -92)
         w = StepFunction(GridSpec(1, (0.0,), 2.0 ** -998, 2), [x, x, x, math.ldexp(x, -60)])
@@ -454,9 +455,9 @@ class TestPrunedStarScan:
     @pytest.mark.parametrize("exponent", [0, 1010])
     def test_few_cubes_scanned(self, monkeypatch, exponent):
         # a lognormal weight at 1-D depth 10: a handful of its 2,047 cubes
-        # take the exact weak scan.  Times 2^1010 on a root of side 2^24,
-        # the weak factor takes the relative scale: w's integral over most
-        # cubes passes the float range, though their averages do not
+        # take the exact weak scan, also times 2^1010 on a root of side
+        # 2^24, where w's integral over most cubes passes the float range,
+        # though their averages do not
         rows = []
 
         def counting(values, cell_measure, p=1.0):
@@ -466,12 +467,48 @@ class TestPrunedStarScan:
         values = random_weight(unit_grid(10), np.random.default_rng(0)).values
         w = StepFunction(GridSpec(1, (0.0,), 2.0 ** 24 if exponent else 1.0, 10),
                          np.ldexp(values, exponent))
-        assert weights._levels("ap_star", w, w.grid, p=2.0).relative["weak", 1.0] is bool(exponent)
         want = dense_scan("ap_star", w, p=2.0)
         rows.clear()
         got = ap_star_constant(w, 2.0)
         assert (got.value, got.witness) == (want.value, want.witness)
         assert sum(rows) <= 16
+
+
+def _seven_constants(w, p, r):
+    """The seven tabulated constants of w, as (value, witness) pairs."""
+    q = 2.0 * p
+    return [(c.value, c.witness) for c in (
+        ap_constant(w, p), a1_constant(w), apq_constant(w, p, q), a1q_constant(w, q),
+        rh_constant(w, r), ap_star_constant(w, p), apq_star_constant(w, p, q))]
+
+
+class TestDilation:
+    """Every tabulated average is a cell sum times |cell| / |Q|, an exact
+    power of two, so the constants of the same cells on any root are those
+    on the unit root, bit for bit, in value and witness."""
+
+    @settings(max_examples=200)
+    @given(spread_weights(sides=(1.0,)), STAR_P, st.sampled_from([1.5, 2.0, 600.0]),
+           st.sampled_from([lambda n: 3.0, lambda n: 0.7, lambda n: 1.1e101 ** (1.0 / n),
+                            lambda n: 5e-90 ** (1.0 / n)]))
+    def test_any_root_reads_the_unit_root(self, w, p, r, side):
+        grid = w.grid
+        dilated = StepFunction(GridSpec(grid.n, (0.0,) * grid.n, side(grid.n), grid.depth),
+                               w.values)
+        assert _seven_constants(dilated, p, r) == _seven_constants(w, p, r)
+
+    def test_constant_weight_on_a_root_of_side_3(self, tmp_path):
+        # w^-1 = 0.2 rounds; a cell sum times |cell|, 0.4 * 1.5, divided
+        # by |Q| = 3 rounds it up by an ulp, and A_2 and A_2^* to
+        # 1.0000000000000002; 0.4 * (|cell| / |Q|) = 0.4 * 0.5 does not
+        w = StepFunction(GridSpec(1, (0.0,), 3.0, 1), [5.0, 5.0])
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(weight_to_dict(w)))
+        out = tmp_path / "out.json"
+        assert cli.main(["constants", "--weight", str(path), "--p", "2",
+                         "--output", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert [row["value"] for row in rows] == [1.0] * 9
 
 
 class TestDualWeight:
